@@ -1,0 +1,97 @@
+"""Golden-output gate: hash the outputs of a fixed set of runs.
+
+Runs, from the ``src/`` tree next to this script:
+
+* every defense x attack cell of ``configs/table1_synthetic.ini``;
+* the no-attack and backdoor cells of
+  ``configs/classification_backdoor.ini`` for asyncsgd, aflguard and zenopp;
+* a two-value lambda sweep of the regression config at 300 iterations;
+* an asyncsgd gradient-deviation run that diverges, through the command
+  line with a ``--seed`` override.
+
+It prints one SHA-256 per output directory. Two checkouts that print the
+same lines write byte-identical trial CSVs, ``summary.json`` and
+``sweep.csv`` files. Usage (about 30 s on one core):
+
+    python3 scripts/golden_outputs.py > golden.txt
+"""
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+from aflbench import cli  # noqa: E402
+from aflbench.config import ExperimentConfig, load_config  # noqa: E402
+from aflbench.defenses import DEFENSE_KINDS  # noqa: E402
+
+REGRESSION_CONFIG = ROOT / "configs" / "table1_synthetic.ini"
+CLASSIFICATION_CONFIG = ROOT / "configs" / "classification_backdoor.ini"
+REGRESSION_ATTACKS = ("none", "label_flip", "gaussian", "gradient_deviation",
+                      "adaptive")
+CLASSIFICATION_DEFENSES = ("asyncsgd", "aflguard", "zenopp")
+CLASSIFICATION_ATTACKS = ("none", "backdoor")
+
+
+def cell(config: ExperimentConfig, defense: str, attack: str) -> ExperimentConfig:
+    return dataclasses.replace(
+        config,
+        defense=dataclasses.replace(config.defense, kind=defense),
+        attack=dataclasses.replace(config.attack, kind=attack))
+
+
+def digest(directory: Path) -> str:
+    """SHA-256 over every file below directory: relative path, then bytes."""
+    h = hashlib.sha256()
+    for path in sorted(p for p in directory.rglob("*") if p.is_file()):
+        h.update(path.relative_to(directory).as_posix().encode() + b"\0")
+        h.update(path.read_bytes() + b"\0")
+    return h.hexdigest()
+
+
+def main() -> int:
+    regression = load_config(REGRESSION_CONFIG)
+    classification = load_config(CLASSIFICATION_CONFIG)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        names = []
+        for defense in DEFENSE_KINDS:
+            for attack in REGRESSION_ATTACKS:
+                name = f"reg_{defense}_{attack}"
+                cli.run_command(cell(regression, defense, attack), out / name)
+                names.append(name)
+        for defense in CLASSIFICATION_DEFENSES:
+            for attack in CLASSIFICATION_ATTACKS:
+                name = f"cls_{defense}_{attack}"
+                cli.run_command(cell(classification, defense, attack), out / name)
+                names.append(name)
+
+        short = dataclasses.replace(regression, schedule=dataclasses.replace(
+            regression.schedule, iterations=300))
+        cli.sweep_command(short, "lambda", [1.0, 2.0], out / "sweep_lambda")
+        names.append("sweep_lambda")
+
+        text = REGRESSION_CONFIG.read_text(encoding="utf-8")
+        text = text.replace("kind = none", "kind = gradient_deviation")
+        text = text.replace("kind = aflguard", "kind = asyncsgd")
+        divergent_ini = out / "divergent.ini"
+        divergent_ini.write_text(text, encoding="utf-8")
+        rc = cli.main(["run", "--config", str(divergent_ini),
+                       "--out", str(out / "cli_divergent"), "--seed", "1,2"])
+        if rc != 0:
+            print(f"cli run exited {rc}", file=sys.stderr)
+            return 1
+        names.append("cli_divergent")
+
+        for name in names:
+            print(f"{digest(out / name)}  {name}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -4,10 +4,11 @@ Data-level attacks (label flipping, backdoor replication) poison a client's
 local dataset once at setup; the client then behaves honestly on the
 poisoned data. Update-level attacks (Gaussian, gradient deviation, backdoor
 scaling, adaptive) transform or replace the update a client would send.
+Attack parameters are validated once, by ``AttackConfig``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,15 +87,11 @@ def flip_dataset_labels(ds: Dataset) -> Dataset:
 
 def gaussian_update(dim: int, sigma: float, rng: np.random.Generator) -> np.ndarray:
     """Pure-noise update with each component drawn from N(0, sigma^2)."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
     return rng.normal(0.0, sigma, dim)
 
 
 def gradient_deviation_update(honest: np.ndarray, scale: float) -> np.ndarray:
     """Reverse and amplify the honest update by a negative constant."""
-    if scale >= 0:
-        raise ValueError("gradient deviation scale must be negative")
     return scale * honest
 
 

@@ -8,9 +8,7 @@ finite reporting range carry the divergence marker in the summary.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
-import math
 import sys
 from pathlib import Path
 from typing import List, Optional, Sequence
@@ -19,10 +17,10 @@ import numpy as np
 
 from . import __version__
 from .config import (SWEEP_AXES, ConfigError, ExperimentConfig, apply_axis,
-                     config_to_dict, load_config)
-from .data import REGRESSION, save_csv
-from .engine import (DIVERGENCE_MARKER, DIVERGENCE_THRESHOLD, PreparedData,
-                     TrialResult, prepare_data, run_trial)
+                     config_to_dict, load_config, parse_seeds)
+from .data import save_csv
+from .engine import (DIVERGENCE_MARKER, TrialResult, beyond_reporting_range,
+                     prepare_data, run_trial)
 
 CSV_COLUMNS = ("iteration", "mse", "test_error_rate", "mee",
                "attack_success_rate", "accepted", "rejected", "buffered")
@@ -51,7 +49,7 @@ def write_trial_csv(path: Path, result: TrialResult,
 def _marker_or_value(value: Optional[float], diverged: bool):
     if value is None:
         return None
-    if diverged or not math.isfinite(value) or value > DIVERGENCE_THRESHOLD:
+    if diverged or beyond_reporting_range(value):
         return DIVERGENCE_MARKER
     return value
 
@@ -102,12 +100,10 @@ def write_summary(path: Path, config: ExperimentConfig,
                     encoding="utf-8")
 
 
-def run_command(config: ExperimentConfig, out_dir: Path,
-                seeds: Optional[Sequence[int]] = None) -> int:
+def _run_seeds(config: ExperimentConfig, out_dir: Path,
+               seeds: Sequence[int]) -> List[TrialResult]:
     """Run one trial per seed; write per-trial CSVs and a summary JSON."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    if seeds is None:
-        seeds = config.seeds.run_seeds
     prepared = prepare_data(config)
     results = []
     for seed in seeds:
@@ -115,33 +111,32 @@ def run_command(config: ExperimentConfig, out_dir: Path,
         write_trial_csv(out_dir / f"trial_seed{seed}.csv", result, config)
         results.append(result)
     write_summary(out_dir / "summary.json", config, results)
+    return results
+
+
+def run_command(config: ExperimentConfig, out_dir: Path,
+                seeds: Optional[Sequence[int]] = None) -> int:
+    """Run one trial per seed (default: the configured run seeds)."""
+    _run_seeds(config, out_dir,
+               config.seeds.run_seeds if seeds is None else seeds)
     return 0
 
 
 def sweep_command(config: ExperimentConfig, axis: str, values: Sequence[float],
                   out_dir: Path) -> int:
     """One run per axis value; emit a combined long-format CSV."""
-    if axis not in SWEEP_AXES:
-        raise ConfigError(f"unknown sweep axis: {axis!r} (choose from {SWEEP_AXES})")
     if not values:
         raise ConfigError("sweep needs at least one value")
-    out_dir.mkdir(parents=True, exist_ok=True)
     combined = [",".join(("axis", "value", "seed") + CSV_COLUMNS)]
     for value in values:
         sub_config = apply_axis(config, axis, value)
-        sub_dir = out_dir / f"{axis}_{value:g}"
-        sub_dir.mkdir(parents=True, exist_ok=True)
-        prepared = prepare_data(sub_config)
-        results = []
-        for seed in sub_config.seeds.run_seeds:
-            result = run_trial(sub_config, prepared, seed)
-            write_trial_csv(sub_dir / f"trial_seed{seed}.csv", result, sub_config)
-            results.append(result)
+        results = _run_seeds(sub_config, out_dir / f"{axis}_{value:g}",
+                             sub_config.seeds.run_seeds)
+        for result in results:
             for rec in result.records:
-                row = [axis, f"{value:g}", str(seed)]
+                row = [axis, f"{value:g}", str(result.seed)]
                 row += [_fmt(getattr(rec, col)) for col in CSV_COLUMNS]
                 combined.append(",".join(row))
-        write_summary(sub_dir / "summary.json", sub_config, results)
     (out_dir / "sweep.csv").write_text("\n".join(combined) + "\n", encoding="utf-8")
     return 0
 
@@ -159,13 +154,6 @@ def gen_data_command(config: ExperimentConfig, out_dir: Path) -> int:
     print(f"wrote {len(prepared.train)} train / {len(prepared.test)} test examples "
           f"to {out_dir}")
     return 0
-
-
-def _parse_seeds(raw: str) -> List[int]:
-    try:
-        return [int(tok) for tok in raw.split(",") if tok.strip()]
-    except ValueError:
-        raise ConfigError("--seed expects comma-separated integers") from None
 
 
 def _parse_values(raw: str) -> List[float]:
@@ -210,7 +198,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return verify_main()
         config = load_config(args.config)
         if args.command == "run":
-            seeds = _parse_seeds(args.seed) if args.seed else None
+            seeds = None if args.seed is None else parse_seeds(args.seed, "--seed")
             return run_command(config, Path(args.out), seeds)
         if args.command == "sweep":
             return sweep_command(config, args.axis, _parse_values(args.values),

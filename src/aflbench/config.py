@@ -1,19 +1,20 @@
 """Experiment configuration: a flat, sectioned key=value file format.
 
-Every key is validated; unknown sections or keys are hard errors. The
-shipped ``configs/table1_synthetic.ini`` carries the benchmark defaults
-(100 clients, 20% malicious, lambda 1.5, 2000 iterations, learning rate
-1/1600, batch 16, client delay cap 10, server refresh period 10, trusted
-set of 100).
+Every key is validated; unknown sections or keys are hard errors. A
+section's keys and types are its dataclass's fields (``lambda`` sets
+``lam``). The shipped ``configs/table1_synthetic.ini`` carries the
+benchmark defaults (100 clients, 20% malicious, lambda 1.5, 2000
+iterations, learning rate 1/1600, batch 16, client delay cap 10, server
+refresh period 10, trusted set of 100).
 """
 from __future__ import annotations
 
 import configparser
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple, get_type_hints
 
-from .attacks import ATTACK_KINDS, AttackConfig
+from .attacks import AttackConfig
 from .defenses import DEFENSE_KINDS
 
 TASK_KINDS = ("synthetic_regression", "synthetic_classification", "csv")
@@ -133,39 +134,43 @@ class ExperimentConfig:
     seeds: SeedConfig = field(default_factory=SeedConfig)
 
 
-_SECTION_TYPES: Dict[str, Dict[str, type]] = {
-    "task": {"kind": str, "path": str, "num_samples": int, "dim": int,
-             "num_classes": int, "class_spread": float, "feature_offset": float,
-             "train_count": int},
-    "clients": {"num_clients": int, "malicious_fraction": float},
-    "attack": {"kind": str, "gauss_sigma": float, "gd_scale": float,
-               "bd_trigger_period": int, "bd_target_class": int,
-               "bd_replication_fraction": float, "bd_scale_factor": float,
-               "adaptive_gamma_iters": int, "knowledge": str},
-    "defense": {"kind": str, "lambda": float, "num_buffers": int},
-    "schedule": {"iterations": int, "learning_rate": float,
-                 "max_client_delay": int, "server_refresh_period": int,
-                 "batch_size": int},
-    "data": {"partition": str, "noniid_degree": float, "trusted_size": int,
-             "distribution_shift": float},
-    "seeds": {"data_seed": int, "run_seeds": str},
-}
-
-# config-file key -> dataclass field where the names differ
-_KEY_RENAMES = {("defense", "lambda"): "lam"}
-
 _SECTION_CLASSES = {
     "task": TaskConfig, "clients": ClientConfig, "attack": AttackConfig,
     "defense": DefenseConfig, "schedule": ScheduleConfig, "data": DataConfig,
     "seeds": SeedConfig,
 }
 
+# config-file key -> dataclass field where the names differ
+_KEY_RENAMES = {("defense", "lambda"): "lam"}
+
 
 class ConfigError(ValueError):
     pass
 
 
+def _schema(section: str) -> Dict[str, Tuple[str, type]]:
+    """Config-file key -> (field name, field type) of a section's dataclass."""
+    cls = _SECTION_CLASSES[section]
+    hints = get_type_hints(cls)
+    keys = {name: key for (sec, key), name in _KEY_RENAMES.items() if sec == section}
+    return {keys.get(f.name, f.name): (f.name, hints[f.name])
+            for f in dataclasses.fields(cls)}
+
+
+def parse_seeds(raw: str, where: str) -> Tuple[int, ...]:
+    """Parse a nonempty comma-separated list of integer seeds."""
+    try:
+        seeds = tuple(int(tok) for tok in raw.split(",") if tok.strip())
+    except ValueError:
+        raise ConfigError(f"{where}: expected comma-separated ints") from None
+    if not seeds:
+        raise ConfigError(f"{where}: need at least one seed")
+    return seeds
+
+
 def _parse_value(raw: str, typ: type, where: str):
+    if typ == Tuple[int, ...]:
+        return parse_seeds(raw, where)
     raw = raw.strip()
     try:
         if typ is int:
@@ -186,21 +191,15 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"config file not found: {path}")
     section_kwargs: Dict[str, dict] = {}
     for section in parser.sections():
-        if section not in _SECTION_TYPES:
+        if section not in _SECTION_CLASSES:
             raise ConfigError(f"unknown config section [{section}]")
-        schema = _SECTION_TYPES[section]
+        schema = _schema(section)
         kwargs = {}
         for key, raw in parser.items(section):
             if key not in schema:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
-            value = _parse_value(raw, schema[key], f"[{section}] {key}")
-            if section == "seeds" and key == "run_seeds":
-                try:
-                    value = tuple(int(tok) for tok in raw.split(",") if tok.strip())
-                except ValueError:
-                    raise ConfigError(f"[seeds] run_seeds: expected comma-separated ints") from None
-            field_name = _KEY_RENAMES.get((section, key), key)
-            kwargs[field_name] = value
+            field_name, typ = schema[key]
+            kwargs[field_name] = _parse_value(raw, typ, f"[{section}] {key}")
         section_kwargs[section] = kwargs
     try:
         parts = {name: cls(**section_kwargs.get(name, {}))

@@ -11,8 +11,7 @@ row is comma-separated features with the label in the last column.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, List
+from typing import List
 
 import numpy as np
 
@@ -25,12 +24,6 @@ CLASSIFICATION = "classification"
 DEFAULT_NUM_SAMPLES = 10_000
 DEFAULT_DIM = 100
 THETA_STAR_STD = 5.0  # N(0, 25) read as variance 25
-
-
-@dataclass(frozen=True)
-class Example:
-    features: np.ndarray
-    label: float | int
 
 
 class Dataset:
@@ -80,35 +73,6 @@ class Dataset:
         return Dataset(self.features[indices], self.labels[indices], self.kind,
                        self.num_classes)
 
-    def examples(self) -> Iterator[Example]:
-        for i in range(len(self)):
-            yield Example(self.features[i], self.labels[i].item())
-
-
-@dataclass(frozen=True)
-class PartitionSpec:
-    num_clients: int
-    mode: str = "iid"  # iid | noniid
-    noniid_degree: float = 0.5
-
-    def __post_init__(self):
-        if self.num_clients < 1:
-            raise ValueError("num_clients must be >= 1")
-        if self.mode not in ("iid", "noniid"):
-            raise ValueError(f"unknown partition mode: {self.mode!r}")
-
-
-@dataclass(frozen=True)
-class TrustedSetSpec:
-    size: int
-    distribution_shift: float = 0.0
-
-    def __post_init__(self):
-        if self.size < 1:
-            raise ValueError("trusted set size must be >= 1")
-        if not (0.0 <= self.distribution_shift <= 1.0):
-            raise ValueError("distribution_shift must lie in [0, 1]")
-
 
 def gen_synthetic_regression(seed: int, num_samples: int = DEFAULT_NUM_SAMPLES,
                              dim: int = DEFAULT_DIM):
@@ -153,34 +117,36 @@ def split_train_test(ds: Dataset, train_count: int, seed: int):
     return ds.subset(order[:train_count]), ds.subset(order[train_count:])
 
 
-def partition(ds: Dataset, spec: PartitionSpec, seed: int) -> List[Dataset]:
-    """Assign every training example to exactly one client.
+def partition(ds: Dataset, num_clients: int, mode: str, noniid_degree: float,
+              seed: int) -> List[Dataset]:
+    """Assign every training example to exactly one of num_clients clients.
 
-    iid: shuffle and deal round-robin, client sizes differ by at most one.
-    noniid (classification only): clients are split into C label groups; an
-    example with label c lands on a uniform client of group c with
-    probability q, otherwise on a uniform client of a uniform other group.
+    mode "iid": shuffle and deal round-robin, client sizes differ by at most
+    one; noniid_degree is unused. mode "noniid" (classification only):
+    clients are split into C label groups; an example with label c lands on
+    a uniform client of group c with probability noniid_degree, otherwise
+    on a uniform client of a uniform other group. ``DataConfig`` and
+    ``ClientConfig`` check mode and num_clients; noniid_degree in [1/C, 1]
+    is checked here, where C is known.
     """
     rng = np.random.default_rng(seed)
-    n = spec.num_clients
-    if spec.mode == "iid":
+    if mode == "iid":
         order = rng.permutation(len(ds))
-        buckets = [order[k::n] for k in range(n)]
+        buckets = [order[k::num_clients] for k in range(num_clients)]
         return [ds.subset(np.sort(b)) for b in buckets]
 
     if ds.kind != CLASSIFICATION:
         raise ValueError("noniid partitioning requires classification data")
     c = ds.num_classes
-    q = spec.noniid_degree
-    if not (1.0 / c <= q <= 1.0):
+    if not (1.0 / c <= noniid_degree <= 1.0):
         raise ValueError(f"noniid_degree must lie in [1/C, 1] = [{1.0 / c:.4f}, 1]")
-    groups = np.array_split(np.arange(n), c)
+    groups = np.array_split(np.arange(num_clients), c)
     if any(len(g) == 0 for g in groups):
         raise ValueError("more label groups than clients")
-    assigned: List[List[int]] = [[] for _ in range(n)]
+    assigned: List[List[int]] = [[] for _ in range(num_clients)]
     for i in range(len(ds)):
         own = int(ds.labels[i])
-        if rng.random() < q:
+        if rng.random() < noniid_degree:
             g = own
         else:
             g = int(rng.integers(c - 1))
@@ -192,28 +158,31 @@ def partition(ds: Dataset, spec: PartitionSpec, seed: int) -> List[Dataset]:
     return [ds.subset(np.array(idx, dtype=int)) for idx in assigned]
 
 
-def sample_trusted(ds: Dataset, spec: TrustedSetSpec, seed: int) -> Dataset:
-    """Draw the server's trusted dataset from a source pool.
+def sample_trusted(ds: Dataset, size: int, distribution_shift: float,
+                   seed: int) -> Dataset:
+    """Draw the server's trusted dataset of ``size`` examples from a pool.
 
-    Classification: round(DS * size) examples come uniformly from class 0,
-    the remainder uniformly from the other classes, all without replacement.
-    Regression: uniform subsample, DS ignored.
+    Classification: round(distribution_shift * size) examples come uniformly
+    from class 0, the remainder uniformly from the other classes, all
+    without replacement. Regression: uniform subsample, distribution_shift
+    ignored. ``DataConfig`` checks size >= 1 and distribution_shift in
+    [0, 1].
     """
-    if spec.size > len(ds):
+    if size > len(ds):
         raise ValueError("trusted set larger than source dataset")
     rng = np.random.default_rng(seed)
     if ds.kind == REGRESSION:
-        idx = rng.choice(len(ds), size=spec.size, replace=False)
+        idx = rng.choice(len(ds), size=size, replace=False)
         return ds.subset(np.sort(idx))
-    num_shifted = int(round(spec.distribution_shift * spec.size))
+    num_shifted = int(round(distribution_shift * size))
     class0 = np.flatnonzero(ds.labels == 0)
     others = np.flatnonzero(ds.labels != 0)
     if len(class0) < num_shifted:
         raise ValueError(f"need {num_shifted} class-0 examples, have {len(class0)}")
-    if len(others) < spec.size - num_shifted:
+    if len(others) < size - num_shifted:
         raise ValueError("not enough non-class-0 examples for the trusted set")
     take0 = rng.choice(class0, size=num_shifted, replace=False)
-    take_rest = rng.choice(others, size=spec.size - num_shifted, replace=False)
+    take_rest = rng.choice(others, size=size - num_shifted, replace=False)
     return ds.subset(np.sort(np.concatenate([take0, take_rest])))
 
 

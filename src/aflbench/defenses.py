@@ -1,5 +1,6 @@
 """Server-side update filters: passthrough, acceptance-ball, Lipschitz
 median, buffered median-of-means, and cosine-gated normalization.
+Filter parameters are validated once, by ``config.DefenseConfig``.
 """
 from __future__ import annotations
 
@@ -29,22 +30,11 @@ class Verdict:
             raise ValueError("effective_update present iff decision != reject")
 
 
-@dataclass(frozen=True)
-class AflguardParams:
-    lam: float
-
-    def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError("lambda must be positive")
-
-
 def aflguard_accept(client_update: np.ndarray, server_update: np.ndarray,
                     lam: float) -> bool:
     """Accept iff ||g_client - g_server|| <= lambda * ||g_server||."""
     if client_update.shape != server_update.shape:
         raise ValueError("dimension mismatch")
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
     return l2norm(client_update - server_update) <= lam * l2norm(server_update)
 
 
@@ -95,8 +85,6 @@ class BasgdState:
     buffers: List[List[np.ndarray]] = field(default_factory=list)
 
     def __post_init__(self):
-        if self.num_buffers < 1:
-            raise ValueError("need at least one buffer")
         self.buffers = [[] for _ in range(self.num_buffers)]
 
 

@@ -31,13 +31,13 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from . import attacks, defenses, metrics, tasks
-from .attacks import AttackConfig, ThreatKnowledge
+from .attacks import ThreatKnowledge
 from .config import ExperimentConfig
-from .data import (CLASSIFICATION, REGRESSION, Dataset, PartitionSpec,
-                   TrustedSetSpec, gen_synthetic_classification,
-                   gen_synthetic_regression, load_csv, minibatch,
-                   partition, sample_trusted, split_train_test)
-from .defenses import ACCEPT, BUFFERED, REJECT, BasgdState, KardamState, Verdict
+from .data import (CLASSIFICATION, REGRESSION, Dataset,
+                   gen_synthetic_classification, gen_synthetic_regression,
+                   load_csv, minibatch, partition, sample_trusted,
+                   split_train_test)
+from .defenses import ACCEPT, REJECT, BasgdState, KardamState, Verdict
 from .metrics import MetricRecord
 
 METRIC_CADENCE = 50
@@ -47,6 +47,11 @@ METRIC_CADENCE = 50
 # summarized as the divergence marker.
 DIVERGENCE_THRESHOLD = 1000.0
 DIVERGENCE_MARKER = ">1000"
+
+
+def beyond_reporting_range(value: float) -> bool:
+    """Whether a metric value is reported as the divergence marker."""
+    return not np.isfinite(value) or value > DIVERGENCE_THRESHOLD
 
 
 @dataclass
@@ -68,19 +73,8 @@ class GlobalState:
     """Mutable per-trial server state."""
 
     theta: np.ndarray
-    iteration: int
     history: Dict[int, np.ndarray]
     server_update: np.ndarray
-    server_update_iteration: int
-    # past reference updates keyed by refresh iteration; an adaptive client
-    # crafting at a stale base model sees the estimate that was current then
-    server_update_history: Dict[int, np.ndarray] = field(default_factory=dict)
-
-    def server_update_at(self, iteration: int) -> np.ndarray:
-        known = [k for k in self.server_update_history if k <= iteration]
-        if not known:
-            raise ValueError(f"no server update known at iteration {iteration}")
-        return self.server_update_history[max(known)]
 
 
 @dataclass
@@ -96,10 +90,7 @@ class TrialResult:
 
     def is_divergent(self) -> bool:
         """Whether this run reports the divergence marker."""
-        if self.diverged:
-            return True
-        value = self.final_record.primary
-        return not np.isfinite(value) or value > DIVERGENCE_THRESHOLD
+        return self.diverged or beyond_reporting_range(self.final_record.primary)
 
 
 def prepare_data(config: ExperimentConfig) -> PreparedData:
@@ -127,19 +118,17 @@ def prepare_data(config: ExperimentConfig) -> PreparedData:
         task = tasks.LogisticTask(train.dim, train.num_classes)
         mode = config.data.partition
 
-    spec = PartitionSpec(config.clients.num_clients, mode,
-                         config.data.noniid_degree)
-    clean = partition(train, spec, config.seeds.data_seed)
+    clean = partition(train, config.clients.num_clients, mode,
+                      config.data.noniid_degree, config.seeds.data_seed)
     batch = config.schedule.batch_size
     for i, ds in enumerate(clean):
         if len(ds) < batch:
             raise ValueError(
                 f"client {i} holds {len(ds)} examples, fewer than batch size {batch}")
 
-    trusted = sample_trusted(
-        train, TrustedSetSpec(config.data.trusted_size,
-                              config.data.distribution_shift),
-        config.seeds.data_seed)
+    trusted = sample_trusted(train, config.data.trusted_size,
+                             config.data.distribution_shift,
+                             config.seeds.data_seed)
 
     malicious = frozenset(config.clients.malicious_ids())
     poisoned = list(clean)
@@ -304,16 +293,13 @@ def run_trial(config: ExperimentConfig, prepared: PreparedData,
     n = config.clients.num_clients
     theta = np.zeros(prepared.task.param_dim)
     g0 = server_update_vector(prepared.task, theta, prepared.trusted)
-    state = GlobalState(theta=theta, iteration=0, history={0: theta},
-                        server_update=g0, server_update_iteration=0,
-                        server_update_history={0: g0})
+    state = GlobalState(theta=theta, history={0: theta}, server_update=g0)
     defense = _DefenseRunner(config)
     counts = {"accepted": 0, "rejected": 0, "buffered": 0}
     result = TrialResult(seed=seed)
 
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(sched.iterations):
-            state.iteration = t
             cid = int(rng.integers(n))
             dmax = min(sched.max_client_delay, t)
             delay = int(rng.integers(0, dmax + 1))
@@ -325,11 +311,6 @@ def run_trial(config: ExperimentConfig, prepared: PreparedData,
             if t % sched.server_refresh_period == 0 and t > 0:
                 state.server_update = server_update_vector(
                     prepared.task, state.theta, prepared.trusted)
-                state.server_update_iteration = t
-                state.server_update_history[t] = state.server_update
-                stale_cutoff = t - sched.max_client_delay - sched.server_refresh_period
-                for key in [k for k in state.server_update_history if k < stale_cutoff]:
-                    del state.server_update_history[key]
 
             verdict = defense.step(cid, update, base_model, state.server_update)
             if verdict.decision == ACCEPT:

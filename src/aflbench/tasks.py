@@ -75,13 +75,6 @@ def regression_gradient(theta: np.ndarray, features: np.ndarray, labels: np.ndar
     return features.T @ residual / features.shape[0]
 
 
-def regression_predict(theta: np.ndarray, features: np.ndarray) -> float:
-    """Predicted value <features, theta> for a single example."""
-    if features.shape != theta.shape:
-        raise ValueError("dimension mismatch")
-    return float(features @ theta)
-
-
 def regression_predict_batch(theta: np.ndarray, features: np.ndarray) -> np.ndarray:
     if features.shape[1] != theta.shape[0]:
         raise ValueError("dimension mismatch")
@@ -121,12 +114,7 @@ def logistic_scores(params: np.ndarray, features: np.ndarray, num_classes: int) 
     return features @ weights.T
 
 
-def logistic_predict(params: np.ndarray, features: np.ndarray, num_classes: int) -> int:
-    """Argmax class; ties break toward the lowest class index."""
-    scores = logistic_scores(params, features.reshape(1, -1), num_classes)
-    return int(np.argmax(scores[0]))
-
-
 def logistic_predict_batch(params: np.ndarray, features: np.ndarray, num_classes: int) -> np.ndarray:
+    """Argmax class per row; ties break toward the lowest class index."""
     scores = logistic_scores(params, features, num_classes)
     return np.argmax(scores, axis=1)

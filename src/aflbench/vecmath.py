@@ -6,8 +6,6 @@ broadcasts.
 """
 from __future__ import annotations
 
-from typing import Iterable, Sequence
-
 import numpy as np
 
 
@@ -39,12 +37,6 @@ def l2norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
 
 
-def axpy(alpha: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Return y + alpha * x componentwise."""
-    _check_same_dim(x, y)
-    return y + alpha * x
-
-
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
     """Cosine similarity in [-1, 1]; zero-norm input is a hard error."""
     _check_same_dim(a, b)
@@ -53,24 +45,3 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
         raise ValueError("cosine undefined for zero-norm input")
     c = dot(a, b) / (na * nb)
     return float(min(1.0, max(-1.0, c)))
-
-
-def _stack(vs: Sequence[np.ndarray] | Iterable[np.ndarray]) -> np.ndarray:
-    vs = list(vs)
-    if not vs:
-        raise ValueError("empty vector list")
-    dim = vs[0].shape
-    for v in vs[1:]:
-        if v.shape != dim:
-            raise ValueError(f"dimension mismatch in vector list: {v.shape} vs {dim}")
-    return np.stack(vs)
-
-
-def coordinate_median(vs: Sequence[np.ndarray]) -> np.ndarray:
-    """Componentwise median; even counts average the two middle order statistics."""
-    return np.median(_stack(vs), axis=0)
-
-
-def mean(vs: Sequence[np.ndarray]) -> np.ndarray:
-    """Componentwise arithmetic mean."""
-    return np.mean(_stack(vs), axis=0)

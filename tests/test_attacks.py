@@ -46,8 +46,8 @@ def test_gaussian_update_deterministic():
     a = attacks.gaussian_update(10, 200.0, np.random.default_rng(4))
     b = attacks.gaussian_update(10, 200.0, np.random.default_rng(4))
     assert np.array_equal(a, b)
-    with pytest.raises(ValueError):
-        attacks.gaussian_update(10, 0.0, np.random.default_rng(4))
+    with pytest.raises(ValueError):  # sigma > 0 is checked at the config boundary
+        AttackConfig(kind="gaussian", gauss_sigma=0.0)
 
 
 def test_gradient_deviation_examples():
@@ -60,8 +60,8 @@ def test_gradient_deviation_examples():
     out = attacks.gradient_deviation_update(honest, -4.0)
     assert vecmath.l2norm(out) == pytest.approx(4.0 * vecmath.l2norm(honest))
     assert vecmath.cosine(honest, out) == pytest.approx(-1.0)
-    with pytest.raises(ValueError):
-        attacks.gradient_deviation_update(honest, 2.0)
+    with pytest.raises(ValueError):  # scale < 0 is checked at the config boundary
+        AttackConfig(kind="gradient_deviation", gd_scale=2.0)
 
 
 def _local_classification(n=80, dim=40, c=4):

@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 
 from aflbench import cli, data
-from aflbench.config import (ConfigError, ExperimentConfig, apply_axis,
-                             load_config)
+from aflbench.attacks import AttackConfig
+from aflbench.config import (ClientConfig, ConfigError, DataConfig,
+                             DefenseConfig, ExperimentConfig, ScheduleConfig,
+                             SeedConfig, TaskConfig, apply_axis,
+                             config_to_dict, load_config)
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -41,9 +44,55 @@ def test_unknown_section_is_hard_error(tmp_path):
 
 
 def test_invalid_malicious_fraction(tmp_path):
+    # DefenseConfig is the only check of lambda and num_buffers
     path = tmp_path / "bad.ini"
-    path.write_text("[clients]\nmalicious_fraction = 1.0\n")
-    with pytest.raises(ConfigError, match="malicious_fraction"):
+    for text, match in (("[clients]\nmalicious_fraction = 1.0\n", "malicious_fraction"),
+                        ("[defense]\nlambda = 0\n", "lambda"),
+                        ("[defense]\nlambda = -1\n", "lambda"),
+                        ("[defense]\nnum_buffers = 0\n", "num_buffers")):
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=match):
+            load_config(path)
+
+
+# every field of every section away from its default
+NON_DEFAULT = ExperimentConfig(
+    task=TaskConfig(kind="synthetic_classification", path="unused.csv",
+                    num_samples=500, dim=7, num_classes=4, class_spread=0.5,
+                    feature_offset=1.25, train_count=400),
+    clients=ClientConfig(num_clients=12, malicious_fraction=0.25),
+    attack=AttackConfig(kind="backdoor", gauss_sigma=3.5, gd_scale=-2.5,
+                        bd_trigger_period=3, bd_target_class=2,
+                        bd_replication_fraction=0.5, bd_scale_factor=2.0,
+                        adaptive_gamma_iters=7, knowledge="partial"),
+    defense=DefenseConfig(kind="basgd", lam=0.75, num_buffers=4),
+    schedule=ScheduleConfig(iterations=30, learning_rate=0.01,
+                            max_client_delay=3, server_refresh_period=5,
+                            batch_size=4),
+    data=DataConfig(partition="noniid", noniid_degree=0.75, trusted_size=20,
+                    distribution_shift=0.25),
+    seeds=SeedConfig(data_seed=5, run_seeds=(4, 5)),
+)
+
+
+def test_every_config_field_is_settable(tmp_path):
+    default = config_to_dict(ExperimentConfig())
+    expected = config_to_dict(NON_DEFAULT)
+    lines = []
+    for section, fields in expected.items():
+        lines.append(f"[{section}]")
+        for name, value in fields.items():
+            assert value != default[section][name], f"{section}.{name} is at its default"
+            key = "lambda" if (section, name) == ("defense", "lam") else name
+            text = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+            lines.append(f"{key} = {text}")
+    path = tmp_path / "all.ini"
+    path.write_text("\n".join(lines) + "\n")
+    assert config_to_dict(load_config(path)) == expected
+
+    # the file key is lambda; the field name is not a key
+    path.write_text("[defense]\nlam = 1.0\n")
+    with pytest.raises(ConfigError, match="unknown key 'lam'"):
         load_config(path)
 
 
@@ -167,6 +216,15 @@ def test_cli_main_run(tmp_path):
     rc = cli.main(["run", "--config", str(path), "--out", str(out), "--seed", "3"])
     assert rc == 0
     assert (out / "trial_seed3.csv").exists()
+
+
+def test_cli_main_rejects_empty_seed_list(tmp_path):
+    path = _quick_config(tmp_path)
+    for raw in (",", " ", ""):
+        out = tmp_path / "cli_out"
+        rc = cli.main(["run", "--config", str(path), "--out", str(out), "--seed", raw])
+        assert rc == 2
+        assert not (out / "summary.json").exists()
 
 
 def test_cli_main_errors_cleanly(tmp_path):

@@ -65,17 +65,15 @@ def test_split_determinism_and_edge():
 
 def test_partition_iid_sizes():
     ds, _ = data.gen_synthetic_regression(23, 8_000, 5)
-    parts = data.partition(ds, data.PartitionSpec(100, "iid"), 23)
+    parts = data.partition(ds, 100, "iid", 0.5, 23)
     assert len(parts) == 100
     assert all(len(p) == 80 for p in parts)
 
 
 def test_partition_disjoint_and_exhaustive():
     ds = data.gen_synthetic_classification(29, 1_000, 4, 5)[0]
-    for spec in (data.PartitionSpec(7, "iid"),
-                 data.PartitionSpec(10, "noniid", 0.5),
-                 data.PartitionSpec(10, "noniid", 1.0)):
-        parts = data.partition(ds, spec, 31)
+    for n, mode, q in ((7, "iid", 0.5), (10, "noniid", 0.5), (10, "noniid", 1.0)):
+        parts = data.partition(ds, n, mode, q, 31)
         total = sum(len(p) for p in parts)
         assert total == len(ds)
         all_labels = np.concatenate([p.labels for p in parts if len(p)])
@@ -85,7 +83,7 @@ def test_partition_disjoint_and_exhaustive():
 def test_partition_noniid_uniform_at_q_equals_one_over_c():
     c = 5
     ds = data.gen_synthetic_classification(37, 10_000, 3, c)[0]
-    parts = data.partition(ds, data.PartitionSpec(c, "noniid", 1.0 / c), 37)
+    parts = data.partition(ds, c, "noniid", 1.0 / c, 37)
     # with q = 1/C group membership is uniform; chi-square should not reject
     group_counts = [len(p) for p in parts]
     _, p_value = stats.chisquare(group_counts)
@@ -95,7 +93,7 @@ def test_partition_noniid_uniform_at_q_equals_one_over_c():
 def test_partition_noniid_degenerate_q_one():
     c = 4
     ds = data.gen_synthetic_classification(41, 400, 3, c)[0]
-    parts = data.partition(ds, data.PartitionSpec(8, "noniid", 1.0), 41)
+    parts = data.partition(ds, 8, "noniid", 1.0, 41)
     groups = np.array_split(np.arange(8), c)
     for g, members in enumerate(groups):
         for cid in members:
@@ -106,23 +104,23 @@ def test_partition_noniid_degenerate_q_one():
 def test_partition_noniid_rejects_regression():
     ds, _ = data.gen_synthetic_regression(43, 100, 3)
     with pytest.raises(ValueError):
-        data.partition(ds, data.PartitionSpec(4, "noniid", 0.5), 43)
+        data.partition(ds, 4, "noniid", 0.5, 43)
 
 
 def test_trusted_classification_shift_counts():
     c = 10
     ds = data.gen_synthetic_classification(47, 5_000, 4, c)[0]
-    trusted = data.sample_trusted(ds, data.TrustedSetSpec(100, 1.0 / c), 47)
+    trusted = data.sample_trusted(ds, 100, 1.0 / c, 47)
     assert len(trusted) == 100
     assert np.sum(trusted.labels == 0) == 10
-    full_shift = data.sample_trusted(ds, data.TrustedSetSpec(100, 1.0), 47)
+    full_shift = data.sample_trusted(ds, 100, 1.0, 47)
     assert np.all(full_shift.labels == 0)
 
 
 def test_trusted_regression_ignores_shift():
     ds, _ = data.gen_synthetic_regression(53, 400, 3)
-    a = data.sample_trusted(ds, data.TrustedSetSpec(100, 0.0), 53)
-    b = data.sample_trusted(ds, data.TrustedSetSpec(100, 1.0), 53)
+    a = data.sample_trusted(ds, 100, 0.0, 53)
+    b = data.sample_trusted(ds, 100, 1.0, 53)
     assert len(a) == 100
     assert np.array_equal(a.features, b.features)
 
@@ -131,7 +129,7 @@ def test_trusted_insufficient_class_examples():
     ds = data.Dataset(np.ones((5, 2)), np.array([0, 1, 1, 1, 1]),
                       data.CLASSIFICATION, 2)
     with pytest.raises(ValueError):
-        data.sample_trusted(ds, data.TrustedSetSpec(4, 1.0), 1)
+        data.sample_trusted(ds, 4, 1.0, 1)
 
 
 def test_minibatch_contract():

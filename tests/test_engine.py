@@ -108,9 +108,7 @@ def _fresh_state(prepared, theta=None):
     task = prepared.task
     theta = np.zeros(task.param_dim) if theta is None else theta
     g0 = server_update_vector(task, theta, prepared.trusted)
-    return GlobalState(theta=theta, iteration=0, history={0: theta},
-                       server_update=g0, server_update_iteration=0,
-                       server_update_history={0: g0})
+    return GlobalState(theta=theta, history={0: theta}, server_update=g0)
 
 
 def test_threat_knowledge_identical_clients():

@@ -64,12 +64,14 @@ def test_regression_gradient_rejects_bad_batch():
 
 
 def test_regression_predict():
-    assert tasks.regression_predict(np.zeros(4), np.ones(4)) == 0.0
+    assert np.array_equal(tasks.regression_predict_batch(np.zeros(4), np.ones((2, 4))),
+                          [0.0, 0.0])
     theta_star = np.array([2.0, -1.0])
-    u = np.array([0.5, 0.25])
-    assert tasks.regression_predict(theta_star, u) == pytest.approx(u @ theta_star)
+    U = np.array([[0.5, 0.25], [-1.0, 3.0]])
+    got = tasks.regression_predict_batch(theta_star, U)
+    assert got == pytest.approx([float(u @ theta_star) for u in U])
     with pytest.raises(ValueError):
-        tasks.regression_predict(np.ones(2), np.ones(3))
+        tasks.regression_predict_batch(np.ones(2), np.ones((1, 3)))
 
 
 def test_population_gradient_is_estimation_error():
@@ -128,13 +130,14 @@ def test_logistic_gradient_label_out_of_range():
 
 
 def test_logistic_predict_tie_breaks_low():
-    assert tasks.logistic_predict(np.zeros(8), np.ones(4), 2) == 0
+    assert np.array_equal(
+        tasks.logistic_predict_batch(np.zeros(8), np.ones((3, 4)), 2), [0, 0, 0])
 
 
 def test_logistic_predict_matching_row_wins():
     x = np.array([1.0, 2.0, -1.0])
     params = np.concatenate([np.zeros(3), x, np.zeros(3)])
-    assert tasks.logistic_predict(params, x, 3) == 1
+    assert np.array_equal(tasks.logistic_predict_batch(params, x[None, :], 3), [1])
 
 
 def test_logistic_predict_matches_score_enumeration():
@@ -142,10 +145,11 @@ def test_logistic_predict_matches_score_enumeration():
     C, d = 4, 5
     params = rng.normal(size=C * d)
     W = params.reshape(C, d)
-    for _ in range(20):
-        x = rng.normal(size=d)
+    X = rng.normal(size=(20, d))
+    got = tasks.logistic_predict_batch(params, X, C)
+    for x, label in zip(X, got):
         scores = [float(W[c] @ x) for c in range(C)]
-        assert tasks.logistic_predict(params, x, C) == int(np.argmax(scores))
+        assert label == int(np.argmax(scores))
 
 
 def test_curvature_validation():

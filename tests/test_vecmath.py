@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from aflbench import vecmath
+from aflbench import defenses, vecmath
 
 
 def test_dot_basic():
@@ -44,20 +44,6 @@ def test_l2norm_homogeneous():
         assert vecmath.l2norm(c * a) == pytest.approx(abs(c) * vecmath.l2norm(a))
 
 
-def test_axpy_examples():
-    assert np.array_equal(vecmath.axpy(-1.0, np.ones(2), np.ones(2)), np.zeros(2))
-    y = np.array([5.0, -2.0])
-    assert np.array_equal(vecmath.axpy(0.0, np.array([9.0, 9.0]), y), y)
-    assert np.array_equal(
-        vecmath.axpy(2.0, np.array([1.0, 0.0]), np.array([0.0, 1.0])),
-        np.array([2.0, 1.0]))
-
-
-def test_axpy_dimension_mismatch():
-    with pytest.raises(ValueError):
-        vecmath.axpy(1.0, np.ones(2), np.ones(3))
-
-
 def test_cosine_examples():
     assert vecmath.cosine(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
     a = np.array([0.3, -1.2, 4.0])
@@ -72,21 +58,28 @@ def test_cosine_zero_norm_is_error():
         vecmath.cosine(np.ones(2), np.zeros(2))
 
 
+def basgd_median(vs):
+    """Coordinate median as BASGD computes it: k buffers of one update each."""
+    state = defenses.BasgdState(len(vs))
+    for cid, v in enumerate(vs):
+        verdict = defenses.basgd_step(state, cid, v)
+    return verdict.effective_update
+
+
 def test_coordinate_median_odd_count():
     vs = [np.array([1.0, 0.0]), np.array([2.0, 0.0]), np.array([3.0, 0.0])]
-    assert np.array_equal(vecmath.coordinate_median(vs), np.array([2.0, 0.0]))
+    assert np.array_equal(basgd_median(vs), np.array([2.0, 0.0]))
 
 
 def test_coordinate_median_even_count_averages_middles():
-    assert np.array_equal(
-        vecmath.coordinate_median([np.array([1.0]), np.array([3.0])]),
-        np.array([2.0]))
+    assert np.array_equal(basgd_median([np.array([1.0]), np.array([3.0])]),
+                          np.array([2.0]))
 
 
 def test_coordinate_median_matches_sort_oracle():
     rng = np.random.default_rng(5)
     vs = [rng.normal(size=5) for _ in range(7)]
-    got = vecmath.coordinate_median(vs)
+    got = basgd_median(vs)
     stacked = np.stack(vs)
     for j in range(5):
         col = np.sort(stacked[:, j])
@@ -96,45 +89,26 @@ def test_coordinate_median_matches_sort_oracle():
 def test_coordinate_median_permutation_invariant():
     rng = np.random.default_rng(6)
     vs = [rng.normal(size=4) for _ in range(6)]
-    base = vecmath.coordinate_median(vs)
+    base = basgd_median(vs)
     for _ in range(5):
         rng.shuffle(vs)
-        assert np.array_equal(vecmath.coordinate_median(vs), base)
-
-
-def test_mean_examples():
-    assert np.array_equal(
-        vecmath.mean([np.array([1.0, 1.0]), np.array([3.0, 3.0])]),
-        np.array([2.0, 2.0]))
-    v = np.array([4.0, -1.0])
-    assert np.array_equal(vecmath.mean([v]), v)
-
-
-def test_mean_matches_naive_oracle():
-    rng = np.random.default_rng(8)
-    vs = [rng.normal(size=6) for _ in range(10)]
-    got = vecmath.mean(vs)
-    for j in range(6):
-        naive = math.fsum(float(v[j]) for v in vs) / 10.0
-        assert abs(got[j] - naive) <= 1e-12 * max(1.0, abs(naive))
+        assert np.array_equal(basgd_median(vs), base)
 
 
 def test_mean_and_median_agree_on_identical_vectors():
+    # buffer 0 averages three copies of v, buffer 1 holds one; the median
+    # of the two buffer means is v again
     v = np.array([2.0, -3.0, 0.5])
-    vs = [v.copy() for _ in range(5)]
-    assert np.allclose(vecmath.mean(vs), vecmath.coordinate_median(vs))
-
-
-def test_empty_list_rejected():
-    with pytest.raises(ValueError):
-        vecmath.mean([])
-    with pytest.raises(ValueError):
-        vecmath.coordinate_median([])
+    state = defenses.BasgdState(2)
+    for cid in (0, 2, 4, 1):
+        verdict = defenses.basgd_step(state, cid, v.copy())
+    assert verdict.decision == defenses.ACCEPT
+    assert np.allclose(verdict.effective_update, v)
 
 
 def test_mixed_dims_rejected():
     with pytest.raises(ValueError):
-        vecmath.coordinate_median([np.ones(2), np.ones(3)])
+        basgd_median([np.ones(2), np.ones(3)])
 
 
 def test_triangle_inequality():
