@@ -22,7 +22,7 @@ from typing import Callable, Dict, List, Optional
 import numpy as np
 
 from . import attacks, defenses, metrics, tasks, vecmath
-from .attacks import AttackConfig, ThreatKnowledge
+from .attacks import ThreatKnowledge
 from .config import DataConfig, DefenseConfig, ExperimentConfig, TaskConfig
 from .data import gen_synthetic_regression
 from .engine import TrialResult, prepare_data, run_trial
@@ -335,14 +335,13 @@ def _check_zeno_examples() -> None:
 
 def _check_adaptive_examples() -> None:
     rng = np.random.default_rng(7)
-    cfg = AttackConfig(kind="adaptive")
     for trial in range(20):
         dim = 5
         g_s = rng.normal(size=dim)
         g_bar = rng.normal(size=dim)
         lam = float(rng.uniform(0.2, 3.0))
-        know = ThreatKnowledge(np.zeros(dim), g_bar, g_s, lam)
-        crafted = attacks.adaptive_update(know, cfg)
+        know = ThreatKnowledge(g_bar, g_s, lam)
+        crafted = attacks.adaptive_update(know)
         norm_gs = vecmath.l2norm(g_s)
         if vecmath.l2norm(g_bar - g_s) > lam * norm_gs:
             # even gamma = 0 is infeasible: benign mean returned unchanged
@@ -354,15 +353,15 @@ def _check_adaptive_examples() -> None:
         if 0 < gamma < 10.0 * norm_gs - 1e-9:
             probe = crafted - (norm_gs * 1e-3) * s
             assert vecmath.l2norm(probe - g_s) > lam * norm_gs
-    # g_bar == g_s: gamma converges to lam*||g_s||
+    # g_bar == g_s: gamma equals lam*||g_s||
     g = np.array([3.0, 4.0])
-    know = ThreatKnowledge(np.zeros(2), g, g, 1.5)
-    crafted = attacks.adaptive_update(know, cfg)
+    know = ThreatKnowledge(g, g, 1.5)
+    crafted = attacks.adaptive_update(know)
     gamma = float(np.dot(g - crafted, g / 5.0))
-    assert abs(gamma - 1.5 * 5.0) < 1e-5
+    assert abs(gamma - 1.5 * 5.0) < 1e-12
     # lam = 0 degenerate ball
-    know0 = ThreatKnowledge(np.zeros(2), g, g, 0.0)
-    assert np.allclose(attacks.adaptive_update(know0, cfg), g)
+    know0 = ThreatKnowledge(g, g, 0.0)
+    assert np.allclose(attacks.adaptive_update(know0), g)
 
 
 def _check_vecmath_examples() -> None:

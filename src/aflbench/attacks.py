@@ -28,7 +28,6 @@ class AttackConfig:
     bd_target_class: int = 0
     bd_replication_fraction: float = 0.25
     bd_scale_factor: float = 5.0
-    adaptive_gamma_iters: int = 30
     knowledge: str = "full"  # full | partial
 
     def __post_init__(self):
@@ -44,8 +43,6 @@ class AttackConfig:
             raise ValueError("bd_replication_fraction must lie in (0, 1]")
         if self.bd_scale_factor < 1.0:
             raise ValueError("bd_scale_factor must be >= 1")
-        if self.adaptive_gamma_iters < 1:
-            raise ValueError("adaptive_gamma_iters must be >= 1")
         if self.knowledge not in ("full", "partial"):
             raise ValueError("knowledge must be 'full' or 'partial'")
 
@@ -54,15 +51,12 @@ class AttackConfig:
 class ThreatKnowledge:
     """What the attacker sees when crafting an adaptive update."""
 
-    base_model: np.ndarray
     benign_mean_gradient: np.ndarray
     server_update_estimate: np.ndarray
     lam: float
 
     def __post_init__(self):
-        dims = {self.base_model.shape, self.benign_mean_gradient.shape,
-                self.server_update_estimate.shape}
-        if len(dims) != 1:
+        if self.benign_mean_gradient.shape != self.server_update_estimate.shape:
             raise ValueError("threat knowledge vectors must share dimension")
 
 
@@ -129,18 +123,16 @@ def backdoor_update(honest_on_poisoned: np.ndarray, cfg: AttackConfig) -> np.nda
     return cfg.bd_scale_factor * honest_on_poisoned
 
 
-def _satisfies_acceptance(update: np.ndarray, server_update: np.ndarray, lam: float) -> bool:
-    return l2norm(update - server_update) <= lam * l2norm(server_update)
-
-
-def adaptive_update(knowledge: ThreatKnowledge, cfg: AttackConfig) -> np.ndarray:
+def adaptive_update(knowledge: ThreatKnowledge) -> np.ndarray:
     """Craft the largest filter-feasible deviation along the reversed benign mean.
 
     Returns g_bar - gamma * s with s = g_bar / ||g_bar||, where gamma is the
     largest value in [0, 10 * ||g_s||] keeping the crafted update inside the
-    acceptance ball around the attacker's server-update estimate. gamma is
-    found by bisection; if even gamma = 0 is infeasible the benign mean is
-    sent unchanged.
+    acceptance ball of radius r = lam * ||g_s|| around the attacker's
+    server-update estimate g_s. With a = g_bar - g_s, the line meets the
+    ball's sphere where ||a - gamma * s||^2 = r^2, so gamma is the larger
+    root of that quadratic, capped at 10 * ||g_s||. If even gamma = 0 is
+    infeasible (||a|| > r) the benign mean is sent unchanged.
     """
     g_bar = knowledge.benign_mean_gradient
     g_s = knowledge.server_update_estimate
@@ -149,21 +141,12 @@ def adaptive_update(knowledge: ThreatKnowledge, cfg: AttackConfig) -> np.ndarray
     if norm_gbar == 0.0 or norm_gs == 0.0:
         raise ValueError("adaptive attack needs nonzero knowledge vectors")
     s = g_bar / norm_gbar
-    lam = knowledge.lam
-
-    def feasible(gamma: float) -> bool:
-        return _satisfies_acceptance(g_bar - gamma * s, g_s, lam)
-
-    if not feasible(0.0):
+    a = g_bar - g_s
+    r = knowledge.lam * norm_gs
+    norm_a = l2norm(a)
+    if norm_a > r:
         return g_bar.copy()
-    gamma_max = 10.0 * norm_gs
-    if feasible(gamma_max):
-        return g_bar - gamma_max * s
-    lo, hi = 0.0, gamma_max
-    for _ in range(cfg.adaptive_gamma_iters):
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-    return g_bar - lo * s
+    a_s = float(np.dot(a, s))
+    # r >= ||a|| >= |a.s|, so the discriminant is nonnegative up to rounding
+    gamma = a_s + np.sqrt(max(a_s * a_s + (r - norm_a) * (r + norm_a), 0.0))
+    return g_bar - min(gamma, 10.0 * norm_gs) * s

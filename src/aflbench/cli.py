@@ -8,6 +8,7 @@ finite reporting range carry the divergence marker in the summary.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -100,13 +101,12 @@ def write_summary(path: Path, config: ExperimentConfig,
                     encoding="utf-8")
 
 
-def _run_seeds(config: ExperimentConfig, out_dir: Path,
-               seeds: Sequence[int]) -> List[TrialResult]:
-    """Run one trial per seed; write per-trial CSVs and a summary JSON."""
+def run_command(config: ExperimentConfig, out_dir: Path) -> List[TrialResult]:
+    """Run one trial per run seed; write per-trial CSVs and a summary JSON."""
     out_dir.mkdir(parents=True, exist_ok=True)
     prepared = prepare_data(config)
     results = []
-    for seed in seeds:
+    for seed in config.seeds.run_seeds:
         result = run_trial(config, prepared, seed)
         write_trial_csv(out_dir / f"trial_seed{seed}.csv", result, config)
         results.append(result)
@@ -114,12 +114,11 @@ def _run_seeds(config: ExperimentConfig, out_dir: Path,
     return results
 
 
-def run_command(config: ExperimentConfig, out_dir: Path,
-                seeds: Optional[Sequence[int]] = None) -> int:
-    """Run one trial per seed (default: the configured run seeds)."""
-    _run_seeds(config, out_dir,
-               config.seeds.run_seeds if seeds is None else seeds)
-    return 0
+def _label(value: float) -> str:
+    """Text of a sweep value: ``:g`` where that parses back to the value,
+    else the exact repr."""
+    text = f"{value:g}"
+    return text if float(text) == value else repr(value)
 
 
 def sweep_command(config: ExperimentConfig, axis: str, values: Sequence[float],
@@ -129,12 +128,12 @@ def sweep_command(config: ExperimentConfig, axis: str, values: Sequence[float],
         raise ConfigError("sweep needs at least one value")
     combined = [",".join(("axis", "value", "seed") + CSV_COLUMNS)]
     for value in values:
-        sub_config = apply_axis(config, axis, value)
-        results = _run_seeds(sub_config, out_dir / f"{axis}_{value:g}",
-                             sub_config.seeds.run_seeds)
+        label = _label(value)
+        results = run_command(apply_axis(config, axis, value),
+                              out_dir / f"{axis}_{label}")
         for result in results:
             for rec in result.records:
-                row = [axis, f"{value:g}", str(result.seed)]
+                row = [axis, label, str(result.seed)]
                 row += [_fmt(getattr(rec, col)) for col in CSV_COLUMNS]
                 combined.append(",".join(row))
     (out_dir / "sweep.csv").write_text("\n".join(combined) + "\n", encoding="utf-8")
@@ -198,8 +197,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return verify_main()
         config = load_config(args.config)
         if args.command == "run":
-            seeds = None if args.seed is None else parse_seeds(args.seed, "--seed")
-            return run_command(config, Path(args.out), seeds)
+            if args.seed is not None:
+                seeds = dataclasses.replace(config.seeds,
+                                            run_seeds=parse_seeds(args.seed, "--seed"))
+                config = dataclasses.replace(config, seeds=seeds)
+            run_command(config, Path(args.out))
+            return 0
         if args.command == "sweep":
             return sweep_command(config, args.axis, _parse_values(args.values),
                                  Path(args.out))

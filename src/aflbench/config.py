@@ -214,31 +214,23 @@ def config_to_dict(config: ExperimentConfig) -> dict:
     return dataclasses.asdict(config)
 
 
-SWEEP_AXES = ("malicious_fraction", "lambda", "tau_max", "tau_s",
-              "trusted_size", "ds", "num_clients")
+# sweep axis -> (section, field, cast), in the order the CLI lists them
+_AXES = {
+    "malicious_fraction": ("clients", "malicious_fraction", float),
+    "lambda": ("defense", "lam", float),
+    "tau_max": ("schedule", "max_client_delay", int),
+    "tau_s": ("schedule", "server_refresh_period", int),
+    "trusted_size": ("data", "trusted_size", int),
+    "ds": ("data", "distribution_shift", float),
+    "num_clients": ("clients", "num_clients", int),
+}
+SWEEP_AXES = tuple(_AXES)
 
 
 def apply_axis(config: ExperimentConfig, axis: str, value: float) -> ExperimentConfig:
     """Return a copy of config with one sweep axis replaced."""
-    if axis == "malicious_fraction":
-        clients = dataclasses.replace(config.clients, malicious_fraction=float(value))
-        return dataclasses.replace(config, clients=clients)
-    if axis == "num_clients":
-        clients = dataclasses.replace(config.clients, num_clients=int(value))
-        return dataclasses.replace(config, clients=clients)
-    if axis == "lambda":
-        defense = dataclasses.replace(config.defense, lam=float(value))
-        return dataclasses.replace(config, defense=defense)
-    if axis == "tau_max":
-        sched = dataclasses.replace(config.schedule, max_client_delay=int(value))
-        return dataclasses.replace(config, schedule=sched)
-    if axis == "tau_s":
-        sched = dataclasses.replace(config.schedule, server_refresh_period=int(value))
-        return dataclasses.replace(config, schedule=sched)
-    if axis == "trusted_size":
-        data = dataclasses.replace(config.data, trusted_size=int(value))
-        return dataclasses.replace(config, data=data)
-    if axis == "ds":
-        data = dataclasses.replace(config.data, distribution_shift=float(value))
-        return dataclasses.replace(config, data=data)
-    raise ConfigError(f"unknown sweep axis: {axis!r} (choose from {SWEEP_AXES})")
+    if axis not in _AXES:
+        raise ConfigError(f"unknown sweep axis: {axis!r} (choose from {SWEEP_AXES})")
+    section, name, cast = _AXES[axis]
+    part = dataclasses.replace(getattr(config, section), **{name: cast(value)})
+    return dataclasses.replace(config, **{section: part})

@@ -15,8 +15,6 @@ from typing import List
 
 import numpy as np
 
-from .vecmath import as_vector
-
 REGRESSION = "regression"
 CLASSIFICATION = "classification"
 
@@ -230,7 +228,7 @@ def load_csv(path) -> Dataset:
         if not header.startswith("#"):
             raise ValueError(f"{path}: missing '# kind=...' header line")
         kind, num_classes = _parse_header(header, path)
-        feats: list[np.ndarray] = []
+        feats: list[list[float]] = []
         labels: list[float] = []
         width = None
         for lineno, line in enumerate(fh, start=2):
@@ -249,8 +247,10 @@ def load_csv(path) -> Dataset:
                 values = [float(p) for p in parts]
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
-            feats.append(as_vector(values[:-1]))
+            if not np.all(np.isfinite(values)):
+                raise ValueError(f"{path}:{lineno}: value is NaN or Inf")
+            feats.append(values[:-1])
             labels.append(values[-1])
     if not feats:
         raise ValueError(f"{path}: no data rows")
-    return Dataset(np.stack(feats), np.array(labels), kind, num_classes)
+    return Dataset(np.array(feats), np.array(labels), kind, num_classes)

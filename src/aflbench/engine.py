@@ -26,7 +26,7 @@ the client scale. The filters use g_s as follows:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -69,15 +69,6 @@ class PreparedData:
 
 
 @dataclass
-class GlobalState:
-    """Mutable per-trial server state."""
-
-    theta: np.ndarray
-    history: Dict[int, np.ndarray]
-    server_update: np.ndarray
-
-
-@dataclass
 class TrialResult:
     seed: int
     records: List[MetricRecord] = field(default_factory=list)
@@ -109,6 +100,7 @@ def prepare_data(config: ExperimentConfig) -> PreparedData:
         full = load_csv(tc.path)
 
     train, test = split_train_test(full, tc.train_count, config.seeds.data_seed)
+    del full  # split copies the rows; free the unsplit set before partitioning
 
     if train.kind == REGRESSION:
         task: tasks.RegressionTask | tasks.LogisticTask = tasks.RegressionTask(
@@ -158,8 +150,7 @@ def server_update_vector(task, theta: np.ndarray, trusted: Dataset) -> np.ndarra
     return len(trusted) * _avg_gradient(task, theta, trusted)
 
 
-def make_threat_knowledge(state: GlobalState, base_iteration: int,
-                          prepared: PreparedData,
+def make_threat_knowledge(base_model: np.ndarray, prepared: PreparedData,
                           config: ExperimentConfig) -> ThreatKnowledge:
     """Assemble the attacker's view for the adaptive attack.
 
@@ -176,21 +167,16 @@ def make_threat_knowledge(state: GlobalState, base_iteration: int,
     scale. Both the scale gap and the trusted-set sampling noise are
     estimation error the attacker cannot remove.
     """
-    if base_iteration not in state.history:
-        raise ValueError(f"base model {base_iteration} evicted from history")
-    base_model = state.history[base_iteration]
     if config.attack.knowledge == "partial":
         scope = sorted(prepared.malicious)
     else:
         scope = range(len(prepared.client_data_clean))
     client_sets = [prepared.client_data_clean[c] for c in scope]
     grads = [_avg_gradient(prepared.task, base_model, ds) for ds in client_sets]
-    benign_mean = config.schedule.batch_size * np.mean(grads, axis=0)
+    mean_grad = np.mean(grads, axis=0)
     known_examples = sum(len(ds) for ds in client_sets)
-    server_estimate = known_examples * np.mean(grads, axis=0)
-    return ThreatKnowledge(base_model=base_model,
-                           benign_mean_gradient=benign_mean,
-                           server_update_estimate=server_estimate,
+    return ThreatKnowledge(benign_mean_gradient=config.schedule.batch_size * mean_grad,
+                           server_update_estimate=known_examples * mean_grad,
                            lam=config.defense.lam)
 
 
@@ -223,14 +209,12 @@ class _DefenseRunner:
         raise ValueError(f"unknown defense kind: {self.kind!r}")
 
 
-def _client_update(cid: int, base_iteration: int, rng: np.random.Generator,
-                   state: GlobalState, prepared: PreparedData,
-                   config: ExperimentConfig) -> np.ndarray:
+def _client_update(cid: int, base_model: np.ndarray, rng: np.random.Generator,
+                   prepared: PreparedData, config: ExperimentConfig) -> np.ndarray:
     """Compute the wire update a client sends from a stale base model."""
     cfg = config.attack
     batch_size = config.schedule.batch_size
     task = prepared.task
-    base_model = state.history[base_iteration]
 
     def honest(ds: Dataset) -> np.ndarray:
         batch = minibatch(ds, batch_size, rng)
@@ -249,8 +233,8 @@ def _client_update(cid: int, base_iteration: int, rng: np.random.Generator,
         return attacks.gradient_deviation_update(honest(prepared.client_data[cid]),
                                                  cfg.gd_scale)
     if cfg.kind == "adaptive":
-        knowledge = make_threat_knowledge(state, base_iteration, prepared, config)
-        return attacks.adaptive_update(knowledge, cfg)
+        knowledge = make_threat_knowledge(base_model, prepared, config)
+        return attacks.adaptive_update(knowledge)
     raise ValueError(f"unhandled attack kind: {cfg.kind!r}")
 
 
@@ -292,8 +276,8 @@ def run_trial(config: ExperimentConfig, prepared: PreparedData,
     rng = np.random.default_rng(seed)
     n = config.clients.num_clients
     theta = np.zeros(prepared.task.param_dim)
-    g0 = server_update_vector(prepared.task, theta, prepared.trusted)
-    state = GlobalState(theta=theta, history={0: theta}, server_update=g0)
+    history = {0: theta}
+    server_update = server_update_vector(prepared.task, theta, prepared.trusted)
     defense = _DefenseRunner(config)
     counts = {"accepted": 0, "rejected": 0, "buffered": 0}
     result = TrialResult(seed=seed)
@@ -303,18 +287,17 @@ def run_trial(config: ExperimentConfig, prepared: PreparedData,
             cid = int(rng.integers(n))
             dmax = min(sched.max_client_delay, t)
             delay = int(rng.integers(0, dmax + 1))
-            base_iteration = t - delay
-            base_model = state.history[base_iteration]
+            base_model = history[t - delay]
 
-            update = _client_update(cid, base_iteration, rng, state, prepared, config)
+            update = _client_update(cid, base_model, rng, prepared, config)
 
             if t % sched.server_refresh_period == 0 and t > 0:
-                state.server_update = server_update_vector(
-                    prepared.task, state.theta, prepared.trusted)
+                server_update = server_update_vector(prepared.task, theta,
+                                                     prepared.trusted)
 
-            verdict = defense.step(cid, update, base_model, state.server_update)
+            verdict = defense.step(cid, update, base_model, server_update)
             if verdict.decision == ACCEPT:
-                state.theta = state.theta - sched.learning_rate * verdict.effective_update
+                theta = theta - sched.learning_rate * verdict.effective_update
                 counts["accepted"] += 1
             elif verdict.decision == REJECT:
                 counts["rejected"] += 1
@@ -322,21 +305,21 @@ def run_trial(config: ExperimentConfig, prepared: PreparedData,
                 counts["buffered"] += 1
 
             completed = t + 1
-            if not np.all(np.isfinite(state.theta)):
-                result.records.append(_evaluate(state.theta, completed, prepared,
+            if not np.all(np.isfinite(theta)):
+                result.records.append(_evaluate(theta, completed, prepared,
                                                 config, counts, diverged=True))
                 result.diverged = True
-                result.final_model = state.theta
+                result.final_model = theta
                 return result
 
-            state.history[completed] = state.theta
+            history[completed] = theta
             oldest_needed = completed - sched.max_client_delay
-            if oldest_needed - 1 in state.history:
-                del state.history[oldest_needed - 1]
+            if oldest_needed - 1 in history:
+                del history[oldest_needed - 1]
 
             if completed % METRIC_CADENCE == 0 or completed == sched.iterations:
-                result.records.append(_evaluate(state.theta, completed, prepared,
+                result.records.append(_evaluate(theta, completed, prepared,
                                                 config, counts))
 
-    result.final_model = state.theta
+    result.final_model = theta
     return result

@@ -9,18 +9,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def as_vector(values) -> np.ndarray:
-    """Validate external input as a finite 1-D float64 vector of dim >= 1."""
-    v = np.asarray(values, dtype=np.float64)
-    if v.ndim != 1:
-        raise ValueError(f"expected a 1-D vector, got shape {v.shape}")
-    if v.size < 1:
-        raise ValueError("vector must have dimension >= 1")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("vector contains NaN or Inf")
-    return v
-
-
 def _check_same_dim(a: np.ndarray, b: np.ndarray) -> None:
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from aflbench import attacks, data, vecmath
 from aflbench.attacks import AttackConfig, ThreatKnowledge
@@ -109,31 +112,30 @@ def test_backdoor_update_scaling():
 
 def test_adaptive_boundary_when_estimates_coincide():
     g = np.array([3.0, 4.0])
-    know = ThreatKnowledge(np.zeros(2), g, g, 1.5)
-    crafted = attacks.adaptive_update(know, AttackConfig(kind="adaptive"))
+    know = ThreatKnowledge(g, g, 1.5)
+    crafted = attacks.adaptive_update(know)
     s = g / 5.0
     gamma = float(np.dot(g - crafted, s))
-    assert gamma == pytest.approx(1.5 * 5.0, abs=1e-5)
+    assert gamma == pytest.approx(1.5 * 5.0, abs=1e-12)
     assert vecmath.l2norm(crafted - g) <= 1.5 * 5.0 + 1e-9
 
 
 def test_adaptive_lambda_zero_degenerate():
     g = np.array([1.0, -1.0, 2.0])
-    know = ThreatKnowledge(np.zeros(3), g, g, 0.0)
-    assert np.allclose(attacks.adaptive_update(know, AttackConfig(kind="adaptive")), g)
+    know = ThreatKnowledge(g, g, 0.0)
+    assert np.allclose(attacks.adaptive_update(know), g)
 
 
 def test_adaptive_feasibility_and_maximality():
     rng = np.random.default_rng(97)
-    cfg = AttackConfig(kind="adaptive")
     checked_boundary = 0
     for _ in range(50):
         dim = 6
         g_s = rng.normal(size=dim)
         g_bar = rng.normal(size=dim)
         lam = float(rng.uniform(0.2, 3.0))
-        know = ThreatKnowledge(np.zeros(dim), g_bar, g_s, lam)
-        crafted = attacks.adaptive_update(know, cfg)
+        know = ThreatKnowledge(g_bar, g_s, lam)
+        crafted = attacks.adaptive_update(know)
         norm_gs = vecmath.l2norm(g_s)
         if vecmath.l2norm(g_bar - g_s) > lam * norm_gs:
             assert np.array_equal(crafted, g_bar)
@@ -148,11 +150,39 @@ def test_adaptive_feasibility_and_maximality():
     assert checked_boundary > 10
 
 
+@st.composite
+def _knowledge(draw):
+    dim = draw(st.integers(1, 6))
+    coords = st.floats(-100.0, 100.0, allow_subnormal=False)
+    g_bar = draw(arrays(np.float64, dim, elements=coords))
+    g_s = draw(arrays(np.float64, dim, elements=coords))
+    assume(vecmath.l2norm(g_bar) > 1e-3 and vecmath.l2norm(g_s) > 1e-3)
+    # lambda above 5 lets the cap 10 * ||g_s|| bind (gamma <= 2 * lambda * ||g_s||)
+    return ThreatKnowledge(g_bar, g_s, draw(st.floats(0.05, 8.0)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_knowledge())
+def test_adaptive_is_the_farthest_point_in_the_ball(know):
+    g_bar, g_s = know.benign_mean_gradient, know.server_update_estimate
+    crafted = attacks.adaptive_update(know)
+    r = know.lam * vecmath.l2norm(g_s)
+    if vecmath.l2norm(g_bar - g_s) > r:
+        # even gamma = 0 is infeasible: the benign mean goes out unchanged
+        assert np.array_equal(crafted, g_bar)
+        return
+    s = g_bar / vecmath.l2norm(g_bar)
+    assert vecmath.l2norm(crafted - g_s) <= r * (1 + 1e-12)
+    gamma = float(np.dot(g_bar - crafted, s))
+    cap = 10.0 * vecmath.l2norm(g_s)
+    assert -1e-12 * r <= gamma <= cap * (1 + 1e-12)
+    further = crafted - (1e-6 * r) * s
+    assert gamma == pytest.approx(cap, rel=1e-12) or vecmath.l2norm(further - g_s) > r
+
+
 def test_adaptive_rejects_zero_knowledge():
     with pytest.raises(ValueError):
-        attacks.adaptive_update(
-            ThreatKnowledge(np.zeros(2), np.zeros(2), np.ones(2), 1.0),
-            AttackConfig(kind="adaptive"))
+        attacks.adaptive_update(ThreatKnowledge(np.zeros(2), np.ones(2), 1.0))
 
 
 def test_attack_config_validation():

@@ -64,7 +64,7 @@ NON_DEFAULT = ExperimentConfig(
     attack=AttackConfig(kind="backdoor", gauss_sigma=3.5, gd_scale=-2.5,
                         bd_trigger_period=3, bd_target_class=2,
                         bd_replication_fraction=0.5, bd_scale_factor=2.0,
-                        adaptive_gamma_iters=7, knowledge="partial"),
+                        knowledge="partial"),
     defense=DefenseConfig(kind="basgd", lam=0.75, num_buffers=4),
     schedule=ScheduleConfig(iterations=30, learning_rate=0.01,
                             max_client_delay=3, server_refresh_period=5,
@@ -90,10 +90,13 @@ def test_every_config_field_is_settable(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     assert config_to_dict(load_config(path)) == expected
 
-    # the file key is lambda; the field name is not a key
-    path.write_text("[defense]\nlam = 1.0\n")
-    with pytest.raises(ConfigError, match="unknown key 'lam'"):
-        load_config(path)
+    # the file key is lambda; the field name is not a key; a removed field
+    # is not a key either
+    for text, key in (("[defense]\nlam = 1.0\n", "lam"),
+                      ("[attack]\nadaptive_gamma_iters = 30\n", "adaptive_gamma_iters")):
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+            load_config(path)
 
 
 def test_missing_file():
@@ -122,7 +125,8 @@ def _quick_config(tmp_path, **extra):
 def test_run_writes_csvs_and_summary(tmp_path):
     cfg = load_config(_quick_config(tmp_path))
     out = tmp_path / "out"
-    assert cli.run_command(cfg, out) == 0
+    results = cli.run_command(cfg, out)
+    assert [r.seed for r in results] == [1, 2]
     csvs = sorted(out.glob("trial_seed*.csv"))
     assert [p.name for p in csvs] == ["trial_seed1.csv", "trial_seed2.csv"]
     lines = csvs[0].read_text().splitlines()
@@ -147,10 +151,17 @@ def test_run_outputs_are_byte_identical(tmp_path):
 
 
 def test_run_seed_override(tmp_path):
-    cfg = load_config(_quick_config(tmp_path))
     out = tmp_path / "out"
-    cli.run_command(cfg, out, seeds=[7])
+    rc = cli.main(["run", "--config", str(_quick_config(tmp_path)),
+                   "--out", str(out), "--seed", "7"])
+    assert rc == 0
     assert sorted(p.name for p in out.glob("trial_seed*.csv")) == ["trial_seed7.csv"]
+    # the config echoes carry the seeds that ran, not the file's
+    echo = (out / "trial_seed7.csv").read_text().splitlines()[0]
+    assert json.loads(echo[len("# config: "):])["seeds"]["run_seeds"] == [7]
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["seeds"] == [7]
+    assert summary["config"]["seeds"]["run_seeds"] == [7]
 
 
 def test_divergent_run_reports_marker(tmp_path):
@@ -170,13 +181,18 @@ def test_divergent_run_reports_marker(tmp_path):
 def test_sweep_produces_one_run_per_value(tmp_path):
     cfg = load_config(_quick_config(tmp_path))
     out = tmp_path / "sweep"
-    assert cli.sweep_command(cfg, "lambda", [0.5, 1.5, 5.0], out) == 0
+    # the last two values print alike with :g and keep their exact text
+    values = [0.5, 1.5, 5.0, 1.0000001, 1.0000002]
+    assert cli.sweep_command(cfg, "lambda", values, out) == 0
     subdirs = sorted(p.name for p in out.iterdir() if p.is_dir())
-    assert subdirs == ["lambda_0.5", "lambda_1.5", "lambda_5"]
+    assert subdirs == ["lambda_0.5", "lambda_1.0000001", "lambda_1.0000002",
+                       "lambda_1.5", "lambda_5"]
     combined = (out / "sweep.csv").read_text().splitlines()
     assert combined[0].startswith("axis,value,seed,iteration")
-    # 3 values x 2 seeds x 3 records
-    assert len(combined) == 1 + 18
+    # 5 values x 2 seeds x 3 records
+    assert len(combined) == 1 + 30
+    labels = sorted({row.split(",")[1] for row in combined[1:]})
+    assert labels == ["0.5", "1.0000001", "1.0000002", "1.5", "5"]
 
 
 def test_sweep_rejects_unknown_axis_and_empty_values(tmp_path):

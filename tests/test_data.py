@@ -180,6 +180,14 @@ def test_csv_wrong_width_names_line(tmp_path):
         data.load_csv(path)
 
 
+def test_csv_non_finite_names_line(tmp_path):
+    path = tmp_path / "bad.csv"
+    for row in ("nan,2.0,3.0", "1.0,2.0,inf"):
+        path.write_text(f"# kind=regression\n1.0,2.0,3.0\n{row}\n")
+        with pytest.raises(ValueError, match=r"bad\.csv:3: value is NaN or Inf"):
+            data.load_csv(path)
+
+
 def test_csv_bad_header(tmp_path):
     path = tmp_path / "hdr.csv"
     path.write_text("1.0,2.0\n")

@@ -1,13 +1,11 @@
 import dataclasses
 
 import numpy as np
-import pytest
 
 from aflbench import engine
 from aflbench.config import DefenseConfig, ExperimentConfig
 from aflbench.data import minibatch
-from aflbench.engine import (GlobalState, make_threat_knowledge, prepare_data,
-                             run_trial, server_update_vector)
+from aflbench.engine import make_threat_knowledge, prepare_data, run_trial
 
 
 def base_config(**kwargs):
@@ -104,23 +102,16 @@ def test_history_ring_supports_all_delays():
     assert result.final_record.iteration == cfg.schedule.iterations
 
 
-def _fresh_state(prepared, theta=None):
-    task = prepared.task
-    theta = np.zeros(task.param_dim) if theta is None else theta
-    g0 = server_update_vector(task, theta, prepared.trusted)
-    return GlobalState(theta=theta, history={0: theta}, server_update=g0)
-
-
 def test_threat_knowledge_identical_clients():
     cfg = base_config(attack="adaptive", malicious_fraction=0.2)
     prepared = prepare_data(cfg)
     # overwrite every client with the same local data
     shared = prepared.client_data_clean[0]
     prepared.client_data_clean = [shared] * cfg.clients.num_clients
-    state = _fresh_state(prepared)
-    know = make_threat_knowledge(state, 0, prepared, cfg)
+    theta = np.zeros(prepared.task.param_dim)
+    know = make_threat_knowledge(theta, prepared, cfg)
     from aflbench.tasks import regression_gradient
-    single_full = regression_gradient(state.theta, shared.features, shared.labels)
+    single_full = regression_gradient(theta, shared.features, shared.labels)
     expected = cfg.schedule.batch_size * single_full
     assert np.allclose(know.benign_mean_gradient, expected)
 
@@ -130,10 +121,10 @@ def test_threat_knowledge_partial_scope():
     cfg = dataclasses.replace(cfg, attack=dataclasses.replace(cfg.attack,
                                                               knowledge="partial"))
     prepared = prepare_data(cfg)
-    state = _fresh_state(prepared)
-    know = make_threat_knowledge(state, 0, prepared, cfg)
+    theta = np.zeros(prepared.task.param_dim)
+    know = make_threat_knowledge(theta, prepared, cfg)
     from aflbench.tasks import regression_gradient
-    grads = [regression_gradient(state.theta, prepared.client_data_clean[c].features,
+    grads = [regression_gradient(theta, prepared.client_data_clean[c].features,
                                  prepared.client_data_clean[c].labels)
              for c in sorted(prepared.malicious)]
     expected = cfg.schedule.batch_size * np.mean(grads, axis=0)
@@ -143,22 +134,13 @@ def test_threat_knowledge_partial_scope():
 def test_threat_knowledge_mean_equals_pooled_for_equal_sizes():
     cfg = base_config(attack="adaptive")
     prepared = prepare_data(cfg)
-    state = _fresh_state(prepared, theta=np.ones(prepared.task.param_dim))
-    state.history[0] = state.theta
-    know = make_threat_knowledge(state, 0, prepared, cfg)
+    theta = np.ones(prepared.task.param_dim)
+    know = make_threat_knowledge(theta, prepared, cfg)
     from aflbench.tasks import regression_gradient
-    pooled = regression_gradient(state.theta, prepared.train.features,
+    pooled = regression_gradient(theta, prepared.train.features,
                                  prepared.train.labels)
     expected = cfg.schedule.batch_size * pooled
     assert np.allclose(know.benign_mean_gradient, expected, rtol=1e-10)
-
-
-def test_threat_knowledge_missing_base_is_error():
-    cfg = base_config(attack="adaptive")
-    prepared = prepare_data(cfg)
-    state = _fresh_state(prepared)
-    with pytest.raises(ValueError):
-        make_threat_knowledge(state, 99, prepared, cfg)
 
 
 def test_prepare_data_poisons_only_malicious():

@@ -117,12 +117,3 @@ def test_triangle_inequality():
         a = rng.normal(size=10)
         b = rng.normal(size=10)
         assert vecmath.l2norm(a + b) <= vecmath.l2norm(a) + vecmath.l2norm(b) + 1e-12
-
-
-def test_as_vector_validation():
-    with pytest.raises(ValueError):
-        vecmath.as_vector([1.0, float("nan")])
-    with pytest.raises(ValueError):
-        vecmath.as_vector([])
-    with pytest.raises(ValueError):
-        vecmath.as_vector([[1.0, 2.0]])
