@@ -126,11 +126,10 @@ def sweep_command(config: ExperimentConfig, axis: str, values: Sequence[float],
     """One run per axis value; emit a combined long-format CSV."""
     if not values:
         raise ConfigError("sweep needs at least one value")
+    runs = [(_label(value), apply_axis(config, axis, value)) for value in values]
     combined = [",".join(("axis", "value", "seed") + CSV_COLUMNS)]
-    for value in values:
-        label = _label(value)
-        results = run_command(apply_axis(config, axis, value),
-                              out_dir / f"{axis}_{label}")
+    for label, run_config in runs:
+        results = run_command(run_config, out_dir / f"{axis}_{label}")
         for result in results:
             for rec in result.records:
                 row = [axis, label, str(result.seed)]

@@ -232,5 +232,7 @@ def apply_axis(config: ExperimentConfig, axis: str, value: float) -> ExperimentC
     if axis not in _AXES:
         raise ConfigError(f"unknown sweep axis: {axis!r} (choose from {SWEEP_AXES})")
     section, name, cast = _AXES[axis]
+    if cast is int and not float(value).is_integer():
+        raise ConfigError(f"sweep axis {axis} takes integers, got {value!r}")
     part = dataclasses.replace(getattr(config, section), **{name: cast(value)})
     return dataclasses.replace(config, **{section: part})

@@ -53,12 +53,16 @@ class Dataset:
                 raise ValueError("class label out of range")
         else:
             raise ValueError(f"unknown dataset kind: {kind!r}")
+        self._freeze(features, labels, kind, num_classes)
+
+    def _freeze(self, features: np.ndarray, labels: np.ndarray, kind: str,
+                num_classes: int | None) -> None:
+        features.setflags(write=False)
+        labels.setflags(write=False)
         self.features = features
         self.labels = labels
         self.kind = kind
         self.num_classes = num_classes
-        self.features.setflags(write=False)
-        self.labels.setflags(write=False)
 
     def __len__(self) -> int:
         return self.features.shape[0]
@@ -68,8 +72,12 @@ class Dataset:
         return self.features.shape[1]
 
     def subset(self, indices) -> "Dataset":
-        return Dataset(self.features[indices], self.labels[indices], self.kind,
-                       self.num_classes)
+        """Copy of the rows at ``indices``. Rows of a checked set pass every
+        constructor check, so they are not scanned again."""
+        out = Dataset.__new__(Dataset)
+        out._freeze(self.features[indices], self.labels[indices], self.kind,
+                    self.num_classes)
+        return out
 
 
 def gen_synthetic_regression(seed: int, num_samples: int = DEFAULT_NUM_SAMPLES,

@@ -26,7 +26,7 @@ the client scale. The filters use g_s as follows:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -150,13 +150,58 @@ def server_update_vector(task, theta: np.ndarray, trusted: Dataset) -> np.ndarra
     return len(trusted) * _avg_gradient(task, theta, trusted)
 
 
-def make_threat_knowledge(base_model: np.ndarray, prepared: PreparedData,
+@dataclass(frozen=True)
+class ThreatScope:
+    """What the adaptive attacker knows, fixed for the length of a trial.
+
+    ``client_sets`` holds the clean data of every client for knowledge =
+    full and of the malicious clients, in id order, for partial;
+    ``known_examples`` is their total size. For the squared loss,
+    ``moments`` is (A, b) with A = mean_c X_c^T X_c / n_c and
+    b = mean_c X_c^T y_c / n_c over that scope; it is None for the logistic
+    task.
+    """
+
+    task: tasks.RegressionTask | tasks.LogisticTask
+    client_sets: Tuple[Dataset, ...]
+    known_examples: int
+    moments: Optional[Tuple[np.ndarray, np.ndarray]]
+
+
+def threat_scope(prepared: PreparedData, config: ExperimentConfig) -> ThreatScope:
+    """Build the attacker's scope and, for regression, its gradient moments."""
+    if config.attack.knowledge == "partial":
+        ids = sorted(prepared.malicious)
+    else:
+        ids = range(len(prepared.client_data_clean))
+    client_sets = tuple(prepared.client_data_clean[c] for c in ids)
+    moments = None
+    if isinstance(prepared.task, tasks.RegressionTask):
+        dim = prepared.task.dim
+        a, b = np.zeros((dim, dim)), np.zeros(dim)
+        for ds in client_sets:
+            a += ds.features.T @ ds.features / len(ds)
+            b += ds.features.T @ ds.labels / len(ds)
+        moments = (a / len(client_sets), b / len(client_sets))
+    return ThreatScope(task=prepared.task, client_sets=client_sets,
+                       known_examples=sum(len(ds) for ds in client_sets),
+                       moments=moments)
+
+
+def make_threat_knowledge(base_model: np.ndarray, scope: ThreatScope,
                           config: ExperimentConfig) -> ThreatKnowledge:
     """Assemble the attacker's view for the adaptive attack.
 
     The benign mean is the expected client update at the base model: the
     unweighted mean of per-client full-data gradients over the knowledge
     scope, scaled to wire units (batch_size times the average).
+
+    For the squared loss a client's average gradient is
+    X_c^T (X_c theta - y_c) / n_c, which is linear in theta, so the mean
+    over the scope is exactly A theta - b with the moments of
+    ``ThreatScope``: one d x d mat-vec in place of a gradient per client.
+    ``run_trial`` builds the moments once per trial. The softmax gradient is
+    not linear in theta, so the logistic task keeps the per-client loop.
 
     The server-update estimate is the attacker's reconstruction, not the
     server's private vector: the attacker knows every client's data and the
@@ -167,16 +212,14 @@ def make_threat_knowledge(base_model: np.ndarray, prepared: PreparedData,
     scale. Both the scale gap and the trusted-set sampling noise are
     estimation error the attacker cannot remove.
     """
-    if config.attack.knowledge == "partial":
-        scope = sorted(prepared.malicious)
+    if scope.moments is not None:
+        a, b = scope.moments
+        mean_grad = a @ base_model - b
     else:
-        scope = range(len(prepared.client_data_clean))
-    client_sets = [prepared.client_data_clean[c] for c in scope]
-    grads = [_avg_gradient(prepared.task, base_model, ds) for ds in client_sets]
-    mean_grad = np.mean(grads, axis=0)
-    known_examples = sum(len(ds) for ds in client_sets)
+        mean_grad = np.mean([_avg_gradient(scope.task, base_model, ds)
+                             for ds in scope.client_sets], axis=0)
     return ThreatKnowledge(benign_mean_gradient=config.schedule.batch_size * mean_grad,
-                           server_update_estimate=known_examples * mean_grad,
+                           server_update_estimate=scope.known_examples * mean_grad,
                            lam=config.defense.lam)
 
 
@@ -210,7 +253,8 @@ class _DefenseRunner:
 
 
 def _client_update(cid: int, base_model: np.ndarray, rng: np.random.Generator,
-                   prepared: PreparedData, config: ExperimentConfig) -> np.ndarray:
+                   prepared: PreparedData, config: ExperimentConfig,
+                   threat: Optional[ThreatScope]) -> np.ndarray:
     """Compute the wire update a client sends from a stale base model."""
     cfg = config.attack
     batch_size = config.schedule.batch_size
@@ -233,7 +277,7 @@ def _client_update(cid: int, base_model: np.ndarray, rng: np.random.Generator,
         return attacks.gradient_deviation_update(honest(prepared.client_data[cid]),
                                                  cfg.gd_scale)
     if cfg.kind == "adaptive":
-        knowledge = make_threat_knowledge(base_model, prepared, config)
+        knowledge = make_threat_knowledge(base_model, threat, config)
         return attacks.adaptive_update(knowledge)
     raise ValueError(f"unhandled attack kind: {cfg.kind!r}")
 
@@ -279,6 +323,8 @@ def run_trial(config: ExperimentConfig, prepared: PreparedData,
     history = {0: theta}
     server_update = server_update_vector(prepared.task, theta, prepared.trusted)
     defense = _DefenseRunner(config)
+    threat = (threat_scope(prepared, config)
+              if config.attack.kind == "adaptive" and prepared.malicious else None)
     counts = {"accepted": 0, "rejected": 0, "buffered": 0}
     result = TrialResult(seed=seed)
 
@@ -289,7 +335,7 @@ def run_trial(config: ExperimentConfig, prepared: PreparedData,
             delay = int(rng.integers(0, dmax + 1))
             base_model = history[t - delay]
 
-            update = _client_update(cid, base_model, rng, prepared, config)
+            update = _client_update(cid, base_model, rng, prepared, config, threat)
 
             if t % sched.server_refresh_period == 0 and t > 0:
                 server_update = server_update_vector(prepared.task, theta,

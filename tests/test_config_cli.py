@@ -226,6 +226,24 @@ def test_gen_data_round_trips(tmp_path):
     assert theta.shape == (10,)
 
 
+def test_integer_axes_reject_fractional_values():
+    cfg = ExperimentConfig()
+    for axis in ("tau_max", "tau_s", "trusted_size", "num_clients"):
+        for value in (5.4, 0.5, float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match=f"sweep axis {axis} takes integers"):
+                apply_axis(cfg, axis, value)
+    assert apply_axis(cfg, "tau_max", 5.0).schedule.max_client_delay == 5
+
+
+def test_cli_sweep_with_fractional_integer_value_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "sweep"
+    rc = cli.main(["sweep", "--config", str(_quick_config(tmp_path)),
+                   "--out", str(out), "--axis", "tau_max", "--values", "5,5.4"])
+    assert rc == 2
+    assert "sweep axis tau_max takes integers, got 5.4" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_main_run(tmp_path):
     path = _quick_config(tmp_path)
     out = tmp_path / "cli_out"

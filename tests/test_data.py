@@ -199,9 +199,35 @@ def test_csv_bad_header(tmp_path):
 
 
 def test_dataset_validation():
-    with pytest.raises(ValueError):
-        data.Dataset(np.array([[np.inf, 1.0]]), np.array([0.0]), data.REGRESSION)
-    with pytest.raises(ValueError):
-        data.Dataset(np.ones((2, 2)), np.array([0, 3]), data.CLASSIFICATION, 2)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="features contain NaN or Inf"):
+            data.Dataset(np.array([[bad, 1.0]]), np.array([0.0]), data.REGRESSION)
+        with pytest.raises(ValueError, match="labels contain NaN or Inf"):
+            data.Dataset(np.ones((2, 2)), np.array([0.0, bad]), data.REGRESSION)
+    for label in (-1, 2, 3):
+        with pytest.raises(ValueError, match="class label out of range"):
+            data.Dataset(np.ones((2, 2)), np.array([0, label]), data.CLASSIFICATION, 2)
     with pytest.raises(ValueError):
         data.Dataset(np.ones((2, 2)), np.array([0.0, 1.0]), "other")
+
+
+def test_subset_is_a_read_only_copy_equal_to_a_checked_dataset():
+    reg, _ = data.gen_synthetic_regression(3, 30, 4)
+    cls, _ = data.gen_synthetic_classification(3, 30, 4, 3)
+    idx = np.array([7, 0, 29, 7, 12])
+    for ds in (reg, cls):
+        sub = ds.subset(idx)
+        expected = data.Dataset(ds.features[idx], ds.labels[idx], ds.kind,
+                                ds.num_classes)
+        assert (sub.kind, sub.num_classes) == (expected.kind, expected.num_classes)
+        for got, want in ((sub.features, expected.features),
+                          (sub.labels, expected.labels)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert not got.flags.writeable
+            assert not np.shares_memory(got, ds.features)
+            assert not np.shares_memory(got, ds.labels)
+            with pytest.raises(ValueError):
+                got[0] = 0
+        batch = data.minibatch(ds, 8, np.random.default_rng(1))
+        assert not batch.features.flags.writeable
+        assert not batch.labels.flags.writeable

@@ -1,11 +1,15 @@
 import dataclasses
 
 import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from aflbench import engine
-from aflbench.config import DefenseConfig, ExperimentConfig
+from aflbench.config import (ClientConfig, DataConfig, DefenseConfig,
+                             ExperimentConfig, ScheduleConfig, TaskConfig)
 from aflbench.data import minibatch
-from aflbench.engine import make_threat_knowledge, prepare_data, run_trial
+from aflbench.engine import (make_threat_knowledge, prepare_data, run_trial,
+                             threat_scope)
 
 
 def base_config(**kwargs):
@@ -109,7 +113,7 @@ def test_threat_knowledge_identical_clients():
     shared = prepared.client_data_clean[0]
     prepared.client_data_clean = [shared] * cfg.clients.num_clients
     theta = np.zeros(prepared.task.param_dim)
-    know = make_threat_knowledge(theta, prepared, cfg)
+    know = make_threat_knowledge(theta, threat_scope(prepared, cfg), cfg)
     from aflbench.tasks import regression_gradient
     single_full = regression_gradient(theta, shared.features, shared.labels)
     expected = cfg.schedule.batch_size * single_full
@@ -122,7 +126,7 @@ def test_threat_knowledge_partial_scope():
                                                               knowledge="partial"))
     prepared = prepare_data(cfg)
     theta = np.zeros(prepared.task.param_dim)
-    know = make_threat_knowledge(theta, prepared, cfg)
+    know = make_threat_knowledge(theta, threat_scope(prepared, cfg), cfg)
     from aflbench.tasks import regression_gradient
     grads = [regression_gradient(theta, prepared.client_data_clean[c].features,
                                  prepared.client_data_clean[c].labels)
@@ -135,12 +139,85 @@ def test_threat_knowledge_mean_equals_pooled_for_equal_sizes():
     cfg = base_config(attack="adaptive")
     prepared = prepare_data(cfg)
     theta = np.ones(prepared.task.param_dim)
-    know = make_threat_knowledge(theta, prepared, cfg)
+    know = make_threat_knowledge(theta, threat_scope(prepared, cfg), cfg)
     from aflbench.tasks import regression_gradient
     pooled = regression_gradient(theta, prepared.train.features,
                                  prepared.train.labels)
     expected = cfg.schedule.batch_size * pooled
     assert np.allclose(know.benign_mean_gradient, expected, rtol=1e-10)
+
+
+def _per_client_oracle(theta, prepared, cfg):
+    """Both threat-knowledge vectors from one gradient per known client."""
+    from aflbench.tasks import logistic_gradient, regression_gradient
+    if cfg.attack.knowledge == "partial":
+        ids = sorted(prepared.malicious)
+    else:
+        ids = range(cfg.clients.num_clients)
+    sets = [prepared.client_data_clean[c] for c in ids]
+    if cfg.task.kind == "synthetic_regression":
+        grads = [regression_gradient(theta, ds.features, ds.labels) for ds in sets]
+    else:
+        grads = [logistic_gradient(theta, ds.features, ds.labels,
+                                   cfg.task.num_classes) for ds in sets]
+    mean = np.mean(grads, axis=0)
+    return cfg.schedule.batch_size * mean, sum(len(ds) for ds in sets) * mean
+
+
+def _adaptive_config(knowledge, **task):
+    cfg = base_config(attack="adaptive")
+    return dataclasses.replace(
+        cfg, task=TaskConfig(**task),
+        attack=dataclasses.replace(cfg.attack, knowledge=knowledge))
+
+
+def _assert_matches_oracle(theta, prepared, cfg):
+    know = make_threat_knowledge(theta, threat_scope(prepared, cfg), cfg)
+    got = (know.benign_mean_gradient, know.server_update_estimate)
+    for vec, want in zip(got, _per_client_oracle(theta, prepared, cfg)):
+        np.testing.assert_allclose(vec, want, rtol=1e-12,
+                                   atol=1e-12 * np.abs(want).max())
+
+
+def test_threat_knowledge_moments_match_per_client_loop_unequal_sizes():
+    # 7,993 examples over 100 clients: sizes 79 and 80
+    for knowledge in ("full", "partial"):
+        cfg = _adaptive_config(knowledge, train_count=7_993)
+        prepared = prepare_data(cfg)
+        assert {len(ds) for ds in prepared.client_data_clean} == {79, 80}
+        theta = np.random.default_rng(4).normal(0.0, 3.0, prepared.task.param_dim)
+        _assert_matches_oracle(theta, prepared, cfg)
+
+
+def test_threat_knowledge_logistic_keeps_per_client_loop():
+    for knowledge in ("full", "partial"):
+        cfg = _adaptive_config(knowledge, kind="synthetic_classification",
+                               num_samples=2_500, dim=5, train_count=1_997)
+        prepared = prepare_data(cfg)
+        theta = np.random.default_rng(5).normal(0.0, 1.0, prepared.task.param_dim)
+        scope = threat_scope(prepared, cfg)
+        assert scope.moments is None
+        know = make_threat_knowledge(theta, scope, cfg)
+        benign, estimate = _per_client_oracle(theta, prepared, cfg)
+        assert np.array_equal(know.benign_mean_gradient, benign)
+        assert np.array_equal(know.server_update_estimate, estimate)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(num_clients=st.integers(2, 9), train_count=st.integers(18, 90),
+       dim=st.integers(1, 6), knowledge=st.sampled_from(("full", "partial")),
+       theta_seed=st.integers(0, 2**16), theta_scale=st.floats(0.01, 100.0))
+def test_threat_knowledge_moments_match_per_client_loop(
+        num_clients, train_count, dim, knowledge, theta_seed, theta_scale):
+    assume(train_count % num_clients != 0)  # client sizes differ
+    cfg = _adaptive_config(knowledge, num_samples=train_count + 10, dim=dim,
+                           train_count=train_count)
+    cfg = dataclasses.replace(
+        cfg, clients=ClientConfig(num_clients=num_clients, malicious_fraction=0.5),
+        schedule=ScheduleConfig(batch_size=1), data=DataConfig(trusted_size=5))
+    prepared = prepare_data(cfg)
+    theta = np.random.default_rng(theta_seed).normal(0.0, theta_scale, dim)
+    _assert_matches_oracle(theta, prepared, cfg)
 
 
 def test_prepare_data_poisons_only_malicious():
