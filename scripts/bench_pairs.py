@@ -1,15 +1,19 @@
 """Paired benchmark of two checkouts: parent against change.
 
-For each workload of ``BENCHMARK.json`` and each seed, runs
-``python3 perfbench/run.py --seconds S --trace 0`` once in each checkout,
-alternating which side goes first from one seed to the next, then one pair
-on a held-out seed, and one traced run per side of ``--traced-workload``.
-Writes a JSON record with every run's end-to-end metrics, each side's
-median and quartiles, the change's pair wins, and the traced per-layer
-metrics. Runs are sequential, so no two runs compete for a CPU.
+For every workload of ``BENCHMARK.json`` and each of seeds 301-310, runs
+``python3 perfbench/run.py --trace 0`` for the declared ``run_seconds`` once
+in each checkout, alternating which side goes first from one seed to the
+next, then one pair on a held-out seed, and one traced ``reg_adaptive`` run
+per side. Writes a JSON record with every run's end-to-end metrics, each
+side's median and quartiles, the change's pair wins, the traced per-layer
+metrics, and each side's environment (its ``source_sha256`` of ``src/``, and
+its ``git_commit`` when the checkout is a clone). Runs are sequential, so no
+two runs compete for a CPU.
 
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
-        --seeds 301-310 --held-out 311 --out BENCH_5.json
+        --held-out 347 --out BENCH_5.json
+
+Pick a held-out seed that was not used while writing the change.
 
 A run takes about 25 s, so ten pairs of four workloads take about 40 min.
 """
@@ -18,7 +22,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import platform
 import subprocess
 import sys
 import time
@@ -28,11 +31,8 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
-
-
-def _seeds(raw: str) -> list[int]:
-    lo, _, hi = raw.partition("-")
-    return list(range(int(lo), int(hi or lo) + 1))
+TRACED_WORKLOAD = "reg_adaptive"
+SEEDS = list(range(301, 311))
 
 
 def bench(checkout: Path, workload: str, seed: int, seconds: int,
@@ -77,30 +77,29 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--change", type=Path, required=True)
-    parser.add_argument("--seeds", default="301-310")
     parser.add_argument("--held-out", type=int, required=True)
-    parser.add_argument("--seconds", type=int, default=20)
-    parser.add_argument("--workloads", default=None,
-                        help="comma-separated; default every declared workload")
-    parser.add_argument("--traced-workload", default="reg_adaptive")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args()
+    if args.held_out in SEEDS:
+        parser.error(f"--held-out must not be one of seeds {SEEDS[0]}-{SEEDS[-1]}")
 
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())
-    workloads = (args.workloads.split(",") if args.workloads
-                 else [w["name"] for w in declared["workloads"]])
+    workloads = [w["name"] for w in declared["workloads"]]
+    seconds = declared["run_seconds"]
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    seeds = _seeds(args.seeds)
     pairs = {w: [] for w in workloads}
     held_out = {}
-    environment = None
-    for i, seed in enumerate(seeds + [args.held_out]):
+    environment = {}
+    for i, seed in enumerate(SEEDS + [args.held_out]):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
         for workload in workloads:
             pair = {"seed": seed, "first": order[0]}
             for side in order:
-                run = bench(checkouts[side], workload, seed, args.seconds, 0)
-                environment = environment or run["record"]["environment"]
+                run = bench(checkouts[side], workload, seed, seconds, 0)
+                env = {k: v for k, v in run["record"]["environment"].items()
+                       if k != "workload_seed"}
+                if environment.setdefault(side, env) != env:
+                    raise SystemExit(f"the {side} checkout changed mid-benchmark")
                 pair[side] = _values(run)
             print(json.dumps({"workload": workload, **pair}), file=sys.stderr,
                   flush=True)
@@ -111,23 +110,21 @@ def main() -> int:
 
     traced = {}
     for side in SIDES:
-        run = bench(checkouts[side], args.traced_workload, seeds[0],
-                    args.seconds, 1)
-        traced[side] = {"seed": seeds[0], **_values(run),
+        run = bench(checkouts[side], TRACED_WORKLOAD, SEEDS[0], seconds, 1)
+        traced[side] = {"seed": SEEDS[0], **_values(run),
                         "missing_trace_points": run["record"]["missing_trace_points"]}
 
     record = {
-        "command": f"perfbench/run.py --seconds {args.seconds} --trace 0",
+        "command": f"perfbench/run.py --seconds {seconds} --trace 0",
         "nproc": os.cpu_count(),
-        "python": platform.python_version(),
         "finished_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "perfbench_environment": environment,
-        "seeds": seeds,
+        "environment": environment,
+        "seeds": SEEDS,
         "held_out_seed": args.held_out,
         "summary": {w: summarize(pairs[w], declared["end_to_end"]) for w in workloads},
         "held_out": held_out,
         "pairs": pairs,
-        "traced": {"workload": args.traced_workload, **traced},
+        "traced": {"workload": TRACED_WORKLOAD, **traced},
     }
     args.out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n",
                         encoding="utf-8")
