@@ -5,9 +5,13 @@ Runs, from the ``src/`` tree next to this script:
 * every defense x attack cell of ``configs/table1_synthetic.ini``;
 * the no-attack and backdoor cells of
   ``configs/classification_backdoor.ini`` for asyncsgd, aflguard and zenopp;
+* the aflguard label-flip cell of the classification config, and its
+  backdoor cell under ``partition = noniid`` (``noniid_degree = 0.5``);
 * a two-value lambda sweep of the regression config at 300 iterations;
 * an asyncsgd gradient-deviation run that diverges, through the command
-  line with a ``--seed`` override.
+  line with a ``--seed`` override;
+* ``gen-data`` for both shipped configs;
+* a ``kind = csv`` regression run, read from a file ``save_csv`` writes.
 
 It prints one SHA-256 per output directory. Two checkouts that print the
 same lines write byte-identical trial CSVs, ``summary.json`` and
@@ -17,6 +21,7 @@ same lines write byte-identical trial CSVs, ``summary.json`` and
 """
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import sys
@@ -27,7 +32,8 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from aflbench import cli  # noqa: E402
-from aflbench.config import ExperimentConfig, load_config  # noqa: E402
+from aflbench.config import ExperimentConfig, TaskConfig, load_config  # noqa: E402
+from aflbench.data import gen_synthetic_regression, save_csv  # noqa: E402
 from aflbench.defenses import DEFENSE_KINDS  # noqa: E402
 
 REGRESSION_CONFIG = ROOT / "configs" / "table1_synthetic.ini"
@@ -71,6 +77,14 @@ def main() -> int:
                 cli.run_command(cell(classification, defense, attack), out / name)
                 names.append(name)
 
+        flip = cell(classification, "aflguard", "label_flip")
+        cli.run_command(flip, out / "cls_aflguard_label_flip")
+        noniid = dataclasses.replace(
+            classification, data=dataclasses.replace(
+                classification.data, partition="noniid", noniid_degree=0.5))
+        cli.run_command(noniid, out / "cls_aflguard_backdoor_noniid")
+        names += ["cls_aflguard_label_flip", "cls_aflguard_backdoor_noniid"]
+
         short = dataclasses.replace(regression, schedule=dataclasses.replace(
             regression.schedule, iterations=300))
         cli.sweep_command(short, "lambda", [1.0, 2.0], out / "sweep_lambda")
@@ -87,6 +101,21 @@ def main() -> int:
             print(f"cli run exited {rc}", file=sys.stderr)
             return 1
         names.append("cli_divergent")
+
+        with contextlib.redirect_stdout(sys.stderr):
+            cli.gen_data_command(regression, out / "gen_data_reg")
+            cli.gen_data_command(classification, out / "gen_data_cls")
+        names += ["gen_data_reg", "gen_data_cls"]
+
+        # a small pool: 20 rows for each of the 100 clients, 500 to test.
+        # The outputs embed the path, so it is relative to the temp dir.
+        pool, _ = gen_synthetic_regression(7, 2_500, 20)
+        save_csv(pool, out / "pool.csv")
+        from_csv = dataclasses.replace(regression, task=TaskConfig(
+            kind="csv", path="pool.csv", num_samples=2_500, train_count=2_000))
+        with contextlib.chdir(out):
+            cli.run_command(from_csv, Path("reg_csv"))
+        names.append("reg_csv")
 
         for name in names:
             print(f"{digest(out / name)}  {name}")
