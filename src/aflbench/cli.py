@@ -19,9 +19,9 @@ import numpy as np
 from . import __version__
 from .config import (SWEEP_AXES, ConfigError, ExperimentConfig, apply_axis,
                      config_to_dict, load_config, parse_seeds)
-from .data import save_csv
+from .data import save_csv, split_train_test
 from .engine import (DIVERGENCE_MARKER, TrialResult, beyond_reporting_range,
-                     prepare_data, run_trial)
+                     make_dataset, prepare_data, run_trial)
 
 CSV_COLUMNS = ("iteration", "mse", "test_error_rate", "mee",
                "attack_success_rate", "accepted", "rejected", "buffered")
@@ -140,17 +140,21 @@ def sweep_command(config: ExperimentConfig, axis: str, values: Sequence[float],
 
 
 def gen_data_command(config: ExperimentConfig, out_dir: Path) -> int:
-    """Materialize the configured task's train/test split as CSV files."""
+    """Materialize the configured task's train/test split as CSV files.
+
+    It generates and splits only: the client, trusted-set and attack
+    settings do not apply to the files, so they are not checked here."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    prepared = prepare_data(config)
-    save_csv(prepared.train, out_dir / "train.csv")
-    save_csv(prepared.test, out_dir / "test.csv")
-    if prepared.true_model is not None:
+    pool, true_model = make_dataset(config)
+    train, test = split_train_test(len(pool), config.task.train_count,
+                                   config.seeds.data_seed)
+    save_csv(pool.subset(train), out_dir / "train.csv")
+    save_csv(pool.subset(test), out_dir / "test.csv")
+    if true_model is not None:
         (out_dir / "true_model.csv").write_text(
-            ",".join(repr(float(v)) for v in prepared.true_model) + "\n",
+            ",".join(repr(float(v)) for v in true_model) + "\n",
             encoding="utf-8")
-    print(f"wrote {len(prepared.train)} train / {len(prepared.test)} test examples "
-          f"to {out_dir}")
+    print(f"wrote {len(train)} train / {len(test)} test examples to {out_dir}")
     return 0
 
 

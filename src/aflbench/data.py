@@ -5,13 +5,22 @@ standard normals and true-model entries with standard deviation 5, then
 labels y = <u, theta*> + e. Classification data is a Gaussian mixture with
 one spherical component per class.
 
+The generators draw their rows in blocks and write each block straight to
+its place in a caller's row order, the ``layout``: a callable taking
+(num_examples, class labels or None, num_classes or None) and returning
+the generated row to put at each position. Class labels are drawn before
+the features, so a classification layout can depend on them; a regression
+layout cannot. Without a layout, rows come in generation order.
+``split_train_test``, ``partition`` and ``sample_trusted`` work on row
+indices, so a layout can be planned from them before any row exists.
+
 CSV files are self-describing: the first line is either
 ``# kind=regression`` or ``# kind=classification classes=C``, each following
 row is comma-separated features with the label in the last column.
 """
 from __future__ import annotations
 
-from typing import List
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -22,6 +31,13 @@ CLASSIFICATION = "classification"
 DEFAULT_NUM_SAMPLES = 10_000
 DEFAULT_DIM = 100
 THETA_STAR_STD = 5.0  # N(0, 25) read as variance 25
+
+# Rows the generators draw per block. A multiple of 4, so that each block's
+# X @ theta* takes the BLAS path the full-height product takes (checked bit
+# for bit by scripts/golden_outputs.py at the shipped sizes).
+GEN_BLOCK_ROWS = 512
+
+Layout = Callable[[int, Optional[np.ndarray], Optional[int]], np.ndarray]
 
 
 class Dataset:
@@ -72,7 +88,8 @@ class Dataset:
         return self.features.shape[1]
 
     def subset(self, indices) -> "Dataset":
-        """Copy of the rows at ``indices``. Rows of a checked set pass every
+        """The rows at ``indices``: a slice gives a read-only view of this
+        set's arrays, an index array a copy. Rows of a checked set pass every
         constructor check, so they are not scanned again."""
         out = Dataset.__new__(Dataset)
         out._freeze(self.features[indices], self.labels[indices], self.kind,
@@ -80,78 +97,123 @@ class Dataset:
         return out
 
 
+def _row_blocks(num_samples: int) -> List[Tuple[int, int]]:
+    """[lo, hi) blocks of GEN_BLOCK_ROWS generated rows. A 1-row tail joins
+    the block before it: a 1-row product takes another BLAS path, which can
+    change the last bit of a label."""
+    bounds = list(range(0, num_samples, GEN_BLOCK_ROWS)) + [num_samples]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def _positions(layout: Optional[Layout], num_samples: int,
+               labels: Optional[np.ndarray] = None,
+               num_classes: Optional[int] = None) -> np.ndarray:
+    """Where each generated row goes: the inverse of the layout's order."""
+    if layout is None:
+        return np.arange(num_samples)
+    order = layout(num_samples, labels, num_classes)
+    positions = np.full(num_samples, -1)
+    if len(order) == num_samples:
+        positions[order] = np.arange(num_samples)
+    if np.any(positions < 0):
+        raise ValueError("a layout must place every generated row exactly once")
+    return positions
+
+
 def gen_synthetic_regression(seed: int, num_samples: int = DEFAULT_NUM_SAMPLES,
-                             dim: int = DEFAULT_DIM):
-    """Generate the linear-regression benchmark; returns (Dataset, theta_star)."""
+                             dim: int = DEFAULT_DIM,
+                             layout: Optional[Layout] = None):
+    """Generate the linear-regression benchmark; returns (Dataset, theta_star).
+
+    The labels' X @ theta* is computed block by block in generation order,
+    before the label noise is drawn, so every layout gives the same rows.
+    """
     if num_samples < 1 or dim < 1:
         raise ValueError("num_samples and dim must be >= 1")
     rng = np.random.default_rng(seed)
     theta_star = rng.normal(0.0, THETA_STAR_STD, dim)
-    features = rng.normal(0.0, 1.0, (num_samples, dim))
-    noise = rng.normal(0.0, 1.0, num_samples)
-    labels = features @ theta_star + noise
+    positions = _positions(layout, num_samples)
+    features = np.empty((num_samples, dim))
+    signal = np.empty(num_samples)
+    for lo, hi in _row_blocks(num_samples):
+        block = rng.normal(0.0, 1.0, (hi - lo, dim))
+        signal[lo:hi] = block @ theta_star
+        features[positions[lo:hi]] = block
+    labels = np.empty(num_samples)
+    labels[positions] = signal + rng.normal(0.0, 1.0, num_samples)
     return Dataset(features, labels, REGRESSION), theta_star
 
 
 def gen_synthetic_classification(seed: int, num_samples: int, dim: int,
                                  num_classes: int, class_spread: float = 1.0,
-                                 feature_offset: float = 0.0):
+                                 feature_offset: float = 0.0,
+                                 layout: Optional[Layout] = None):
     """Gaussian-mixture classification data; returns (Dataset, class_means).
 
     Each class has a spherical unit-variance component centered at a mean
     drawn from N(feature_offset, class_spread^2 I). A nonzero offset makes
     exact-zero feature values atypical, the regime feature-zeroing triggers
     assume. Labels are assigned round-robin so classes are balanced to
-    within one example.
+    within one example; they are shuffled before any feature is drawn.
     """
     if num_samples < 1 or dim < 1 or num_classes < 2:
         raise ValueError("invalid sizes")
     rng = np.random.default_rng(seed)
     means = feature_offset + rng.normal(0.0, class_spread, (num_classes, dim))
-    labels = np.arange(num_samples) % num_classes
-    rng.shuffle(labels)
-    features = means[labels] + rng.normal(0.0, 1.0, (num_samples, dim))
+    drawn = np.arange(num_samples) % num_classes
+    rng.shuffle(drawn)
+    positions = _positions(layout, num_samples, drawn, num_classes)
+    features = np.empty((num_samples, dim))
+    for lo, hi in _row_blocks(num_samples):
+        features[positions[lo:hi]] = (means[drawn[lo:hi]]
+                                      + rng.normal(0.0, 1.0, (hi - lo, dim)))
+    labels = np.empty_like(drawn)
+    labels[positions] = drawn
     return Dataset(features, labels, CLASSIFICATION, num_classes), means
 
 
-def split_train_test(ds: Dataset, train_count: int, seed: int):
-    """Disjoint seeded random split into (train, test)."""
-    if not (0 < train_count < len(ds)):
-        raise ValueError(f"train_count must lie in (0, {len(ds)})")
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(len(ds))
-    return ds.subset(order[:train_count]), ds.subset(order[train_count:])
+def split_train_test(num_examples: int, train_count: int, seed: int):
+    """Disjoint seeded random split of rows 0 .. num_examples - 1; returns
+    the (train, test) row indices."""
+    if not (0 < train_count < num_examples):
+        raise ValueError(f"train_count must lie in (0, {num_examples})")
+    order = np.random.default_rng(seed).permutation(num_examples)
+    return order[:train_count], order[train_count:]
 
 
-def partition(ds: Dataset, num_clients: int, mode: str, noniid_degree: float,
-              seed: int) -> List[Dataset]:
-    """Assign every training example to exactly one of num_clients clients.
+def partition(num_examples: int, num_clients: int, mode: str,
+              noniid_degree: float, seed: int,
+              labels: Optional[np.ndarray] = None,
+              num_classes: Optional[int] = None) -> List[np.ndarray]:
+    """Assign each of num_examples rows to exactly one of num_clients
+    clients; returns every client's rows as sorted indices.
 
     mode "iid": shuffle and deal round-robin, client sizes differ by at most
-    one; noniid_degree is unused. mode "noniid" (classification only):
-    clients are split into C label groups; an example with label c lands on
-    a uniform client of group c with probability noniid_degree, otherwise
-    on a uniform client of a uniform other group. ``DataConfig`` and
-    ``ClientConfig`` check mode and num_clients; noniid_degree in [1/C, 1]
-    is checked here, where C is known.
+    one; noniid_degree is unused. mode "noniid" needs the rows' class
+    ``labels`` and ``num_classes`` C: clients are split into C label groups;
+    an example with label c lands on a uniform client of group c with
+    probability noniid_degree, otherwise on a uniform client of a uniform
+    other group. ``DataConfig`` and ``ClientConfig`` check mode and
+    num_clients; noniid_degree in [1/C, 1] is checked here, where C is known.
     """
     rng = np.random.default_rng(seed)
     if mode == "iid":
-        order = rng.permutation(len(ds))
-        buckets = [order[k::num_clients] for k in range(num_clients)]
-        return [ds.subset(np.sort(b)) for b in buckets]
+        order = rng.permutation(num_examples)
+        return [np.sort(order[k::num_clients]) for k in range(num_clients)]
 
-    if ds.kind != CLASSIFICATION:
+    if labels is None:
         raise ValueError("noniid partitioning requires classification data")
-    c = ds.num_classes
+    c = num_classes
     if not (1.0 / c <= noniid_degree <= 1.0):
         raise ValueError(f"noniid_degree must lie in [1/C, 1] = [{1.0 / c:.4f}, 1]")
     groups = np.array_split(np.arange(num_clients), c)
     if any(len(g) == 0 for g in groups):
         raise ValueError("more label groups than clients")
     assigned: List[List[int]] = [[] for _ in range(num_clients)]
-    for i in range(len(ds)):
-        own = int(ds.labels[i])
+    for i in range(num_examples):
+        own = int(labels[i])
         if rng.random() < noniid_degree:
             g = own
         else:
@@ -161,35 +223,35 @@ def partition(ds: Dataset, num_clients: int, mode: str, noniid_degree: float,
         members = groups[g]
         client = int(members[rng.integers(len(members))])
         assigned[client].append(i)
-    return [ds.subset(np.array(idx, dtype=int)) for idx in assigned]
+    return [np.array(idx, dtype=int) for idx in assigned]
 
 
-def sample_trusted(ds: Dataset, size: int, distribution_shift: float,
-                   seed: int) -> Dataset:
-    """Draw the server's trusted dataset of ``size`` examples from a pool.
+def sample_trusted(num_examples: int, size: int, distribution_shift: float,
+                   seed: int, labels: Optional[np.ndarray] = None) -> np.ndarray:
+    """Pick the server's trusted set of ``size`` rows from a pool of
+    num_examples; returns their sorted indices.
 
-    Classification: round(distribution_shift * size) examples come uniformly
-    from class 0, the remainder uniformly from the other classes, all
-    without replacement. Regression: uniform subsample, distribution_shift
-    ignored. ``DataConfig`` checks size >= 1 and distribution_shift in
-    [0, 1].
+    With class ``labels``: round(distribution_shift * size) examples come
+    uniformly from class 0, the remainder uniformly from the other classes,
+    all without replacement. Without (regression): uniform subsample,
+    distribution_shift ignored. ``DataConfig`` checks size >= 1 and
+    distribution_shift in [0, 1].
     """
-    if size > len(ds):
+    if size > num_examples:
         raise ValueError("trusted set larger than source dataset")
     rng = np.random.default_rng(seed)
-    if ds.kind == REGRESSION:
-        idx = rng.choice(len(ds), size=size, replace=False)
-        return ds.subset(np.sort(idx))
+    if labels is None:
+        return np.sort(rng.choice(num_examples, size=size, replace=False))
     num_shifted = int(round(distribution_shift * size))
-    class0 = np.flatnonzero(ds.labels == 0)
-    others = np.flatnonzero(ds.labels != 0)
+    class0 = np.flatnonzero(labels == 0)
+    others = np.flatnonzero(labels != 0)
     if len(class0) < num_shifted:
         raise ValueError(f"need {num_shifted} class-0 examples, have {len(class0)}")
     if len(others) < size - num_shifted:
         raise ValueError("not enough non-class-0 examples for the trusted set")
     take0 = rng.choice(class0, size=num_shifted, replace=False)
     take_rest = rng.choice(others, size=size - num_shifted, replace=False)
-    return ds.subset(np.sort(np.concatenate([take0, take_rest])))
+    return np.sort(np.concatenate([take0, take_rest]))
 
 
 def minibatch(ds: Dataset, batch_size: int, rng: np.random.Generator) -> Dataset:

@@ -22,6 +22,12 @@ the client scale. The filters use g_s as follows:
   of a client step, not 6.25 times it. Its cosine gate is unchanged by the
   rescaling.
 * Kardam, BASGD and AsyncSGD do not read g_s.
+
+Data layout: ``prepare_data`` plans the rows first (train/test split,
+client partition, trusted set, all as row indices), then generates or
+loads the data straight into one n x d array in the order client 0, ...,
+client C-1, then test. Each clean client set and the test set is a
+read-only row-slice view of that array.
 """
 from __future__ import annotations
 
@@ -33,7 +39,7 @@ import numpy as np
 from . import attacks, defenses, metrics, tasks
 from .attacks import ThreatKnowledge
 from .config import ExperimentConfig
-from .data import (CLASSIFICATION, REGRESSION, Dataset,
+from .data import (CLASSIFICATION, REGRESSION, Dataset, Layout,
                    gen_synthetic_classification, gen_synthetic_regression,
                    load_csv, minibatch, partition, sample_trusted,
                    split_train_test)
@@ -56,10 +62,16 @@ def beyond_reporting_range(value: float) -> bool:
 
 @dataclass
 class PreparedData:
-    """Datasets and task description shared by every trial of a config."""
+    """Datasets and task description shared by every trial of a config.
+
+    ``client_data_clean`` and ``test`` are read-only row-slice views of one
+    n x d array laid out as client 0, ..., client C-1, then test (module
+    docstring). ``trusted`` is a copy of its rows. ``client_data`` holds the
+    clean view for a benign client and, under a data-poisoning attack, a
+    poisoned set for a malicious one, which owns whatever it changed.
+    """
 
     task: tasks.RegressionTask | tasks.LogisticTask
-    train: Dataset
     test: Dataset
     trusted: Dataset
     client_data: List[Dataset]
@@ -84,43 +96,84 @@ class TrialResult:
         return self.diverged or beyond_reporting_range(self.final_record.primary)
 
 
-def prepare_data(config: ExperimentConfig) -> PreparedData:
-    """Generate/load, split, partition, poison, and sample per the config."""
-    tc = config.task
-    true_model = None
+def make_dataset(config: ExperimentConfig, layout: Optional[Layout] = None
+                 ) -> Tuple[Dataset, Optional[np.ndarray]]:
+    """Generate or load the configured dataset; returns it with theta*
+    (None unless the task is synthetic regression). Rows come in
+    ``layout`` order, or in generation (file) order without one; a loaded
+    file takes one gather into the layout."""
+    tc, seed = config.task, config.seeds.data_seed
     if tc.kind == "synthetic_regression":
-        full, true_model = gen_synthetic_regression(config.seeds.data_seed,
-                                                    tc.num_samples, tc.dim)
-    elif tc.kind == "synthetic_classification":
-        full, _ = gen_synthetic_classification(config.seeds.data_seed,
-                                               tc.num_samples, tc.dim,
+        return gen_synthetic_regression(seed, tc.num_samples, tc.dim, layout)
+    if tc.kind == "synthetic_classification":
+        pool, _ = gen_synthetic_classification(seed, tc.num_samples, tc.dim,
                                                tc.num_classes, tc.class_spread,
-                                               tc.feature_offset)
-    else:
-        full = load_csv(tc.path)
+                                               tc.feature_offset, layout)
+        return pool, None
+    pool = load_csv(tc.path)
+    if layout is not None:
+        labels = pool.labels if pool.kind == CLASSIFICATION else None
+        pool = pool.subset(layout(len(pool), labels, pool.num_classes))
+    return pool, None
 
-    train, test = split_train_test(full, tc.train_count, config.seeds.data_seed)
-    del full  # split copies the rows; free the unsplit set before partitioning
 
-    if train.kind == REGRESSION:
+class _RowPlan:
+    """The layout of ``prepare_data``: split, partition and trusted sample
+    as row indices, and the client-major order they give the rows.
+
+    Once called, it holds the positions of each client's rows and of the
+    test rows as slices, and of the trusted rows as an index array.
+    """
+
+    def __init__(self, config: ExperimentConfig):
+        self.config = config
+        self.client_rows: List[slice] = []
+        self.test_rows = slice(0)
+        self.trusted_rows = np.empty(0, dtype=int)
+
+    def __call__(self, num_examples: int, labels: Optional[np.ndarray],
+                 num_classes: Optional[int]) -> np.ndarray:
+        cfg, seed = self.config, self.config.seeds.data_seed
+        train, test = split_train_test(num_examples, cfg.task.train_count, seed)
+        train_labels = None if labels is None else labels[train]
+        # regression datasets only partition iid
+        mode = "iid" if labels is None else cfg.data.partition
+        clients = partition(len(train), cfg.clients.num_clients, mode,
+                            cfg.data.noniid_degree, seed, train_labels,
+                            num_classes)
+        batch = cfg.schedule.batch_size
+        for i, rows in enumerate(clients):
+            if len(rows) < batch:
+                raise ValueError(f"client {i} holds {len(rows)} examples, "
+                                 f"fewer than batch size {batch}")
+        trusted = sample_trusted(len(train), cfg.data.trusted_size,
+                                 cfg.data.distribution_shift, seed, train_labels)
+
+        order = np.concatenate([train[rows] for rows in clients] + [test])
+        lo = 0
+        for rows in clients:
+            self.client_rows.append(slice(lo, lo + len(rows)))
+            lo += len(rows)
+        self.test_rows = slice(lo, num_examples)
+        position = np.empty(num_examples, dtype=int)
+        position[order] = np.arange(num_examples)
+        self.trusted_rows = position[train[trusted]]
+        return order
+
+
+def prepare_data(config: ExperimentConfig) -> PreparedData:
+    """Plan, generate/load into the layout, then poison, per the config."""
+    plan = _RowPlan(config)
+    pool, true_model = make_dataset(config, plan)
+    clean = [pool.subset(rows) for rows in plan.client_rows]
+    test = pool.subset(plan.test_rows)
+    trusted = pool.subset(plan.trusted_rows)
+
+    if pool.kind == REGRESSION:
         task: tasks.RegressionTask | tasks.LogisticTask = tasks.RegressionTask(
-            train.dim, true_model)
-        mode = "iid"  # regression datasets only partition iid
+            pool.dim, true_model)
     else:
-        task = tasks.LogisticTask(train.dim, train.num_classes)
-        mode = config.data.partition
-
-    clean = partition(train, config.clients.num_clients, mode,
-                      config.data.noniid_degree, config.seeds.data_seed)
-    batch = config.schedule.batch_size
-    for i, ds in enumerate(clean):
-        if len(ds) < batch:
-            raise ValueError(
-                f"client {i} holds {len(ds)} examples, fewer than batch size {batch}")
-
-    trusted = sample_trusted(train, config.data.trusted_size,
-                             config.data.distribution_shift,
-                             config.seeds.data_seed)
+        task = tasks.LogisticTask(pool.dim, pool.num_classes)
 
     malicious = frozenset(config.clients.malicious_ids())
     poisoned = list(clean)
@@ -129,12 +182,12 @@ def prepare_data(config: ExperimentConfig) -> PreparedData:
         for cid in malicious:
             poisoned[cid] = attacks.flip_dataset_labels(clean[cid])
     elif kind == "backdoor":
-        if train.kind != CLASSIFICATION:
+        if pool.kind != CLASSIFICATION:
             raise ValueError("backdoor attack requires a classification task")
         for cid in malicious:
             poisoned[cid] = attacks.backdoor_poison(clean[cid], config.attack)
 
-    return PreparedData(task=task, train=train, test=test, trusted=trusted,
+    return PreparedData(task=task, test=test, trusted=trusted,
                         client_data=poisoned, client_data_clean=clean,
                         true_model=true_model, malicious=malicious)
 

@@ -10,6 +10,7 @@ from aflbench.config import (ClientConfig, ConfigError, DataConfig,
                              DefenseConfig, ExperimentConfig, ScheduleConfig,
                              SeedConfig, TaskConfig, apply_axis,
                              config_to_dict, load_config)
+from aflbench.engine import prepare_data
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -224,6 +225,18 @@ def test_gen_data_round_trips(tmp_path):
     theta = np.array([float(v) for v in
                       (out / "true_model.csv").read_text().strip().split(",")])
     assert theta.shape == (10,)
+
+
+def test_gen_data_only_generates_and_splits(tmp_path):
+    # 800 train rows over 100 clients leave 8 each, fewer than a batch of 16:
+    # a run rejects that, but gen-data writes no client data
+    cfg = ExperimentConfig(task=TaskConfig(num_samples=1_000, dim=5,
+                                           train_count=800))
+    with pytest.raises(ValueError, match="client 0 holds 8 examples"):
+        prepare_data(cfg)
+    assert cli.gen_data_command(cfg, tmp_path) == 0
+    assert len(data.load_csv(tmp_path / "train.csv")) == 800
+    assert len(data.load_csv(tmp_path / "test.csv")) == 200
 
 
 def test_integer_axes_reject_fractional_values():

@@ -43,29 +43,51 @@ def test_synthetic_classification_balanced():
     assert means.shape == (6, 10)
 
 
+def test_layout_places_each_generated_row():
+    def reverse(n, labels, num_classes):
+        return np.arange(n)[::-1]
+
+    for gen in (lambda layout: data.gen_synthetic_regression(3, 9, 2, layout),
+                lambda layout: data.gen_synthetic_classification(3, 9, 2, 3,
+                                                                 layout=layout)):
+        plain, flipped = gen(None)[0], gen(reverse)[0]
+        assert np.array_equal(flipped.features, plain.features[::-1])
+        assert np.array_equal(flipped.labels, plain.labels[::-1])
+        for bad in (np.zeros(9, dtype=int), np.arange(8)):
+            with pytest.raises(ValueError, match="exactly once"):
+                gen(lambda n, labels, c: bad)
+
+
+def test_row_blocks_cover_the_rows_and_leave_no_single_row():
+    # a 1-row X @ theta* can differ in the last bit from the full product
+    for n in (1, 2, data.GEN_BLOCK_ROWS, data.GEN_BLOCK_ROWS + 1,
+              2 * data.GEN_BLOCK_ROWS + 1, 10_000):
+        blocks = data._row_blocks(n)
+        assert [lo for lo, _ in blocks] == [0] + [hi for _, hi in blocks[:-1]]
+        assert blocks[-1][1] == n
+        assert all(hi - lo > 1 for lo, hi in blocks) or n == 1
+
+
 def test_split_sizes_and_disjointness():
-    ds, _ = data.gen_synthetic_regression(17, 10_000, 10)
-    train, test = data.split_train_test(ds, 8_000, 17)
+    train, test = data.split_train_test(10_000, 8_000, 17)
     assert len(train) == 8_000 and len(test) == 2_000
-    joined = np.concatenate([train.labels, test.labels])
-    assert np.array_equal(np.sort(joined), np.sort(ds.labels))
+    joined = np.concatenate([train, test])
+    assert np.array_equal(np.sort(joined), np.arange(10_000))
 
 
 def test_split_determinism_and_edge():
-    ds, _ = data.gen_synthetic_regression(19, 50, 4)
-    a1, b1 = data.split_train_test(ds, 49, 1)
+    a1, b1 = data.split_train_test(50, 49, 1)
     assert len(b1) == 1
-    a2, b2 = data.split_train_test(ds, 49, 1)
-    assert np.array_equal(a1.features, a2.features)
-    a3, _ = data.split_train_test(ds, 49, 2)
-    assert not np.array_equal(a1.features, a3.features)
+    a2, b2 = data.split_train_test(50, 49, 1)
+    assert np.array_equal(a1, a2)
+    a3, _ = data.split_train_test(50, 49, 2)
+    assert not np.array_equal(a1, a3)
     with pytest.raises(ValueError):
-        data.split_train_test(ds, 50, 1)
+        data.split_train_test(50, 50, 1)
 
 
 def test_partition_iid_sizes():
-    ds, _ = data.gen_synthetic_regression(23, 8_000, 5)
-    parts = data.partition(ds, 100, "iid", 0.5, 23)
+    parts = data.partition(8_000, 100, "iid", 0.5, 23)
     assert len(parts) == 100
     assert all(len(p) == 80 for p in parts)
 
@@ -73,17 +95,15 @@ def test_partition_iid_sizes():
 def test_partition_disjoint_and_exhaustive():
     ds = data.gen_synthetic_classification(29, 1_000, 4, 5)[0]
     for n, mode, q in ((7, "iid", 0.5), (10, "noniid", 0.5), (10, "noniid", 1.0)):
-        parts = data.partition(ds, n, mode, q, 31)
-        total = sum(len(p) for p in parts)
-        assert total == len(ds)
-        all_labels = np.concatenate([p.labels for p in parts if len(p)])
-        assert np.array_equal(np.sort(all_labels), np.sort(ds.labels))
+        parts = data.partition(len(ds), n, mode, q, 31, ds.labels, 5)
+        assert all(np.array_equal(p, np.sort(p)) for p in parts)
+        assert np.array_equal(np.sort(np.concatenate(parts)), np.arange(len(ds)))
 
 
 def test_partition_noniid_uniform_at_q_equals_one_over_c():
     c = 5
     ds = data.gen_synthetic_classification(37, 10_000, 3, c)[0]
-    parts = data.partition(ds, c, "noniid", 1.0 / c, 37)
+    parts = data.partition(len(ds), c, "noniid", 1.0 / c, 37, ds.labels, c)
     # with q = 1/C group membership is uniform; chi-square should not reject
     group_counts = [len(p) for p in parts]
     _, p_value = stats.chisquare(group_counts)
@@ -93,43 +113,38 @@ def test_partition_noniid_uniform_at_q_equals_one_over_c():
 def test_partition_noniid_degenerate_q_one():
     c = 4
     ds = data.gen_synthetic_classification(41, 400, 3, c)[0]
-    parts = data.partition(ds, 8, "noniid", 1.0, 41)
+    parts = data.partition(len(ds), 8, "noniid", 1.0, 41, ds.labels, c)
     groups = np.array_split(np.arange(8), c)
     for g, members in enumerate(groups):
         for cid in members:
-            if len(parts[cid]):
-                assert np.all(parts[cid].labels == g)
+            assert np.all(ds.labels[parts[cid]] == g)
 
 
 def test_partition_noniid_rejects_regression():
-    ds, _ = data.gen_synthetic_regression(43, 100, 3)
-    with pytest.raises(ValueError):
-        data.partition(ds, 4, "noniid", 0.5, 43)
+    with pytest.raises(ValueError, match="requires classification data"):
+        data.partition(100, 4, "noniid", 0.5, 43)
 
 
 def test_trusted_classification_shift_counts():
     c = 10
     ds = data.gen_synthetic_classification(47, 5_000, 4, c)[0]
-    trusted = data.sample_trusted(ds, 100, 1.0 / c, 47)
-    assert len(trusted) == 100
-    assert np.sum(trusted.labels == 0) == 10
-    full_shift = data.sample_trusted(ds, 100, 1.0, 47)
-    assert np.all(full_shift.labels == 0)
+    trusted = data.sample_trusted(len(ds), 100, 1.0 / c, 47, ds.labels)
+    assert len(np.unique(trusted)) == 100
+    assert np.sum(ds.labels[trusted] == 0) == 10
+    full_shift = data.sample_trusted(len(ds), 100, 1.0, 47, ds.labels)
+    assert np.all(ds.labels[full_shift] == 0)
 
 
 def test_trusted_regression_ignores_shift():
-    ds, _ = data.gen_synthetic_regression(53, 400, 3)
-    a = data.sample_trusted(ds, 100, 0.0, 53)
-    b = data.sample_trusted(ds, 100, 1.0, 53)
-    assert len(a) == 100
-    assert np.array_equal(a.features, b.features)
+    a = data.sample_trusted(400, 100, 0.0, 53)
+    b = data.sample_trusted(400, 100, 1.0, 53)
+    assert len(np.unique(a)) == 100
+    assert np.array_equal(a, b)
 
 
 def test_trusted_insufficient_class_examples():
-    ds = data.Dataset(np.ones((5, 2)), np.array([0, 1, 1, 1, 1]),
-                      data.CLASSIFICATION, 2)
-    with pytest.raises(ValueError):
-        data.sample_trusted(ds, 4, 1.0, 1)
+    with pytest.raises(ValueError, match="need 4 class-0 examples, have 1"):
+        data.sample_trusted(5, 4, 1.0, 1, np.array([0, 1, 1, 1, 1]))
 
 
 def test_minibatch_contract():

@@ -1,15 +1,21 @@
 import dataclasses
+import tempfile
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from aflbench import engine
+from aflbench import attacks, engine
 from aflbench.config import (ClientConfig, DataConfig, DefenseConfig,
                              ExperimentConfig, ScheduleConfig, TaskConfig)
-from aflbench.data import minibatch
-from aflbench.engine import (make_threat_knowledge, prepare_data, run_trial,
-                             threat_scope)
+from aflbench.data import (CLASSIFICATION, GEN_BLOCK_ROWS, minibatch,
+                           partition, sample_trusted, save_csv,
+                           split_train_test)
+from aflbench.engine import (make_dataset, make_threat_knowledge, prepare_data,
+                             run_trial, threat_scope)
 
 
 def base_config(**kwargs):
@@ -141,8 +147,10 @@ def test_threat_knowledge_mean_equals_pooled_for_equal_sizes():
     theta = np.ones(prepared.task.param_dim)
     know = make_threat_knowledge(theta, threat_scope(prepared, cfg), cfg)
     from aflbench.tasks import regression_gradient
-    pooled = regression_gradient(theta, prepared.train.features,
-                                 prepared.train.labels)
+    clients = prepared.client_data_clean  # iid: together, the train rows
+    pooled = regression_gradient(theta,
+                                 np.concatenate([ds.features for ds in clients]),
+                                 np.concatenate([ds.labels for ds in clients]))
     expected = cfg.schedule.batch_size * pooled
     assert np.allclose(know.benign_mean_gradient, expected, rtol=1e-10)
 
@@ -232,3 +240,110 @@ def test_metric_cadence_and_final_record():
     prepared = prepare_data(cfg)
     result = run_trial(cfg, prepared, 1)
     assert [r.iteration for r in result.records] == [50, 100, 120]
+
+
+def _reference_sets(cfg):
+    """prepare_data's sets built by copying: the dataset in generation order,
+    then one copy per subset. Returns (clients, test, trusted)."""
+    seed = cfg.seeds.data_seed
+    full, _ = make_dataset(cfg)
+    train_rows, test_rows = split_train_test(len(full), cfg.task.train_count, seed)
+    train = full.subset(train_rows)
+    classes = full.kind == CLASSIFICATION
+    labels = train.labels if classes else None
+    mode = cfg.data.partition if classes else "iid"
+    clients = [train.subset(rows) for rows in partition(
+        len(train), cfg.clients.num_clients, mode, cfg.data.noniid_degree, seed,
+        labels, full.num_classes)]
+    trusted = train.subset(sample_trusted(len(train), cfg.data.trusted_size,
+                                          cfg.data.distribution_shift, seed,
+                                          labels))
+    return clients, full.subset(test_rows), trusted
+
+
+def _assert_same_rows(got, want):
+    assert (got.kind, got.num_classes) == (want.kind, want.num_classes)
+    for a, b in ((got.features, want.features), (got.labels, want.labels)):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+# n = 1 (mod GEN_BLOCK_ROWS), and n not a multiple of 4
+@example(kind="synthetic_regression", num_samples=2 * GEN_BLOCK_ROWS + 1, dim=3,
+         train_share=0.8, num_clients=7, noniid=False, degree=1.0, shift=0.5,
+         attack="label_flip", from_csv=False)
+@example(kind="synthetic_classification", num_samples=GEN_BLOCK_ROWS + 1, dim=4,
+         train_share=0.7, num_clients=9, noniid=True, degree=0.5, shift=0.3,
+         attack="backdoor", from_csv=False)
+@example(kind="synthetic_regression", num_samples=1_030, dim=2, train_share=0.6,
+         num_clients=5, noniid=False, degree=1.0, shift=0.0, attack="none",
+         from_csv=True)
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(("synthetic_regression", "synthetic_classification")),
+       num_samples=st.one_of(st.integers(150, 1_200),
+                             st.sampled_from((GEN_BLOCK_ROWS + 1, 1_030))),
+       dim=st.integers(1, 5), train_share=st.floats(0.5, 0.9),
+       num_clients=st.integers(3, 12), noniid=st.booleans(),
+       degree=st.floats(0.0, 1.0), shift=st.floats(0.0, 1.0),
+       attack=st.sampled_from(("none", "label_flip", "backdoor")),
+       from_csv=st.booleans())
+def test_prepare_data_layout_matches_copy_reference(
+        kind, num_samples, dim, train_share, num_clients, noniid, degree, shift,
+        attack, from_csv):
+    num_classes = 3
+    regression = kind == "synthetic_regression"
+    assume(not (regression and attack == "backdoor"))
+    cfg = dataclasses.replace(
+        base_config(attack=attack, malicious_fraction=0.25),
+        task=TaskConfig(kind=kind, num_samples=num_samples, dim=dim,
+                        num_classes=num_classes, feature_offset=1.5,
+                        train_count=int(train_share * num_samples)),
+        clients=ClientConfig(num_clients=num_clients, malicious_fraction=0.25),
+        schedule=ScheduleConfig(batch_size=2),
+        data=DataConfig(partition="noniid" if noniid else "iid",
+                        noniid_degree=1 / num_classes + degree * (1 - 1 / num_classes),
+                        trusted_size=10, distribution_shift=shift))
+    with tempfile.TemporaryDirectory() as tmp:
+        if from_csv:
+            path = Path(tmp) / "pool.csv"
+            save_csv(make_dataset(cfg)[0], path)
+            cfg = dataclasses.replace(cfg, task=dataclasses.replace(
+                cfg.task, kind="csv", path=str(path)))
+        clients, test, trusted = _reference_sets(cfg)
+        if min(len(ds) for ds in clients) < cfg.schedule.batch_size:
+            with pytest.raises(ValueError, match="fewer than batch size"):
+                prepare_data(cfg)
+            return
+        prepared = prepare_data(cfg)
+
+    for got, want in zip(prepared.client_data_clean, clients, strict=True):
+        _assert_same_rows(got, want)
+    _assert_same_rows(prepared.test, test)
+    _assert_same_rows(prepared.trusted, trusted)
+    for cid, want in enumerate(clients):
+        if cid not in prepared.malicious or attack == "none":
+            assert prepared.client_data[cid] is prepared.client_data_clean[cid]
+        elif attack == "label_flip":
+            _assert_same_rows(prepared.client_data[cid],
+                              attacks.flip_dataset_labels(want))
+        else:
+            _assert_same_rows(prepared.client_data[cid],
+                              attacks.backdoor_poison(want, cfg.attack))
+
+    # the clean clients and the test set are read-only views of one array
+    for ds in prepared.client_data_clean + [prepared.test]:
+        for arr, base in ((ds.features, prepared.test.features.base),
+                          (ds.labels, prepared.test.labels.base)):
+            assert arr.base is base and not arr.flags.writeable
+
+
+def test_prepare_data_peak_memory_is_near_the_feature_bytes():
+    cfg = base_config()
+    tracemalloc.start()
+    try:
+        prepare_data(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    feature_bytes = cfg.task.num_samples * cfg.task.dim * 8
+    assert peak <= 1.35 * feature_bytes, peak / feature_bytes

@@ -44,15 +44,16 @@ def sgd_floor(features, labels, prepared, learning_rate, batch_size):
 def _floors(cfg):
     prepared = prepare_data(cfg)
     sched = cfg.schedule
-    train = prepared.train
-    all_data = sgd_floor(train.features, train.labels, prepared,
-                         sched.learning_rate, sched.batch_size)
+
+    def floor(sets):
+        return sgd_floor(np.concatenate([ds.features for ds in sets]),
+                         np.concatenate([ds.labels for ds in sets]),
+                         prepared, sched.learning_rate, sched.batch_size)
+
+    # iid: the clients' rows together are the train rows
     benign = [ds for cid, ds in enumerate(prepared.client_data_clean)
               if cid not in prepared.malicious]
-    benign_only = sgd_floor(np.concatenate([ds.features for ds in benign]),
-                            np.concatenate([ds.labels for ds in benign]),
-                            prepared, sched.learning_rate, sched.batch_size)
-    return prepared, all_data, benign_only
+    return prepared, floor(prepared.client_data_clean), floor(benign)
 
 
 def test_asyncsgd_no_attack_sits_on_the_all_data_floor():
