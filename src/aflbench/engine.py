@@ -41,7 +41,7 @@ from .attacks import ThreatKnowledge
 from .config import ExperimentConfig
 from .data import (CLASSIFICATION, REGRESSION, Dataset, Layout,
                    gen_synthetic_classification, gen_synthetic_regression,
-                   load_csv, minibatch, partition, sample_trusted,
+                   load_csv, partition, sample_trusted,
                    split_train_test)
 from .defenses import ACCEPT, REJECT, BasgdState, KardamState, Verdict
 from .metrics import MetricRecord
@@ -192,15 +192,17 @@ def prepare_data(config: ExperimentConfig) -> PreparedData:
                         true_model=true_model, malicious=malicious)
 
 
-def _avg_gradient(task, theta: np.ndarray, ds: Dataset) -> np.ndarray:
+def _avg_gradient(task, theta: np.ndarray, features: np.ndarray,
+                  labels: np.ndarray) -> np.ndarray:
     if isinstance(task, tasks.RegressionTask):
-        return tasks.regression_gradient(theta, ds.features, ds.labels)
-    return tasks.logistic_gradient(theta, ds.features, ds.labels, task.num_classes)
+        return tasks.regression_gradient(theta, features, labels)
+    return tasks.logistic_gradient(theta, features, labels, task.num_classes)
 
 
 def server_update_vector(task, theta: np.ndarray, trusted: Dataset) -> np.ndarray:
     """Reference update: sum of per-example gradients over the trusted set."""
-    return len(trusted) * _avg_gradient(task, theta, trusted)
+    return len(trusted) * _avg_gradient(task, theta, trusted.features,
+                                        trusted.labels)
 
 
 @dataclass(frozen=True)
@@ -269,7 +271,8 @@ def make_threat_knowledge(base_model: np.ndarray, scope: ThreatScope,
         a, b = scope.moments
         mean_grad = a @ base_model - b
     else:
-        mean_grad = np.mean([_avg_gradient(scope.task, base_model, ds)
+        mean_grad = np.mean([_avg_gradient(scope.task, base_model, ds.features,
+                                           ds.labels)
                              for ds in scope.client_sets], axis=0)
     return ThreatKnowledge(benign_mean_gradient=config.schedule.batch_size * mean_grad,
                            server_update_estimate=scope.known_examples * mean_grad,
@@ -314,8 +317,9 @@ def _client_update(cid: int, base_model: np.ndarray, rng: np.random.Generator,
     task = prepared.task
 
     def honest(ds: Dataset) -> np.ndarray:
-        batch = minibatch(ds, batch_size, rng)
-        return batch_size * _avg_gradient(task, base_model, batch)
+        rows = rng.choice(len(ds), size=batch_size, replace=False)
+        return batch_size * _avg_gradient(task, base_model, ds.features[rows],
+                                          ds.labels[rows])
 
     if cid not in prepared.malicious or cfg.kind == "none":
         return honest(prepared.client_data[cid])
@@ -404,7 +408,7 @@ def run_trial(config: ExperimentConfig, prepared: PreparedData,
                 counts["buffered"] += 1
 
             completed = t + 1
-            if not np.all(np.isfinite(theta)):
+            if not np.isfinite(theta).all():
                 result.records.append(_evaluate(theta, completed, prepared,
                                                 config, counts, diverged=True))
                 result.diverged = True

@@ -6,6 +6,8 @@ broadcasts.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -21,8 +23,10 @@ def dot(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def l2norm(a: np.ndarray) -> float:
-    """Euclidean norm; 0 exactly when a is the zero vector."""
-    return float(np.linalg.norm(a))
+    """Euclidean norm; 0 exactly when a is the zero vector. The same
+    sqrt(a . a) that ``np.linalg.norm`` computes for a 1-D float vector,
+    without its dispatch."""
+    return math.sqrt(a @ a)
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
