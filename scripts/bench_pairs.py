@@ -3,8 +3,8 @@
 For every workload of ``BENCHMARK.json`` and each of seeds 301-310, runs
 ``python3 perfbench/run.py --trace 0`` for the declared ``run_seconds`` once
 in each checkout, alternating which side goes first from one seed to the
-next, then one pair on a held-out seed, and one traced ``reg_adaptive`` run
-per side. Writes a JSON record with every run's end-to-end metrics, each
+next, then one pair on a held-out seed, and one traced ``reg_clean`` run per
+side. Writes a JSON record with every run's end-to-end metrics, each
 side's median and quartiles, the change's pair wins, the traced per-layer
 metrics, and each side's environment (its ``source_sha256`` of ``src/``, and
 its ``git_commit`` when the checkout is a clone). Runs are sequential, so no
@@ -31,7 +31,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
-TRACED_WORKLOAD = "reg_adaptive"
+TRACED_WORKLOAD = "reg_clean"
 SEEDS = list(range(301, 311))
 
 

@@ -195,7 +195,8 @@ def partition(num_examples: int, num_clients: int, mode: str,
     ``labels`` and ``num_classes`` C: clients are split into C label groups;
     an example with label c lands on a uniform client of group c with
     probability noniid_degree, otherwise on a uniform client of a uniform
-    other group. ``DataConfig`` and ``ClientConfig`` check mode and
+    other group. Each of the three choices is one vectorised draw over all
+    rows. ``DataConfig`` and ``ClientConfig`` check mode and
     num_clients; noniid_degree in [1/C, 1] is checked here, where C is known.
     """
     rng = np.random.default_rng(seed)
@@ -211,19 +212,17 @@ def partition(num_examples: int, num_clients: int, mode: str,
     groups = np.array_split(np.arange(num_clients), c)
     if any(len(g) == 0 for g in groups):
         raise ValueError("more label groups than clients")
-    assigned: List[List[int]] = [[] for _ in range(num_clients)]
-    for i in range(num_examples):
-        own = int(labels[i])
-        if rng.random() < noniid_degree:
-            g = own
-        else:
-            g = int(rng.integers(c - 1))
-            if g >= own:
-                g += 1
-        members = groups[g]
-        client = int(members[rng.integers(len(members))])
-        assigned[client].append(i)
-    return [np.array(idx, dtype=int) for idx in assigned]
+    group_start = np.array([g[0] for g in groups])
+    group_size = np.array([len(g) for g in groups])
+    own = np.asarray(labels, dtype=np.int64)
+    other = rng.integers(c - 1, size=num_examples)
+    other += other >= own
+    group = np.where(rng.random(num_examples) < noniid_degree, own, other)
+    client = group_start[group] + rng.integers(0, group_size[group])
+    # a stable sort keeps each client's rows in increasing order
+    order = np.argsort(client, kind="stable")
+    bounds = np.cumsum(np.bincount(client, minlength=num_clients))[:-1]
+    return np.split(order, bounds)
 
 
 def sample_trusted(num_examples: int, size: int, distribution_shift: float,
@@ -254,12 +253,30 @@ def sample_trusted(num_examples: int, size: int, distribution_shift: float,
     return np.sort(np.concatenate([take0, take_rest]))
 
 
-def minibatch(ds: Dataset, batch_size: int, rng: np.random.Generator) -> Dataset:
-    """Uniform sample without replacement, consuming rng state deterministically."""
-    if not (1 <= batch_size <= len(ds)):
-        raise ValueError(f"batch_size must lie in [1, {len(ds)}]")
-    idx = rng.choice(len(ds), size=batch_size, replace=False)
-    return ds.subset(idx)
+def minibatch(sizes: np.ndarray, batch_size: int,
+              rng: np.random.Generator) -> np.ndarray:
+    """A minibatch plan: for each set size n in ``sizes``, ``batch_size``
+    distinct row indices drawn uniformly from [0, n); returns them as a
+    len(sizes) x batch_size array, one plan row per size.
+
+    Floyd's algorithm for a random sample (Bentley and Floyd, "A sample of
+    brilliance", CACM 1987), vectorised over the plan rows: step j = 0, ...,
+    batch_size - 1 draws t uniformly from [0, m] with m = n - batch_size + j
+    in every row and keeps t, or m where t is already in the row. Each row
+    is then a uniform batch_size-subset of [0, n); with batch_size = n it is
+    a permutation. Step j compares against the j columns filled so far, so
+    no step holds a transient larger than the plan.
+    """
+    sizes = np.asarray(sizes, dtype=np.int64)
+    if not (1 <= batch_size <= sizes.min()):
+        raise ValueError(f"batch_size must lie in [1, {sizes.min()}]")
+    rows = np.empty((len(sizes), batch_size), dtype=np.int64)
+    for j in range(batch_size):
+        top = sizes - (batch_size - j)
+        pick = rng.integers(0, top + 1)
+        taken = (rows[:, :j] == pick[:, None]).any(axis=1)
+        rows[:, j] = np.where(taken, top, pick)
+    return rows
 
 
 def save_csv(ds: Dataset, path) -> None:

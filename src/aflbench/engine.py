@@ -7,6 +7,28 @@ iterations ago, with the integer delay drawn uniformly from
 [0, min(max_client_delay, t)]. The server applies accepted updates as
 theta <- theta - learning_rate * update.
 
+Randomness: a trial's seed feeds ``np.random.SeedSequence(seed)``, which
+spawns three independent streams, one per purpose (``draw_trial``):
+
+* schedule: all T client ids in one call, then all T delays in one call,
+  before the first iteration;
+* batches: the T x batch_size minibatch plan (``data.minibatch``), one row
+  of local row indices per iteration, drawn for the scheduled client's set
+  at its real size (a poisoned set counts with its added rows), also
+  before the first iteration;
+* attack noise: the Gaussian attack's update, drawn in the loop, only on
+  the iterations a malicious client reports.
+
+So the loop makes no draw for the schedule or the batches. The plan is
+drawn per iteration from one stream, not from one stream per client:
+spawning 100 generators alone costs about 2 ms per trial. Because each
+stream serves one purpose, two cells with the same seed and equal client
+set sizes share their schedule and their batches whatever their attack or
+defense: common random numbers, so a difference between such cells is the
+attack's or the filter's, not the luck of the draw. With the data drawn
+from ``seeds.data_seed``, a trial's output is a function of (config, seed)
+alone, whatever other trials run before it or beside it.
+
 Wire format of updates: a client's model update is the SUM of per-example
 gradients over its mini-batch (batch_size times the average gradient), and
 the server's reference update g_s is the sum over its trusted dataset. With
@@ -41,7 +63,7 @@ from .attacks import ThreatKnowledge
 from .config import ExperimentConfig
 from .data import (CLASSIFICATION, REGRESSION, Dataset, Layout,
                    gen_synthetic_classification, gen_synthetic_regression,
-                   load_csv, partition, sample_trusted,
+                   load_csv, minibatch, partition, sample_trusted,
                    split_train_test)
 from .defenses import ACCEPT, REJECT, BasgdState, KardamState, Verdict
 from .metrics import MetricRecord
@@ -308,16 +330,17 @@ class _DefenseRunner:
         raise ValueError(f"unknown defense kind: {self.kind!r}")
 
 
-def _client_update(cid: int, base_model: np.ndarray, rng: np.random.Generator,
-                   prepared: PreparedData, config: ExperimentConfig,
+def _client_update(cid: int, base_model: np.ndarray, rows: np.ndarray,
+                   noise: np.random.Generator, prepared: PreparedData,
+                   config: ExperimentConfig,
                    threat: Optional[ThreatScope]) -> np.ndarray:
-    """Compute the wire update a client sends from a stale base model."""
+    """Compute the wire update a client sends from a stale base model, on
+    the batch ``rows`` of its set; a Gaussian update draws from ``noise``."""
     cfg = config.attack
     batch_size = config.schedule.batch_size
     task = prepared.task
 
     def honest(ds: Dataset) -> np.ndarray:
-        rows = rng.choice(len(ds), size=batch_size, replace=False)
         return batch_size * _avg_gradient(task, base_model, ds.features[rows],
                                           ds.labels[rows])
 
@@ -329,7 +352,7 @@ def _client_update(cid: int, base_model: np.ndarray, rng: np.random.Generator,
             update = attacks.backdoor_update(update, cfg)
         return update
     if cfg.kind == "gaussian":
-        return attacks.gaussian_update(task.param_dim, cfg.gauss_sigma, rng)
+        return attacks.gaussian_update(task.param_dim, cfg.gauss_sigma, noise)
     if cfg.kind == "gradient_deviation":
         return attacks.gradient_deviation_update(honest(prepared.client_data[cid]),
                                                  cfg.gd_scale)
@@ -370,12 +393,39 @@ def _evaluate(theta: np.ndarray, iteration: int, prepared: PreparedData,
     return MetricRecord(**kwargs)
 
 
+@dataclass(frozen=True)
+class TrialDraws:
+    """A trial's randomness (module docstring): iteration t takes client
+    ``clients[t]`` at staleness ``delays[t]`` and its batch rows
+    ``batches[t]``; ``noise`` is the attack-noise stream."""
+
+    clients: np.ndarray
+    delays: np.ndarray
+    batches: np.ndarray
+    noise: np.random.Generator
+
+
+def draw_trial(config: ExperimentConfig, prepared: PreparedData,
+               seed: int) -> TrialDraws:
+    """Spawn the trial's three streams and draw its schedule and its
+    minibatch plan."""
+    sched = config.schedule
+    schedule, batches, noise = (np.random.default_rng(child) for child in
+                                np.random.SeedSequence(seed).spawn(3))
+    t = np.arange(sched.iterations)
+    clients = schedule.integers(config.clients.num_clients, size=len(t))
+    delays = schedule.integers(0, np.minimum(sched.max_client_delay, t) + 1)
+    sizes = np.array([len(ds) for ds in prepared.client_data])
+    return TrialDraws(clients=clients, delays=delays,
+                      batches=minibatch(sizes[clients], sched.batch_size, batches),
+                      noise=noise)
+
+
 def run_trial(config: ExperimentConfig, prepared: PreparedData,
               seed: int) -> TrialResult:
     """Execute one seeded trial; fully deterministic given (config, seed)."""
     sched = config.schedule
-    rng = np.random.default_rng(seed)
-    n = config.clients.num_clients
+    draws = draw_trial(config, prepared, seed)
     theta = np.zeros(prepared.task.param_dim)
     history = {0: theta}
     server_update = server_update_vector(prepared.task, theta, prepared.trusted)
@@ -386,13 +436,12 @@ def run_trial(config: ExperimentConfig, prepared: PreparedData,
     result = TrialResult(seed=seed)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(sched.iterations):
-            cid = int(rng.integers(n))
-            dmax = min(sched.max_client_delay, t)
-            delay = int(rng.integers(0, dmax + 1))
+        for t, (cid, delay, rows) in enumerate(zip(draws.clients.tolist(),
+                                                   draws.delays.tolist(),
+                                                   draws.batches)):
             base_model = history[t - delay]
-
-            update = _client_update(cid, base_model, rng, prepared, config, threat)
+            update = _client_update(cid, base_model, rows, draws.noise, prepared,
+                                    config, threat)
 
             if t % sched.server_refresh_period == 0 and t > 0:
                 server_update = server_update_vector(prepared.task, theta,

@@ -165,6 +165,26 @@ def test_run_seed_override(tmp_path):
     assert summary["config"]["seeds"]["run_seeds"] == [7]
 
 
+def test_trial_output_does_not_depend_on_the_other_seeds(tmp_path):
+    # a trial draws only from its own seed's streams; the config echo on the
+    # first line names the seeds that ran, so it differs in run_seeds alone
+    path = _quick_config(tmp_path)
+    texts = {}
+    for seeds in ("1", "1,2,3", "3,2,1"):
+        out = tmp_path / seeds.replace(",", "_")
+        assert cli.main(["run", "--config", str(path), "--out", str(out),
+                         "--seed", seeds]) == 0
+        texts[seeds] = (out / "trial_seed1.csv").read_text()
+    echo, rest = texts["1"].split("\n", 1)
+    for seeds in ("1,2,3", "3,2,1"):
+        other_echo, other_rest = texts[seeds].split("\n", 1)
+        assert other_rest == rest
+        config = json.loads(other_echo[len("# config: "):])
+        assert config["seeds"]["run_seeds"] == [int(s) for s in seeds.split(",")]
+        config["seeds"]["run_seeds"] = [1]
+        assert config == json.loads(echo[len("# config: "):])
+
+
 def test_divergent_run_reports_marker(tmp_path):
     path = _quick_config(tmp_path)
     text = path.read_text().replace("kind = gaussian", "kind = gradient_deviation")

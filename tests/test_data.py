@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from aflbench import data
@@ -110,6 +112,24 @@ def test_partition_noniid_uniform_at_q_equals_one_over_c():
     assert p_value > 0.01
 
 
+def test_partition_noniid_own_group_share_matches_degree():
+    # each example goes to its own label's group with probability q: per
+    # class, the own-group share lies within 3 standard errors of q
+    c, num_clients = 5, 10
+    ds = data.gen_synthetic_classification(19, 10_000, 2, c)[0]
+    group_of = np.repeat(np.arange(c), num_clients // c)
+    for q in (0.2, 0.5, 0.9):
+        parts = data.partition(len(ds), num_clients, "noniid", q, 19, ds.labels, c)
+        client = np.empty(len(ds), dtype=int)
+        for cid, rows in enumerate(parts):
+            client[rows] = cid
+        for label in range(c):
+            mine = ds.labels == label
+            share = np.mean(group_of[client[mine]] == label)
+            se = np.sqrt(q * (1 - q) / mine.sum())
+            assert abs(share - q) <= 3 * se, (q, label, share)
+
+
 def test_partition_noniid_degenerate_q_one():
     c = 4
     ds = data.gen_synthetic_classification(41, 400, 3, c)[0]
@@ -150,14 +170,47 @@ def test_trusted_insufficient_class_examples():
 def test_minibatch_contract():
     ds, _ = data.gen_synthetic_regression(59, 40, 3)
     rng = np.random.default_rng(0)
-    whole = data.minibatch(ds, 40, rng)
-    assert np.array_equal(np.sort(whole.labels), np.sort(ds.labels))
-    b1 = data.minibatch(ds, 16, np.random.default_rng(5))
-    b2 = data.minibatch(ds, 16, np.random.default_rng(5))
-    assert np.array_equal(b1.features, b2.features)
-    assert len(b1) == 16
+    whole = data.minibatch(np.array([len(ds)]), 40, rng)[0]
+    assert np.array_equal(np.sort(ds.labels[whole]), np.sort(ds.labels))
+    sizes = np.array([40, 17, 16])
+    b1 = data.minibatch(sizes, 16, np.random.default_rng(5))
+    b2 = data.minibatch(sizes, 16, np.random.default_rng(5))
+    assert np.array_equal(b1, b2)
+    assert b1.shape == (3, 16)
     with pytest.raises(ValueError):
-        data.minibatch(ds, 41, rng)
+        data.minibatch(np.array([len(ds)]), 41, rng)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(sizes=st.lists(st.integers(1, 60), min_size=1, max_size=25),
+       draw=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_minibatch_rows_are_distinct_indices_within_each_set(sizes, draw, seed):
+    smallest = min(sizes)
+    batch = draw.draw(st.integers(1, smallest), label="batch_size")
+    plan = data.minibatch(np.array(sizes), batch, np.random.default_rng(seed))
+    assert plan.shape == (len(sizes), batch)
+    for size, row in zip(sizes, plan.tolist()):
+        assert len(set(row)) == batch
+        assert all(0 <= i < size for i in row)
+        if batch == size:
+            assert sorted(row) == list(range(size))
+    for bad in (0, smallest + 1):
+        with pytest.raises(ValueError, match="batch_size must lie in"):
+            data.minibatch(np.array(sizes), bad, np.random.default_rng(seed))
+
+
+def test_minibatch_includes_each_index_uniformly():
+    # a uniform batch_size-subset of [0, n) holds each index with
+    # probability B / n; 20,000 rows put every frequency within 4 standard
+    # errors of it. Sizes 79 and 80 are the benchmark's client sets.
+    rows = 20_000
+    for size, batch in ((80, 16), (79, 16), (20, 16), (5, 1)):
+        plan = data.minibatch(np.full(rows, size), batch, np.random.default_rng(11))
+        freq = np.bincount(plan.ravel(), minlength=size + 1) / rows
+        p = batch / size
+        tolerance = 4 * np.sqrt(p * (1 - p) / rows)
+        assert freq[size] == 0
+        assert np.all(np.abs(freq[:size] - p) <= tolerance), (size, batch)
 
 
 def test_csv_round_trip(tmp_path):
@@ -243,6 +296,9 @@ def test_subset_is_a_read_only_copy_equal_to_a_checked_dataset():
             assert not np.shares_memory(got, ds.labels)
             with pytest.raises(ValueError):
                 got[0] = 0
-        batch = data.minibatch(ds, 8, np.random.default_rng(1))
-        assert not batch.features.flags.writeable
-        assert not batch.labels.flags.writeable
+        # a batch gathered from a plan row is a copy: writing to it
+        # cannot reach the read-only set
+        rows = data.minibatch(np.array([len(ds)]), 8, np.random.default_rng(1))[0]
+        for arr in (ds.features, ds.labels):
+            assert not arr.flags.writeable
+            assert not np.shares_memory(arr[rows], arr)

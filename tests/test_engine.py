@@ -14,8 +14,8 @@ from aflbench.config import (ClientConfig, DataConfig, DefenseConfig,
 from aflbench.data import (CLASSIFICATION, GEN_BLOCK_ROWS, minibatch,
                            partition, sample_trusted, save_csv,
                            split_train_test)
-from aflbench.engine import (make_dataset, make_threat_knowledge, prepare_data,
-                             run_trial, threat_scope)
+from aflbench.engine import (draw_trial, make_dataset, make_threat_knowledge,
+                             prepare_data, run_trial, threat_scope)
 
 
 def base_config(**kwargs):
@@ -68,23 +68,46 @@ def test_stale_free_run_matches_independent_sgd_oracle():
     seed = 5
     result = run_trial(cfg, prepared, seed)
 
-    # independent oracle: same draw protocol, update math written from scratch
-    rng = np.random.default_rng(seed)
+    # independent oracle: the three streams of the draw protocol, update
+    # math written from scratch
+    schedule, batches, _ = (np.random.default_rng(child) for child in
+                            np.random.SeedSequence(seed).spawn(3))
+    iterations = cfg.schedule.iterations
+    cids = schedule.integers(cfg.clients.num_clients, size=iterations)
+    # the delay draw: max_client_delay = 0 bounds every delay at 0
+    assert not schedule.integers(0, np.ones(iterations, dtype=int)).any()
+    sizes = np.array([len(prepared.client_data[c]) for c in cids])
+    plan = minibatch(sizes, cfg.schedule.batch_size, batches)
     theta = np.zeros(prepared.task.param_dim)
-    n = cfg.clients.num_clients
     eta = cfg.schedule.learning_rate
-    batch = cfg.schedule.batch_size
-    for t in range(cfg.schedule.iterations):
-        cid = int(rng.integers(n))
-        _ = int(rng.integers(0, 1))  # delay draw, always 0 here
-        ds = prepared.client_data[cid]
-        picked = minibatch(ds, batch, rng)
-        residuals = np.einsum("ij,j->i", picked.features, theta) - picked.labels
-        grad_sum = np.einsum("i,ij->j", residuals, picked.features)
+    for t in range(iterations):
+        ds = prepared.client_data[cids[t]]
+        features, labels = ds.features[plan[t]], ds.labels[plan[t]]
+        residuals = np.einsum("ij,j->i", features, theta) - labels
+        grad_sum = np.einsum("i,ij->j", residuals, features)
         theta = theta - eta * grad_sum
     assert np.allclose(theta, result.final_model, rtol=0, atol=1e-10)
     final_distance = np.linalg.norm(theta - prepared.true_model)
     assert final_distance < 1.0
+
+
+def test_cells_differing_in_attack_or_defense_share_their_draws():
+    # common random numbers: with the same seed and equal client set sizes,
+    # the schedule and the minibatch plan do not depend on the cell
+    cells = [small_config(attack=a) for a in ("none", "gaussian",
+                                              "gradient_deviation")]
+    cells += [small_config(defense=d) for d in ("asyncsgd", "kardam", "basgd",
+                                                "zenopp")]
+    prepared = prepare_data(cells[0])
+    first = draw_trial(cells[0], prepared, 4)
+    assert first.batches.shape == (cells[0].schedule.iterations,
+                                   cells[0].schedule.batch_size)
+    for cfg in cells[1:]:
+        draws = draw_trial(cfg, prepare_data(cfg), 4)
+        for name in ("clients", "delays", "batches"):
+            assert np.array_equal(getattr(draws, name), getattr(first, name)), name
+    other = draw_trial(cells[0], prepared, 5)
+    assert not np.array_equal(other.clients, first.clients)
 
 
 def test_rejection_never_changes_model():
