@@ -15,7 +15,9 @@ Runs, from the ``src/`` tree next to this script:
 
 It prints one SHA-256 per output directory. Two checkouts that print the
 same lines write byte-identical trial CSVs, ``summary.json`` and
-``sweep.csv`` files. Usage (about 30 s on one core):
+``sweep.csv`` files. BLAS runs on one thread: the adaptive cells' threat
+moments come from a gemm whose summation order, and so whose bytes, depend
+on the thread count. Usage (about 15 s on one core):
 
     python3 scripts/golden_outputs.py > golden.txt
 """
@@ -24,9 +26,14 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import hashlib
+import os
 import sys
 import tempfile
 from pathlib import Path
+
+# One BLAS thread: set before numpy is first imported.
+for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[var] = "1"
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))

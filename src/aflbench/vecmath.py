@@ -1,7 +1,7 @@
 """Dense real-vector arithmetic shared by models, attacks, and filters.
 
-All vectors are 1-D float64 numpy arrays. Binary operations insist on
-matching dimensions and raise ValueError otherwise; nothing here silently
+All vectors are 1-D float64 numpy arrays. ``cosine`` insists on matching
+dimensions and raises ValueError otherwise; nothing here silently
 broadcasts.
 """
 from __future__ import annotations
@@ -9,17 +9,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-
-def _check_same_dim(a: np.ndarray, b: np.ndarray) -> None:
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-
-
-def dot(a: np.ndarray, b: np.ndarray) -> float:
-    """Inner product sum(a_i * b_i)."""
-    _check_same_dim(a, b)
-    return float(np.dot(a, b))
 
 
 def l2norm(a: np.ndarray) -> float:
@@ -31,9 +20,9 @@ def l2norm(a: np.ndarray) -> float:
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
     """Cosine similarity in [-1, 1]; zero-norm input is a hard error."""
-    _check_same_dim(a, b)
+    if a.shape != b.shape:
+        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     na, nb = l2norm(a), l2norm(b)
     if na == 0.0 or nb == 0.0:
         raise ValueError("cosine undefined for zero-norm input")
-    c = dot(a, b) / (na * nb)
-    return float(min(1.0, max(-1.0, c)))
+    return min(1.0, max(-1.0, float(np.dot(a, b)) / (na * nb)))

@@ -12,9 +12,12 @@ ends near MSE 0.15 against a required >= 5, and Zeno++'s cosine gate admits
 updates the clause expects it to stop. CHANGES.md records the measured
 values and causes of both.
 """
+import itertools
+
+import numpy as np
 import pytest
 
-from aflbench import acceptance
+from aflbench import acceptance, cli, defenses, tasks
 
 
 @pytest.fixture(scope="module")
@@ -31,10 +34,16 @@ def test_criterion(criterion, runner):
     assert result.passed, f"{result.name}: {result.details}"
 
 
+@pytest.mark.parametrize("check", acceptance.EXAMPLE_CHECKS,
+                         ids=[c.__name__ for c in acceptance.EXAMPLE_CHECKS])
+def test_example_check(check):
+    # criterion 8 one group at a time, so a failure names its line in src/
+    check()
+
+
 def test_suite_detects_flipped_acceptance_rule(monkeypatch, runner):
     # mutation check: inverting the acceptance inequality must trip the
-    # filter unit suite
-    from aflbench import defenses
+    # filter unit suite, and the detail must name the failing line
     from aflbench.vecmath import l2norm
 
     def flipped(client_update, server_update, lam):
@@ -43,23 +52,55 @@ def test_suite_detects_flipped_acceptance_rule(monkeypatch, runner):
     monkeypatch.setattr(defenses, "aflguard_accept", flipped)
     result = acceptance.criterion_8(runner)
     assert not result.passed
+    assert result.details.startswith("_check_aflguard_examples line "), result.details
 
 
 def test_criterion_1_fails_without_filtering(monkeypatch):
     # mutation check: an AFLGuard that accepts every update must fail the
     # restated criterion 1. A fresh runner, because the module fixture
     # memoises results of the real filter.
-    from aflbench import defenses
-
     monkeypatch.setattr(defenses, "aflguard_accept", lambda *args: True)
     result = acceptance.criterion_1(acceptance.ScenarioRunner())
+    assert not result.passed, result.details
+
+
+def _basgd_mean_of_means(state, client_id, update):
+    """BASGD with the coordinate median of buffer means replaced by their mean."""
+    state.buffers[client_id % state.num_buffers].append(update)
+    if not all(state.buffers):
+        return defenses.Verdict(defenses.BUFFERED, update)
+    means = np.stack([np.mean(buf, axis=0) for buf in state.buffers])
+    state.buffers = [[] for _ in state.buffers]
+    return defenses.Verdict(defenses.ACCEPT, means.mean(axis=0))
+
+
+@pytest.mark.parametrize("module, name, mutate", [
+    (tasks, "regression_gradient", lambda f: lambda *a: 2.0 * f(*a)),
+    (tasks, "logistic_gradient", lambda f: lambda *a: -f(*a)),
+    (defenses, "basgd_step", lambda f: _basgd_mean_of_means),
+], ids=["doubled_regression_gradient", "flipped_logistic_gradient",
+        "basgd_mean_not_median"])
+def test_criterion_9_detects_mutation(monkeypatch, module, name, mutate):
+    monkeypatch.setattr(module, name, mutate(getattr(module, name)))
+    result = acceptance.criterion_9(None)
+    assert not result.passed, result.details
+
+
+def test_criterion_10_detects_runs_that_differ(monkeypatch):
+    # mutation check: each trial also consumes a counter shared across
+    # runs, so the second run writes other bytes under the same names
+    calls = itertools.count()
+    real = cli.run_trial
+    monkeypatch.setattr(cli, "run_trial", lambda config, prepared, seed:
+                        real(config, prepared, seed + next(calls)))
+    result = acceptance.criterion_10(None)
     assert not result.passed, result.details
 
 
 def test_verify_exit_code_semantics(monkeypatch):
     good = [acceptance.CriterionResult("a", True, "")]
     bad = good + [acceptance.CriterionResult("b", False, "")]
-    monkeypatch.setattr(acceptance, "run_all", lambda verbose=False: good)
+    monkeypatch.setattr(acceptance, "run_all", lambda: good)
     assert acceptance.verify_main() == 0
-    monkeypatch.setattr(acceptance, "run_all", lambda verbose=False: bad)
+    monkeypatch.setattr(acceptance, "run_all", lambda: bad)
     assert acceptance.verify_main() == 1

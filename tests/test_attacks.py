@@ -110,22 +110,6 @@ def test_backdoor_update_scaling():
     assert vecmath.l2norm(out) == pytest.approx(3.0 * vecmath.l2norm(v))
 
 
-def test_adaptive_boundary_when_estimates_coincide():
-    g = np.array([3.0, 4.0])
-    know = ThreatKnowledge(g, g, 1.5)
-    crafted = attacks.adaptive_update(know)
-    s = g / 5.0
-    gamma = float(np.dot(g - crafted, s))
-    assert gamma == pytest.approx(1.5 * 5.0, abs=1e-12)
-    assert vecmath.l2norm(crafted - g) <= 1.5 * 5.0 + 1e-9
-
-
-def test_adaptive_lambda_zero_degenerate():
-    g = np.array([1.0, -1.0, 2.0])
-    know = ThreatKnowledge(g, g, 0.0)
-    assert np.allclose(attacks.adaptive_update(know), g)
-
-
 def test_adaptive_feasibility_and_maximality():
     rng = np.random.default_rng(97)
     checked_boundary = 0

