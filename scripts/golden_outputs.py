@@ -17,9 +17,15 @@ It prints one SHA-256 per output directory. Two checkouts that print the
 same lines write byte-identical trial CSVs, ``summary.json`` and
 ``sweep.csv`` files. BLAS runs on one thread: the adaptive cells' threat
 moments come from a gemm whose summation order, and so whose bytes, depend
-on the thread count. Usage (about 15 s on one core):
+on the thread count.
 
-    python3 scripts/golden_outputs.py > golden.txt
+It then compares the hashes with ``golden_baseline.txt`` next to this
+script, the recorded one-thread output, and exits 1 naming every cell that
+differs from it (or is missing on either side). A change that alters output
+bytes on purpose rewrites that file in the same commit. Usage (about 15 s
+on one core):
+
+    python3 scripts/golden_outputs.py
 """
 from __future__ import annotations
 
@@ -43,6 +49,7 @@ from aflbench.config import ExperimentConfig, TaskConfig, load_config  # noqa: E
 from aflbench.data import gen_synthetic_regression, save_csv  # noqa: E402
 from aflbench.defenses import DEFENSE_KINDS  # noqa: E402
 
+BASELINE = Path(__file__).resolve().with_name("golden_baseline.txt")
 REGRESSION_CONFIG = ROOT / "configs" / "table1_synthetic.ini"
 CLASSIFICATION_CONFIG = ROOT / "configs" / "classification_backdoor.ini"
 REGRESSION_ATTACKS = ("none", "label_flip", "gaussian", "gradient_deviation",
@@ -124,8 +131,17 @@ def main() -> int:
             cli.run_command(from_csv, Path("reg_csv"))
         names.append("reg_csv")
 
-        for name in names:
-            print(f"{digest(out / name)}  {name}")
+        got = {name: digest(out / name) for name in names}
+    for name, sha in got.items():
+        print(f"{sha}  {name}")
+    expected = {name: sha for sha, name in
+                (line.split() for line in BASELINE.read_text(encoding="utf-8").splitlines())}
+    differ = [name for name in dict.fromkeys([*got, *expected])
+              if got.get(name) != expected.get(name)]
+    if differ:
+        print(f"{len(differ)} cells differ from {BASELINE.name}: {', '.join(differ)}",
+              file=sys.stderr)
+        return 1
     return 0
 
 

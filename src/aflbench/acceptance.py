@@ -30,6 +30,7 @@ from . import attacks, defenses, metrics, tasks, vecmath
 from .attacks import ThreatKnowledge
 from .config import DataConfig, DefenseConfig, ExperimentConfig, TaskConfig
 from .data import gen_synthetic_regression
+from .defenses import ACCEPT, BUFFERED, REJECT
 from .engine import TrialResult, prepare_data, run_trial
 
 
@@ -277,12 +278,19 @@ def _check_aflguard_examples() -> None:
                 == defenses.aflguard_accept(c * client, c * server, lam))
 
 
+def _decision(verdict: defenses.Verdict) -> int:
+    """A verdict's decision code, once its contract is checked: an accept
+    carries a vector, a reject or buffered verdict none."""
+    assert (verdict.effective_update is None) == (verdict.decision != ACCEPT)
+    return verdict.decision
+
+
 def _check_kardam_examples() -> None:
     state = defenses.KardamState()
     base0 = np.zeros(2)
     # bootstrap accepts for every client
     for cid in range(3):
-        assert defenses.kardam_step(state, cid, np.ones(2) * (cid + 1), base0).decision == "accept"
+        assert _decision(defenses.kardam_step(state, cid, np.ones(2) * (cid + 1), base0)) == ACCEPT
     # build coefficients {0.5, 1.0, 2.0}: client c moves its update by k*delta
     # over a unit base-model change
     base1 = np.array([1.0, 0.0])
@@ -292,36 +300,36 @@ def _check_kardam_examples() -> None:
     assert sorted(state.coefficients.values()) == [0.5, 1.0, 2.0]
     base2 = np.array([2.0, 0.0])
     incoming_ok = state.prev_update[0] + np.array([0.8, 0.0])
-    assert defenses.kardam_step(state, 0, incoming_ok, base2).decision == "accept"
+    assert _decision(defenses.kardam_step(state, 0, incoming_ok, base2)) == ACCEPT
     base3 = np.array([3.0, 0.0])
     incoming_bad = state.prev_update[1] + np.array([5.0, 0.0])
-    assert defenses.kardam_step(state, 1, incoming_bad, base3).decision == "reject"
+    assert _decision(defenses.kardam_step(state, 1, incoming_bad, base3)) == REJECT
 
 
 def _check_basgd_examples() -> None:
     state = defenses.BasgdState(2)
-    assert defenses.basgd_step(state, 0, np.array([1.0])).decision == "buffered"
+    assert _decision(defenses.basgd_step(state, 0, np.array([1.0]))) == BUFFERED
     one = defenses.BasgdState(1)
     v = defenses.basgd_step(one, 7, np.array([3.0, -1.0]))
-    assert v.decision == "accept" and np.array_equal(v.effective_update, [3.0, -1.0])
+    assert _decision(v) == ACCEPT and np.array_equal(v.effective_update, [3.0, -1.0])
     three = defenses.BasgdState(3)
     for cid, x in ((0, 0.0), (3, 1.0), (1, 2.0)):
-        assert defenses.basgd_step(three, cid, np.array([x])).decision == "buffered"
+        assert _decision(defenses.basgd_step(three, cid, np.array([x]))) == BUFFERED
     # buffer means are {0.5, 2, 10}; their coordinate median is 2
     v = defenses.basgd_step(three, 2, np.array([10.0]))
-    assert v.decision == "accept" and v.effective_update[0] == 2.0
+    assert _decision(v) == ACCEPT and v.effective_update[0] == 2.0
     assert all(not buf for buf in three.buffers)
 
 
 def _check_zeno_examples() -> None:
     server = np.array([1.0, 2.0, 2.0])
     v = defenses.zeno_step(3.0 * server, server)
-    assert v.decision == "accept"
+    assert _decision(v) == ACCEPT
     assert abs(vecmath.l2norm(v.effective_update) - vecmath.l2norm(server)) < 1e-12
     assert np.allclose(v.effective_update, server)
     orth = np.array([2.0, -1.0, 0.0])
-    assert defenses.zeno_step(orth, server).decision == "reject"
-    assert defenses.zeno_step(-server, server).decision == "reject"
+    assert _decision(defenses.zeno_step(orth, server)) == REJECT
+    assert _decision(defenses.zeno_step(-server, server)) == REJECT
 
 
 def _check_adaptive_examples() -> None:

@@ -89,18 +89,11 @@ def gradient_deviation_update(honest: np.ndarray, scale: float) -> np.ndarray:
     return scale * honest
 
 
-def trigger_indices(dim: int, period: int) -> np.ndarray:
-    return np.arange(0, dim, period)
-
-
 def apply_trigger(features: np.ndarray, period: int) -> np.ndarray:
-    """Zero every period-th feature (indices 0, period, 2*period, ...)."""
+    """Zero every period-th feature (indices 0, period, 2*period, ...) of
+    one example or of each row."""
     out = np.array(features, dtype=np.float64, copy=True)
-    idx = trigger_indices(out.shape[-1], period)
-    if out.ndim == 1:
-        out[idx] = 0.0
-    else:
-        out[:, idx] = 0.0
+    out[..., ::period] = 0.0
     return out
 
 

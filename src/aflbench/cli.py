@@ -25,6 +25,8 @@ from .engine import (DIVERGENCE_MARKER, TrialResult, beyond_reporting_range,
 
 CSV_COLUMNS = ("iteration", "mse", "test_error_rate", "mee",
                "attack_success_rate", "accepted", "rejected", "buffered")
+# the columns a divergent run reports as the divergence marker
+METRIC_COLUMNS = CSV_COLUMNS[1:5]
 
 
 def _fmt(value) -> str:
@@ -47,28 +49,14 @@ def write_trial_csv(path: Path, result: TrialResult,
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _marker_or_value(value: Optional[float], diverged: bool):
-    if value is None:
-        return None
-    if diverged or beyond_reporting_range(value):
-        return DIVERGENCE_MARKER
-    return value
-
-
 def _final_metrics(result: TrialResult) -> dict:
-    rec = result.final_record
-    return {
-        "iteration": rec.iteration,
-        "mse": _marker_or_value(rec.mse, result.diverged),
-        "test_error_rate": _marker_or_value(rec.test_error_rate, result.diverged),
-        "mee": _marker_or_value(rec.mee, result.diverged),
-        "attack_success_rate": _marker_or_value(rec.attack_success_rate,
-                                                result.diverged),
-        "accepted": rec.accepted,
-        "rejected": rec.rejected,
-        "buffered": rec.buffered,
-        "diverged": result.is_divergent(),
-    }
+    final = {col: getattr(result.final_record, col) for col in CSV_COLUMNS}
+    for key in METRIC_COLUMNS:
+        if final[key] is not None and (result.diverged
+                                       or beyond_reporting_range(final[key])):
+            final[key] = DIVERGENCE_MARKER
+    final["diverged"] = result.is_divergent()
+    return final
 
 
 def _aggregate(per_seed: List[dict], key: str):
@@ -93,7 +81,7 @@ def write_summary(path: Path, config: ExperimentConfig,
         "per_seed": per_seed,
         "mean": {}, "std": {},
     }
-    for key in ("mse", "test_error_rate", "mee", "attack_success_rate"):
+    for key in METRIC_COLUMNS:
         mean, std = _aggregate(finals, key)
         summary["mean"][key] = mean
         summary["std"][key] = std

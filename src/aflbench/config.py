@@ -2,15 +2,18 @@
 
 Every key is validated; unknown sections or keys are hard errors. A
 section's keys and types are its dataclass's fields (``lambda`` sets
-``lam``). The shipped ``configs/table1_synthetic.ini`` carries the
-benchmark defaults (100 clients, 20% malicious, lambda 1.5, 2000
-iterations, learning rate 1/1600, batch 16, client delay cap 10, server
-refresh period 10, trusted set of 100).
+``lam``). ``ExperimentConfig`` rejects a non-finite value in any float
+field, whether it came from a file, a sweep value or code. The shipped
+``configs/table1_synthetic.ini`` carries the benchmark defaults (100
+clients, 20% malicious, lambda 1.5, 2000 iterations, learning rate 1/1600,
+batch 16, client delay cap 10, server refresh period 10, trusted set of
+100).
 """
 from __future__ import annotations
 
 import configparser
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Tuple, get_type_hints
 
@@ -133,6 +136,14 @@ class ExperimentConfig:
     data: DataConfig = field(default_factory=DataConfig)
     seeds: SeedConfig = field(default_factory=SeedConfig)
 
+    def __post_init__(self):
+        # NaN passes every range check of the sections, and inf most of them
+        for section in dataclasses.fields(self):
+            for name, value in vars(getattr(self, section.name)).items():
+                if isinstance(value, float) and not math.isfinite(value):
+                    key = _FILE_KEYS.get((section.name, name), name)
+                    raise ValueError(f"[{section.name}] {key} must be finite, got {value!r}")
+
 
 _SECTION_CLASSES = {
     "task": TaskConfig, "clients": ClientConfig, "attack": AttackConfig,
@@ -140,8 +151,8 @@ _SECTION_CLASSES = {
     "seeds": SeedConfig,
 }
 
-# config-file key -> dataclass field where the names differ
-_KEY_RENAMES = {("defense", "lambda"): "lam"}
+# (section, dataclass field) -> config-file key where the names differ
+_FILE_KEYS = {("defense", "lam"): "lambda"}
 
 
 class ConfigError(ValueError):
@@ -152,7 +163,7 @@ def _schema(section: str) -> Dict[str, Tuple[str, type]]:
     """Config-file key -> (field name, field type) of a section's dataclass."""
     cls = _SECTION_CLASSES[section]
     hints = get_type_hints(cls)
-    keys = {name: key for (sec, key), name in _KEY_RENAMES.items() if sec == section}
+    keys = {name: key for (sec, name), key in _FILE_KEYS.items() if sec == section}
     return {keys.get(f.name, f.name): (f.name, hints[f.name])
             for f in dataclasses.fields(cls)}
 
@@ -173,11 +184,7 @@ def _parse_value(raw: str, typ: type, where: str):
         return parse_seeds(raw, where)
     raw = raw.strip()
     try:
-        if typ is int:
-            return int(raw)
-        if typ is float:
-            return float(raw)
-        return raw
+        return typ(raw)  # int, float or str
     except ValueError:
         raise ConfigError(f"{where}: cannot parse {raw!r} as {typ.__name__}") from None
 
@@ -202,11 +209,10 @@ def load_config(path) -> ExperimentConfig:
             kwargs[field_name] = _parse_value(raw, typ, f"[{section}] {key}")
         section_kwargs[section] = kwargs
     try:
-        parts = {name: cls(**section_kwargs.get(name, {}))
-                 for name, cls in _SECTION_CLASSES.items()}
+        return ExperimentConfig(**{name: cls(**section_kwargs.get(name, {}))
+                                   for name, cls in _SECTION_CLASSES.items()})
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    return ExperimentConfig(**parts)
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:

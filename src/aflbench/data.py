@@ -20,6 +20,7 @@ row is comma-separated features with the label in the last column.
 """
 from __future__ import annotations
 
+import warnings
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
@@ -46,8 +47,8 @@ class Dataset:
     def __init__(self, features: np.ndarray, labels: np.ndarray, kind: str,
                  num_classes: int | None = None):
         features = np.asarray(features, dtype=np.float64)
-        if features.ndim != 2:
-            raise ValueError("features must be a (n, d) array")
+        if features.ndim != 2 or features.shape[1] == 0:
+            raise ValueError("features must be a (n, d) array with d >= 1")
         if not np.all(np.isfinite(features)):
             raise ValueError("features contain NaN or Inf")
         if len(labels) != features.shape[0]:
@@ -309,35 +310,47 @@ def _parse_header(line: str, path) -> tuple[str, int | None]:
 
 
 def load_csv(path) -> Dataset:
-    """Parse a dataset file; malformed rows are rejected with their line number."""
+    """Parse a dataset file: the header, then every row in one
+    ``np.loadtxt`` call. If the rows do not form a dataset, the file is read
+    again line by line to name the first malformed row."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline()
         if not header.startswith("#"):
             raise ValueError(f"{path}: missing '# kind=...' header line")
         kind, num_classes = _parse_header(header, path)
-        feats: list[list[float]] = []
-        labels: list[float] = []
-        width = None
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # a file with no rows
+                rows = np.loadtxt((line for line in fh if line.strip()),
+                                  delimiter=",", comments="#", ndmin=2)
+            return Dataset(rows[:, :-1], rows[:, -1], kind, num_classes)
+        except ValueError as exc:
+            raise _row_error(path, exc) from None
+
+
+def _row_error(path, exc: ValueError) -> ValueError:
+    """The error of the first malformed data row of a file, with its line
+    number, found by reading the file line by line; ``exc`` names the fault
+    when every row is well formed."""
+    width = None
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.split("#", 1)[0].strip()
             if not line:
                 continue
             parts = line.split(",")
-            if width is None:
-                width = len(parts)
-                if width < 2:
-                    raise ValueError(f"{path}:{lineno}: need at least one feature and a label")
-            elif len(parts) != width:
-                raise ValueError(
+            width = width or len(parts)
+            if width < 2:
+                return ValueError(f"{path}:{lineno}: need at least one feature and a label")
+            if len(parts) != width:
+                return ValueError(
                     f"{path}:{lineno}: expected {width} columns, found {len(parts)}")
             try:
                 values = [float(p) for p in parts]
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
+            except ValueError as err:
+                return ValueError(f"{path}:{lineno}: {err}")
             if not np.all(np.isfinite(values)):
-                raise ValueError(f"{path}:{lineno}: value is NaN or Inf")
-            feats.append(values[:-1])
-            labels.append(values[-1])
-    if not feats:
-        raise ValueError(f"{path}: no data rows")
-    return Dataset(np.array(feats), np.array(labels), kind, num_classes)
+                return ValueError(f"{path}:{lineno}: value is NaN or Inf")
+    if width is None:
+        return ValueError(f"{path}: no data rows")
+    return ValueError(f"{path}: {exc}")

@@ -1,33 +1,31 @@
-"""Server-side update filters: passthrough, acceptance-ball, Lipschitz
-median, buffered median-of-means, and cosine-gated normalization.
-Filter parameters are validated once, by ``config.DefenseConfig``.
+"""Server-side update filters: acceptance ball, Lipschitz median, buffered
+median of means, and cosine-gated normalization. AsyncSGD, which applies
+every update as sent, needs no function here.
+
+A filter's answer is a ``Verdict``: an int decision code, ``ACCEPT``,
+``REJECT`` or ``BUFFERED``, which also indexes the engine's per-trial tally,
+and for an accept the update to apply. A rejected or buffered update
+carries none. The engine binds the configured filter once per trial
+(``engine._bind_filter``); Kardam's and BASGD's state lives in that
+binding. Filter parameters are validated once, by ``config.DefenseConfig``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 import numpy as np
 
 from .vecmath import cosine, l2norm
 
-ACCEPT = "accept"
-REJECT = "reject"
-BUFFERED = "buffered"
+ACCEPT, REJECT, BUFFERED = 0, 1, 2
 
 DEFENSE_KINDS = ("asyncsgd", "kardam", "basgd", "zenopp", "aflguard")
 
 
-@dataclass(frozen=True)
-class Verdict:
-    decision: str
+class Verdict(NamedTuple):
+    decision: int
     effective_update: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        if self.decision not in (ACCEPT, REJECT, BUFFERED):
-            raise ValueError(f"unknown decision: {self.decision!r}")
-        if (self.effective_update is None) != (self.decision == REJECT):
-            raise ValueError("effective_update present iff decision != reject")
 
 
 def aflguard_accept(client_update: np.ndarray, server_update: np.ndarray,
@@ -65,18 +63,14 @@ def kardam_step(state: KardamState, client_id: int, update: np.ndarray,
         denom = l2norm(base_model - prev_b)
         if denom > 0.0:
             coeff = l2norm(update - prev_u) / denom
-    if coeff is None:
-        decision = ACCEPT
-    else:
+    accept = True
+    if coeff is not None:
         defined = list(state.coefficients.values())
-        threshold = float(np.median(defined)) if defined else coeff
-        decision = ACCEPT if coeff <= threshold else REJECT
+        accept = coeff <= (float(np.median(defined)) if defined else coeff)
         state.coefficients[client_id] = coeff
     state.prev_update[client_id] = update
     state.prev_base[client_id] = base_model
-    if decision == ACCEPT:
-        return Verdict(ACCEPT, update)
-    return Verdict(REJECT)
+    return Verdict(ACCEPT, update) if accept else Verdict(REJECT)
 
 
 @dataclass
@@ -101,7 +95,7 @@ def basgd_step(state: BasgdState, client_id: int, update: np.ndarray) -> Verdict
         aggregated = np.median(np.stack(buffer_means), axis=0)
         state.buffers = [[] for _ in range(state.num_buffers)]
         return Verdict(ACCEPT, aggregated)
-    return Verdict(BUFFERED, update)
+    return Verdict(BUFFERED)
 
 
 def zeno_step(client_update: np.ndarray, server_update: np.ndarray) -> Verdict:
@@ -114,8 +108,3 @@ def zeno_step(client_update: np.ndarray, server_update: np.ndarray) -> Verdict:
     if client_norm == 0.0 or cosine(client_update, server_update) <= 0.0:
         return Verdict(REJECT)
     return Verdict(ACCEPT, client_update * (server_norm / client_norm))
-
-
-def asyncsgd_step(update: np.ndarray) -> Verdict:
-    """No filtering: every update is applied as sent."""
-    return Verdict(ACCEPT, update)

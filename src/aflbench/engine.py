@@ -1,11 +1,18 @@
 """Asynchronous training loop: staleness simulation, server-update refresh,
-defense dispatch, and the global update rule.
+the update and filter bound once per trial, and the global update rule.
 
 One iteration processes exactly one client update: a uniformly random
 client reports an update computed at the global model from ``delay``
 iterations ago, with the integer delay drawn uniformly from
 [0, min(max_client_delay, t)]. The server applies accepted updates as
 theta <- theta - learning_rate * update.
+
+``run_trial`` resolves the attack and the filter once (``_bind_update``,
+``_bind_filter``), so the loop compares no kind: it tallies each verdict's
+int decision code and applies the update an accept carries. The bound
+functions look up the ``defenses``, ``tasks`` and ``attacks`` functions,
+and this module's ``make_threat_knowledge`` and ``server_update_vector``,
+by name at each call, so a wrapper patched onto one sees every call.
 
 Randomness: a trial's seed feeds ``np.random.SeedSequence(seed)``, which
 spawns three independent streams, one per purpose (``draw_trial``):
@@ -53,6 +60,7 @@ read-only row-slice view of that array.
 """
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -65,7 +73,7 @@ from .data import (CLASSIFICATION, REGRESSION, Dataset, Layout,
                    gen_synthetic_classification, gen_synthetic_regression,
                    load_csv, minibatch, partition, sample_trusted,
                    split_train_test)
-from .defenses import ACCEPT, REJECT, BasgdState, KardamState, Verdict
+from .defenses import ACCEPT, BUFFERED, REJECT
 from .metrics import MetricRecord
 
 METRIC_CADENCE = 50
@@ -98,7 +106,6 @@ class PreparedData:
     trusted: Dataset
     client_data: List[Dataset]
     client_data_clean: List[Dataset]
-    true_model: Optional[np.ndarray]
     malicious: frozenset
 
 
@@ -211,7 +218,7 @@ def prepare_data(config: ExperimentConfig) -> PreparedData:
 
     return PreparedData(task=task, test=test, trusted=trusted,
                         client_data=poisoned, client_data_clean=clean,
-                        true_model=true_model, malicious=malicious)
+                        malicious=malicious)
 
 
 def _avg_gradient(task, theta: np.ndarray, features: np.ndarray,
@@ -301,73 +308,77 @@ def make_threat_knowledge(base_model: np.ndarray, scope: ThreatScope,
                            lam=config.defense.lam)
 
 
-class _DefenseRunner:
-    """Per-trial dispatch wrapper owning any mutable defense state."""
+def _bind_filter(config: ExperimentConfig):
+    """The trial's filter: ``decide(cid, update, base_model, g_s)`` returns
+    (decision, effective_update), a ``Verdict`` or a plain tuple. Kardam's
+    and BASGD's state lives in the closure."""
+    kind, lam = config.defense.kind, config.defense.lam
+    if kind == "asyncsgd":
+        def decide(cid, update, base_model, g_s):
+            return ACCEPT, update
+    elif kind == "aflguard":
+        def decide(cid, update, base_model, g_s):
+            if defenses.aflguard_accept(update, g_s, lam):
+                return ACCEPT, update
+            return REJECT, None
+    elif kind == "kardam":
+        kardam = defenses.KardamState()
+        def decide(cid, update, base_model, g_s):
+            return defenses.kardam_step(kardam, cid, update, base_model)
+    elif kind == "basgd":
+        basgd = defenses.BasgdState(config.defense.num_buffers)
+        def decide(cid, update, base_model, g_s):
+            return defenses.basgd_step(basgd, cid, update)
+    else:  # zenopp, on the trusted-set sum at the client's batch scale
+        scale = config.schedule.batch_size / config.data.trusted_size
+        def decide(cid, update, base_model, g_s):
+            return defenses.zeno_step(update, scale * g_s)
+    return decide
 
-    def __init__(self, config: ExperimentConfig):
-        self.kind = config.defense.kind
-        self.lam = config.defense.lam
-        # the trusted-set sum at the client's batch scale (module docstring)
-        self.zeno_scale = config.schedule.batch_size / config.data.trusted_size
-        self.kardam = KardamState() if self.kind == "kardam" else None
-        self.basgd = (BasgdState(config.defense.num_buffers)
-                      if self.kind == "basgd" else None)
 
-    def step(self, client_id: int, update: np.ndarray, base_model: np.ndarray,
-             server_update: np.ndarray) -> Verdict:
-        if self.kind == "asyncsgd":
-            return defenses.asyncsgd_step(update)
-        if self.kind == "aflguard":
-            if defenses.aflguard_accept(update, server_update, self.lam):
-                return Verdict(ACCEPT, update)
-            return Verdict(REJECT)
-        if self.kind == "kardam":
-            return defenses.kardam_step(self.kardam, client_id, update, base_model)
-        if self.kind == "basgd":
-            return defenses.basgd_step(self.basgd, client_id, update)
-        if self.kind == "zenopp":
-            return defenses.zeno_step(update, self.zeno_scale * server_update)
-        raise ValueError(f"unknown defense kind: {self.kind!r}")
+def _bind_update(prepared: PreparedData, config: ExperimentConfig,
+                 noise: np.random.Generator):
+    """The trial's ``update(cid, base_model, rows)``: the wire update a
+    client sends from a stale model on the batch ``rows`` of its set. Under
+    no attack or a data-level one (an honest pass on the poisoned set) every
+    client is honest; else malicious ids send the crafted kind."""
+    cfg, batch_size, task = config.attack, config.schedule.batch_size, prepared.task
+    sets, malicious = prepared.client_data, prepared.malicious
 
-
-def _client_update(cid: int, base_model: np.ndarray, rows: np.ndarray,
-                   noise: np.random.Generator, prepared: PreparedData,
-                   config: ExperimentConfig,
-                   threat: Optional[ThreatScope]) -> np.ndarray:
-    """Compute the wire update a client sends from a stale base model, on
-    the batch ``rows`` of its set; a Gaussian update draws from ``noise``."""
-    cfg = config.attack
-    batch_size = config.schedule.batch_size
-    task = prepared.task
-
-    def honest(ds: Dataset) -> np.ndarray:
+    def honest(cid, base_model, rows):
+        ds = sets[cid]
         return batch_size * _avg_gradient(task, base_model, ds.features[rows],
                                           ds.labels[rows])
 
-    if cid not in prepared.malicious or cfg.kind == "none":
-        return honest(prepared.client_data[cid])
-    if cfg.kind in ("label_flip", "backdoor"):
-        update = honest(prepared.client_data[cid])  # honest pass on poisoned data
-        if cfg.kind == "backdoor":
-            update = attacks.backdoor_update(update, cfg)
-        return update
-    if cfg.kind == "gaussian":
-        return attacks.gaussian_update(task.param_dim, cfg.gauss_sigma, noise)
-    if cfg.kind == "gradient_deviation":
-        return attacks.gradient_deviation_update(honest(prepared.client_data[cid]),
-                                                 cfg.gd_scale)
-    if cfg.kind == "adaptive":
-        knowledge = make_threat_knowledge(base_model, threat, config)
-        return attacks.adaptive_update(knowledge)
-    raise ValueError(f"unhandled attack kind: {cfg.kind!r}")
+    if cfg.kind in ("none", "label_flip") or not malicious:
+        return honest
+    if cfg.kind == "backdoor":
+        def crafted(cid, base_model, rows):
+            return attacks.backdoor_update(honest(cid, base_model, rows), cfg)
+    elif cfg.kind == "gaussian":
+        def crafted(cid, base_model, rows):
+            return attacks.gaussian_update(task.param_dim, cfg.gauss_sigma, noise)
+    elif cfg.kind == "gradient_deviation":
+        def crafted(cid, base_model, rows):
+            return attacks.gradient_deviation_update(honest(cid, base_model, rows),
+                                                     cfg.gd_scale)
+    else:  # adaptive, on the attacker's scope and moments built once
+        scope = threat_scope(prepared, config)
+        def crafted(cid, base_model, rows):
+            return attacks.adaptive_update(
+                make_threat_knowledge(base_model, scope, config))
+
+    def update(cid, base_model, rows):
+        return (crafted if cid in malicious else honest)(cid, base_model, rows)
+    return update
 
 
 def _evaluate(theta: np.ndarray, iteration: int, prepared: PreparedData,
-              config: ExperimentConfig, counts: dict,
+              config: ExperimentConfig, counts: List[int],
               diverged: bool = False) -> MetricRecord:
     task = prepared.task
-    kwargs = dict(iteration=iteration, accepted=counts["accepted"],
-                  rejected=counts["rejected"], buffered=counts["buffered"])
+    kwargs = dict(iteration=iteration, accepted=counts[ACCEPT],
+                  rejected=counts[REJECT], buffered=counts[BUFFERED])
     if isinstance(task, tasks.RegressionTask):
         if diverged:
             kwargs["mse"] = float("inf")
@@ -427,48 +438,38 @@ def run_trial(config: ExperimentConfig, prepared: PreparedData,
     sched = config.schedule
     draws = draw_trial(config, prepared, seed)
     theta = np.zeros(prepared.task.param_dim)
-    history = {0: theta}
+    # the models of the last max_client_delay + 1 iterations, newest last
+    history = deque([theta], maxlen=sched.max_client_delay + 1)
     server_update = server_update_vector(prepared.task, theta, prepared.trusted)
-    defense = _DefenseRunner(config)
-    threat = (threat_scope(prepared, config)
-              if config.attack.kind == "adaptive" and prepared.malicious else None)
-    counts = {"accepted": 0, "rejected": 0, "buffered": 0}
+    update = _bind_update(prepared, config, draws.noise)
+    decide = _bind_filter(config)
+    counts = [0, 0, 0]  # indexed by ACCEPT, REJECT, BUFFERED
     result = TrialResult(seed=seed)
 
     with np.errstate(over="ignore", invalid="ignore"):
         for t, (cid, delay, rows) in enumerate(zip(draws.clients.tolist(),
                                                    draws.delays.tolist(),
                                                    draws.batches)):
-            base_model = history[t - delay]
-            update = _client_update(cid, base_model, rows, draws.noise, prepared,
-                                    config, threat)
+            base_model = history[-1 - delay]
+            sent = update(cid, base_model, rows)
 
             if t % sched.server_refresh_period == 0 and t > 0:
                 server_update = server_update_vector(prepared.task, theta,
                                                      prepared.trusted)
 
-            verdict = defense.step(cid, update, base_model, server_update)
-            if verdict.decision == ACCEPT:
-                theta = theta - sched.learning_rate * verdict.effective_update
-                counts["accepted"] += 1
-            elif verdict.decision == REJECT:
-                counts["rejected"] += 1
-            else:
-                counts["buffered"] += 1
+            decision, step = decide(cid, sent, base_model, server_update)
+            counts[decision] += 1
+            if step is not None:
+                theta = theta - sched.learning_rate * step
 
             completed = t + 1
             if not np.isfinite(theta).all():
                 result.records.append(_evaluate(theta, completed, prepared,
                                                 config, counts, diverged=True))
                 result.diverged = True
-                result.final_model = theta
-                return result
+                break
 
-            history[completed] = theta
-            oldest_needed = completed - sched.max_client_delay
-            if oldest_needed - 1 in history:
-                del history[oldest_needed - 1]
-
+            history.append(theta)
             if completed % METRIC_CADENCE == 0 or completed == sched.iterations:
                 result.records.append(_evaluate(theta, completed, prepared,
                                                 config, counts))

@@ -68,7 +68,7 @@ def _basgd_mean_of_means(state, client_id, update):
     """BASGD with the coordinate median of buffer means replaced by their mean."""
     state.buffers[client_id % state.num_buffers].append(update)
     if not all(state.buffers):
-        return defenses.Verdict(defenses.BUFFERED, update)
+        return defenses.Verdict(defenses.BUFFERED)
     means = np.stack([np.mean(buf, axis=0) for buf in state.buffers])
     state.buffers = [[] for _ in state.buffers]
     return defenses.Verdict(defenses.ACCEPT, means.mean(axis=0))

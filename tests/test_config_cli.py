@@ -45,12 +45,19 @@ def test_unknown_section_is_hard_error(tmp_path):
 
 
 def test_invalid_malicious_fraction(tmp_path):
-    # DefenseConfig is the only check of lambda and num_buffers
+    # DefenseConfig is the only check of lambda and num_buffers, and
+    # ExperimentConfig the only check that every float is finite
     path = tmp_path / "bad.ini"
     for text, match in (("[clients]\nmalicious_fraction = 1.0\n", "malicious_fraction"),
                         ("[defense]\nlambda = 0\n", "lambda"),
                         ("[defense]\nlambda = -1\n", "lambda"),
-                        ("[defense]\nnum_buffers = 0\n", "num_buffers")):
+                        ("[defense]\nnum_buffers = 0\n", "num_buffers"),
+                        ("[defense]\nlambda = nan\n", r"\[defense\] lambda must be finite"),
+                        ("[defense]\nlambda = inf\n", r"\[defense\] lambda must be finite"),
+                        ("[schedule]\nlearning_rate = nan\n", "learning_rate must be finite"),
+                        ("[attack]\ngauss_sigma = nan\n", "gauss_sigma must be finite"),
+                        ("[attack]\ngd_scale = -inf\n", "gd_scale must be finite"),
+                        ("[attack]\nbd_scale_factor = nan\n", "bd_scale_factor must be finite")):
         path.write_text(text)
         with pytest.raises(ConfigError, match=match):
             load_config(path)
@@ -260,12 +267,17 @@ def test_integer_axes_reject_fractional_values():
 
 
 def test_cli_sweep_with_fractional_integer_value_writes_nothing(tmp_path, capsys):
+    # and with a non-finite value on a float axis
     out = tmp_path / "sweep"
-    rc = cli.main(["sweep", "--config", str(_quick_config(tmp_path)),
-                   "--out", str(out), "--axis", "tau_max", "--values", "5,5.4"])
-    assert rc == 2
-    assert "sweep axis tau_max takes integers, got 5.4" in capsys.readouterr().err
-    assert not out.exists()
+    for axis, values, message in (
+            ("tau_max", "5,5.4", "sweep axis tau_max takes integers, got 5.4"),
+            ("lambda", "nan,inf", "[defense] lambda must be finite, got nan"),
+            ("lambda", "1.5,inf", "[defense] lambda must be finite, got inf")):
+        rc = cli.main(["sweep", "--config", str(_quick_config(tmp_path)),
+                       "--out", str(out), "--axis", axis, "--values", values])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_cli_main_run(tmp_path):

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import tempfile
 import tracemalloc
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from aflbench import attacks, engine
+from aflbench import attacks, defenses, engine, tasks
 from aflbench.config import (ClientConfig, DataConfig, DefenseConfig,
                              ExperimentConfig, ScheduleConfig, TaskConfig)
 from aflbench.data import (CLASSIFICATION, GEN_BLOCK_ROWS, minibatch,
@@ -87,7 +88,7 @@ def test_stale_free_run_matches_independent_sgd_oracle():
         grad_sum = np.einsum("i,ij->j", residuals, features)
         theta = theta - eta * grad_sum
     assert np.allclose(theta, result.final_model, rtol=0, atol=1e-10)
-    final_distance = np.linalg.norm(theta - prepared.true_model)
+    final_distance = np.linalg.norm(theta - prepared.task.true_model)
     assert final_distance < 1.0
 
 
@@ -119,6 +120,30 @@ def test_rejection_never_changes_model():
     final = result.final_record
     assert final.rejected == cfg.schedule.iterations
     assert final.accepted == 0
+
+
+def test_bound_functions_call_through_their_modules(monkeypatch):
+    # perfbench traces a layer by wrapping its name in its module; a trial
+    # that resolved these functions at import time would bypass the wrapper
+    calls = collections.Counter()
+    for module, name in ((defenses, "aflguard_accept"), (defenses, "kardam_step"),
+                         (tasks, "regression_gradient"),
+                         (engine, "server_update_vector")):
+        def counted(*args, _real=getattr(module, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(module, name, counted)
+    iterations, period = 120, 10
+    refreshes = 1 + (iterations - 1) // period  # the first g_s, then t = 10, ..., 110
+    for defense, step in (("aflguard", "aflguard_accept"), ("kardam", "kardam_step")):
+        cfg = small_config(defense=defense, iterations=iterations,
+                           server_refresh_period=period)
+        prepared = prepare_data(cfg)
+        calls.clear()
+        run_trial(cfg, prepared, 1)
+        assert calls == {step: iterations, "server_update_vector": refreshes,
+                         # one per client update and one per g_s
+                         "regression_gradient": iterations + refreshes}, defense
 
 
 def test_asyncsgd_under_gd_reports_divergence_marker():
