@@ -1,0 +1,7 @@
+"""``python -m aflbench``: the same entry point as the ``aflbench`` script."""
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -305,7 +305,11 @@ def _parse_header(line: str, path) -> tuple[str, int | None]:
     if kind == CLASSIFICATION:
         if "classes" not in fields:
             raise ValueError(f"{path}: classification header missing classes=")
-        return CLASSIFICATION, int(fields["classes"])
+        try:
+            return CLASSIFICATION, int(fields["classes"])
+        except ValueError:
+            raise ValueError(f"{path}: classes must be an integer, "
+                             f"got {fields['classes']!r}") from None
     raise ValueError(f"{path}: header must declare kind=regression or kind=classification")
 
 

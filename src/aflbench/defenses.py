@@ -8,9 +8,18 @@ and for an accept the update to apply. A rejected or buffered update
 carries none. The engine binds the configured filter once per trial
 (``engine._bind_filter``); Kardam's and BASGD's state lives in that
 binding. Filter parameters are validated once, by ``config.DefenseConfig``.
+
+Kardam keeps its per-client Lipschitz coefficients as a running sorted
+order: each new coefficient replaces its client's old one by one bisect
+removal and one insertion, and NaNs are counted apart. So the median it
+compares against is an index into that order, with ``np.median``'s value
+(the mean of the two middle values for an even count, NaN if any
+coefficient is NaN), not a sort of every coefficient on every update.
 """
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional
 
@@ -37,12 +46,44 @@ def aflguard_accept(client_update: np.ndarray, server_update: np.ndarray,
 
 
 class KardamState:
-    """Per-client history: last update, last base model, current coefficient."""
+    """Per-client history: last update, last base model, current coefficient.
+
+    ``ordered`` holds the non-NaN values of ``coefficients`` in ascending
+    order and ``nan_count`` the number of NaN ones; ``record`` keeps both in
+    step with the dict.
+    """
 
     def __init__(self):
         self.prev_update: Dict[int, np.ndarray] = {}
         self.prev_base: Dict[int, np.ndarray] = {}
         self.coefficients: Dict[int, float] = {}
+        self.ordered: List[float] = []
+        self.nan_count = 0
+
+    def record(self, client_id: int, coeff: float) -> None:
+        """Store ``coeff`` as the client's coefficient, replacing its last."""
+        old = self.coefficients.get(client_id)
+        if old is not None:
+            if math.isnan(old):
+                self.nan_count -= 1
+            else:
+                del self.ordered[bisect_left(self.ordered, old)]
+        if math.isnan(coeff):
+            self.nan_count += 1
+        else:
+            insort(self.ordered, coeff)
+        self.coefficients[client_id] = coeff
+
+    def median(self) -> Optional[float]:
+        """``np.median`` of the stored coefficients, None when there are none."""
+        if self.nan_count:
+            return math.nan
+        n = len(self.ordered)
+        if n == 0:
+            return None
+        if n % 2:
+            return self.ordered[n // 2]
+        return (self.ordered[n // 2 - 1] + self.ordered[n // 2]) / 2
 
 
 def kardam_step(state: KardamState, client_id: int, update: np.ndarray,
@@ -52,7 +93,8 @@ def kardam_step(state: KardamState, client_id: int, update: np.ndarray,
     A client with no usable history (first update, or identical consecutive
     base models) is accepted and recorded: with no cold-start rule everything
     would be rejected and training would deadlock. The median is taken over
-    the coefficients stored before this update arrives.
+    the coefficients stored before this update arrives, read from the
+    state's running sorted order; a stored NaN makes it NaN, which rejects.
     """
     if update.shape != base_model.shape:
         raise ValueError("dimension mismatch")
@@ -65,9 +107,9 @@ def kardam_step(state: KardamState, client_id: int, update: np.ndarray,
             coeff = l2norm(update - prev_u) / denom
     accept = True
     if coeff is not None:
-        defined = list(state.coefficients.values())
-        accept = coeff <= (float(np.median(defined)) if defined else coeff)
-        state.coefficients[client_id] = coeff
+        median = state.median()
+        accept = coeff <= (coeff if median is None else median)
+        state.record(client_id, coeff)
     state.prev_update[client_id] = update
     state.prev_base[client_id] = base_model
     return Verdict(ACCEPT, update) if accept else Verdict(REJECT)

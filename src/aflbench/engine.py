@@ -7,12 +7,17 @@ iterations ago, with the integer delay drawn uniformly from
 [0, min(max_client_delay, t)]. The server applies accepted updates as
 theta <- theta - learning_rate * update.
 
-``run_trial`` resolves the attack and the filter once (``_bind_update``,
-``_bind_filter``), so the loop compares no kind: it tallies each verdict's
-int decision code and applies the update an accept carries. The bound
-functions look up the ``defenses``, ``tasks`` and ``attacks`` functions,
-and this module's ``make_threat_knowledge`` and ``server_update_vector``,
-by name at each call, so a wrapper patched onto one sees every call.
+``run_trial`` makes three bindings once per trial, so the loop compares
+no kind: ``_bind_update`` resolves the attack, ``_bind_filter`` the filter,
+and ``_bind_evaluate`` the metrics. The loop tallies each verdict's int
+decision code and applies the update an accept carries. ``_bind_evaluate``
+precomputes what every record shares and theta does not change: the
+regression truths (the test features times theta*, when theta* is known)
+and, under the backdoor attack, the probe (the eligible test rows with the
+trigger applied, ``metrics.backdoor_probe``). The bound functions look up
+the ``defenses``, ``tasks``, ``attacks`` and ``metrics`` functions, and
+this module's ``make_threat_knowledge`` and ``server_update_vector``, by
+name at each call, so a wrapper patched onto one sees every call.
 
 Randomness: a trial's seed feeds ``np.random.SeedSequence(seed)``, which
 spawns three independent streams, one per purpose (``draw_trial``):
@@ -373,35 +378,41 @@ def _bind_update(prepared: PreparedData, config: ExperimentConfig,
     return update
 
 
-def _evaluate(theta: np.ndarray, iteration: int, prepared: PreparedData,
-              config: ExperimentConfig, counts: List[int],
-              diverged: bool = False) -> MetricRecord:
-    task = prepared.task
-    kwargs = dict(iteration=iteration, accepted=counts[ACCEPT],
-                  rejected=counts[REJECT], buffered=counts[BUFFERED])
+def _bind_evaluate(prepared: PreparedData, config: ExperimentConfig):
+    """The trial's ``evaluate(theta, iteration, counts, diverged=False)``:
+    the ``MetricRecord`` at ``iteration``. What does not depend on theta is
+    built here, once: the regression truths and the backdoor probe."""
+    task, test = prepared.task, prepared.test
     if isinstance(task, tasks.RegressionTask):
-        if diverged:
-            kwargs["mse"] = float("inf")
-            kwargs["mee"] = float("inf") if task.true_model is not None else None
-        else:
-            predictions = tasks.regression_predict_batch(theta, prepared.test.features)
-            if task.true_model is not None:
-                # theta* is known: score against the noiseless ground truth,
-                # so the error floor reflects estimation error only.
-                truths = prepared.test.features @ task.true_model
-                kwargs["mee"] = metrics.mee(theta, task.true_model)
-            else:
-                truths = prepared.test.labels
-            kwargs["mse"] = metrics.mse(predictions, truths)
+        true_model = task.true_model
+        # theta* is known: score against the noiseless ground truth, so the
+        # error floor reflects estimation error only.
+        truths = test.labels if true_model is None else test.features @ true_model
+        known = true_model is not None
+
+        def scores(theta, diverged):
+            if diverged:
+                return dict(mse=float("inf"), mee=float("inf") if known else None)
+            predictions = tasks.regression_predict_batch(theta, test.features)
+            return dict(mse=metrics.mse(predictions, truths),
+                        mee=metrics.mee(theta, true_model) if known else None)
     else:
-        if diverged:
-            kwargs["test_error_rate"] = 1.0
-        else:
-            kwargs["test_error_rate"] = metrics.test_error_rate(theta, prepared.test)
-            if config.attack.kind == "backdoor":
-                kwargs["attack_success_rate"] = metrics.attack_success_rate(
-                    theta, prepared.test, config.attack)
-    return MetricRecord(**kwargs)
+        probe = (metrics.backdoor_probe(test, config.attack)
+                 if config.attack.kind == "backdoor" else None)
+
+        def scores(theta, diverged):
+            if diverged:
+                return dict(test_error_rate=1.0)
+            out = dict(test_error_rate=metrics.test_error_rate(theta, test))
+            if probe is not None:
+                out["attack_success_rate"] = metrics.attack_success_rate(theta, probe)
+            return out
+
+    def evaluate(theta, iteration, counts, diverged=False):
+        return MetricRecord(iteration=iteration, accepted=counts[ACCEPT],
+                            rejected=counts[REJECT], buffered=counts[BUFFERED],
+                            **scores(theta, diverged))
+    return evaluate
 
 
 @dataclass(frozen=True)
@@ -443,6 +454,7 @@ def run_trial(config: ExperimentConfig, prepared: PreparedData,
     server_update = server_update_vector(prepared.task, theta, prepared.trusted)
     update = _bind_update(prepared, config, draws.noise)
     decide = _bind_filter(config)
+    evaluate = _bind_evaluate(prepared, config)
     counts = [0, 0, 0]  # indexed by ACCEPT, REJECT, BUFFERED
     result = TrialResult(seed=seed)
 
@@ -464,15 +476,14 @@ def run_trial(config: ExperimentConfig, prepared: PreparedData,
 
             completed = t + 1
             if not np.isfinite(theta).all():
-                result.records.append(_evaluate(theta, completed, prepared,
-                                                config, counts, diverged=True))
+                result.records.append(evaluate(theta, completed, counts,
+                                               diverged=True))
                 result.diverged = True
                 break
 
             history.append(theta)
             if completed % METRIC_CADENCE == 0 or completed == sched.iterations:
-                result.records.append(_evaluate(theta, completed, prepared,
-                                                config, counts))
+                result.records.append(evaluate(theta, completed, counts))
 
     result.final_model = theta
     return result

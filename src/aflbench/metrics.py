@@ -7,8 +7,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import tasks
-from .attacks import AttackConfig, apply_trigger
+from . import attacks, tasks
+from .attacks import AttackConfig
 from .data import CLASSIFICATION, Dataset
 from .vecmath import l2norm
 
@@ -60,18 +60,28 @@ def test_error_rate(params: np.ndarray, test: Dataset) -> float:
     return float(np.mean(predicted != test.labels))
 
 
-def attack_success_rate(params: np.ndarray, clean_test: Dataset,
-                        cfg: AttackConfig) -> float:
-    """Fraction of trigger-embedded inputs predicted as the target class.
+def backdoor_probe(clean_test: Dataset, cfg: AttackConfig) -> Dataset:
+    """The backdoor probe: every test input whose clean label is not the
+    target class, with the trigger embedded and labelled as the target.
 
     Inputs whose clean label already equals the target are excluded so the
-    rate measures only attacker-induced predictions.
+    rate measures only attacker-induced predictions. The probe does not
+    depend on the model, so it is built once per trial.
     """
     if clean_test.kind != CLASSIFICATION:
         raise ValueError("attack success rate requires classification data")
     eligible = clean_test.labels != cfg.bd_target_class
     if not np.any(eligible):
         raise ValueError("no eligible test inputs (all carry the target label)")
-    triggered = apply_trigger(clean_test.features[eligible], cfg.bd_trigger_period)
-    predicted = tasks.logistic_predict_batch(params, triggered, clean_test.num_classes)
-    return float(np.mean(predicted == cfg.bd_target_class))
+    triggered = attacks.apply_trigger(clean_test.features[eligible],
+                                      cfg.bd_trigger_period)
+    return Dataset(triggered, np.full(len(triggered), cfg.bd_target_class),
+                   CLASSIFICATION, clean_test.num_classes)
+
+
+def attack_success_rate(params: np.ndarray, probe: Dataset) -> float:
+    """Fraction of the probe's trigger-embedded inputs predicted as the
+    target class, their label (``backdoor_probe``)."""
+    predicted = tasks.logistic_predict_batch(params, probe.features,
+                                             probe.num_classes)
+    return float(np.mean(predicted == probe.labels))

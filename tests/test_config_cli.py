@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -301,3 +304,13 @@ def test_cli_main_errors_cleanly(tmp_path):
     rc = cli.main(["run", "--config", str(tmp_path / "absent.ini"),
                    "--out", str(tmp_path / "o")])
     assert rc == 2
+
+
+def test_python_m_aflbench_runs_the_cli():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src)] + ([os.environ["PYTHONPATH"]] if "PYTHONPATH" in os.environ else []))}
+    proc = subprocess.run([sys.executable, "-m", "aflbench", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "verify" in proc.stdout

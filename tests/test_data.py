@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -282,6 +283,11 @@ def test_csv_bad_header(tmp_path):
     path.write_text("# kind=classification\n1.0,0\n")
     with pytest.raises(ValueError):
         data.load_csv(path)
+    for classes in ("x", "2.5", ""):
+        path.write_text(f"# kind=classification classes={classes}\n1.0,0\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: classes must be an integer, got {classes!r}")):
+            data.load_csv(path)
 
 
 def test_dataset_validation():

@@ -1,5 +1,10 @@
+import math
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from aflbench import defenses
 from aflbench.acceptance import _decision as decision
@@ -75,6 +80,75 @@ class TestKardam:
             outcomes.append(decision(defenses.kardam_step(state, probe, incoming, base)))
         # ratio 1.2 lies between the median 1.0 and the largest coefficient 2.0
         assert outcomes == [REJECT] * 3
+
+
+def _same_float(a, b):
+    """Bit-equal, except that any NaN matches any NaN."""
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return struct.pack("<d", a) == struct.pack("<d", b)
+
+
+# coefficients as kardam_step makes them: >= 0, +inf, or NaN; few client
+# ids, so overwrites and ties are common
+_COEFFICIENTS = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0, math.inf, math.nan]),
+                          st.floats(min_value=0.0, allow_nan=False))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.integers(0, 6), _COEFFICIENTS), min_size=1, max_size=40))
+@example([(0, 1.0), (1, 3.0)])  # even count: the mean of the middle two
+@example([(0, 1.0), (1, math.nan), (2, 2.0)])  # a NaN makes the median NaN
+@example([(0, math.nan), (0, 1.0)])  # an overwritten NaN no longer counts
+def test_running_median_is_numpy_median(events):
+    state = KardamState()
+    for cid, coeff in events:
+        state.record(cid, coeff)
+        with np.errstate(over="ignore"):  # huge middle values sum to inf
+            expected = float(np.median(list(state.coefficients.values())))
+        assert _same_float(state.median(), expected), (state.coefficients, state.median())
+
+
+class _ReferenceKardam:
+    """kardam_step's rule with the median taken by np.median over a fresh
+    list of the stored coefficients at every update."""
+
+    def __init__(self):
+        self.prev_update, self.prev_base, self.coefficients = {}, {}, {}
+
+    def step(self, cid, update, base_model):
+        accept, coeff = True, None
+        if cid in self.prev_update:
+            denom = np.linalg.norm(base_model - self.prev_base[cid])
+            if denom > 0.0:
+                coeff = float(np.linalg.norm(update - self.prev_update[cid]) / denom)
+        if coeff is not None:
+            defined = list(self.coefficients.values())
+            accept = coeff <= (float(np.median(defined)) if defined else coeff)
+            self.coefficients[cid] = coeff
+        self.prev_update[cid], self.prev_base[cid] = update, base_model
+        return ACCEPT if accept else REJECT
+
+
+# an update or base coordinate: repeats give zero distances and ties, and
+# inf and NaN give NaN and infinite coefficients
+_COORDINATE = st.sampled_from([0.0, 1.0, 2.0, 3.5, -1.0, 1e300, math.inf, math.nan])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.integers(0, 5), _COORDINATE, _COORDINATE,
+                          st.sampled_from([0.0, 1.0, 2.0, 4.0])),
+                max_size=60))
+def test_kardam_decisions_match_a_numpy_median_reference(steps):
+    state, reference = KardamState(), _ReferenceKardam()
+    with np.errstate(all="ignore"):
+        for cid, u0, u1, b in steps:
+            update, base = np.array([u0, u1]), np.array([b, 0.0])
+            got = decision(defenses.kardam_step(state, cid, update, base))
+            assert got == reference.step(cid, update, base)
+            assert state.coefficients.keys() == reference.coefficients.keys()
+            assert all(_same_float(state.coefficients[c], reference.coefficients[c])
+                       for c in state.coefficients)
 
 
 class TestBasgd:

@@ -9,9 +9,10 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from aflbench import attacks, defenses, engine, tasks
+from aflbench import attacks, defenses, engine, metrics, tasks
 from aflbench.config import (ClientConfig, DataConfig, DefenseConfig,
-                             ExperimentConfig, ScheduleConfig, TaskConfig)
+                             ExperimentConfig, ScheduleConfig, TaskConfig,
+                             load_config)
 from aflbench.data import (CLASSIFICATION, GEN_BLOCK_ROWS, minibatch,
                            partition, sample_trusted, save_csv,
                            split_train_test)
@@ -144,6 +145,25 @@ def test_bound_functions_call_through_their_modules(monkeypatch):
         assert calls == {step: iterations, "server_update_vector": refreshes,
                          # one per client update and one per g_s
                          "regression_gradient": iterations + refreshes}, defense
+
+
+def test_evaluation_constants_are_built_once_per_trial(monkeypatch):
+    # the backdoor probe (trigger applied to the eligible test rows) is built
+    # once per trial, then scored at every record
+    cfg = load_config(Path(__file__).resolve().parents[1] / "configs"
+                      / "classification_backdoor.ini")
+    cfg = dataclasses.replace(cfg, schedule=dataclasses.replace(cfg.schedule,
+                                                                iterations=150))
+    prepared = prepare_data(cfg)  # poisoning applies the trigger too
+    calls = collections.Counter()
+    for module, name in ((attacks, "apply_trigger"), (metrics, "attack_success_rate")):
+        def counted(*args, _real=getattr(module, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(module, name, counted)
+    result = run_trial(cfg, prepared, 1)
+    assert len(result.records) == 3
+    assert calls == {"apply_trigger": 1, "attack_success_rate": 3}
 
 
 def test_asyncsgd_under_gd_reports_divergence_marker():

@@ -74,13 +74,17 @@ def _bd_cfg(target=1, period=2):
                         bd_trigger_period=period)
 
 
+def _asr(params, ds, cfg):
+    return metrics.attack_success_rate(params, metrics.backdoor_probe(ds, cfg))
+
+
 def test_asr_hardwired_models():
     ds = _tiny_classification()
     cfg = _bd_cfg(target=1)
     always_target = np.array([0.0, 0.0, 10.0, 10.0])  # class-1 row dominates
-    assert metrics.attack_success_rate(always_target, ds, cfg) == 1.0
+    assert _asr(always_target, ds, cfg) == 1.0
     never_target = np.array([10.0, 10.0, 0.0, 0.0])
-    assert metrics.attack_success_rate(never_target, ds, cfg) == 0.0
+    assert _asr(never_target, ds, cfg) == 0.0
 
 
 def test_asr_excludes_target_class_inputs():
@@ -90,7 +94,10 @@ def test_asr_excludes_target_class_inputs():
     cfg = _bd_cfg(target=1)
     params = np.array([0.0, 0.0, 5.0, 5.0])
     # rate computed over the single eligible input only
-    assert metrics.attack_success_rate(params, ds, cfg) == 1.0
+    probe = metrics.backdoor_probe(ds, cfg)
+    assert np.array_equal(probe.features, [[0.0, 3.0]])
+    assert np.array_equal(probe.labels, [1])
+    assert metrics.attack_success_rate(params, probe) == 1.0
 
 
 def test_asr_matches_enumeration():
@@ -104,14 +111,16 @@ def test_asr_matches_enumeration():
     for i in eligible:
         triggered = apply_trigger(ds.features[i], 3)
         hits += int(np.argmax(W @ triggered)) == 2
-    assert metrics.attack_success_rate(params, ds, cfg) == pytest.approx(
-        hits / len(eligible))
+    assert _asr(params, ds, cfg) == pytest.approx(hits / len(eligible))
 
 
 def test_asr_requires_eligible_inputs():
     ds = data.Dataset(np.ones((2, 2)), np.array([1, 1]), data.CLASSIFICATION, 2)
-    with pytest.raises(ValueError):
-        metrics.attack_success_rate(np.zeros(4), ds, _bd_cfg(target=1))
+    with pytest.raises(ValueError, match="no eligible test inputs"):
+        metrics.backdoor_probe(ds, _bd_cfg(target=1))
+    regression = data.Dataset(np.ones((2, 2)), np.array([1.0, 0.0]), data.REGRESSION)
+    with pytest.raises(ValueError, match="requires classification data"):
+        metrics.backdoor_probe(regression, _bd_cfg(target=1))
 
 
 def test_metric_record_primary():

@@ -110,6 +110,19 @@ def test_logistic_predict_matches_score_enumeration():
         assert label == int(np.argmax(scores))
 
 
+def test_logistic_scores_keep_the_bits_of_the_transposed_product():
+    # the shipped classification config scores a 2000 x 60 test set with 6
+    # classes, and its backdoor probe holds the ~5/6 of it not of class 5
+    rng = np.random.default_rng(27)
+    C, d = 6, 60
+    for n in (2000, 1667, 1600):
+        for _ in range(20):
+            X = rng.normal(1.5, 1.0, size=(n, d))
+            params = rng.normal(size=C * d)
+            expected = X @ params.reshape(C, d).T
+            assert np.array_equal(tasks.logistic_scores(params, X, C), expected)
+
+
 def test_curvature_validation():
     tasks.Curvature(1.0, 1.0)
     with pytest.raises(ValueError):
