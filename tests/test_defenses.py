@@ -95,7 +95,7 @@ _COEFFICIENTS = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0, math.inf, math.na
                           st.floats(min_value=0.0, allow_nan=False))
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=100, deadline=None, derandomize=True)
 @given(st.lists(st.tuples(st.integers(0, 6), _COEFFICIENTS), min_size=1, max_size=40))
 @example([(0, 1.0), (1, 3.0)])  # even count: the mean of the middle two
 @example([(0, 1.0), (1, math.nan), (2, 2.0)])  # a NaN makes the median NaN
@@ -135,10 +135,17 @@ class _ReferenceKardam:
 _COORDINATE = st.sampled_from([0.0, 1.0, 2.0, 3.5, -1.0, 1e300, math.inf, math.nan])
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=100, deadline=None, derandomize=True)
 @given(st.lists(st.tuples(st.integers(0, 5), _COORDINATE, _COORDINATE,
                           st.sampled_from([0.0, 1.0, 2.0, 4.0])),
                 max_size=60))
+# coefficients 1 and 3.5 stored, then 2 arrives: accepted against their
+# mean 2.25, rejected against the lower middle 1
+@example([(0, 0.0, 0.0, 0.0), (0, 1.0, 0.0, 1.0), (1, 0.0, 0.0, 0.0),
+          (1, 3.5, 0.0, 1.0), (2, 0.0, 0.0, 0.0), (2, 2.0, 0.0, 1.0)])
+# a stored NaN coefficient rejects the next update, whatever its coefficient
+@example([(0, 0.0, 0.0, 0.0), (0, math.nan, 0.0, 1.0), (1, 0.0, 0.0, 0.0),
+          (1, 1.0, 0.0, 1.0)])
 def test_kardam_decisions_match_a_numpy_median_reference(steps):
     state, reference = KardamState(), _ReferenceKardam()
     with np.errstate(all="ignore"):
