@@ -7,6 +7,9 @@ Runs, from the ``src/`` tree next to this script:
   ``configs/classification_backdoor.ini`` for asyncsgd, aflguard and zenopp;
 * the aflguard label-flip cell of the classification config, and its
   backdoor cell under ``partition = noniid`` (``noniid_degree = 0.5``);
+* the aflguard backdoor cell of the classification config at a second
+  shape, d = 20 with 3 classes, for 400 iterations: BLAS may take other
+  kernel paths there than at d = 60 with 6 classes;
 * a two-value lambda sweep of the regression config at 300 iterations;
 * an asyncsgd gradient-deviation run that diverges, through the command
   line with a ``--seed`` override;
@@ -98,6 +101,14 @@ def main() -> int:
                 classification.data, partition="noniid", noniid_degree=0.5))
         cli.run_command(noniid, out / "cls_aflguard_backdoor_noniid")
         names += ["cls_aflguard_label_flip", "cls_aflguard_backdoor_noniid"]
+
+        small = dataclasses.replace(
+            classification,
+            task=dataclasses.replace(classification.task, dim=20, num_classes=3),
+            attack=dataclasses.replace(classification.attack, bd_target_class=2),
+            schedule=dataclasses.replace(classification.schedule, iterations=400))
+        cli.run_command(small, out / "cls_aflguard_backdoor_d20_c3")
+        names.append("cls_aflguard_backdoor_d20_c3")
 
         short = dataclasses.replace(regression, schedule=dataclasses.replace(
             regression.schedule, iterations=300))

@@ -31,7 +31,7 @@ from .attacks import ThreatKnowledge
 from .config import DataConfig, DefenseConfig, ExperimentConfig, TaskConfig
 from .data import gen_synthetic_regression
 from .defenses import ACCEPT, BUFFERED, REJECT
-from .engine import TrialResult, prepare_data, run_trial
+from .engine import TrialResult, prepare_data, run_trials
 
 
 @dataclass(frozen=True)
@@ -91,8 +91,8 @@ class ScenarioRunner:
                       f"attack={config.attack.kind} lam={config.defense.lam} "
                       f"mal={config.clients.malicious_fraction}", flush=True)
             prepared = prepare_data(config)
-            self._results[config] = [run_trial(config, prepared, seed)
-                                     for seed in config.seeds.run_seeds]
+            self._results[config] = run_trials(config, prepared,
+                                               config.seeds.run_seeds)
         return self._results[config]
 
     def mean_final(self, config: ExperimentConfig, field: str) -> float:

@@ -21,7 +21,7 @@ from .config import (SWEEP_AXES, ConfigError, ExperimentConfig, apply_axis,
                      config_to_dict, load_config, parse_seeds)
 from .data import save_csv, split_train_test
 from .engine import (DIVERGENCE_MARKER, TrialResult, beyond_reporting_range,
-                     make_dataset, prepare_data, run_trial)
+                     make_dataset, prepare_data, run_trials)
 
 CSV_COLUMNS = ("iteration", "mse", "test_error_rate", "mee",
                "attack_success_rate", "accepted", "rejected", "buffered")
@@ -93,11 +93,10 @@ def run_command(config: ExperimentConfig, out_dir: Path) -> List[TrialResult]:
     """Run one trial per run seed; write per-trial CSVs and a summary JSON."""
     out_dir.mkdir(parents=True, exist_ok=True)
     prepared = prepare_data(config)
-    results = []
-    for seed in config.seeds.run_seeds:
-        result = run_trial(config, prepared, seed)
+    seeds = config.seeds.run_seeds
+    results = run_trials(config, prepared, seeds)
+    for seed, result in zip(seeds, results):
         write_trial_csv(out_dir / f"trial_seed{seed}.csv", result, config)
-        results.append(result)
     write_summary(out_dir / "summary.json", config, results)
     return results
 

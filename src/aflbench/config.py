@@ -122,8 +122,14 @@ class SeedConfig:
     run_seeds: Tuple[int, ...] = (1, 2, 3)
 
     def __post_init__(self):
+        if self.data_seed < 0:
+            raise ValueError(f"data_seed must be >= 0, got {self.data_seed}")
         if not self.run_seeds:
             raise ValueError("need at least one run seed")
+        if min(self.run_seeds) < 0:
+            raise ValueError(f"run seeds must be >= 0, got {min(self.run_seeds)}")
+        if len(set(self.run_seeds)) != len(self.run_seeds):
+            raise ValueError(f"run seeds must be distinct, got {list(self.run_seeds)}")
 
 
 @dataclass(frozen=True)

@@ -1,17 +1,42 @@
 """Asynchronous training loop: staleness simulation, server-update refresh,
-the update and filter bound once per trial, and the global update rule.
+the attack and filter bound once, the global update rule, and the trials
+of one config run in lockstep.
 
-One iteration processes exactly one client update: a uniformly random
-client reports an update computed at the global model from ``delay``
-iterations ago, with the integer delay drawn uniformly from
+One iteration processes exactly one client update per trial: a uniformly
+random client reports an update computed at the global model from
+``delay`` iterations ago, with the integer delay drawn uniformly from
 [0, min(max_client_delay, t)]. The server applies accepted updates as
 theta <- theta - learning_rate * update.
 
-``run_trial`` makes three bindings once per trial, so the loop compares
-no kind: ``_bind_update`` resolves the attack, ``_bind_filter`` the filter,
-and ``_bind_evaluate`` the metrics. The loop tallies each verdict's int
-decision code and applies the update an accept carries. ``_bind_evaluate``
-precomputes what every record shares and theta does not change: the
+Lockstep: ``run_trials`` runs one trial per seed, and trial k is row k of
+a K x p model array. Each iteration does once, for all rows:
+
+* the base models: one gather, as a copy, from a (max_client_delay + 1)
+  x K x p ring of recent models, by a slot plan drawn before the loop
+  (iteration s writes the model after s steps to slot s mod
+  (max_client_delay + 1), so a base model from ``delay`` iterations ago
+  sits in slot (t - delay) mod (max_client_delay + 1)). Because the
+  gather copies, a filter may keep a row;
+* the client batches: each row's rows taken into one K x B x d buffer;
+* one ``tasks`` gradient call over the stack (its docstring: each row's
+  bits are the single-trial bits) and the wire scaling;
+* the step theta - learning_rate * S, where row k of S is what trial k
+  applies, or zeros: theta - learning_rate * 0 is theta bit for bit;
+* the finiteness check and, every ``server_refresh_period`` iterations,
+  one ``server_update_vector`` call for all rows on the shared trusted set.
+
+Per row, with the same functions one trial alone would call: a malicious
+client's crafted update (Gaussian noise from that trial's own stream), the
+filter's decision, the tally of the int decision codes and, at the metric
+cadence, the evaluation. A row whose model leaves the finite range gets
+its divergence record at that iteration and is dropped from the arrays;
+the other rows go on. So a trial's output does not depend on the seeds run
+beside it, and K = 1 is simply one trial.
+
+Bindings: ``_bind_filter`` is made per row, so Kardam's and BASGD's state
+is per trial. ``_bind_attack`` (with the adaptive attack's threat scope)
+and ``_bind_evaluate`` are made once per run: ``_bind_evaluate``
+precomputes what every record shares and theta does not change, the
 regression truths (the test features times theta*, when theta* is known)
 and, under the backdoor attack, the probe (the eligible test rows with the
 trigger applied, ``metrics.backdoor_probe``). The bound functions look up
@@ -65,9 +90,8 @@ read-only row-slice view of that array.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -241,7 +265,7 @@ def server_update_vector(task, theta: np.ndarray, trusted: Dataset) -> np.ndarra
 
 @dataclass(frozen=True)
 class ThreatScope:
-    """What the adaptive attacker knows, fixed for the length of a trial.
+    """What the adaptive attacker knows, fixed for the length of a run.
 
     ``client_sets`` holds the clean data of every client for knowledge =
     full and of the malicious clients, in id order, for partial;
@@ -289,7 +313,7 @@ def make_threat_knowledge(base_model: np.ndarray, scope: ThreatScope,
     X_c^T (X_c theta - y_c) / n_c, which is linear in theta, so the mean
     over the scope is exactly A theta - b with the moments of
     ``ThreatScope``: one d x d mat-vec in place of a gradient per client.
-    ``run_trial`` builds the moments once per trial. The softmax gradient is
+    ``run_trials`` builds the moments once per run. The softmax gradient is
     not linear in theta, so the logistic task keeps the per-client loop.
 
     The server-update estimate is the attacker's reconstruction, not the
@@ -329,7 +353,8 @@ def _bind_filter(config: ExperimentConfig):
     elif kind == "kardam":
         kardam = defenses.KardamState()
         def decide(cid, update, base_model, g_s):
-            return defenses.kardam_step(kardam, cid, update, base_model)
+            # Kardam keeps both: a copy pins one row, a row view its whole stack
+            return defenses.kardam_step(kardam, cid, update.copy(), base_model.copy())
     elif kind == "basgd":
         basgd = defenses.BasgdState(config.defense.num_buffers)
         def decide(cid, update, base_model, g_s):
@@ -341,41 +366,30 @@ def _bind_filter(config: ExperimentConfig):
     return decide
 
 
-def _bind_update(prepared: PreparedData, config: ExperimentConfig,
-                 noise: np.random.Generator):
-    """The trial's ``update(cid, base_model, rows)``: the wire update a
-    client sends from a stale model on the batch ``rows`` of its set. Under
-    no attack or a data-level one (an honest pass on the poisoned set) every
-    client is honest; else malicious ids send the crafted kind."""
-    cfg, batch_size, task = config.attack, config.schedule.batch_size, prepared.task
-    sets, malicious = prepared.client_data, prepared.malicious
-
-    def honest(cid, base_model, rows):
-        ds = sets[cid]
-        return batch_size * _avg_gradient(task, base_model, ds.features[rows],
-                                          ds.labels[rows])
-
-    if cfg.kind in ("none", "label_flip") or not malicious:
-        return honest
+def _bind_attack(prepared: PreparedData, config: ExperimentConfig):
+    """The run's ``craft(honest, base_model, noise)``: the update a malicious
+    client sends in place of its honest wire update ``honest`` from the
+    stale model ``base_model``, with ``noise`` its trial's attack-noise
+    stream. None when every client is honest: under no attack or a
+    data-level one (an honest pass on the poisoned set)."""
+    cfg, task = config.attack, prepared.task
+    if cfg.kind in ("none", "label_flip") or not prepared.malicious:
+        return None
     if cfg.kind == "backdoor":
-        def crafted(cid, base_model, rows):
-            return attacks.backdoor_update(honest(cid, base_model, rows), cfg)
+        def craft(honest, base_model, noise):
+            return attacks.backdoor_update(honest, cfg)
     elif cfg.kind == "gaussian":
-        def crafted(cid, base_model, rows):
+        def craft(honest, base_model, noise):
             return attacks.gaussian_update(task.param_dim, cfg.gauss_sigma, noise)
     elif cfg.kind == "gradient_deviation":
-        def crafted(cid, base_model, rows):
-            return attacks.gradient_deviation_update(honest(cid, base_model, rows),
-                                                     cfg.gd_scale)
-    else:  # adaptive, on the attacker's scope and moments built once
+        def craft(honest, base_model, noise):
+            return attacks.gradient_deviation_update(honest, cfg.gd_scale)
+    else:  # adaptive, on the attacker's scope and moments built once per run
         scope = threat_scope(prepared, config)
-        def crafted(cid, base_model, rows):
+        def craft(honest, base_model, noise):
             return attacks.adaptive_update(
                 make_threat_knowledge(base_model, scope, config))
-
-    def update(cid, base_model, rows):
-        return (crafted if cid in malicious else honest)(cid, base_model, rows)
-    return update
+    return craft
 
 
 def _bind_evaluate(prepared: PreparedData, config: ExperimentConfig):
@@ -443,47 +457,94 @@ def draw_trial(config: ExperimentConfig, prepared: PreparedData,
                       noise=noise)
 
 
-def run_trial(config: ExperimentConfig, prepared: PreparedData,
-              seed: int) -> TrialResult:
-    """Execute one seeded trial; fully deterministic given (config, seed)."""
-    sched = config.schedule
-    draws = draw_trial(config, prepared, seed)
-    theta = np.zeros(prepared.task.param_dim)
-    # the models of the last max_client_delay + 1 iterations, newest last
-    history = deque([theta], maxlen=sched.max_client_delay + 1)
-    server_update = server_update_vector(prepared.task, theta, prepared.trusted)
-    update = _bind_update(prepared, config, draws.noise)
-    decide = _bind_filter(config)
+def run_trials(config: ExperimentConfig, prepared: PreparedData,
+               seeds: Sequence[int]) -> List[TrialResult]:
+    """Execute one seeded trial per seed, all in lockstep (module
+    docstring); each is fully deterministic given (config, its seed)."""
+    sched, task, malicious = config.schedule, prepared.task, prepared.malicious
+    set_features = [ds.features for ds in prepared.client_data]
+    set_labels = [ds.labels for ds in prepared.client_data]
+    draws = [draw_trial(config, prepared, seed) for seed in seeds]
+    craft = _bind_attack(prepared, config)
     evaluate = _bind_evaluate(prepared, config)
-    counts = [0, 0, 0]  # indexed by ACCEPT, REJECT, BUFFERED
-    result = TrialResult(seed=seed)
+    results = [TrialResult(seed=seed) for seed in seeds]
+    # per live row: its result, its tally (indexed by ACCEPT, REJECT,
+    # BUFFERED), its filter binding and its attack-noise stream
+    rows = [(result, [0, 0, 0], _bind_filter(config), d.noise)
+            for result, d in zip(results, draws)]
+    plans = [d.batches for d in draws]  # per live row, its minibatch plan
+    # iteration by live row: the client ids and the ring slots of the bases
+    clients = np.stack([d.clients for d in draws], axis=1)
+    depth = sched.max_client_delay + 1
+    slots = (np.arange(sched.iterations)[:, None]
+             - np.stack([d.delays for d in draws], axis=1)) % depth
 
+    theta = np.zeros((len(seeds), task.param_dim))
+    ring = np.zeros((depth,) + theta.shape)  # slot s % depth: the model after s steps
+    server_update = server_update_vector(task, theta, prepared.trusted)
+    features = np.empty((len(seeds), sched.batch_size, set_features[0].shape[1]))
+    labels = np.empty((len(seeds), sched.batch_size), dtype=set_labels[0].dtype)
+
+    def cut():
+        """For the live rows: the ring as one (depth * K) x p view, the ring
+        row of each base model per iteration, and the rows of the batch
+        buffer."""
+        return (ring.reshape(-1, task.param_dim),
+                slots * len(rows) + np.arange(len(rows)), list(zip(features, labels)))
+
+    flat, index, buffers = cut()
     with np.errstate(over="ignore", invalid="ignore"):
-        for t, (cid, delay, rows) in enumerate(zip(draws.clients.tolist(),
-                                                   draws.delays.tolist(),
-                                                   draws.batches)):
-            base_model = history[-1 - delay]
-            sent = update(cid, base_model, rows)
+        for t in range(sched.iterations):
+            base = flat.take(index[t], axis=0)
+            cids = clients[t].tolist()
+            # 'clip' lets take write into the buffer without a temporary;
+            # every batch row is below its set's size by construction
+            for cid, plan, (x, y) in zip(cids, plans, buffers):
+                batch = plan[t]
+                set_features[cid].take(batch, axis=0, out=x, mode="clip")
+                set_labels[cid].take(batch, out=y, mode="clip")
+            sent = sched.batch_size * _avg_gradient(task, base, features, labels)
 
             if t % sched.server_refresh_period == 0 and t > 0:
-                server_update = server_update_vector(prepared.task, theta,
-                                                     prepared.trusted)
+                server_update = server_update_vector(task, theta, prepared.trusted)
 
-            decision, step = decide(cid, sent, base_model, server_update)
-            counts[decision] += 1
-            if step is not None:
-                theta = theta - sched.learning_rate * step
+            step = np.zeros(theta.shape)
+            for k, (cid, (_, counts, decide, noise)) in enumerate(zip(cids, rows)):
+                update = sent[k]
+                if craft is not None and cid in malicious:
+                    update = craft(update, base[k], noise)
+                decision, applied = decide(cid, update, base[k], server_update[k])
+                counts[decision] += 1
+                if applied is not None:
+                    step[k] = applied
+            theta = theta - sched.learning_rate * step
 
             completed = t + 1
-            if not np.isfinite(theta).all():
-                result.records.append(evaluate(theta, completed, counts,
-                                               diverged=True))
-                result.diverged = True
-                break
+            if not np.logical_and.reduce(np.isfinite(theta), axis=None):
+                finite = np.logical_and.reduce(np.isfinite(theta), axis=1)
+                for k in np.flatnonzero(~finite):
+                    result, counts, _, _ = rows[k]
+                    result.records.append(evaluate(theta[k], completed, counts,
+                                                   diverged=True))
+                    result.diverged = True
+                    result.final_model = theta[k]
+                kept = np.flatnonzero(finite)
+                if not len(kept):
+                    break
+                rows, plans = [rows[k] for k in kept], [plans[k] for k in kept]
+                theta, server_update = theta[kept], server_update[kept]
+                # C order, so that the flat ring in cut is a view
+                ring = np.ascontiguousarray(ring[:, kept])
+                clients, slots = clients[:, kept], slots[:, kept]
+                features, labels = features[:len(kept)], labels[:len(kept)]
+                flat, index, buffers = cut()
 
-            history.append(theta)
+            ring[completed % depth] = theta
             if completed % METRIC_CADENCE == 0 or completed == sched.iterations:
-                result.records.append(evaluate(theta, completed, counts))
+                for k, (result, counts, _, _) in enumerate(rows):
+                    result.records.append(evaluate(theta[k], completed, counts))
 
-    result.final_model = theta
-    return result
+    for k, (result, _, _, _) in enumerate(rows):
+        if not result.diverged:
+            result.final_model = theta[k]
+    return results

@@ -66,7 +66,7 @@ def backdoor_probe(clean_test: Dataset, cfg: AttackConfig) -> Dataset:
 
     Inputs whose clean label already equals the target are excluded so the
     rate measures only attacker-induced predictions. The probe does not
-    depend on the model, so it is built once per trial.
+    depend on the model, so it is built once per run, for all its trials.
     """
     if clean_test.kind != CLASSIFICATION:
         raise ValueError("attack success rate requires classification data")

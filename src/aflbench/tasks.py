@@ -6,6 +6,17 @@ vector, row-major by class, so every defense filter sees plain vectors.
 
 Gradients returned here are mini-batch AVERAGES. The training engine owns
 the wire-format scaling of updates.
+
+Stack axis: the gradients take any number of leading axes, one formula for
+every shape. A (K, m, d) batch with (K, m) labels and a (K, p) model stack
+gives the K gradients as a (K, p) array; a single (m, d) feature matrix
+against a (K, p) stack gives each model's gradient on that one batch (the
+server's reference update for every trial of a run). Each slice of a
+stacked call equals the call on that slice alone bit for bit: numpy's
+``matmul`` runs the same BLAS call per slice, a gemv for the squared loss
+(``theta[..., None]`` is a one-column matrix) and a gemm for the softmax.
+One gemm over the stack (``features @ thetas.T``) would sum in another
+order; do not use one.
 """
 from __future__ import annotations
 
@@ -65,14 +76,16 @@ class LogisticTask:
 def regression_gradient(theta: np.ndarray, features: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Average gradient of the squared loss over a batch.
 
-    features: (m, d) array, labels: (m,) array, m >= 1.
+    features: (..., m, d) array, labels: (..., m) array, theta: (..., d),
+    m >= 1; the leading axes broadcast (module docstring).
     """
-    if features.ndim != 2 or features.shape[0] == 0:
+    if features.ndim < 2 or features.shape[-2] == 0:
         raise ValueError("batch must be a nonempty (m, d) array")
-    if features.shape[1] != theta.shape[0]:
-        raise ValueError(f"feature dim {features.shape[1]} != model dim {theta.shape[0]}")
-    residual = features @ theta - labels
-    return features.T @ residual / features.shape[0]
+    if features.shape[-1] != theta.shape[-1]:
+        raise ValueError(f"feature dim {features.shape[-1]} != model dim {theta.shape[-1]}")
+    residual = np.matmul(features, theta[..., None])[..., 0] - labels
+    return (np.matmul(np.swapaxes(features, -1, -2), residual[..., None])[..., 0]
+            / features.shape[-2])
 
 
 def regression_predict_batch(theta: np.ndarray, features: np.ndarray) -> np.ndarray:
@@ -82,28 +95,35 @@ def regression_predict_batch(theta: np.ndarray, features: np.ndarray) -> np.ndar
 
 
 def _softmax(scores: np.ndarray) -> np.ndarray:
-    shifted = scores - scores.max(axis=1, keepdims=True)
+    shifted = scores - scores.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def logistic_gradient(
     params: np.ndarray, features: np.ndarray, labels: np.ndarray, num_classes: int
 ) -> np.ndarray:
-    """Average softmax cross-entropy gradient, flattened row-major by class."""
-    if features.ndim != 2 or features.shape[0] == 0:
+    """Average softmax cross-entropy gradient, flattened row-major by class.
+
+    features: (..., m, d) array, labels: (..., m) array of class indices,
+    params: (..., d * num_classes); the leading axes broadcast (module
+    docstring).
+    """
+    if features.ndim < 2 or features.shape[-2] == 0:
         raise ValueError("batch must be a nonempty (m, d) array")
-    m, d = features.shape
-    if params.shape[0] != d * num_classes:
-        raise ValueError(f"param length {params.shape[0]} != dim*C = {d * num_classes}")
+    m, d = features.shape[-2:]
+    if params.shape[-1] != d * num_classes:
+        raise ValueError(f"param length {params.shape[-1]} != dim*C = {d * num_classes}")
     labels = np.asarray(labels)
-    if labels.min() < 0 or labels.max() >= num_classes:
+    one_hot = labels[..., None] == np.arange(num_classes)
+    # a label that is no class index (negative, too large, or not an
+    # integer) matches no column
+    if np.count_nonzero(one_hot) != labels.size:
         raise ValueError("class label out of range")
-    weights = params.reshape(num_classes, d)
-    probs = _softmax(features @ weights.T)
-    probs[np.arange(m), labels.astype(int)] -= 1.0
-    grad = probs.T @ features / m
-    return grad.reshape(-1)
+    weights = params.reshape(*params.shape[:-1], num_classes, d)
+    probs = _softmax(np.matmul(features, np.swapaxes(weights, -1, -2)))
+    grad = np.matmul(np.swapaxes(probs - one_hot, -1, -2), features) / m
+    return grad.reshape(*grad.shape[:-2], -1)
 
 
 def logistic_scores(params: np.ndarray, features: np.ndarray, num_classes: int) -> np.ndarray:

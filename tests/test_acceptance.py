@@ -90,9 +90,10 @@ def test_criterion_10_detects_runs_that_differ(monkeypatch):
     # mutation check: each trial also consumes a counter shared across
     # runs, so the second run writes other bytes under the same names
     calls = itertools.count()
-    real = cli.run_trial
-    monkeypatch.setattr(cli, "run_trial", lambda config, prepared, seed:
-                        real(config, prepared, seed + next(calls)))
+    real = cli.run_trials
+    monkeypatch.setattr(cli, "run_trials", lambda config, prepared, seeds:
+                        real(config, prepared,
+                             [seed + next(calls) for seed in seeds]))
     result = acceptance.criterion_10(None)
     assert not result.passed, result.details
 

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -298,6 +299,33 @@ def test_cli_main_rejects_empty_seed_list(tmp_path):
         rc = cli.main(["run", "--config", str(path), "--out", str(out), "--seed", raw])
         assert rc == 2
         assert not (out / "summary.json").exists()
+
+
+def test_seeds_must_be_distinct_and_non_negative(tmp_path, capsys):
+    # from the file and from --seed alike, and the run writes nothing
+    base = _quick_config(tmp_path).read_text()
+    for line, seeds, message in (
+            ("run_seeds = 1,1", None, "run seeds must be distinct, got [1, 1]"),
+            ("run_seeds = 2,-1", None, "run seeds must be >= 0, got -1"),
+            ("data_seed = -2", None, "data_seed must be >= 0, got -2"),
+            (None, "1,1", "run seeds must be distinct, got [1, 1]"),
+            (None, "3,2,3", "run seeds must be distinct, got [3, 2, 3]"),
+            (None, "1,-1", "run seeds must be >= 0, got -1")):
+        path = tmp_path / "seeds.ini"
+        if line is None:
+            path.write_text(base)
+        else:
+            key = line.split(" =")[0]
+            old = next(l for l in base.splitlines() if l.startswith(key))
+            path.write_text(base.replace(old, line))
+            with pytest.raises(ConfigError, match=re.escape(message)):
+                load_config(path)
+        out = tmp_path / "out"
+        argv = ["run", "--config", str(path), "--out", str(out)]
+        rc = cli.main(argv + (["--seed", seeds] if seeds else []))
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_cli_main_errors_cleanly(tmp_path):

@@ -17,7 +17,7 @@ from aflbench.data import (CLASSIFICATION, GEN_BLOCK_ROWS, minibatch,
                            partition, sample_trusted, save_csv,
                            split_train_test)
 from aflbench.engine import (draw_trial, make_dataset, make_threat_knowledge,
-                             prepare_data, run_trial, threat_scope)
+                             prepare_data, run_trials, threat_scope)
 
 
 def base_config(**kwargs):
@@ -47,8 +47,8 @@ def small_config(**kwargs):
 def test_trial_is_deterministic():
     cfg = small_config(attack="gaussian")
     prepared = prepare_data(cfg)
-    a = run_trial(cfg, prepared, 7)
-    b = run_trial(cfg, prepared, 7)
+    a = run_trials(cfg, prepared, (7,))[0]
+    b = run_trials(cfg, prepared, (7,))[0]
     assert a.records == b.records
     assert np.array_equal(a.final_model, b.final_model)
 
@@ -57,8 +57,8 @@ def test_huge_lambda_matches_asyncsgd_bitwise():
     guard = small_config(defense="aflguard", lam=1e9, malicious_fraction=0.0)
     plain = small_config(defense="asyncsgd", malicious_fraction=0.0)
     prepared = prepare_data(guard)
-    r_guard = run_trial(guard, prepared, 3)
-    r_plain = run_trial(plain, prepared, 3)
+    r_guard = run_trials(guard, prepared, (3,))[0]
+    r_plain = run_trials(plain, prepared, (3,))[0]
     assert np.array_equal(r_guard.final_model, r_plain.final_model)
     assert r_guard.records == r_plain.records
 
@@ -68,7 +68,7 @@ def test_stale_free_run_matches_independent_sgd_oracle():
                       max_client_delay=0)
     prepared = prepare_data(cfg)
     seed = 5
-    result = run_trial(cfg, prepared, seed)
+    result = run_trials(cfg, prepared, (seed,))[0]
 
     # independent oracle: the three streams of the draw protocol, update
     # math written from scratch
@@ -112,11 +112,82 @@ def test_cells_differing_in_attack_or_defense_share_their_draws():
     assert not np.array_equal(other.clients, first.clients)
 
 
+def _assert_lockstep_equals_alone(cfg, seeds):
+    """run_trials over seeds equals each seed run alone, byte for byte."""
+    prepared = prepare_data(cfg)
+    together = run_trials(cfg, prepared, seeds)
+    assert [r.seed for r in together] == list(seeds)
+    for got in together:
+        alone = run_trials(cfg, prepared, (got.seed,))[0]
+        assert got.records == alone.records, got.seed
+        assert got.diverged == alone.diverged, got.seed
+        assert got.final_model.tobytes() == alone.final_model.tobytes(), got.seed
+    return together
+
+
+@pytest.mark.parametrize("defense, attack", [
+    ("kardam", "gradient_deviation"), ("basgd", "gaussian"),
+    ("aflguard", "gaussian"), ("aflguard", "adaptive"), ("zenopp", "label_flip")])
+def test_lockstep_trials_equal_trials_run_alone(defense, attack):
+    # Kardam and BASGD keep per-trial state; Gaussian noise comes from each
+    # trial's own stream; the adaptive attack shares one threat scope
+    _assert_lockstep_equals_alone(small_config(defense=defense, attack=attack),
+                                  (1, 2, 3))
+
+
+def test_lockstep_backdoor_trials_equal_trials_run_alone():
+    cfg = load_config(Path(__file__).resolve().parents[1] / "configs"
+                      / "classification_backdoor.ini")
+    cfg = dataclasses.replace(cfg, schedule=dataclasses.replace(cfg.schedule,
+                                                                iterations=300))
+    _assert_lockstep_equals_alone(cfg, (2, 1, 3))
+
+
+def test_lockstep_rows_diverge_at_their_own_iterations():
+    # measured: AsyncSGD under the adaptive attack on the shipped regression
+    # config leaves the finite range at iterations 1893, 1880 and 1934 for
+    # seeds 1, 2 and 3. The middle row leaves first, so the rows after it
+    # move up in the arrays while the first goes on.
+    cfg = base_config(defense="asyncsgd", attack="adaptive")
+    together = _assert_lockstep_equals_alone(cfg, (1, 2, 3))
+    assert all(r.diverged for r in together)
+    assert [r.final_record.iteration for r in together] == [1893, 1880, 1934]
+
+
+def test_lockstep_rows_keep_their_own_server_update(monkeypatch):
+    # each row's filter reads its own trial's g_s, also in the iterations
+    # between another row's drop and the next refresh: seed 1 leaves at
+    # iteration 1893, so seed 3 reads g_s from the arrays cut at that drop
+    # until the refresh at 1900
+    seen = []
+    real = engine._bind_filter
+
+    def bind(config):
+        decide, log = real(config), []
+        seen.append(log)
+
+        def recording(cid, update, base_model, g_s):
+            log.append(hash(g_s.tobytes()))
+            return decide(cid, update, base_model, g_s)
+        return recording
+
+    monkeypatch.setattr(engine, "_bind_filter", bind)
+    cfg = base_config(defense="asyncsgd", attack="adaptive")
+    prepared = prepare_data(cfg)
+    run_trials(cfg, prepared, (1, 2, 3))
+    together = list(seen)
+    assert [len(log) for log in together] == [1893, 1880, 1934]
+    for seed, log in zip((1, 2, 3), together):
+        seen.clear()
+        run_trials(cfg, prepared, (seed,))
+        assert seen == [log], seed
+
+
 def test_rejection_never_changes_model():
     # a vanishing acceptance ball rejects every update, freezing the model
     cfg = small_config(defense="aflguard", lam=1e-12)
     prepared = prepare_data(cfg)
-    result = run_trial(cfg, prepared, 1)
+    result = run_trials(cfg, prepared, (1,))[0]
     assert np.array_equal(result.final_model, np.zeros(prepared.task.param_dim))
     final = result.final_record
     assert final.rejected == cfg.schedule.iterations
@@ -140,11 +211,14 @@ def test_bound_functions_call_through_their_modules(monkeypatch):
         cfg = small_config(defense=defense, iterations=iterations,
                            server_refresh_period=period)
         prepared = prepare_data(cfg)
-        calls.clear()
-        run_trial(cfg, prepared, 1)
-        assert calls == {step: iterations, "server_update_vector": refreshes,
-                         # one per client update and one per g_s
-                         "regression_gradient": iterations + refreshes}, defense
+        for seeds in ((1,), (1, 2, 3)):
+            calls.clear()
+            run_trials(cfg, prepared, seeds)
+            # a filter call per trial and iteration; one gradient call per
+            # iteration for the client updates of all trials, and one per g_s
+            assert calls == {step: len(seeds) * iterations,
+                             "server_update_vector": refreshes,
+                             "regression_gradient": iterations + refreshes}, defense
 
 
 def test_evaluation_constants_are_built_once_per_trial(monkeypatch):
@@ -161,7 +235,7 @@ def test_evaluation_constants_are_built_once_per_trial(monkeypatch):
             calls[_name] += 1
             return _real(*args)
         monkeypatch.setattr(module, name, counted)
-    result = run_trial(cfg, prepared, 1)
+    result = run_trials(cfg, prepared, (1,))[0]
     assert len(result.records) == 3
     assert calls == {"apply_trigger": 1, "attack_success_rate": 3}
 
@@ -169,14 +243,14 @@ def test_evaluation_constants_are_built_once_per_trial(monkeypatch):
 def test_asyncsgd_under_gd_reports_divergence_marker():
     cfg = base_config(defense="asyncsgd", attack="gradient_deviation")
     prepared = prepare_data(cfg)
-    result = run_trial(cfg, prepared, 1)
+    result = run_trials(cfg, prepared, (1,))[0]
     assert result.is_divergent()
 
 
 def test_history_ring_supports_all_delays():
     cfg = small_config(max_client_delay=10, attack="gaussian")
     prepared = prepare_data(cfg)
-    result = run_trial(cfg, prepared, 2)  # would KeyError on a missed read
+    result = run_trials(cfg, prepared, (2,))[0]  # would KeyError on a missed read
     assert result.final_record.iteration == cfg.schedule.iterations
 
 
@@ -306,7 +380,7 @@ def test_prepare_data_poisons_only_malicious():
 def test_metric_cadence_and_final_record():
     cfg = small_config(iterations=120)
     prepared = prepare_data(cfg)
-    result = run_trial(cfg, prepared, 1)
+    result = run_trials(cfg, prepared, (1,))[0]
     assert [r.iteration for r in result.records] == [50, 100, 120]
 
 

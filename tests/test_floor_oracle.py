@@ -19,7 +19,7 @@ import dataclasses
 import numpy as np
 
 from aflbench import acceptance, metrics
-from aflbench.engine import prepare_data, run_trial
+from aflbench.engine import prepare_data, run_trials
 
 # Per-seed standard deviation of AsyncSGD's attack-free final MSE, measured
 # over 20 trial seeds with the default regression config.
@@ -61,8 +61,8 @@ def test_asyncsgd_no_attack_sits_on_the_all_data_floor():
     cfg = dataclasses.replace(cfg, seeds=dataclasses.replace(cfg.seeds,
                                                              run_seeds=SEEDS))
     prepared, floor, _ = _floors(cfg)
-    measured = np.mean([run_trial(cfg, prepared, seed).final_record.mse
-                        for seed in SEEDS])
+    measured = np.mean([result.final_record.mse
+                        for result in run_trials(cfg, prepared, SEEDS)])
     tolerance = 3 * PER_SEED_SD / np.sqrt(len(SEEDS))
     assert abs(measured - floor) <= tolerance, (measured, floor, tolerance)
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aflbench import tasks
 from aflbench.acceptance import _finite_difference
@@ -85,6 +87,55 @@ def test_logistic_gradient_rows_sum_to_zero():
 def test_logistic_gradient_label_out_of_range():
     with pytest.raises(ValueError):
         tasks.logistic_gradient(np.zeros(6), np.ones((1, 3)), np.array([2]), 2)
+    # a label that is not an integer is no class either (it used to be
+    # truncated to one)
+    with pytest.raises(ValueError, match="class label out of range"):
+        tasks.logistic_gradient(np.zeros(6), np.ones((2, 3)), np.array([0, 0.5]), 2)
+
+
+def _old_logistic_gradient(params, features, labels, num_classes):
+    """The 2-D formula the stacked one replaced, as a bit reference."""
+    m, d = features.shape
+    scores = features @ params.reshape(num_classes, d).T
+    e = np.exp(scores - scores.max(axis=1, keepdims=True))
+    probs = e / e.sum(axis=1, keepdims=True)
+    probs[np.arange(m), labels] -= 1.0
+    return (probs.T @ features / m).reshape(-1)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(stack=st.integers(1, 8), m=st.integers(1, 40), d=st.integers(1, 12),
+       classes=st.integers(2, 6), shared=st.booleans(), seed=st.integers(0, 2**16),
+       bad_label=st.sampled_from((-1, "classes", 0.5)))
+def test_stacked_gradients_equal_the_single_calls_bit_for_bit(
+        stack, m, d, classes, shared, seed, bad_label):
+    # K models on a (K, m, d) stack of batches, or on one shared (m, d)
+    # batch (the server's reference update): each row equals the call on its
+    # slice alone, which equals the 2-D formula, bit for bit
+    rng = np.random.default_rng(seed)
+    X = rng.normal(0.0, 3.0, size=(m, d) if shared else (stack, m, d))
+    y = rng.normal(size=X.shape[:-1])
+    labels = rng.integers(0, classes, size=X.shape[:-1])
+    theta = rng.normal(size=(stack, d))
+    params = rng.normal(size=(stack, d * classes))
+    reg = tasks.regression_gradient(theta, X, y)
+    log = tasks.logistic_gradient(params, X, labels, classes)
+    assert reg.shape == (stack, d) and log.shape == (stack, d * classes)
+    for k in range(stack):
+        xk, yk, lk = (X, y, labels) if shared else (X[k], y[k], labels[k])
+        single = tasks.regression_gradient(theta[k], xk, yk)
+        assert reg[k].tobytes() == single.tobytes()
+        assert single.tobytes() == (xk.T @ (xk @ theta[k] - yk) / m).tobytes()
+        single = tasks.logistic_gradient(params[k], xk, lk, classes)
+        assert log[k].tobytes() == single.tobytes()
+        assert single.tobytes() == _old_logistic_gradient(params[k], xk, lk,
+                                                          classes).tobytes()
+
+    # one label that is no class index, anywhere in the stack
+    bad = labels.astype(float)
+    bad.flat[rng.integers(bad.size)] = classes if bad_label == "classes" else bad_label
+    with pytest.raises(ValueError, match="class label out of range"):
+        tasks.logistic_gradient(params, X, bad, classes)
 
 
 def test_logistic_predict_tie_breaks_low():
