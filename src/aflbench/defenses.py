@@ -3,11 +3,17 @@ median of means, and cosine-gated normalization. AsyncSGD, which applies
 every update as sent, needs no function here.
 
 A filter's answer is a ``Verdict``: an int decision code, ``ACCEPT``,
-``REJECT`` or ``BUFFERED``, which also indexes the engine's per-trial tally,
-and for an accept the update to apply. A rejected or buffered update
-carries none. The engine binds the configured filter once per trial
-(``engine._bind_filter``); Kardam's and BASGD's state lives in that
-binding. Filter parameters are validated once, by ``config.DefenseConfig``.
+``REJECT`` or ``BUFFERED``, which also indexes the engine's tally of its
+decision log, and for an accept the update to apply. A rejected or
+buffered update carries none. ``aflguard_accept`` instead answers for a
+whole (..., p) stack at once, one bool per row, with each row's norms
+bit-equal to ``vecmath.l2norm``. The engine binds the configured filter
+once per run over the stack of its trials (``engine._bind_filter``):
+AFLGuard's binding makes one ``aflguard_accept`` call per iteration for
+all trials, and zeros the step rows it rejects; Kardam, BASGD and Zeno++
+are called once per trial and iteration, and Kardam's and BASGD's
+per-trial state lives in that binding. Filter parameters are validated
+once, by ``config.DefenseConfig``.
 
 Kardam keeps its per-client Lipschitz coefficients as a running sorted
 order: each new coefficient replaces its client's old one by one bisect
@@ -38,11 +44,15 @@ class Verdict(NamedTuple):
 
 
 def aflguard_accept(client_update: np.ndarray, server_update: np.ndarray,
-                    lam: float) -> bool:
-    """Accept iff ||g_client - g_server|| <= lambda * ||g_server||."""
+                    lam: float):
+    """Accept iff ||g_client - g_server|| <= lambda * ||g_server||, per row
+    of a (..., p) stack: a bool for 1-D input, else a bool array of the
+    leading shape. Each norm has the bits of ``vecmath.l2norm`` of its row."""
     if client_update.shape != server_update.shape:
         raise ValueError("dimension mismatch")
-    return l2norm(client_update - server_update) <= lam * l2norm(server_update)
+    deviation = client_update - server_update
+    return (np.sqrt(np.vecdot(deviation, deviation))
+            <= lam * np.sqrt(np.vecdot(server_update, server_update)))
 
 
 class KardamState:

@@ -20,29 +20,38 @@ a K x p model array. Each iteration does once, for all rows:
 * the client batches: each row's rows taken into one K x B x d buffer;
 * one ``tasks`` gradient call over the stack (its docstring: each row's
   bits are the single-trial bits) and the wire scaling;
-* the step theta - learning_rate * S, where row k of S is what trial k
-  applies, or zeros: theta - learning_rate * 0 is theta bit for bit;
+* the crafted updates: a T x K mask of the rows whose scheduled client is
+  malicious is built from the schedule before the loop, and the attack
+  runs on those rows only, each with the function one trial alone would
+  call (Gaussian noise from that trial's own stream);
+* one filter call, ``decide``, over the stack of live rows: it returns
+  each row's int decision code and the step S, where row k of S is what
+  trial k applies, or zeros: theta - learning_rate * 0 is theta bit for
+  bit. The codes go into a K x T decision log;
+* the step theta - learning_rate * S;
 * the finiteness check and, every ``server_refresh_period`` iterations,
   one ``server_update_vector`` call for all rows on the shared trusted set.
 
-Per row, with the same functions one trial alone would call: a malicious
-client's crafted update (Gaussian noise from that trial's own stream), the
-filter's decision, the tally of the int decision codes and, at the metric
-cadence, the evaluation. A row whose model leaves the finite range gets
-its divergence record at that iteration and is dropped from the arrays;
-the other rows go on. So a trial's output does not depend on the seeds run
-beside it, and K = 1 is simply one trial.
+Per row, at the metric cadence: the evaluation, with the accepted,
+rejected and buffered counts read off the row's decision log. A row whose
+model leaves the finite range gets its divergence record at that
+iteration and is dropped from the arrays, its log, mask and filter state
+with it; the other rows go on. So a trial's output does not depend on the
+seeds run beside it, and K = 1 is simply one trial.
 
-Bindings: ``_bind_filter`` is made per row, so Kardam's and BASGD's state
-is per trial. ``_bind_attack`` (with the adaptive attack's threat scope)
-and ``_bind_evaluate`` are made once per run: ``_bind_evaluate``
-precomputes what every record shares and theta does not change, the
-regression truths (the test features times theta*, when theta* is known)
-and, under the backdoor attack, the probe (the eligible test rows with the
-trigger applied, ``metrics.backdoor_probe``). The bound functions look up
-the ``defenses``, ``tasks``, ``attacks`` and ``metrics`` functions, and
-this module's ``make_threat_knowledge`` and ``server_update_vector``, by
-name at each call, so a wrapper patched onto one sees every call.
+Bindings, each made once per run: ``_bind_filter`` (AFLGuard decides all
+rows with one ``defenses.aflguard_accept`` call; AsyncSGD applies the
+stack as sent; Kardam, BASGD and Zeno++ call their step function per row,
+Kardam and BASGD on per-row state that the engine cuts at a drop),
+``_bind_attack`` (with the adaptive attack's threat scope) and
+``_bind_evaluate``, which precomputes what every record shares and theta
+does not change, the regression truths (the test features times theta*,
+when theta* is known) and, under the backdoor attack, the probe (the
+eligible test rows with the trigger applied, ``metrics.backdoor_probe``).
+The bound functions look up the ``defenses``, ``tasks``, ``attacks`` and
+``metrics`` functions, and this module's ``make_threat_knowledge`` and
+``server_update_vector``, by name at each call, so a wrapper patched onto
+one sees every call.
 
 Randomness: a trial's seed feeds ``np.random.SeedSequence(seed)``, which
 spawns three independent streams, one per purpose (``draw_trial``):
@@ -90,6 +99,7 @@ read-only row-slice view of that array.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -337,33 +347,56 @@ def make_threat_knowledge(base_model: np.ndarray, scope: ThreatScope,
                            lam=config.defense.lam)
 
 
-def _bind_filter(config: ExperimentConfig):
-    """The trial's filter: ``decide(cid, update, base_model, g_s)`` returns
-    (decision, effective_update), a ``Verdict`` or a plain tuple. Kardam's
-    and BASGD's state lives in the closure."""
+def _bind_filter(config: ExperimentConfig, num_rows: int):
+    """The run's filter over its live rows: ``decide(cids, updates, bases,
+    g_s)`` takes row k's client id, wire update, base model and g_s and
+    returns (codes, step): the decision codes, one per row or one for all,
+    and the K x p step whose row k is what row k applies, zeros where it
+    applies nothing. It also returns ``states``, the filter's per-row
+    state (Kardam's and BASGD's; None for the stateless kinds), which
+    ``decide`` reads by row; the engine cuts it in place when rows drop.
+    ``updates`` and ``bases`` are fresh arrays each call, so a filter may
+    keep a row of them."""
     kind, lam = config.defense.kind, config.defense.lam
+    states = [None] * num_rows
     if kind == "asyncsgd":
-        def decide(cid, update, base_model, g_s):
-            return ACCEPT, update
-    elif kind == "aflguard":
-        def decide(cid, update, base_model, g_s):
-            if defenses.aflguard_accept(update, g_s, lam):
-                return ACCEPT, update
-            return REJECT, None
-    elif kind == "kardam":
-        kardam = defenses.KardamState()
-        def decide(cid, update, base_model, g_s):
+        def decide(cids, updates, bases, g_s):
+            return ACCEPT, updates
+        return decide, states
+    if kind == "aflguard":
+        def decide(cids, updates, bases, g_s):
+            accept = defenses.aflguard_accept(updates, g_s, lam)
+            # a rejected row stays 0 whatever it holds: inf * 0 would be NaN
+            step = np.zeros(updates.shape)
+            np.copyto(step.T, updates.T, where=accept)
+            return np.logical_not(accept), step  # REJECT is 1, ACCEPT 0
+        return decide, states
+
+    if kind == "kardam":
+        states = [defenses.KardamState() for _ in range(num_rows)]
+        def verdict(k, cid, updates, bases, g_s):
             # Kardam keeps both: a copy pins one row, a row view its whole stack
-            return defenses.kardam_step(kardam, cid, update.copy(), base_model.copy())
+            return defenses.kardam_step(states[k], cid, updates[k].copy(),
+                                        bases[k].copy())
     elif kind == "basgd":
-        basgd = defenses.BasgdState(config.defense.num_buffers)
-        def decide(cid, update, base_model, g_s):
-            return defenses.basgd_step(basgd, cid, update)
+        states = [defenses.BasgdState(config.defense.num_buffers)
+                  for _ in range(num_rows)]
+        def verdict(k, cid, updates, bases, g_s):
+            return defenses.basgd_step(states[k], cid, updates[k])
     else:  # zenopp, on the trusted-set sum at the client's batch scale
         scale = config.schedule.batch_size / config.data.trusted_size
-        def decide(cid, update, base_model, g_s):
-            return defenses.zeno_step(update, scale * g_s)
-    return decide
+        def verdict(k, cid, updates, bases, g_s):
+            return defenses.zeno_step(updates[k], scale * g_s[k])
+
+    def decide(cids, updates, bases, g_s):
+        codes, step = [], np.zeros(updates.shape)
+        for k, cid in enumerate(cids):
+            decision, applied = verdict(k, cid, updates, bases, g_s)
+            codes.append(decision)
+            if applied is not None:
+                step[k] = applied
+        return codes, step
+    return decide, states
 
 
 def _bind_attack(prepared: PreparedData, config: ExperimentConfig):
@@ -461,38 +494,50 @@ def run_trials(config: ExperimentConfig, prepared: PreparedData,
                seeds: Sequence[int]) -> List[TrialResult]:
     """Execute one seeded trial per seed, all in lockstep (module
     docstring); each is fully deterministic given (config, its seed)."""
-    sched, task, malicious = config.schedule, prepared.task, prepared.malicious
+    sched, task = config.schedule, prepared.task
     set_features = [ds.features for ds in prepared.client_data]
     set_labels = [ds.labels for ds in prepared.client_data]
     draws = [draw_trial(config, prepared, seed) for seed in seeds]
     craft = _bind_attack(prepared, config)
+    decide, states = _bind_filter(config, len(seeds))
     evaluate = _bind_evaluate(prepared, config)
     results = [TrialResult(seed=seed) for seed in seeds]
-    # per live row: its result, its tally (indexed by ACCEPT, REJECT,
-    # BUFFERED), its filter binding and its attack-noise stream
-    rows = [(result, [0, 0, 0], _bind_filter(config), d.noise)
-            for result, d in zip(results, draws)]
-    plans = [d.batches for d in draws]  # per live row, its minibatch plan
+    # per live row: its result and attack-noise stream, its minibatch plan,
+    # and its decision codes by iteration
+    rows = [(result, d.noise) for result, d in zip(results, draws)]
+    plans = [d.batches for d in draws]
+    log = np.zeros((len(seeds), sched.iterations), dtype=np.intp)
     # iteration by live row: the client ids and the ring slots of the bases
     clients = np.stack([d.clients for d in draws], axis=1)
     depth = sched.max_client_delay + 1
     slots = (np.arange(sched.iterations)[:, None]
              - np.stack([d.delays for d in draws], axis=1)) % depth
+    malicious = sorted(prepared.malicious) if craft is not None else []
 
     theta = np.zeros((len(seeds), task.param_dim))
     ring = np.zeros((depth,) + theta.shape)  # slot s % depth: the model after s steps
+    zero = np.zeros(theta.size)
     server_update = server_update_vector(task, theta, prepared.trusted)
     features = np.empty((len(seeds), sched.batch_size, set_features[0].shape[1]))
     labels = np.empty((len(seeds), sched.batch_size), dtype=set_labels[0].dtype)
 
     def cut():
         """For the live rows: the ring as one (depth * K) x p view, the ring
-        row of each base model per iteration, and the rows of the batch
-        buffer."""
+        row of each base model per iteration, the rows of the batch buffer,
+        and per iteration the rows whose client is malicious."""
+        attacked = {}
+        for t, k in np.argwhere(np.isin(clients, malicious)).tolist():
+            attacked.setdefault(t, []).append(k)
         return (ring.reshape(-1, task.param_dim),
-                slots * len(rows) + np.arange(len(rows)), list(zip(features, labels)))
+                slots * len(rows) + np.arange(len(rows)),
+                list(zip(features, labels)), attacked)
 
-    flat, index, buffers = cut()
+    def tally(k, completed):
+        """Row k's decision counts over its first ``completed`` iterations,
+        indexed by the decision codes."""
+        return np.bincount(log[k, :completed], minlength=3).tolist()
+
+    flat, index, buffers, attacked = cut()
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(sched.iterations):
             base = flat.take(index[t], axis=0)
@@ -504,27 +549,24 @@ def run_trials(config: ExperimentConfig, prepared: PreparedData,
                 set_features[cid].take(batch, axis=0, out=x, mode="clip")
                 set_labels[cid].take(batch, out=y, mode="clip")
             sent = sched.batch_size * _avg_gradient(task, base, features, labels)
+            for k in attacked.get(t, ()):
+                sent[k] = craft(sent[k], base[k], rows[k][1])
 
             if t % sched.server_refresh_period == 0 and t > 0:
                 server_update = server_update_vector(task, theta, prepared.trusted)
 
-            step = np.zeros(theta.shape)
-            for k, (cid, (_, counts, decide, noise)) in enumerate(zip(cids, rows)):
-                update = sent[k]
-                if craft is not None and cid in malicious:
-                    update = craft(update, base[k], noise)
-                decision, applied = decide(cid, update, base[k], server_update[k])
-                counts[decision] += 1
-                if applied is not None:
-                    step[k] = applied
+            log[:, t], step = decide(cids, sent, base, server_update)
             theta = theta - sched.learning_rate * step
 
             completed = t + 1
-            if not np.logical_and.reduce(np.isfinite(theta), axis=None):
+            # theta . 0 is NaN iff an entry is inf or NaN (inf * 0 is NaN),
+            # and a sum of zeros cannot overflow
+            if math.isnan(theta.ravel().dot(zero)):
                 finite = np.logical_and.reduce(np.isfinite(theta), axis=1)
                 for k in np.flatnonzero(~finite):
-                    result, counts, _, _ = rows[k]
-                    result.records.append(evaluate(theta[k], completed, counts,
+                    result = rows[k][0]
+                    result.records.append(evaluate(theta[k], completed,
+                                                   tally(k, completed),
                                                    diverged=True))
                     result.diverged = True
                     result.final_model = theta[k]
@@ -532,19 +574,22 @@ def run_trials(config: ExperimentConfig, prepared: PreparedData,
                 if not len(kept):
                     break
                 rows, plans = [rows[k] for k in kept], [plans[k] for k in kept]
-                theta, server_update = theta[kept], server_update[kept]
+                states[:] = [states[k] for k in kept]
+                theta, server_update, log = theta[kept], server_update[kept], log[kept]
+                zero = zero[:theta.size]
                 # C order, so that the flat ring in cut is a view
                 ring = np.ascontiguousarray(ring[:, kept])
                 clients, slots = clients[:, kept], slots[:, kept]
                 features, labels = features[:len(kept)], labels[:len(kept)]
-                flat, index, buffers = cut()
+                flat, index, buffers, attacked = cut()
 
             ring[completed % depth] = theta
             if completed % METRIC_CADENCE == 0 or completed == sched.iterations:
-                for k, (result, counts, _, _) in enumerate(rows):
-                    result.records.append(evaluate(theta[k], completed, counts))
+                for k, (result, _) in enumerate(rows):
+                    result.records.append(evaluate(theta[k], completed,
+                                                   tally(k, completed)))
 
-    for k, (result, _, _, _) in enumerate(rows):
+    for k, (result, _) in enumerate(rows):
         if not result.diverged:
             result.final_model = theta[k]
     return results

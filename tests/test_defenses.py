@@ -6,9 +6,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from aflbench import defenses
+from aflbench import defenses, engine
 from aflbench.acceptance import _decision as decision
+from aflbench.config import DefenseConfig, ExperimentConfig
 from aflbench.defenses import ACCEPT, BUFFERED, REJECT, BasgdState, KardamState
+from aflbench.vecmath import l2norm
 
 
 class TestAflguard:
@@ -47,6 +49,49 @@ class TestAflguard:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             defenses.aflguard_accept(np.ones(2), np.ones(3), 1.0)
+
+
+# a row's scale: zero, at the edges of the float range's squares, or plain
+_ROW_SCALES = st.sampled_from([0.0, 1e-150, 1e-5, 1.0, 1e5, 1e150])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 6), dim=st.integers(1, 40),
+       scales=st.lists(st.tuples(_ROW_SCALES, st.sampled_from([0.0, 0.3, 1.0, 3.0])),
+                       min_size=6, max_size=6),
+       special=st.sampled_from([None, math.inf, -math.inf, math.nan]),
+       special_in_server=st.booleans(), lam=st.floats(0.05, 20.0))
+@example(seed=1, rows=2, dim=3, scales=[(1e150, 0.3), (1e-150, 0.3)] + [(1.0, 0.0)] * 4,
+         special=None, special_in_server=False, lam=1.5)
+@example(seed=2, rows=3, dim=4, scales=[(0.0, 0.0), (1.0, 1.0), (1e5, 0.0)] + [(1.0, 0.0)] * 3,
+         special=math.inf, special_in_server=False, lam=1.5)
+def test_stacked_aflguard_is_the_row_rule(seed, rows, dim, scales, special,
+                                          special_in_server, lam):
+    # each row of a stack gets the decision l2norm(u - g) <= lam * l2norm(g)
+    # of the 1-D rule, bit for bit, and the engine's AFLGuard step holds
+    # the row where it accepts and zeros where it rejects
+    rng = np.random.default_rng(seed)
+    server = np.stack([scale * rng.normal(size=dim) for scale, _ in scales[:rows]])
+    client = server + np.stack([spread * np.abs(scale) * rng.normal(size=dim)
+                                for scale, spread in scales[:rows]])
+    if special is not None:
+        target = server if special_in_server else client
+        target[rng.integers(rows), rng.integers(dim)] = special
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = defenses.aflguard_accept(client, server, lam)
+        want = [l2norm(u - g) <= lam * l2norm(g) for u, g in zip(client, server)]
+        assert got.shape == (rows,) and got.dtype == bool
+        assert got.tolist() == want
+        for u, g, w in zip(client, server, want):
+            assert defenses.aflguard_accept(u, g, lam) == w
+
+        cfg = ExperimentConfig(defense=DefenseConfig(kind="aflguard", lam=lam))
+        decide, _ = engine._bind_filter(cfg, rows)
+        codes, step = decide(list(range(rows)), client, None, server)
+    assert np.asarray(codes).tolist() == [ACCEPT if w else REJECT for w in want]
+    for u, row, w in zip(client, step, want):
+        # a rejected row, finite or not, applies zeros, not inf * 0 = NaN
+        assert row.tobytes() == (u if w else np.zeros(dim)).tobytes()
 
 
 class TestKardam:

@@ -162,25 +162,34 @@ def test_lockstep_rows_keep_their_own_server_update(monkeypatch):
     seen = []
     real = engine._bind_filter
 
-    def bind(config):
-        decide, log = real(config), []
+    def bind(config, num_rows):
+        decide, states = real(config, num_rows)
+        log = []
         seen.append(log)
 
-        def recording(cid, update, base_model, g_s):
-            log.append(hash(g_s.tobytes()))
-            return decide(cid, update, base_model, g_s)
-        return recording
+        def recording(cids, updates, bases, g_s):
+            log.append([hash(g.tobytes()) for g in g_s])
+            return decide(cids, updates, bases, g_s)
+        return recording, states
 
     monkeypatch.setattr(engine, "_bind_filter", bind)
     cfg = base_config(defense="asyncsgd", attack="adaptive")
     prepared = prepare_data(cfg)
-    run_trials(cfg, prepared, (1, 2, 3))
-    together = list(seen)
-    assert [len(log) for log in together] == [1893, 1880, 1934]
-    for seed, log in zip((1, 2, 3), together):
+    seeds, ends = (1, 2, 3), (1893, 1880, 1934)
+    run_trials(cfg, prepared, seeds)
+    [calls] = seen
+    # at iteration t the live rows are the seeds still running, in seed order
+    together = {seed: [] for seed in seeds}
+    for t, row_hashes in enumerate(calls):
+        live = [seed for seed, end in zip(seeds, ends) if t < end]
+        assert len(row_hashes) == len(live), t
+        for seed, h in zip(live, row_hashes):
+            together[seed].append(h)
+    assert [len(together[seed]) for seed in seeds] == [1893, 1880, 1934]
+    for seed in seeds:
         seen.clear()
         run_trials(cfg, prepared, (seed,))
-        assert seen == [log], seed
+        assert seen == [[[h] for h in together[seed]]], seed
 
 
 def test_rejection_never_changes_model():
@@ -214,9 +223,11 @@ def test_bound_functions_call_through_their_modules(monkeypatch):
         for seeds in ((1,), (1, 2, 3)):
             calls.clear()
             run_trials(cfg, prepared, seeds)
-            # a filter call per trial and iteration; one gradient call per
-            # iteration for the client updates of all trials, and one per g_s
-            assert calls == {step: len(seeds) * iterations,
+            # AFLGuard: one filter call per iteration for all trials; Kardam:
+            # one per trial and iteration. One gradient call per iteration
+            # for the client updates of all trials, and one per g_s
+            per_iteration = 1 if defense == "aflguard" else len(seeds)
+            assert calls == {step: per_iteration * iterations,
                              "server_update_vector": refreshes,
                              "regression_gradient": iterations + refreshes}, defense
 
