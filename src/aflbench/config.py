@@ -43,6 +43,13 @@ class TaskConfig:
             raise ValueError("num_samples must be >= 2")
         if not (0 < self.train_count < self.num_samples):
             raise ValueError("train_count must lie in (0, num_samples)")
+        if self.dim < 1:
+            raise ValueError(f"dim must be >= 1, got {self.dim}")
+        if self.kind == "synthetic_classification":
+            if self.num_classes < 2:
+                raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
+            if self.class_spread < 0:
+                raise ValueError(f"class_spread must be >= 0, got {self.class_spread}")
 
 
 @dataclass(frozen=True)
@@ -199,16 +206,22 @@ def load_config(path) -> ExperimentConfig:
     """Parse and validate an experiment config file."""
     parser = configparser.ConfigParser()
     parser.optionxform = str  # keep key case
-    read = parser.read(path)
+    try:
+        # a missing header, a repeated section or key, or a bad % in a value
+        read = parser.read(path)
+        sections = {section: parser.items(section) for section in parser.sections()}
+    except configparser.Error as exc:
+        message = " ".join(str(exc).split())
+        raise ConfigError(f"cannot parse config file {path}: {message}") from None
     if not read:
         raise ConfigError(f"config file not found: {path}")
     section_kwargs: Dict[str, dict] = {}
-    for section in parser.sections():
+    for section, items in sections.items():
         if section not in _SECTION_CLASSES:
             raise ConfigError(f"unknown config section [{section}]")
         schema = _schema(section)
         kwargs = {}
-        for key, raw in parser.items(section):
+        for key, raw in items:
             if key not in schema:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
             field_name, typ = schema[key]

@@ -10,8 +10,9 @@ its place in a caller's row order, the ``layout``: a callable taking
 (num_examples, class labels or None, num_classes or None) and returning
 the generated row to put at each position. Class labels are drawn before
 the features, so a classification layout can depend on them; a regression
-layout cannot. Without a layout, rows come in generation order.
-``split_train_test``, ``partition`` and ``sample_trusted`` work on row
+layout cannot. Without a layout, rows come in generation order. The
+generators' sizes and class spread are checked once, by
+``config.TaskConfig``. ``split_train_test``, ``partition`` and ``sample_trusted`` work on row
 indices, so a layout can be planned from them before any row exists.
 
 CSV files are self-describing: the first line is either
@@ -131,8 +132,6 @@ def gen_synthetic_regression(seed: int, num_samples: int = DEFAULT_NUM_SAMPLES,
     The labels' X @ theta* is computed block by block in generation order,
     before the label noise is drawn, so every layout gives the same rows.
     """
-    if num_samples < 1 or dim < 1:
-        raise ValueError("num_samples and dim must be >= 1")
     rng = np.random.default_rng(seed)
     theta_star = rng.normal(0.0, THETA_STAR_STD, dim)
     positions = _positions(layout, num_samples)
@@ -159,8 +158,6 @@ def gen_synthetic_classification(seed: int, num_samples: int, dim: int,
     assume. Labels are assigned round-robin so classes are balanced to
     within one example; they are shuffled before any feature is drawn.
     """
-    if num_samples < 1 or dim < 1 or num_classes < 2:
-        raise ValueError("invalid sizes")
     rng = np.random.default_rng(seed)
     means = feature_offset + rng.normal(0.0, class_spread, (num_classes, dim))
     drawn = np.arange(num_samples) % num_classes

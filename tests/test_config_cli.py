@@ -328,6 +328,54 @@ def test_seeds_must_be_distinct_and_non_negative(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_unparsable_config_files_exit_cleanly(tmp_path, capsys):
+    # configparser's own errors name the file, on one line, and the run
+    # writes nothing
+    for name, text, message in (
+            ("headless.ini", "kind = aflguard\n", "contains no section headers"),
+            ("sections.ini", "[task]\ndim = 5\n[task]\ndim = 6\n",
+             "section 'task' already exists"),
+            ("keys.ini", "[task]\nclass_spread = 1.0\nclass_spread = 2.0\n",
+             "option 'class_spread' in section 'task' already exists"),
+            ("percent.ini", "[task]\nkind = csv\npath = a%b.csv\n",
+             "'%' must be followed by '%' or '('")):
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            load_config(path)
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot parse config file {path}: "), err
+        assert message in err and len(err.splitlines()) == 1, err
+        assert not out.exists()
+
+
+def test_task_sizes_are_checked_before_anything_is_written(tmp_path, capsys):
+    base = _quick_config(tmp_path).read_text()
+    classes = "kind = synthetic_classification\nnum_classes = 3"
+    for task, message in (
+            ("dim = 0", "dim must be >= 1, got 0"),
+            ("kind = synthetic_classification\ndim = 0", "dim must be >= 1, got 0"),
+            ("kind = synthetic_classification\nnum_classes = 1",
+             "num_classes must be >= 2, got 1"),
+            (f"{classes}\nclass_spread = -1", "class_spread must be >= 0, got -1.0")):
+        path = tmp_path / "task.ini"
+        path.write_text(base.replace("kind = synthetic_regression\n", "")
+                        .replace("dim = 10\n", "")
+                        .replace("[task]\n", f"[task]\n{task}\n"))
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            load_config(path)
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+    # the checks that need a class count apply to classification only
+    path.write_text(base.replace("dim = 10\n", "dim = 10\nnum_classes = 1\n"
+                                 "class_spread = -1\n"))
+    assert load_config(path).task.num_classes == 1
+
+
 def test_cli_main_errors_cleanly(tmp_path):
     rc = cli.main(["run", "--config", str(tmp_path / "absent.ini"),
                    "--out", str(tmp_path / "o")])
