@@ -18,9 +18,10 @@ Runs, from the ``src/`` tree next to this script:
 
 It prints one SHA-256 per output directory. Two checkouts that print the
 same lines write byte-identical trial CSVs, ``summary.json`` and
-``sweep.csv`` files. BLAS runs on one thread: the adaptive cells' threat
-moments come from a gemm whose summation order, and so whose bytes, depend
-on the thread count.
+``sweep.csv`` files. BLAS runs on one thread. The outputs were measured
+equal on one and two OpenBLAS threads (the adaptive cells' threat moments
+take gemm, not syrk, in ``engine.threat_scope``), but BLAS does not
+promise a summation order, so the gate keeps the pin.
 
 It then compares the hashes with ``golden_baseline.txt`` next to this
 script, the recorded one-thread output, and exits 1 naming every cell that

@@ -303,7 +303,10 @@ def threat_scope(prepared: PreparedData, config: ExperimentConfig) -> ThreatScop
         dim = prepared.task.dim
         a, b = np.zeros((dim, dim)), np.zeros(dim)
         for ds in client_sets:
-            a += ds.features.T @ ds.features / len(ds)
+            # a contiguous transpose sends the product to gemm: numpy sends
+            # X.T @ X to syrk, whose sums, and so whose bits, change with
+            # the BLAS thread count
+            a += np.ascontiguousarray(ds.features.T) @ ds.features / len(ds)
             b += ds.features.T @ ds.labels / len(ds)
         moments = (a / len(client_sets), b / len(client_sets))
     return ThreatScope(task=prepared.task, client_sets=client_sets,

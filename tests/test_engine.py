@@ -1,5 +1,8 @@
 import collections
 import dataclasses
+import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -263,6 +266,35 @@ def test_history_ring_supports_all_delays():
     prepared = prepare_data(cfg)
     result = run_trials(cfg, prepared, (2,))[0]  # would KeyError on a missed read
     assert result.final_record.iteration == cfg.schedule.iterations
+
+
+# the adaptive attacker's moments on the default config, hashed
+_SCOPE_HASH = """
+import dataclasses, hashlib
+from aflbench import engine
+from aflbench.config import ExperimentConfig
+cfg = ExperimentConfig()
+cfg = dataclasses.replace(cfg, attack=dataclasses.replace(cfg.attack, kind="adaptive"))
+for moment in engine.threat_scope(engine.prepare_data(cfg), cfg).moments:
+    print(hashlib.sha256(moment.tobytes()).hexdigest())
+"""
+
+
+def test_threat_scope_bytes_do_not_depend_on_the_blas_thread_count():
+    # measured with OpenBLAS 0.3.31: numpy sends X.T @ X to syrk, whose sums
+    # differ between 1 and 2 threads; gemm on a contiguous transpose's do not.
+    # BLAS promises neither, so this test is what holds it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+        proc = subprocess.run([sys.executable, "-c", _SCOPE_HASH], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert len(outputs[0].split()) == 2
+    assert outputs[0] == outputs[1]
 
 
 def test_threat_knowledge_identical_clients():
