@@ -12,8 +12,9 @@ the generated row to put at each position. Class labels are drawn before
 the features, so a classification layout can depend on them; a regression
 layout cannot. Without a layout, rows come in generation order. The
 generators' sizes and class spread are checked once, by
-``config.TaskConfig``. ``split_train_test``, ``partition`` and ``sample_trusted`` work on row
-indices, so a layout can be planned from them before any row exists.
+``config.TaskConfig``. ``split_train_test``, ``partition`` and
+``sample_trusted`` work on row indices, so a layout can be planned from
+them before any row exists.
 
 CSV files are self-describing: the first line is either
 ``# kind=regression`` or ``# kind=classification classes=C``, each following

@@ -46,8 +46,9 @@ class Verdict(NamedTuple):
 def aflguard_accept(client_update: np.ndarray, server_update: np.ndarray,
                     lam: float):
     """Accept iff ||g_client - g_server|| <= lambda * ||g_server||, per row
-    of a (..., p) stack: a bool for 1-D input, else a bool array of the
-    leading shape. Each norm has the bits of ``vecmath.l2norm`` of its row."""
+    of a (..., p) stack: a numpy bool for 1-D input, else a bool array of
+    the leading shape. Each norm has the bits of ``vecmath.l2norm`` of its
+    row."""
     if client_update.shape != server_update.shape:
         raise ValueError("dimension mismatch")
     deviation = client_update - server_update
