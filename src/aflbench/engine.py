@@ -27,22 +27,24 @@ a K x p model array. Each iteration does once, for all rows:
 * one filter call, ``decide``, over the stack of live rows: it returns
   each row's int decision code and the step S, where row k of S is what
   trial k applies, or zeros: theta - learning_rate * 0 is theta bit for
-  bit. The codes go into a K x T decision log;
+  bit. The codes go into a K x ``METRIC_CADENCE`` decision log, which
+  holds the iterations since the last record;
 * the step theta - learning_rate * S;
 * the finiteness check and, every ``server_refresh_period`` iterations,
   one ``server_update_vector`` call for all rows on the shared trusted set.
 
 Per row, at the metric cadence: the evaluation, with the accepted,
-rejected and buffered counts read off the row's decision log. A row whose
-model leaves the finite range gets its divergence record at that
-iteration and is dropped from the arrays, its log, mask and filter state
-with it; the other rows go on. So a trial's output does not depend on the
+rejected and buffered counts, which each record adds up from the row's
+decision log into a K x 3 running count. A row whose model leaves the
+finite range gets its divergence record at that iteration and is dropped
+from the arrays, its counts, log and mask with it; the other rows go on. So a trial's output does not depend on the
 seeds run beside it, and K = 1 is simply one trial.
 
 Bindings, each made once per run: ``_bind_filter`` (AFLGuard decides all
 rows with one ``defenses.aflguard_accept`` call; AsyncSGD applies the
 stack as sent; Kardam, BASGD and Zeno++ call their step function per row,
-Kardam and BASGD on per-row state that the engine cuts at a drop),
+Kardam and BASGD on per-trial state that the binding keeps by the row's
+trial, the index of its seed, so a drop leaves it as it is),
 ``_bind_attack`` (with the adaptive attack's threat scope) and
 ``_bind_evaluate``, which precomputes what every record shares and theta
 does not change, the regression truths (the test features times theta*,
@@ -99,7 +101,6 @@ read-only row-slice view of that array.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -350,56 +351,54 @@ def make_threat_knowledge(base_model: np.ndarray, scope: ThreatScope,
                            lam=config.defense.lam)
 
 
-def _bind_filter(config: ExperimentConfig, num_rows: int):
-    """The run's filter over its live rows: ``decide(cids, updates, bases,
-    g_s)`` takes row k's client id, wire update, base model and g_s and
-    returns (codes, step): the decision codes, one per row or one for all,
-    and the K x p step whose row k is what row k applies, zeros where it
-    applies nothing. It also returns ``states``, the filter's per-row
-    state (Kardam's and BASGD's; None for the stateless kinds), which
-    ``decide`` reads by row; the engine cuts it in place when rows drop.
+def _bind_filter(config: ExperimentConfig, num_trials: int):
+    """The run's filter over its live rows: ``decide(trials, cids, updates,
+    bases, g_s)`` takes row k's trial (its index among the run's
+    ``num_trials`` seeds, which keys the filter's per-trial state), client
+    id, wire update, base model and g_s and returns (codes, step): the
+    decision codes, one per row or one for all, and the K x p step whose
+    row k is what row k applies, zeros where it applies nothing.
     ``updates`` and ``bases`` are fresh arrays each call, so a filter may
     keep a row of them."""
     kind, lam = config.defense.kind, config.defense.lam
-    states = [None] * num_rows
     if kind == "asyncsgd":
-        def decide(cids, updates, bases, g_s):
+        def decide(trials, cids, updates, bases, g_s):
             return ACCEPT, updates
-        return decide, states
+        return decide
     if kind == "aflguard":
-        def decide(cids, updates, bases, g_s):
+        def decide(trials, cids, updates, bases, g_s):
             accept = defenses.aflguard_accept(updates, g_s, lam)
             # a rejected row stays 0 whatever it holds: inf * 0 would be NaN
             step = np.zeros(updates.shape)
             np.copyto(step.T, updates.T, where=accept)
             return np.logical_not(accept), step  # REJECT is 1, ACCEPT 0
-        return decide, states
+        return decide
 
     if kind == "kardam":
-        states = [defenses.KardamState() for _ in range(num_rows)]
-        def verdict(k, cid, updates, bases, g_s):
+        states = [defenses.KardamState() for _ in range(num_trials)]
+        def verdict(k, trial, cid, updates, bases, g_s):
             # Kardam keeps both: a copy pins one row, a row view its whole stack
-            return defenses.kardam_step(states[k], cid, updates[k].copy(),
+            return defenses.kardam_step(states[trial], cid, updates[k].copy(),
                                         bases[k].copy())
     elif kind == "basgd":
         states = [defenses.BasgdState(config.defense.num_buffers)
-                  for _ in range(num_rows)]
-        def verdict(k, cid, updates, bases, g_s):
-            return defenses.basgd_step(states[k], cid, updates[k])
+                  for _ in range(num_trials)]
+        def verdict(k, trial, cid, updates, bases, g_s):
+            return defenses.basgd_step(states[trial], cid, updates[k])
     else:  # zenopp, on the trusted-set sum at the client's batch scale
         scale = config.schedule.batch_size / config.data.trusted_size
-        def verdict(k, cid, updates, bases, g_s):
+        def verdict(k, trial, cid, updates, bases, g_s):
             return defenses.zeno_step(updates[k], scale * g_s[k])
 
-    def decide(cids, updates, bases, g_s):
+    def decide(trials, cids, updates, bases, g_s):
         codes, step = [], np.zeros(updates.shape)
-        for k, cid in enumerate(cids):
-            decision, applied = verdict(k, cid, updates, bases, g_s)
+        for k, (trial, cid) in enumerate(zip(trials, cids)):
+            decision, applied = verdict(k, trial, cid, updates, bases, g_s)
             codes.append(decision)
             if applied is not None:
                 step[k] = applied
         return codes, step
-    return decide, states
+    return decide
 
 
 def _bind_attack(prepared: PreparedData, config: ExperimentConfig):
@@ -502,14 +501,18 @@ def run_trials(config: ExperimentConfig, prepared: PreparedData,
     set_labels = [ds.labels for ds in prepared.client_data]
     draws = [draw_trial(config, prepared, seed) for seed in seeds]
     craft = _bind_attack(prepared, config)
-    decide, states = _bind_filter(config, len(seeds))
+    decide = _bind_filter(config, len(seeds))
     evaluate = _bind_evaluate(prepared, config)
     results = [TrialResult(seed=seed) for seed in seeds]
-    # per live row: its result and attack-noise stream, its minibatch plan,
-    # and its decision codes by iteration
+    # per live row: its trial, its result and attack-noise stream, its
+    # minibatch plan, its decision counts up to the last record and its
+    # decision codes since, iteration t in column t - counted
+    trials = list(range(len(seeds)))
     rows = [(result, d.noise) for result, d in zip(results, draws)]
     plans = [d.batches for d in draws]
-    log = np.zeros((len(seeds), sched.iterations), dtype=np.intp)
+    counts = np.zeros((len(seeds), 3), dtype=np.intp)
+    log = np.zeros((len(seeds), METRIC_CADENCE), dtype=np.intp)
+    counted = 0
     # iteration by live row: the client ids and the ring slots of the bases
     clients = np.stack([d.clients for d in draws], axis=1)
     depth = sched.max_client_delay + 1
@@ -519,7 +522,6 @@ def run_trials(config: ExperimentConfig, prepared: PreparedData,
 
     theta = np.zeros((len(seeds), task.param_dim))
     ring = np.zeros((depth,) + theta.shape)  # slot s % depth: the model after s steps
-    zero = np.zeros(theta.size)
     server_update = server_update_vector(task, theta, prepared.trusted)
     features = np.empty((len(seeds), sched.batch_size, set_features[0].shape[1]))
     labels = np.empty((len(seeds), sched.batch_size), dtype=set_labels[0].dtype)
@@ -538,7 +540,7 @@ def run_trials(config: ExperimentConfig, prepared: PreparedData,
     def tally(k, completed):
         """Row k's decision counts over its first ``completed`` iterations,
         indexed by the decision codes."""
-        return np.bincount(log[k, :completed], minlength=3).tolist()
+        return counts[k] + np.bincount(log[k, :completed - counted], minlength=3)
 
     flat, index, buffers, attacked = cut()
     with np.errstate(over="ignore", invalid="ignore"):
@@ -558,28 +560,27 @@ def run_trials(config: ExperimentConfig, prepared: PreparedData,
             if t % sched.server_refresh_period == 0 and t > 0:
                 server_update = server_update_vector(task, theta, prepared.trusted)
 
-            log[:, t], step = decide(cids, sent, base, server_update)
+            log[:, t - counted], step = decide(trials, cids, sent, base,
+                                               server_update)
             theta = theta - sched.learning_rate * step
 
             completed = t + 1
-            # theta . 0 is NaN iff an entry is inf or NaN (inf * 0 is NaN),
-            # and a sum of zeros cannot overflow
-            if math.isnan(theta.ravel().dot(zero)):
+            if not np.logical_and.reduce(np.isfinite(theta), axis=None):
                 finite = np.logical_and.reduce(np.isfinite(theta), axis=1)
                 for k in np.flatnonzero(~finite):
                     result = rows[k][0]
                     result.records.append(evaluate(theta[k], completed,
-                                                   tally(k, completed),
+                                                   tally(k, completed).tolist(),
                                                    diverged=True))
                     result.diverged = True
                     result.final_model = theta[k]
                 kept = np.flatnonzero(finite)
                 if not len(kept):
                     break
+                trials = [trials[k] for k in kept]
                 rows, plans = [rows[k] for k in kept], [plans[k] for k in kept]
-                states[:] = [states[k] for k in kept]
-                theta, server_update, log = theta[kept], server_update[kept], log[kept]
-                zero = zero[:theta.size]
+                theta, server_update = theta[kept], server_update[kept]
+                counts, log = counts[kept], log[kept]
                 # C order, so that the flat ring in cut is a view
                 ring = np.ascontiguousarray(ring[:, kept])
                 clients, slots = clients[:, kept], slots[:, kept]
@@ -589,8 +590,10 @@ def run_trials(config: ExperimentConfig, prepared: PreparedData,
             ring[completed % depth] = theta
             if completed % METRIC_CADENCE == 0 or completed == sched.iterations:
                 for k, (result, _) in enumerate(rows):
+                    counts[k] = tally(k, completed)
                     result.records.append(evaluate(theta[k], completed,
-                                                   tally(k, completed)))
+                                                   counts[k].tolist()))
+                counted = completed
 
     for k, (result, _) in enumerate(rows):
         if not result.diverged:

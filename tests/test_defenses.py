@@ -86,8 +86,9 @@ def test_stacked_aflguard_is_the_row_rule(seed, rows, dim, scales, special,
             assert defenses.aflguard_accept(u, g, lam) == w
 
         cfg = ExperimentConfig(defense=DefenseConfig(kind="aflguard", lam=lam))
-        decide, _ = engine._bind_filter(cfg, rows)
-        codes, step = decide(list(range(rows)), client, None, server)
+        decide = engine._bind_filter(cfg, rows)
+        codes, step = decide(list(range(rows)), list(range(rows)), client,
+                             None, server)
     assert np.asarray(codes).tolist() == [ACCEPT if w else REJECT for w in want]
     for u, row, w in zip(client, step, want):
         # a rejected row, finite or not, applies zeros, not inf * 0 = NaN

@@ -165,15 +165,15 @@ def test_lockstep_rows_keep_their_own_server_update(monkeypatch):
     seen = []
     real = engine._bind_filter
 
-    def bind(config, num_rows):
-        decide, states = real(config, num_rows)
+    def bind(config, num_trials):
+        decide = real(config, num_trials)
         log = []
         seen.append(log)
 
-        def recording(cids, updates, bases, g_s):
+        def recording(trials, cids, updates, bases, g_s):
             log.append([hash(g.tobytes()) for g in g_s])
-            return decide(cids, updates, bases, g_s)
-        return recording, states
+            return decide(trials, cids, updates, bases, g_s)
+        return recording
 
     monkeypatch.setattr(engine, "_bind_filter", bind)
     cfg = base_config(defense="asyncsgd", attack="adaptive")
@@ -193,6 +193,31 @@ def test_lockstep_rows_keep_their_own_server_update(monkeypatch):
         seen.clear()
         run_trials(cfg, prepared, (seed,))
         assert seen == [[[h] for h in together[seed]]], seed
+
+
+@pytest.mark.parametrize("defense", ["kardam", "basgd"])
+def test_stateful_filters_keep_each_trials_state_across_a_drop(defense):
+    # after trial 1 drops, trial 2's update moves up to row 1 and must still
+    # meet trial 2's state: each trial decides as its own binding would
+    cfg = ExperimentConfig(defense=DefenseConfig(kind=defense, num_buffers=3))
+    rng = np.random.default_rng(7)
+    together = engine._bind_filter(cfg, 3)
+    alone = [engine._bind_filter(cfg, 1) for _ in range(3)]
+    decisions = collections.Counter()
+    for t in range(60):
+        trials = [0, 1, 2] if t < 30 else [0, 2]
+        cids = rng.integers(4, size=len(trials)).tolist()
+        updates = rng.normal(size=(len(trials), 5)) * rng.uniform(0.5, 2.0)
+        bases = rng.normal(size=(len(trials), 5))
+        codes, step = together(trials, cids, updates.copy(), bases.copy(), None)
+        for k, trial in enumerate(trials):
+            [code], [row] = alone[trial]([0], [cids[k]], updates[k:k + 1].copy(),
+                                         bases[k:k + 1].copy(), None)
+            assert codes[k] == code, (t, trial)
+            assert step[k].tobytes() == row.tobytes(), (t, trial)
+            decisions[code] += 1
+    # both filters reach a decision other than accept on this stream
+    assert len(decisions) > 1
 
 
 def test_rejection_never_changes_model():
