@@ -101,6 +101,7 @@ read-only row-slice view of that array.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -522,6 +523,7 @@ def run_trials(config: ExperimentConfig, prepared: PreparedData,
 
     theta = np.zeros((len(seeds), task.param_dim))
     ring = np.zeros((depth,) + theta.shape)  # slot s % depth: the model after s steps
+    zero = np.zeros(theta.size)
     server_update = server_update_vector(task, theta, prepared.trusted)
     features = np.empty((len(seeds), sched.batch_size, set_features[0].shape[1]))
     labels = np.empty((len(seeds), sched.batch_size), dtype=set_labels[0].dtype)
@@ -565,7 +567,9 @@ def run_trials(config: ExperimentConfig, prepared: PreparedData,
             theta = theta - sched.learning_rate * step
 
             completed = t + 1
-            if not np.logical_and.reduce(np.isfinite(theta), axis=None):
+            # theta . 0 is NaN iff an entry is inf or NaN (inf * 0 is NaN),
+            # and a sum of zeros cannot overflow
+            if math.isnan(theta.ravel().dot(zero)):
                 finite = np.logical_and.reduce(np.isfinite(theta), axis=1)
                 for k in np.flatnonzero(~finite):
                     result = rows[k][0]
@@ -581,6 +585,7 @@ def run_trials(config: ExperimentConfig, prepared: PreparedData,
                 rows, plans = [rows[k] for k in kept], [plans[k] for k in kept]
                 theta, server_update = theta[kept], server_update[kept]
                 counts, log = counts[kept], log[kept]
+                zero = zero[:theta.size]
                 # C order, so that the flat ring in cut is a view
                 ring = np.ascontiguousarray(ring[:, kept])
                 clients, slots = clients[:, kept], slots[:, kept]
