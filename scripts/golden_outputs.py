@@ -10,6 +10,10 @@ Runs, from the ``src/`` tree next to this script:
 * the aflguard backdoor cell of the classification config at a second
   shape, d = 20 with 3 classes, for 400 iterations: BLAS may take other
   kernel paths there than at d = 60 with 6 classes;
+* the aflguard backdoor cell of the classification config at
+  ``bd_replication_fraction = 0.25``, the ``AttackConfig`` default, where
+  a poisoned set adds fewer replica rows than it has clean rows (the
+  shipped config adds one per clean row);
 * a two-value lambda sweep of the regression config at 300 iterations;
 * an asyncsgd gradient-deviation run that diverges, through the command
   line with a ``--seed`` override;
@@ -110,6 +114,11 @@ def main() -> int:
             schedule=dataclasses.replace(classification.schedule, iterations=400))
         cli.run_command(small, out / "cls_aflguard_backdoor_d20_c3")
         names.append("cls_aflguard_backdoor_d20_c3")
+
+        quarter = dataclasses.replace(classification, attack=dataclasses.replace(
+            classification.attack, bd_replication_fraction=0.25))
+        cli.run_command(quarter, out / "cls_aflguard_backdoor_rep025")
+        names.append("cls_aflguard_backdoor_rep025")
 
         short = dataclasses.replace(regression, schedule=dataclasses.replace(
             regression.schedule, iterations=300))
