@@ -9,6 +9,7 @@ Attack parameters are validated once, by ``AttackConfig``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -97,18 +98,37 @@ def apply_trigger(features: np.ndarray, period: int) -> np.ndarray:
     return out
 
 
-def backdoor_poison(local: Dataset, cfg: AttackConfig) -> Dataset:
-    """Augment a local dataset with trigger-embedded, target-labeled replicas."""
+def backdoor_replica_count(num_clean: int, cfg: AttackConfig) -> int:
+    """The number of replicas backdoor poisoning adds to a local dataset
+    of ``num_clean`` examples."""
+    return int(round(cfg.bd_replication_fraction * num_clean))
+
+
+def backdoor_poison(local: Dataset, cfg: AttackConfig,
+                    out: Optional[Tuple[np.ndarray, np.ndarray]] = None) -> Dataset:
+    """Augment a local dataset with trigger-embedded, target-labeled
+    replicas of its first ``backdoor_replica_count`` examples, placed after
+    its own rows.
+
+    ``out``, if given, is a writable (features, labels) pair of the
+    poisoned set's length whose leading rows already hold ``local``, as a
+    store's reserved rows follow a clean set (``engine.prepare_data``): the
+    replicas are written into its tail and the result views it. Without
+    it the result owns new arrays.
+    """
     if local.kind != CLASSIFICATION:
         raise ValueError("backdoor poisoning requires classification data")
     if not (0 <= cfg.bd_target_class < local.num_classes):
         raise ValueError("bd_target_class out of range")
-    num_rep = int(round(cfg.bd_replication_fraction * len(local)))
-    rep_features = apply_trigger(local.features[:num_rep], cfg.bd_trigger_period)
-    rep_labels = np.full(num_rep, cfg.bd_target_class, dtype=np.int64)
-    return Dataset(np.concatenate([local.features, rep_features]),
-                   np.concatenate([local.labels, rep_labels]),
-                   CLASSIFICATION, local.num_classes)
+    num_rep = backdoor_replica_count(len(local), cfg)
+    if out is None:
+        out = (np.concatenate([local.features, local.features[:num_rep]]),
+               np.concatenate([local.labels, local.labels[:num_rep]]))
+    features, labels = out
+    features[len(local):] = apply_trigger(local.features[:num_rep],
+                                          cfg.bd_trigger_period)
+    labels[len(local):] = cfg.bd_target_class
+    return Dataset(features, labels, CLASSIFICATION, local.num_classes)
 
 
 def backdoor_update(honest_on_poisoned: np.ndarray, cfg: AttackConfig) -> np.ndarray:

@@ -91,8 +91,8 @@ def write_summary(path: Path, config: ExperimentConfig,
 
 def run_command(config: ExperimentConfig, out_dir: Path) -> List[TrialResult]:
     """Run one trial per run seed; write per-trial CSVs and a summary JSON."""
-    out_dir.mkdir(parents=True, exist_ok=True)
     prepared = prepare_data(config)
+    out_dir.mkdir(parents=True, exist_ok=True)
     seeds = config.seeds.run_seeds
     results = run_trials(config, prepared, seeds)
     for seed, result in zip(seeds, results):

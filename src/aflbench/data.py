@@ -8,11 +8,15 @@ one spherical component per class.
 The generators draw their rows in blocks and write each block straight to
 its place in a caller's row order, the ``layout``: a callable taking
 (num_examples, class labels or None, num_classes or None) and returning
-the generated row to put at each position. Class labels are drawn before
-the features, so a classification layout can depend on them; a regression
-layout cannot. Without a layout, rows come in generation order. The
-generators' sizes and class spread are checked once, by
-``config.TaskConfig``. ``split_train_test``, ``partition`` and
+an int array ``order`` with one entry per row of the result. Position i
+holds generated row ``order[i]``, or, where ``order[i]`` is negative, a
+reserved row of zero features and label 0 for the caller to fill; every
+generated row appears exactly once. ``Dataset.arranged`` puts a loaded
+set's rows in a layout's order the same way. Class labels are drawn
+before the features, so a classification layout can depend on them; a
+regression layout cannot. Without a layout, rows come in generation order
+and none is reserved. The generators' sizes and class spread are checked
+once, by ``config.TaskConfig``. ``split_train_test``, ``partition`` and
 ``sample_trusted`` work on row indices, so a layout can be planned from
 them before any row exists.
 
@@ -22,6 +26,7 @@ row is comma-separated features with the label in the last column.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from typing import Callable, List, Optional, Tuple
 
@@ -51,7 +56,11 @@ class Dataset:
         features = np.asarray(features, dtype=np.float64)
         if features.ndim != 2 or features.shape[1] == 0:
             raise ValueError("features must be a (n, d) array with d >= 1")
-        if not np.all(np.isfinite(features)):
+        # a finite sum has only finite terms, and takes no n x d temporary;
+        # a sum that overflows is checked entry by entry
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = features.sum()
+        if not math.isfinite(total) and not np.all(np.isfinite(features)):
             raise ValueError("features contain NaN or Inf")
         if len(labels) != features.shape[0]:
             raise ValueError("label count does not match example count")
@@ -65,7 +74,7 @@ class Dataset:
             labels = np.asarray(labels)
             if not np.all(labels == labels.astype(int)):
                 raise ValueError("classification labels must be integers")
-            labels = labels.astype(np.int64)
+            labels = labels.astype(np.int64, copy=False)
             if num_classes is None or num_classes < 2:
                 raise ValueError("classification datasets need num_classes >= 2")
             if len(labels) and (labels.min() < 0 or labels.max() >= num_classes):
@@ -94,9 +103,29 @@ class Dataset:
         """The rows at ``indices``: a slice gives a read-only view of this
         set's arrays, an index array a copy. Rows of a checked set pass every
         constructor check, so they are not scanned again."""
+        return self._like(self.features[indices], self.labels[indices])
+
+    def relabelled(self, labels: np.ndarray) -> "Dataset":
+        """This set's rows with ``labels``, valid labels of its kind, in
+        place of its own; the features are shared, not scanned again."""
+        return self._like(self.features, labels)
+
+    def arranged(self, layout: "Layout") -> "Dataset":
+        """This set's rows in ``layout`` order, reserved rows zero (module
+        docstring): one copy, not scanned again."""
+        classes = self.kind == CLASSIFICATION
+        positions, size = _positions(layout, len(self),
+                                     self.labels if classes else None,
+                                     self.num_classes)
+        features = np.zeros((size, self.dim))
+        labels = np.zeros(size, dtype=self.labels.dtype)
+        features[positions], labels[positions] = self.features, self.labels
+        return self._like(features, labels)
+
+    def _like(self, features: np.ndarray, labels: np.ndarray) -> "Dataset":
+        """A set of this one's kind over rows that pass its checks."""
         out = Dataset.__new__(Dataset)
-        out._freeze(self.features[indices], self.labels[indices], self.kind,
-                    self.num_classes)
+        out._freeze(features, labels, self.kind, self.num_classes)
         return out
 
 
@@ -112,17 +141,19 @@ def _row_blocks(num_samples: int) -> List[Tuple[int, int]]:
 
 def _positions(layout: Optional[Layout], num_samples: int,
                labels: Optional[np.ndarray] = None,
-               num_classes: Optional[int] = None) -> np.ndarray:
-    """Where each generated row goes: the inverse of the layout's order."""
+               num_classes: Optional[int] = None) -> Tuple[np.ndarray, int]:
+    """Where each generated row goes, the inverse of the layout's order,
+    and the number of rows the layout holds, reserved ones included."""
     if layout is None:
-        return np.arange(num_samples)
+        return np.arange(num_samples), num_samples
     order = layout(num_samples, labels, num_classes)
+    placed = np.flatnonzero(order >= 0)
     positions = np.full(num_samples, -1)
-    if len(order) == num_samples:
-        positions[order] = np.arange(num_samples)
+    if len(placed) == num_samples:
+        positions[order[placed]] = placed
     if np.any(positions < 0):
         raise ValueError("a layout must place every generated row exactly once")
-    return positions
+    return positions, len(order)
 
 
 def gen_synthetic_regression(seed: int, num_samples: int = DEFAULT_NUM_SAMPLES,
@@ -135,15 +166,15 @@ def gen_synthetic_regression(seed: int, num_samples: int = DEFAULT_NUM_SAMPLES,
     """
     rng = np.random.default_rng(seed)
     theta_star = rng.normal(0.0, THETA_STAR_STD, dim)
-    positions = _positions(layout, num_samples)
-    features = np.empty((num_samples, dim))
+    positions, size = _positions(layout, num_samples)
+    features = np.zeros((size, dim))
     signal = np.empty(num_samples)
     for lo, hi in _row_blocks(num_samples):
-        block = rng.normal(0.0, 1.0, (hi - lo, dim))
+        block = rng.standard_normal((hi - lo, dim))
         signal[lo:hi] = block @ theta_star
         features[positions[lo:hi]] = block
-    labels = np.empty(num_samples)
-    labels[positions] = signal + rng.normal(0.0, 1.0, num_samples)
+    labels = np.zeros(size)
+    labels[positions] = signal + rng.standard_normal(num_samples)
     return Dataset(features, labels, REGRESSION), theta_star
 
 
@@ -163,12 +194,13 @@ def gen_synthetic_classification(seed: int, num_samples: int, dim: int,
     means = feature_offset + rng.normal(0.0, class_spread, (num_classes, dim))
     drawn = np.arange(num_samples) % num_classes
     rng.shuffle(drawn)
-    positions = _positions(layout, num_samples, drawn, num_classes)
-    features = np.empty((num_samples, dim))
+    positions, size = _positions(layout, num_samples, drawn, num_classes)
+    features = np.zeros((size, dim))
     for lo, hi in _row_blocks(num_samples):
-        features[positions[lo:hi]] = (means[drawn[lo:hi]]
-                                      + rng.normal(0.0, 1.0, (hi - lo, dim)))
-    labels = np.empty_like(drawn)
+        block = rng.standard_normal((hi - lo, dim))
+        block += means[drawn[lo:hi]]
+        features[positions[lo:hi]] = block
+    labels = np.zeros(size, dtype=drawn.dtype)
     labels[positions] = drawn
     return Dataset(features, labels, CLASSIFICATION, num_classes), means
 
@@ -252,11 +284,12 @@ def sample_trusted(num_examples: int, size: int, distribution_shift: float,
     return np.sort(np.concatenate([take0, take_rest]))
 
 
-def minibatch(sizes: np.ndarray, batch_size: int,
-              rng: np.random.Generator) -> np.ndarray:
+def minibatch(sizes: np.ndarray, batch_size: int, rng: np.random.Generator,
+              out: Optional[np.ndarray] = None) -> np.ndarray:
     """A minibatch plan: for each set size n in ``sizes``, ``batch_size``
     distinct row indices drawn uniformly from [0, n); returns them as a
-    len(sizes) x batch_size array, one plan row per size.
+    len(sizes) x batch_size array, one plan row per size, written into
+    ``out`` when given.
 
     Floyd's algorithm for a random sample (Bentley and Floyd, "A sample of
     brilliance", CACM 1987), vectorised over the plan rows: step j = 0, ...,
@@ -269,7 +302,7 @@ def minibatch(sizes: np.ndarray, batch_size: int,
     sizes = np.asarray(sizes, dtype=np.int64)
     if not (1 <= batch_size <= sizes.min()):
         raise ValueError(f"batch_size must lie in [1, {sizes.min()}]")
-    rows = np.empty((len(sizes), batch_size), dtype=np.int64)
+    rows = np.empty((len(sizes), batch_size), dtype=np.int64) if out is None else out
     for j in range(batch_size):
         top = sizes - (batch_size - j)
         pick = rng.integers(0, top + 1)

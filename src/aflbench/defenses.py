@@ -10,7 +10,9 @@ whole (..., p) stack at once, one bool per row, with each row's norms
 bit-equal to ``vecmath.l2norm``. The engine binds the configured filter
 once per run over the stack of its trials (``engine._bind_filter``):
 AFLGuard's binding makes one ``aflguard_accept`` call per iteration for
-all trials, and zeros the step rows it rejects; Kardam, BASGD and Zeno++
+all trials; it returns the stack itself as the step when no row is
+rejected, and otherwise a step with zeros in the rejected rows, finite or
+not. Kardam, BASGD and Zeno++
 are called once per trial and iteration, and Kardam's and BASGD's
 per-trial state lives in that binding. Filter parameters are validated
 once, by ``config.DefenseConfig``.

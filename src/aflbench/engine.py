@@ -17,7 +17,9 @@ a K x p model array. Each iteration does once, for all rows:
   (max_client_delay + 1), so a base model from ``delay`` iterations ago
   sits in slot (t - delay) mod (max_client_delay + 1)). Because the
   gather copies, a filter may keep a row;
-* the client batches: each row's rows taken into one K x B x d buffer;
+* the client batches: one ``take`` of the features and one of the labels
+  from the store (Data layout below) into a K x B x d and a K x B buffer,
+  by a T x K x B plan of store rows built before the loop;
 * one ``tasks`` gradient call over the stack (its docstring: each row's
   bits are the single-trial bits) and the wire scaling;
 * the crafted updates: a T x K mask of the rows whose scheduled client is
@@ -37,12 +39,13 @@ Per row, at the metric cadence: the evaluation, with the accepted,
 rejected and buffered counts, which each record adds up from the row's
 decision log into a K x 3 running count. A row whose model leaves the
 finite range gets its divergence record at that iteration and is dropped
-from the arrays, its counts, log and mask with it; the other rows go on. So a trial's output does not depend on the
-seeds run beside it, and K = 1 is simply one trial.
+from the arrays, its counts, log, mask and plan with it; the other rows go
+on. So a trial's output does not depend on the seeds run beside it, and
+K = 1 is simply one trial.
 
 Bindings, each made once per run: ``_bind_filter`` (AFLGuard decides all
-rows with one ``defenses.aflguard_accept`` call; AsyncSGD applies the
-stack as sent; Kardam, BASGD and Zeno++ call their step function per row,
+rows with one ``defenses.aflguard_accept`` call and applies the stack as
+sent when it rejects none; AsyncSGD applies the stack as sent; Kardam, BASGD and Zeno++ call their step function per row,
 Kardam and BASGD on per-trial state that the binding keeps by the row's
 trial, the index of its seed, so a drop leaves it as it is),
 ``_bind_attack`` (with the adaptive attack's threat scope) and
@@ -61,9 +64,11 @@ spawns three independent streams, one per purpose (``draw_trial``):
 * schedule: all T client ids in one call, then all T delays in one call,
   before the first iteration;
 * batches: the T x batch_size minibatch plan (``data.minibatch``), one row
-  of local row indices per iteration, drawn for the scheduled client's set
-  at its real size (a poisoned set counts with its added rows), also
-  before the first iteration;
+  of indices into the scheduled client's set per iteration, drawn at the
+  set's real size (a poisoned set counts with its added rows), also
+  before the first iteration. ``run_trials`` draws each trial's plan into
+  its column of the T x K x B plan and adds the set's start in the store,
+  so no per-trial plan is held beside it;
 * attack noise: the Gaussian attack's update, drawn in the loop, only on
   the iterations a malicious client reports.
 
@@ -95,9 +100,15 @@ the client scale. The filters use g_s as follows:
 
 Data layout: ``prepare_data`` plans the rows first (train/test split,
 client partition, trusted set, all as row indices), then generates or
-loads the data straight into one n x d array in the order client 0, ...,
-client C-1, then test. Each clean client set and the test set is a
-read-only row-slice view of that array.
+loads the data straight into one array, the store, in the order client 0,
+..., client C-1, then test. Under the backdoor attack the plan reserves,
+right after each malicious client's clean rows, the rows its poisoning
+adds, and the poisoning writes its replicas there: a poisoned set is
+[clean rows | replicas], and its clean set is the prefix. Every client's
+set, clean or poisoned, and the test set are read-only row-slice views of
+the store, and no clean row is copied. The labels are the generated
+array, or under label flipping a copy with the malicious clients' rows
+flipped, so the clean sets keep the generated labels.
 """
 from __future__ import annotations
 
@@ -135,16 +146,22 @@ def beyond_reporting_range(value: float) -> bool:
 class PreparedData:
     """Datasets and task description shared by every trial of a config.
 
-    ``client_data_clean`` and ``test`` are read-only row-slice views of one
-    n x d array laid out as client 0, ..., client C-1, then test (module
-    docstring). ``trusted`` is a copy of its rows. ``client_data`` holds the
-    clean view for a benign client and, under a data-poisoning attack, a
-    poisoned set for a malicious one, which owns whatever it changed.
+    ``store`` holds every client's training set, client-major, then the
+    test rows (module docstring Data layout), and ``client_rows[c]`` is
+    client c's set in it. ``client_data[c]`` is the read-only view of those
+    rows: the clean set of a benign client, or under a data-poisoning
+    attack the poisoned set of a malicious one. ``client_data_clean`` is
+    the same list but for the poisoned sets, whose clean rows it views in
+    the generated data: the prefix of the poisoned set under the backdoor
+    attack, the same rows with the generated labels under label flipping.
+    ``test`` is a view and ``trusted`` a copy of generated rows.
     """
 
     task: tasks.RegressionTask | tasks.LogisticTask
     test: Dataset
     trusted: Dataset
+    store: Dataset
+    client_rows: List[slice]
     client_data: List[Dataset]
     client_data_clean: List[Dataset]
     malicious: frozenset
@@ -170,8 +187,8 @@ def make_dataset(config: ExperimentConfig, layout: Optional[Layout] = None
                  ) -> Tuple[Dataset, Optional[np.ndarray]]:
     """Generate or load the configured dataset; returns it with theta*
     (None unless the task is synthetic regression). Rows come in
-    ``layout`` order, or in generation (file) order without one; a loaded
-    file takes one gather into the layout."""
+    ``layout`` order, reserved rows included, or in generation (file)
+    order without one; a loaded file takes one copy into the layout."""
     tc, seed = config.task, config.seeds.data_seed
     if tc.kind == "synthetic_regression":
         return gen_synthetic_regression(seed, tc.num_samples, tc.dim, layout)
@@ -181,23 +198,24 @@ def make_dataset(config: ExperimentConfig, layout: Optional[Layout] = None
                                                tc.feature_offset, layout)
         return pool, None
     pool = load_csv(tc.path)
-    if layout is not None:
-        labels = pool.labels if pool.kind == CLASSIFICATION else None
-        pool = pool.subset(layout(len(pool), labels, pool.num_classes))
-    return pool, None
+    return (pool if layout is None else pool.arranged(layout)), None
 
 
 class _RowPlan:
     """The layout of ``prepare_data``: split, partition and trusted sample
-    as row indices, and the client-major order they give the rows.
+    as row indices, and the client-major order they give the rows, with
+    the rows the backdoor attack adds reserved right after each malicious
+    client's clean rows.
 
-    Once called, it holds the positions of each client's rows and of the
-    test rows as slices, and of the trusted rows as an index array.
+    Once called, it holds each client's set (clean rows and reserved rows)
+    and its clean rows, and the test rows, as slices, and the trusted rows
+    as an index array.
     """
 
     def __init__(self, config: ExperimentConfig):
         self.config = config
         self.client_rows: List[slice] = []
+        self.clean_rows: List[slice] = []
         self.test_rows = slice(0)
         self.trusted_rows = np.empty(0, dtype=int)
 
@@ -219,14 +237,21 @@ class _RowPlan:
         trusted = sample_trusted(len(train), cfg.data.trusted_size,
                                  cfg.data.distribution_shift, seed, train_labels)
 
-        order = np.concatenate([train[rows] for rows in clients] + [test])
-        lo = 0
-        for rows in clients:
-            self.client_rows.append(slice(lo, lo + len(rows)))
-            lo += len(rows)
-        self.test_rows = slice(lo, num_examples)
+        replicated = (cfg.clients.malicious_ids()
+                      if cfg.attack.kind == "backdoor" else range(0))
+        parts, lo = [], 0
+        for cid, rows in enumerate(clients):
+            reserved = (attacks.backdoor_replica_count(len(rows), cfg.attack)
+                        if cid in replicated else 0)
+            parts += [train[rows], np.full(reserved, -1)]
+            self.clean_rows.append(slice(lo, lo + len(rows)))
+            self.client_rows.append(slice(lo, lo + len(rows) + reserved))
+            lo += len(rows) + reserved
+        order = np.concatenate(parts + [test])
+        self.test_rows = slice(lo, len(order))
+        generated = np.flatnonzero(order >= 0)
         position = np.empty(num_examples, dtype=int)
-        position[order] = np.arange(num_examples)
+        position[order[generated]] = generated
         self.trusted_rows = position[train[trusted]]
         return order
 
@@ -235,7 +260,6 @@ def prepare_data(config: ExperimentConfig) -> PreparedData:
     """Plan, generate/load into the layout, then poison, per the config."""
     plan = _RowPlan(config)
     pool, true_model = make_dataset(config, plan)
-    clean = [pool.subset(rows) for rows in plan.client_rows]
     test = pool.subset(plan.test_rows)
     trusted = pool.subset(plan.trusted_rows)
 
@@ -246,19 +270,32 @@ def prepare_data(config: ExperimentConfig) -> PreparedData:
         task = tasks.LogisticTask(pool.dim, pool.num_classes)
 
     malicious = frozenset(config.clients.malicious_ids())
-    poisoned = list(clean)
     kind = config.attack.kind
+    poisoned = malicious if kind in ("label_flip", "backdoor") else frozenset()
+    clean = {cid: pool.subset(plan.clean_rows[cid]) for cid in poisoned}
+    store = pool
     if kind == "label_flip":
-        for cid in malicious:
-            poisoned[cid] = attacks.flip_dataset_labels(clean[cid])
+        # a copy, so that the generated labels stay clean for client_data_clean
+        labels = pool.labels.copy()
+        for cid in poisoned:
+            labels[plan.client_rows[cid]] = attacks.flip_dataset_labels(
+                clean[cid]).labels
+        store = pool.relabelled(labels)
     elif kind == "backdoor":
-        if pool.kind != CLASSIFICATION:
-            raise ValueError("backdoor attack requires a classification task")
-        for cid in malicious:
-            poisoned[cid] = attacks.backdoor_poison(clean[cid], config.attack)
-
-    return PreparedData(task=task, test=test, trusted=trusted,
-                        client_data=poisoned, client_data_clean=clean,
+        # the replicas go into the rows reserved for them, in place
+        for arr in (pool.features, pool.labels):
+            arr.setflags(write=True)
+        for cid in poisoned:
+            rows = plan.client_rows[cid]
+            attacks.backdoor_poison(clean[cid], config.attack,
+                                    out=(pool.features[rows], pool.labels[rows]))
+        for arr in (pool.features, pool.labels):
+            arr.setflags(write=False)
+    client_data = [store.subset(rows) for rows in plan.client_rows]
+    return PreparedData(task=task, test=test, trusted=trusted, store=store,
+                        client_rows=plan.client_rows, client_data=client_data,
+                        client_data_clean=[clean.get(cid, ds) for cid, ds
+                                           in enumerate(client_data)],
                         malicious=malicious)
 
 
@@ -360,7 +397,7 @@ def _bind_filter(config: ExperimentConfig, num_trials: int):
     decision codes, one per row or one for all, and the K x p step whose
     row k is what row k applies, zeros where it applies nothing.
     ``updates`` and ``bases`` are fresh arrays each call, so a filter may
-    keep a row of them."""
+    keep a row of them, and the step may be ``updates`` itself."""
     kind, lam = config.defense.kind, config.defense.lam
     if kind == "asyncsgd":
         def decide(trials, cids, updates, bases, g_s):
@@ -369,10 +406,14 @@ def _bind_filter(config: ExperimentConfig, num_trials: int):
     if kind == "aflguard":
         def decide(trials, cids, updates, bases, g_s):
             accept = defenses.aflguard_accept(updates, g_s, lam)
+            reject = np.logical_not(accept)  # REJECT is 1, ACCEPT 0
+            # count_nonzero is a C call; ndarray.any goes through Python
+            if not np.count_nonzero(reject):
+                return reject, updates
             # a rejected row stays 0 whatever it holds: inf * 0 would be NaN
             step = np.zeros(updates.shape)
             np.copyto(step.T, updates.T, where=accept)
-            return np.logical_not(accept), step  # REJECT is 1, ACCEPT 0
+            return reject, step
         return decide
 
     if kind == "kardam":
@@ -468,8 +509,8 @@ def _bind_evaluate(prepared: PreparedData, config: ExperimentConfig):
 @dataclass(frozen=True)
 class TrialDraws:
     """A trial's randomness (module docstring): iteration t takes client
-    ``clients[t]`` at staleness ``delays[t]`` and its batch rows
-    ``batches[t]``; ``noise`` is the attack-noise stream."""
+    ``clients[t]`` at staleness ``delays[t]`` and the rows ``batches[t]``
+    of its set; ``noise`` is the attack-noise stream."""
 
     clients: np.ndarray
     delays: np.ndarray
@@ -477,10 +518,10 @@ class TrialDraws:
     noise: np.random.Generator
 
 
-def draw_trial(config: ExperimentConfig, prepared: PreparedData,
-               seed: int) -> TrialDraws:
+def draw_trial(config: ExperimentConfig, prepared: PreparedData, seed: int,
+               out: Optional[np.ndarray] = None) -> TrialDraws:
     """Spawn the trial's three streams and draw its schedule and its
-    minibatch plan."""
+    minibatch plan, into ``out`` when given."""
     sched = config.schedule
     schedule, batches, noise = (np.random.default_rng(child) for child in
                                 np.random.SeedSequence(seed).spawn(3))
@@ -489,7 +530,8 @@ def draw_trial(config: ExperimentConfig, prepared: PreparedData,
     delays = schedule.integers(0, np.minimum(sched.max_client_delay, t) + 1)
     sizes = np.array([len(ds) for ds in prepared.client_data])
     return TrialDraws(clients=clients, delays=delays,
-                      batches=minibatch(sizes[clients], sched.batch_size, batches),
+                      batches=minibatch(sizes[clients], sched.batch_size,
+                                        batches, out),
                       noise=noise)
 
 
@@ -497,64 +539,63 @@ def run_trials(config: ExperimentConfig, prepared: PreparedData,
                seeds: Sequence[int]) -> List[TrialResult]:
     """Execute one seeded trial per seed, all in lockstep (module
     docstring); each is fully deterministic given (config, its seed)."""
-    sched, task = config.schedule, prepared.task
-    set_features = [ds.features for ds in prepared.client_data]
-    set_labels = [ds.labels for ds in prepared.client_data]
-    draws = [draw_trial(config, prepared, seed) for seed in seeds]
+    sched, task, store = config.schedule, prepared.task, prepared.store
+    # iteration by live row: the store rows of the batches, the client ids
+    # and the ring slots of the bases. Each trial's plan is drawn into its
+    # column as rows of its client's set, then moved to the set's place.
+    plan = np.empty((sched.iterations, len(seeds), sched.batch_size), dtype=np.intp)
+    draws = [draw_trial(config, prepared, seed, plan[:, k])
+             for k, seed in enumerate(seeds)]
+    clients = np.stack([d.clients for d in draws], axis=1)
+    plan += np.array([rows.start for rows in prepared.client_rows])[clients, None]
+    depth = sched.max_client_delay + 1
+    slots = (np.arange(sched.iterations)[:, None]
+             - np.stack([d.delays for d in draws], axis=1)) % depth
     craft = _bind_attack(prepared, config)
     decide = _bind_filter(config, len(seeds))
     evaluate = _bind_evaluate(prepared, config)
     results = [TrialResult(seed=seed) for seed in seeds]
     # per live row: its trial, its result and attack-noise stream, its
-    # minibatch plan, its decision counts up to the last record and its
-    # decision codes since, iteration t in column t - counted
+    # decision counts up to the last record and its decision codes since,
+    # iteration t in column t - counted
     trials = list(range(len(seeds)))
     rows = [(result, d.noise) for result, d in zip(results, draws)]
-    plans = [d.batches for d in draws]
+    del draws  # their batches view the plan, which a drop replaces
     counts = np.zeros((len(seeds), 3), dtype=np.intp)
     log = np.zeros((len(seeds), METRIC_CADENCE), dtype=np.intp)
     counted = 0
-    # iteration by live row: the client ids and the ring slots of the bases
-    clients = np.stack([d.clients for d in draws], axis=1)
-    depth = sched.max_client_delay + 1
-    slots = (np.arange(sched.iterations)[:, None]
-             - np.stack([d.delays for d in draws], axis=1)) % depth
     malicious = sorted(prepared.malicious) if craft is not None else []
 
     theta = np.zeros((len(seeds), task.param_dim))
     ring = np.zeros((depth,) + theta.shape)  # slot s % depth: the model after s steps
     zero = np.zeros(theta.size)
     server_update = server_update_vector(task, theta, prepared.trusted)
-    features = np.empty((len(seeds), sched.batch_size, set_features[0].shape[1]))
-    labels = np.empty((len(seeds), sched.batch_size), dtype=set_labels[0].dtype)
+    features = np.empty(plan.shape[1:] + (store.dim,))
+    labels = np.empty(plan.shape[1:], dtype=store.labels.dtype)
 
     def cut():
         """For the live rows: the ring as one (depth * K) x p view, the ring
-        row of each base model per iteration, the rows of the batch buffer,
-        and per iteration the rows whose client is malicious."""
+        row of each base model per iteration, and per iteration the rows
+        whose client is malicious."""
         attacked = {}
         for t, k in np.argwhere(np.isin(clients, malicious)).tolist():
             attacked.setdefault(t, []).append(k)
         return (ring.reshape(-1, task.param_dim),
-                slots * len(rows) + np.arange(len(rows)),
-                list(zip(features, labels)), attacked)
+                slots * len(rows) + np.arange(len(rows)), attacked)
 
     def tally(k, completed):
         """Row k's decision counts over its first ``completed`` iterations,
         indexed by the decision codes."""
         return counts[k] + np.bincount(log[k, :completed - counted], minlength=3)
 
-    flat, index, buffers, attacked = cut()
+    flat, index, attacked = cut()
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(sched.iterations):
             base = flat.take(index[t], axis=0)
-            cids = clients[t].tolist()
             # 'clip' lets take write into the buffer without a temporary;
-            # every batch row is below its set's size by construction
-            for cid, plan, (x, y) in zip(cids, plans, buffers):
-                batch = plan[t]
-                set_features[cid].take(batch, axis=0, out=x, mode="clip")
-                set_labels[cid].take(batch, out=y, mode="clip")
+            # every plan row is a row of its client's set by construction
+            store.features.take(plan[t], axis=0, out=features, mode="clip")
+            store.labels.take(plan[t], out=labels, mode="clip")
             sent = sched.batch_size * _avg_gradient(task, base, features, labels)
             for k in attacked.get(t, ()):
                 sent[k] = craft(sent[k], base[k], rows[k][1])
@@ -562,8 +603,8 @@ def run_trials(config: ExperimentConfig, prepared: PreparedData,
             if t % sched.server_refresh_period == 0 and t > 0:
                 server_update = server_update_vector(task, theta, prepared.trusted)
 
-            log[:, t - counted], step = decide(trials, cids, sent, base,
-                                               server_update)
+            log[:, t - counted], step = decide(trials, clients[t].tolist(), sent,
+                                               base, server_update)
             theta = theta - sched.learning_rate * step
 
             completed = t + 1
@@ -581,16 +622,15 @@ def run_trials(config: ExperimentConfig, prepared: PreparedData,
                 kept = np.flatnonzero(finite)
                 if not len(kept):
                     break
-                trials = [trials[k] for k in kept]
-                rows, plans = [rows[k] for k in kept], [plans[k] for k in kept]
+                trials, rows = [trials[k] for k in kept], [rows[k] for k in kept]
                 theta, server_update = theta[kept], server_update[kept]
                 counts, log = counts[kept], log[kept]
                 zero = zero[:theta.size]
                 # C order, so that the flat ring in cut is a view
                 ring = np.ascontiguousarray(ring[:, kept])
-                clients, slots = clients[:, kept], slots[:, kept]
+                clients, slots, plan = clients[:, kept], slots[:, kept], plan[:, kept]
                 features, labels = features[:len(kept)], labels[:len(kept)]
-                flat, index, buffers, attacked = cut()
+                flat, index, attacked = cut()
 
             ring[completed % depth] = theta
             if completed % METRIC_CADENCE == 0 or completed == sched.iterations:

@@ -376,6 +376,28 @@ def test_task_sizes_are_checked_before_anything_is_written(tmp_path, capsys):
     assert load_config(path).task.num_classes == 1
 
 
+def test_rejected_data_plans_write_nothing(tmp_path, capsys):
+    # the row plan and the poisoning reject these after the config loads;
+    # the run checks them before it makes its output directory
+    base = _quick_config(tmp_path).read_text()
+    for old, new, message in (
+            ("trusted_size = 50", "trusted_size = 500",
+             "trusted set larger than source dataset"),
+            ("batch_size = 8", "batch_size = 60",
+             "client 0 holds 48 examples, fewer than batch size 60"),
+            ("num_clients = 10", "num_clients = 600",
+             "client 0 holds 1 examples, fewer than batch size 8"),
+            ("kind = gaussian", "kind = backdoor",
+             "backdoor poisoning requires classification data")):
+        path = tmp_path / "plan.ini"
+        path.write_text(base.replace(old, new))
+        load_config(path)
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_cli_main_errors_cleanly(tmp_path):
     rc = cli.main(["run", "--config", str(tmp_path / "absent.ini"),
                    "--out", str(tmp_path / "o")])

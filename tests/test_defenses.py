@@ -65,6 +65,8 @@ _ROW_SCALES = st.sampled_from([0.0, 1e-150, 1e-5, 1.0, 1e5, 1e150])
          special=None, special_in_server=False, lam=1.5)
 @example(seed=2, rows=3, dim=4, scales=[(0.0, 0.0), (1.0, 1.0), (1e5, 0.0)] + [(1.0, 0.0)] * 3,
          special=math.inf, special_in_server=False, lam=1.5)
+@example(seed=3, rows=3, dim=5, scales=[(1.0, 0.0), (1e-5, 0.3), (1e150, 0.0)] + [(1.0, 0.0)] * 3,
+         special=None, special_in_server=False, lam=1.5)
 def test_stacked_aflguard_is_the_row_rule(seed, rows, dim, scales, special,
                                           special_in_server, lam):
     # each row of a stack gets the decision l2norm(u - g) <= lam * l2norm(g)
@@ -90,6 +92,8 @@ def test_stacked_aflguard_is_the_row_rule(seed, rows, dim, scales, special,
         codes, step = decide(list(range(rows)), list(range(rows)), client,
                              None, server)
     assert np.asarray(codes).tolist() == [ACCEPT if w else REJECT for w in want]
+    # with no row rejected the step is the stack as sent, not a copy
+    assert (step is client) == all(want)
     for u, row, w in zip(client, step, want):
         # a rejected row, finite or not, applies zeros, not inf * 0 = NaN
         assert row.tobytes() == (u if w else np.zeros(dim)).tobytes()

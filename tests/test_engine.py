@@ -540,20 +540,52 @@ def test_prepare_data_layout_matches_copy_reference(
             _assert_same_rows(prepared.client_data[cid],
                               attacks.backdoor_poison(want, cfg.attack))
 
-    # the clean clients and the test set are read-only views of one array
-    for ds in prepared.client_data_clean + [prepared.test]:
-        for arr, base in ((ds.features, prepared.test.features.base),
-                          (ds.labels, prepared.test.labels.base)):
-            assert arr.base is base and not arr.flags.writeable
+    # every client's set, poisoned ones included, is a read-only row slice
+    # of the one store, client-major and back to back, then the test rows;
+    # a backdoor client's replicas fill the rows reserved after its clean
+    # rows, which are the prefix of its set
+    store, lo = prepared.store, 0
+    for cid, (ds, rows) in enumerate(zip(prepared.client_data,
+                                         prepared.client_rows, strict=True)):
+        assert (rows.start, rows.stop) == (lo, lo + len(ds))
+        _assert_row_view(ds.features, store.features, lo)
+        _assert_row_view(ds.labels, store.labels, lo)
+        replicas = (attacks.backdoor_replica_count(len(clients[cid]), cfg.attack)
+                    if attack == "backdoor" and cid in prepared.malicious else 0)
+        assert len(ds) == len(clients[cid]) + replicas
+        clean = prepared.client_data_clean[cid]
+        _assert_row_view(clean.features, store.features, lo)
+        if attack == "label_flip" and cid in prepared.malicious:
+            # the generated labels, which the test rows view too
+            _assert_row_view(clean.labels, prepared.test.labels.base, lo)
+        else:
+            _assert_row_view(clean.labels, store.labels, lo)
+        lo += len(ds)
+    _assert_row_view(prepared.test.features, store.features, lo)
+    assert lo + len(prepared.test) == len(store) == cfg.task.num_samples + sum(
+        len(ds) - len(want) for ds, want in zip(prepared.client_data, clients))
+
+
+def _assert_row_view(arr, base, lo):
+    """arr is a read-only view of base starting at row lo."""
+    assert arr.base is base and not arr.flags.writeable
+    assert arr.ctypes.data == base.ctypes.data + lo * base.strides[0]
 
 
 def test_prepare_data_peak_memory_is_near_the_feature_bytes():
-    cfg = base_config()
-    tracemalloc.start()
-    try:
-        prepare_data(cfg)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    feature_bytes = cfg.task.num_samples * cfg.task.dim * 8
-    assert peak <= 1.35 * feature_bytes, peak / feature_bytes
+    # the store holds every row once, the rows reserved for the backdoor
+    # replicas included. Measured: 1.13 x its feature bytes on the
+    # regression config and 1.12 x on the shipped backdoor config, where
+    # keeping a copy of each poisoned set beside the store reads 1.33 x.
+    backdoor = load_config(Path(__file__).resolve().parents[1] / "configs"
+                           / "classification_backdoor.ini")
+    for cfg, bound in ((base_config(), 1.15), (backdoor, 1.15)):
+        prepare_data(cfg)  # so that the first call's imports are not counted
+        tracemalloc.start()
+        try:
+            prepared = prepare_data(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        feature_bytes = prepared.store.features.nbytes
+        assert peak <= bound * feature_bytes, (cfg.attack.kind, peak / feature_bytes)
