@@ -131,10 +131,10 @@ def gen_data_command(config: ExperimentConfig, out_dir: Path) -> int:
 
     It generates and splits only: the client, trusted-set and attack
     settings do not apply to the files, so they are not checked here."""
-    out_dir.mkdir(parents=True, exist_ok=True)
     pool, true_model = make_dataset(config)
     train, test = split_train_test(len(pool), config.task.train_count,
                                    config.seeds.data_seed)
+    out_dir.mkdir(parents=True, exist_ok=True)
     save_csv(pool.subset(train), out_dir / "train.csv")
     save_csv(pool.subset(test), out_dir / "test.csv")
     if true_model is not None:

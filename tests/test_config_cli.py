@@ -1,3 +1,4 @@
+import contextlib
 import json
 import os
 import re
@@ -395,6 +396,16 @@ def test_rejected_data_plans_write_nothing(tmp_path, capsys):
         out = tmp_path / "out"
         assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()
+    # gen-data reads a malformed file before it makes its directory too
+    (tmp_path / "bad.csv").write_text("# kind=regression\n1.0,2.0\nabc,1.0\n")
+    path.write_text(base.replace("kind = synthetic_regression",
+                                 "kind = csv\npath = bad.csv"))
+    out = tmp_path / "out"
+    for command in ("gen-data", "run"):
+        with contextlib.chdir(tmp_path):
+            assert cli.main([command, "--config", str(path), "--out", str(out)]) == 2
+        assert "bad.csv:3: could not convert string to float" in capsys.readouterr().err
         assert not out.exists()
 
 
