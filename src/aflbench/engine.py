@@ -121,7 +121,7 @@ import numpy as np
 from . import attacks, defenses, metrics, tasks
 from .attacks import ThreatKnowledge
 from .config import ExperimentConfig
-from .data import (CLASSIFICATION, REGRESSION, Dataset, Layout,
+from .data import (REGRESSION, Dataset, Layout,
                    gen_synthetic_classification, gen_synthetic_regression,
                    load_csv, minibatch, partition, sample_trusted,
                    split_train_test)
