@@ -58,7 +58,16 @@ def test_layout_places_each_generated_row():
         plain, flipped = gen(None)[0], gen(reverse)[0]
         assert np.array_equal(flipped.features, plain.features[::-1])
         assert np.array_equal(flipped.labels, plain.labels[::-1])
-        for bad in (np.zeros(9, dtype=int), np.arange(8)):
+        # negative entries reserve zero rows; a loaded set arranges the same
+        order = np.insert(np.arange(9)[::-1], [3, 6], -1)
+        for reserved in (gen(lambda n, labels, c: order)[0],
+                         plain.arranged(lambda n, labels, c: order)):
+            assert len(reserved) == 11
+            for arr, want in ((reserved.features, flipped.features),
+                              (reserved.labels, flipped.labels)):
+                assert arr[order >= 0].tobytes() == want.tobytes()
+                assert not arr[order < 0].any()
+        for bad in (np.zeros(9, dtype=int), np.arange(8), np.full(9, -1)):
             with pytest.raises(ValueError, match="exactly once"):
                 gen(lambda n, labels, c: bad)
 
