@@ -14,6 +14,10 @@ Runs, from the ``src/`` tree next to this script:
   ``bd_replication_fraction = 0.25``, the ``AttackConfig`` default, where
   a poisoned set adds fewer replica rows than it has clean rows (the
   shipped config adds one per clean row);
+* the aflguard gaussian cell of the regression config at
+  ``max_client_delay = 0``, where every block of ``engine.plan_blocks`` is
+  one iteration, and at ``server_refresh_period = 50`` with
+  ``max_client_delay = 40``, which gives its longest blocks;
 * a two-value lambda sweep of the regression config at 300 iterations;
 * an asyncsgd gradient-deviation run that diverges, through the command
   line with a ``--seed`` override;
@@ -119,6 +123,15 @@ def main() -> int:
             classification.attack, bd_replication_fraction=0.25))
         cli.run_command(quarter, out / "cls_aflguard_backdoor_rep025")
         names.append("cls_aflguard_backdoor_rep025")
+
+        for name, schedule in (
+                ("reg_aflguard_gaussian_delay0", dict(max_client_delay=0)),
+                ("reg_aflguard_gaussian_refresh50_delay40",
+                 dict(server_refresh_period=50, max_client_delay=40))):
+            blocks = dataclasses.replace(regression, schedule=dataclasses.replace(
+                regression.schedule, **schedule))
+            cli.run_command(cell(blocks, "aflguard", "gaussian"), out / name)
+            names.append(name)
 
         short = dataclasses.replace(regression, schedule=dataclasses.replace(
             regression.schedule, iterations=300))
