@@ -20,8 +20,9 @@ from . import __version__
 from .config import (SWEEP_AXES, ConfigError, ExperimentConfig, apply_axis,
                      config_to_dict, load_config, parse_seeds)
 from .data import save_csv, split_train_test
-from .engine import (DIVERGENCE_MARKER, TrialResult, beyond_reporting_range,
-                     make_dataset, prepare_data, run_trials)
+from .engine import (DIVERGENCE_MARKER, PreparedData, TrialResult,
+                     beyond_reporting_range, make_dataset, prepare_data,
+                     run_trials)
 
 CSV_COLUMNS = ("iteration", "mse", "test_error_rate", "mee",
                "attack_success_rate", "accepted", "rejected", "buffered")
@@ -91,7 +92,13 @@ def write_summary(path: Path, config: ExperimentConfig,
 
 def run_command(config: ExperimentConfig, out_dir: Path) -> List[TrialResult]:
     """Run one trial per run seed; write per-trial CSVs and a summary JSON."""
-    prepared = prepare_data(config)
+    return _run_prepared(config, prepare_data(config), out_dir)
+
+
+def _run_prepared(config: ExperimentConfig, prepared: PreparedData,
+                  out_dir: Path) -> List[TrialResult]:
+    """``run_command`` on data already prepared: the output directory is
+    made only once the data is known good."""
     out_dir.mkdir(parents=True, exist_ok=True)
     seeds = config.seeds.run_seeds
     results = run_trials(config, prepared, seeds)
@@ -114,9 +121,12 @@ def sweep_command(config: ExperimentConfig, axis: str, values: Sequence[float],
     if not values:
         raise ConfigError("sweep needs at least one value")
     runs = [(_label(value), apply_axis(config, axis, value)) for value in values]
+    # every value's data before the first run, so that a value whose data
+    # is rejected writes nothing
+    prepared = [prepare_data(run_config) for _, run_config in runs]
     combined = [",".join(("axis", "value", "seed") + CSV_COLUMNS)]
-    for label, run_config in runs:
-        results = run_command(run_config, out_dir / f"{axis}_{label}")
+    for (label, run_config), data in zip(runs, prepared):
+        results = _run_prepared(run_config, data, out_dir / f"{axis}_{label}")
         for result in results:
             for rec in result.records:
                 row = [axis, label, str(result.seed)]

@@ -6,16 +6,18 @@ A filter's answer is a ``Verdict``: an int decision code, ``ACCEPT``,
 ``REJECT`` or ``BUFFERED``, which also indexes the engine's tally of its
 decision log, and for an accept the update to apply. A rejected or
 buffered update carries none. ``aflguard_accept`` instead answers for a
-whole (..., p) stack at once, one bool per row, with each row's norms
-bit-equal to ``vecmath.l2norm``. The engine binds the configured filter
-once per run over the stack of its trials (``engine._bind_filter``):
-AFLGuard's binding makes one ``aflguard_accept`` call per iteration for
-all trials; it returns the stack itself as the step when no row is
-rejected, and otherwise a step with zeros in the rejected rows, finite or
-not. Kardam, BASGD and Zeno++
-are called once per trial and iteration, and Kardam's and BASGD's
-per-trial state lives in that binding. Filter parameters are validated
-once, by ``config.DefenseConfig``.
+whole (..., K, p) stack at once, one bool per row, against a (K, p) stack
+of server updates that broadcasts over the leading axes, with each row's
+norms bit-equal to ``vecmath.l2norm``. The engine binds the configured
+filter once per run over the stack of its trials (``engine._bind_filter``)
+and calls it once per block of iterations, on the block's L x K updates:
+AFLGuard's binding makes one ``aflguard_accept`` call for all of them; it
+returns the stack itself as the step when no row is rejected, and
+otherwise a step with zeros in the rejected rows, finite or not. Kardam,
+BASGD and Zeno++ are called once per trial and iteration, in iteration
+order, and Kardam's and BASGD's per-trial state lives in that binding,
+which copies each row they keep. Filter parameters are validated once, by
+``config.DefenseConfig``.
 
 Kardam keeps its per-client Lipschitz coefficients as a running sorted
 order: each new coefficient replaces its client's old one by one bisect
@@ -49,9 +51,11 @@ def aflguard_accept(client_update: np.ndarray, server_update: np.ndarray,
                     lam: float):
     """Accept iff ||g_client - g_server|| <= lambda * ||g_server||, per row
     of a (..., p) stack: a numpy bool for 1-D input, else a bool array of
-    the leading shape. Each norm has the bits of ``vecmath.l2norm`` of its
-    row."""
-    if client_update.shape != server_update.shape:
+    the leading shape. The server stack's shape is the client stack's
+    trailing shape, and it broadcasts over the leading axes (a block's
+    iterations). Each norm has the bits of ``vecmath.l2norm`` of its row."""
+    trailing = client_update.shape[client_update.ndim - server_update.ndim:]
+    if trailing != server_update.shape:
         raise ValueError("dimension mismatch")
     deviation = client_update - server_update
     return (np.sqrt(np.vecdot(deviation, deviation))

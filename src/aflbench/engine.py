@@ -9,45 +9,60 @@ random client reports an update computed at the global model from
 theta <- theta - learning_rate * update.
 
 Lockstep: ``run_trials`` runs one trial per seed, and trial k is row k of
-a K x p model array. Each iteration does once, for all rows:
+a K x p model array. A client's update depends on the global model of
+``delay`` iterations ago, not on the steps taken since, so the loop works
+a block of iterations at a time: ``plan_blocks`` cuts [0, T) before the
+loop, with all seeds' delays, into blocks whose every base model exists
+when the block starts and that cross no refresh and no record. Each block
+of L iterations does once, for all rows:
 
-* the base models: one gather, as a copy, from a (max_client_delay + 1)
-  x K x p ring of recent models, by a slot plan drawn before the loop
-  (iteration s writes the model after s steps to slot s mod
-  (max_client_delay + 1), so a base model from ``delay`` iterations ago
-  sits in slot (t - delay) mod (max_client_delay + 1)). Because the
-  gather copies, a filter may keep a row;
+* the refresh at its start, every ``server_refresh_period`` iterations:
+  one ``server_update_vector`` call for all rows on the shared trusted set;
+* the base models: one gather, as a copy, of the L x K bases from a
+  (max_client_delay + 1) x K x p ring of recent models, by a slot plan
+  drawn before the loop (iteration s writes the model after s steps to
+  slot s mod (max_client_delay + 1), so a base model from ``delay``
+  iterations ago sits in slot (t - delay) mod (max_client_delay + 1));
 * the client batches: one ``take`` of the features and one of the labels
-  from the store (Data layout below) into a K x B x d and a K x B buffer,
-  by a T x K x B plan of store rows built before the loop;
-* one ``tasks`` gradient call over the stack (its docstring: each row's
-  bits are the single-trial bits) and the wire scaling;
+  from the store (Data layout below) into an L x K x B x d and an
+  L x K x B buffer, by a T x K x B plan of store rows built before the
+  loop;
+* one ``tasks`` gradient call over the (L, K, ...) stack (its docstring:
+  each slice's bits are the single-trial bits) and the wire scaling;
 * the crafted updates: a T x K mask of the rows whose scheduled client is
   malicious is built from the schedule before the loop, and the attack
-  runs on those rows only, each with the function one trial alone would
-  call (Gaussian noise from that trial's own stream);
-* one filter call, ``decide``, over the stack of live rows: it returns
-  each row's int decision code and the step S, where row k of S is what
-  trial k applies, or zeros: theta - learning_rate * 0 is theta bit for
-  bit. The codes go into a K x ``METRIC_CADENCE`` decision log, which
-  holds the iterations since the last record;
-* the step theta - learning_rate * S;
-* the finiteness check and, every ``server_refresh_period`` iterations,
-  one ``server_update_vector`` call for all rows on the shared trusted set.
+  runs on those rows only, in (iteration, row) order, each with the
+  function one trial alone would call (Gaussian noise from that trial's
+  own stream);
+* one filter call, ``decide``, over the L x K stack: it returns each
+  update's int decision code and the step S, where S[i, k] is what trial k
+  applies at the block's iteration i, or zeros: theta - learning_rate * 0
+  is theta bit for bit. The codes go into a ``METRIC_CADENCE`` x K
+  decision log, which holds the iterations since the last record;
+* the product learning_rate * S; then, per iteration, the step
+  theta - (learning_rate * S)[i], written straight into the iteration's
+  ring slot, which is then theta;
+* the finiteness check, on the last model only: a non-finite entry stays
+  non-finite under subtraction. When it fires, each row's first
+  non-finite model is read back from the ring slots the block wrote,
+  which are distinct, as L <= max_client_delay + 1.
 
-Per row, at the metric cadence: the evaluation, with the accepted,
-rejected and buffered counts, which each record adds up from the row's
-decision log into a K x 3 running count. A row whose model leaves the
-finite range gets its divergence record at that iteration and is dropped
-from the arrays, its counts, log, mask and plan with it; the other rows go
-on. So a trial's output does not depend on the seeds run beside it, and
-K = 1 is simply one trial.
+Per row, at the metric cadence, which always ends a block: the
+evaluation, with the accepted, rejected and buffered counts, which each
+record adds up from the row's decision log into a K x 3 running count. A
+row whose model leaves the finite range gets its divergence record at the
+iteration it left and is dropped, at the end of that block, from the
+arrays, its counts, log, mask and plan with it; the other rows go on, and
+the block plan stays valid, since a drop only removes rows. So a trial's
+output does not depend on the seeds run beside it, and K = 1 is simply
+one trial.
 
-Bindings, each made once per run: ``_bind_filter`` (AFLGuard decides all
-rows with one ``defenses.aflguard_accept`` call and applies the stack as
-sent when it rejects none; AsyncSGD applies the stack as sent; Kardam, BASGD and Zeno++ call their step function per row,
-Kardam and BASGD on per-trial state that the binding keeps by the row's
-trial, the index of its seed, so a drop leaves it as it is),
+Bindings, each made once per run: ``_bind_filter`` (AFLGuard decides a
+block's rows with one ``defenses.aflguard_accept`` call and applies the
+stack as sent when it rejects none; AsyncSGD applies the stack as sent;
+Kardam, BASGD and Zeno++ call their step function per row, iteration by
+iteration, Kardam and BASGD on per-trial state that the binding keeps by
+the row's trial, the index of its seed, so a drop leaves it as it is),
 ``_bind_attack`` (with the adaptive attack's threat scope) and
 ``_bind_evaluate``, which precomputes what every record shares and theta
 does not change, the regression truths (the test features times theta*,
@@ -112,6 +127,7 @@ flipped, so the clean sets keep the generated labels.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
@@ -391,13 +407,17 @@ def make_threat_knowledge(base_model: np.ndarray, scope: ThreatScope,
 
 def _bind_filter(config: ExperimentConfig, num_trials: int):
     """The run's filter over its live rows: ``decide(trials, cids, updates,
-    bases, g_s)`` takes row k's trial (its index among the run's
-    ``num_trials`` seeds, which keys the filter's per-trial state), client
-    id, wire update, base model and g_s and returns (codes, step): the
-    decision codes, one per row or one for all, and the K x p step whose
-    row k is what row k applies, zeros where it applies nothing.
-    ``updates`` and ``bases`` are fresh arrays each call, so a filter may
-    keep a row of them, and the step may be ``updates`` itself."""
+    bases, g_s)`` takes each live row's trial (its index among the run's
+    ``num_trials`` seeds, which keys the filter's per-trial state), and a
+    (..., K, p) stack of wire updates with their client ids (..., K) and
+    base models (..., K, p), where K is the live rows and the leading axes
+    are a block's iterations, and g_s, one per row (K, p). It returns
+    (codes, step): the decision codes, one per update or one for all, and
+    the step of the stack's shape, the update's row where it applies that,
+    zeros where it applies nothing. The step may be ``updates`` itself.
+    The filters run the iterations in order. ``updates`` and ``bases`` are
+    fresh arrays each call, but a row of either is a view that pins the
+    whole stack, so a filter that keeps a row copies it."""
     kind, lam = config.defense.kind, config.defense.lam
     if kind == "asyncsgd":
         def decide(trials, cids, updates, bases, g_s):
@@ -412,34 +432,40 @@ def _bind_filter(config: ExperimentConfig, num_trials: int):
                 return reject, updates
             # a rejected row stays 0 whatever it holds: inf * 0 would be NaN
             step = np.zeros(updates.shape)
-            np.copyto(step.T, updates.T, where=accept)
+            np.copyto(step.T, updates.T, where=accept.T)
             return reject, step
         return decide
 
     if kind == "kardam":
         states = [defenses.KardamState() for _ in range(num_trials)]
-        def verdict(k, trial, cid, updates, bases, g_s):
-            # Kardam keeps both: a copy pins one row, a row view its whole stack
-            return defenses.kardam_step(states[trial], cid, updates[k].copy(),
-                                        bases[k].copy())
+        def verdict(k, trial, cid, update, base, g_s):
+            return defenses.kardam_step(states[trial], cid, update.copy(),
+                                        base.copy())
     elif kind == "basgd":
         states = [defenses.BasgdState(config.defense.num_buffers)
                   for _ in range(num_trials)]
-        def verdict(k, trial, cid, updates, bases, g_s):
-            return defenses.basgd_step(states[trial], cid, updates[k])
+        def verdict(k, trial, cid, update, base, g_s):
+            return defenses.basgd_step(states[trial], cid, update.copy())
     else:  # zenopp, on the trusted-set sum at the client's batch scale
         scale = config.schedule.batch_size / config.data.trusted_size
-        def verdict(k, trial, cid, updates, bases, g_s):
-            return defenses.zeno_step(updates[k], scale * g_s[k])
+        def verdict(k, trial, cid, update, base, g_s):
+            return defenses.zeno_step(update, scale * g_s[k])
 
     def decide(trials, cids, updates, bases, g_s):
-        codes, step = [], np.zeros(updates.shape)
-        for k, (trial, cid) in enumerate(zip(trials, cids)):
-            decision, applied = verdict(k, trial, cid, updates, bases, g_s)
+        p = updates.shape[-1]
+        step = np.zeros(updates.shape)
+        # the stack's rows in (iteration, row) order, row k of each
+        # iteration being trial trials[k]
+        rows = zip(itertools.cycle(enumerate(trials)), np.ravel(cids).tolist(),
+                   updates.reshape(-1, p), bases.reshape(-1, p),
+                   step.reshape(-1, p))
+        codes = []
+        for (k, trial), cid, update, base, out in rows:
+            decision, applied = verdict(k, trial, cid, update, base, g_s)
             codes.append(decision)
             if applied is not None:
-                step[k] = applied
-        return codes, step
+                out[...] = applied
+        return np.array(codes).reshape(updates.shape[:-1]), step
     return decide
 
 
@@ -535,6 +561,24 @@ def draw_trial(config: ExperimentConfig, prepared: PreparedData, seed: int,
                       noise=noise)
 
 
+def plan_blocks(delays: np.ndarray, refresh_period: int) -> np.ndarray:
+    """The block bounds of a run (module docstring) with the T x K
+    ``delays`` of its rows: block j is the iterations [bounds[j],
+    bounds[j + 1]). A block that starts at t takes a later iteration s only
+    if every row's base model, the model after s - delay steps, exists at t
+    (s - delay <= t), and s is neither a refresh iteration nor the first
+    after a record. As delay <= max_client_delay, a block holds at most
+    max_client_delay + 1 iterations."""
+    iterations = len(delays)
+    latest = (np.arange(iterations) - delays.min(axis=1)).tolist()
+    starts = [0]
+    for s in range(1, iterations):
+        if (latest[s] > starts[-1] or s % refresh_period == 0
+                or s % METRIC_CADENCE == 0):
+            starts.append(s)
+    return np.array(starts + [iterations])
+
+
 def run_trials(config: ExperimentConfig, prepared: PreparedData,
                seeds: Sequence[int]) -> List[TrialResult]:
     """Execute one seeded trial per seed, all in lockstep (module
@@ -549,20 +593,23 @@ def run_trials(config: ExperimentConfig, prepared: PreparedData,
     clients = np.stack([d.clients for d in draws], axis=1)
     plan += np.array([rows.start for rows in prepared.client_rows])[clients, None]
     depth = sched.max_client_delay + 1
-    slots = (np.arange(sched.iterations)[:, None]
-             - np.stack([d.delays for d in draws], axis=1)) % depth
+    delays = np.stack([d.delays for d in draws], axis=1)
+    slots = (np.arange(sched.iterations)[:, None] - delays) % depth
+    bounds = plan_blocks(delays, sched.server_refresh_period)
+    longest = int(np.diff(bounds).max())
+    bounds = bounds.tolist()
     craft = _bind_attack(prepared, config)
     decide = _bind_filter(config, len(seeds))
     evaluate = _bind_evaluate(prepared, config)
     results = [TrialResult(seed=seed) for seed in seeds]
     # per live row: its trial, its result and attack-noise stream, its
     # decision counts up to the last record and its decision codes since,
-    # iteration t in column t - counted
+    # iteration t in row t - counted
     trials = list(range(len(seeds)))
     rows = [(result, d.noise) for result, d in zip(results, draws)]
     del draws  # their batches view the plan, which a drop replaces
     counts = np.zeros((len(seeds), 3), dtype=np.intp)
-    log = np.zeros((len(seeds), METRIC_CADENCE), dtype=np.intp)
+    log = np.zeros((METRIC_CADENCE, len(seeds)), dtype=np.intp)
     counted = 0
     malicious = sorted(prepared.malicious) if craft is not None else []
 
@@ -570,77 +617,89 @@ def run_trials(config: ExperimentConfig, prepared: PreparedData,
     ring = np.zeros((depth,) + theta.shape)  # slot s % depth: the model after s steps
     zero = np.zeros(theta.size)
     server_update = server_update_vector(task, theta, prepared.trusted)
-    features = np.empty(plan.shape[1:] + (store.dim,))
-    labels = np.empty(plan.shape[1:], dtype=store.labels.dtype)
 
     def cut():
         """For the live rows: the ring as one (depth * K) x p view, the ring
-        row of each base model per iteration, and per iteration the rows
-        whose client is malicious."""
+        row of each base model per iteration, per iteration the rows whose
+        client is malicious, and the batch buffers of the longest block."""
         attacked = {}
         for t, k in np.argwhere(np.isin(clients, malicious)).tolist():
             attacked.setdefault(t, []).append(k)
+        shape = (longest, len(rows), sched.batch_size)
         return (ring.reshape(-1, task.param_dim),
-                slots * len(rows) + np.arange(len(rows)), attacked)
+                slots * len(rows) + np.arange(len(rows)), attacked,
+                np.empty(shape + (store.dim,)),
+                np.empty(shape, dtype=store.labels.dtype))
 
     def tally(k, completed):
         """Row k's decision counts over its first ``completed`` iterations,
         indexed by the decision codes."""
-        return counts[k] + np.bincount(log[k, :completed - counted], minlength=3)
+        return counts[k] + np.bincount(log[:completed - counted, k], minlength=3)
 
-    flat, index, attacked = cut()
+    flat, index, attacked, features, labels = cut()
     with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(sched.iterations):
-            base = flat.take(index[t], axis=0)
-            # 'clip' lets take write into the buffer without a temporary;
-            # every plan row is a row of its client's set by construction
-            store.features.take(plan[t], axis=0, out=features, mode="clip")
-            store.labels.take(plan[t], out=labels, mode="clip")
-            sent = sched.batch_size * _avg_gradient(task, base, features, labels)
-            for k in attacked.get(t, ()):
-                sent[k] = craft(sent[k], base[k], rows[k][1])
-
-            if t % sched.server_refresh_period == 0 and t > 0:
+        for start, stop in zip(bounds, bounds[1:]):
+            if start % sched.server_refresh_period == 0 and start > 0:
                 server_update = server_update_vector(task, theta, prepared.trusted)
 
-            log[:, t - counted], step = decide(trials, clients[t].tolist(), sent,
-                                               base, server_update)
-            theta = theta - sched.learning_rate * step
+            size = stop - start
+            base = flat.take(index[start:stop], axis=0)
+            # 'clip' lets take write into the buffer without a temporary;
+            # every plan row is a row of its client's set by construction
+            store.features.take(plan[start:stop], axis=0, out=features[:size],
+                                mode="clip")
+            store.labels.take(plan[start:stop], out=labels[:size], mode="clip")
+            sent = sched.batch_size * _avg_gradient(task, base, features[:size],
+                                                    labels[:size])
+            for t in range(start, stop):
+                for k in attacked.get(t, ()):
+                    sent[t - start, k] = craft(sent[t - start, k],
+                                               base[t - start, k], rows[k][1])
 
-            completed = t + 1
+            log[start - counted:stop - counted], step = decide(
+                trials, clients[start:stop], sent, base, server_update)
+            step = sched.learning_rate * step
+            for i in range(size):
+                # the model is the ring slot it was written to
+                theta = np.subtract(theta, step[i], out=ring[(start + i + 1) % depth])
+
             # theta . 0 is NaN iff an entry is inf or NaN (inf * 0 is NaN),
             # and a sum of zeros cannot overflow
             if math.isnan(theta.ravel().dot(zero)):
                 finite = np.logical_and.reduce(np.isfinite(theta), axis=1)
+                written = np.arange(start + 1, stop + 1) % depth
                 for k in np.flatnonzero(~finite):
+                    # the row's models after start + 1, ..., stop steps
+                    models = ring[written, k]
+                    first = int(np.argmin(np.logical_and.reduce(
+                        np.isfinite(models), axis=1)))
+                    completed = start + first + 1
                     result = rows[k][0]
-                    result.records.append(evaluate(theta[k], completed,
+                    result.records.append(evaluate(models[first], completed,
                                                    tally(k, completed).tolist(),
                                                    diverged=True))
                     result.diverged = True
-                    result.final_model = theta[k]
+                    result.final_model = models[first]
                 kept = np.flatnonzero(finite)
                 if not len(kept):
                     break
                 trials, rows = [trials[k] for k in kept], [rows[k] for k in kept]
                 theta, server_update = theta[kept], server_update[kept]
-                counts, log = counts[kept], log[kept]
+                counts, log = counts[kept], log[:, kept]
                 zero = zero[:theta.size]
                 # C order, so that the flat ring in cut is a view
                 ring = np.ascontiguousarray(ring[:, kept])
                 clients, slots, plan = clients[:, kept], slots[:, kept], plan[:, kept]
-                features, labels = features[:len(kept)], labels[:len(kept)]
-                flat, index, attacked = cut()
+                flat, index, attacked, features, labels = cut()
 
-            ring[completed % depth] = theta
-            if completed % METRIC_CADENCE == 0 or completed == sched.iterations:
+            if stop % METRIC_CADENCE == 0 or stop == sched.iterations:
                 for k, (result, _) in enumerate(rows):
-                    counts[k] = tally(k, completed)
-                    result.records.append(evaluate(theta[k], completed,
+                    counts[k] = tally(k, stop)
+                    result.records.append(evaluate(theta[k], stop,
                                                    counts[k].tolist()))
-                counted = completed
+                counted = stop
 
     for k, (result, _) in enumerate(rows):
         if not result.diverged:
-            result.final_model = theta[k]
+            result.final_model = theta[k].copy()  # not a view of the ring
     return results

@@ -9,11 +9,13 @@ the wire-format scaling of updates.
 
 Stack axis: the gradients take any number of leading axes, one formula for
 every shape. A (K, m, d) batch with (K, m) labels and a (K, p) model stack
-gives the K gradients as a (K, p) array; a single (m, d) feature matrix
-against a (K, p) stack gives each model's gradient on that one batch (the
-server's reference update for every trial of a run). Each slice of a
-stacked call equals the call on that slice alone bit for bit: numpy's
-``matmul`` runs the same BLAS call per slice, a gemv for the squared loss
+gives the K gradients as a (K, p) array, and the engine's block of L
+iterations, an (L, K, m, d) batch against (L, K, p) models, gives an
+(L, K, p) array the same way; a single (m, d) feature matrix against a
+(K, p) stack gives each model's gradient on that one batch (the server's
+reference update for every trial of a run). Each slice of a stacked call
+equals the call on that slice alone bit for bit: numpy's ``matmul`` runs
+the same BLAS call per slice, a gemv for the squared loss
 (``theta[..., None]`` is a one-column matrix) and a gemm for the softmax.
 One gemm over the stack (``features @ thetas.T``) would sum in another
 order; do not use one.

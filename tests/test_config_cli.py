@@ -409,6 +409,19 @@ def test_rejected_data_plans_write_nothing(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_sweep_prepares_every_value_before_writing(tmp_path, capsys):
+    # the second value's trusted set is larger than the 480 training rows;
+    # the first value's run would be valid, but nothing is written
+    out = tmp_path / "sweep"
+    rc = cli.main(["sweep", "--config", str(_quick_config(tmp_path)),
+                   "--out", str(out), "--axis", "trusted_size",
+                   "--values", "50,500"])
+    assert rc == 2
+    assert "trusted set larger than source dataset" in capsys.readouterr().err
+    assert not (out / "trusted_size_50").exists()
+    assert not out.exists()
+
+
 def test_cli_main_errors_cleanly(tmp_path):
     rc = cli.main(["run", "--config", str(tmp_path / "absent.ini"),
                    "--out", str(tmp_path / "o")])

@@ -49,6 +49,12 @@ class TestAflguard:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             defenses.aflguard_accept(np.ones(2), np.ones(3), 1.0)
+        # the server stack must be the client stack's trailing shape
+        for client, server in (((2, 3, 4), (2, 4)), ((4,), (2, 4)), ((2, 4), (3, 4))):
+            with pytest.raises(ValueError):
+                defenses.aflguard_accept(np.ones(client), np.ones(server), 1.0)
+        assert defenses.aflguard_accept(np.ones((2, 3, 4)), np.ones((3, 4)),
+                                        1.0).shape == (2, 3)
 
 
 # a row's scale: zero, at the edges of the float range's squares, or plain
@@ -96,6 +102,23 @@ def test_stacked_aflguard_is_the_row_rule(seed, rows, dim, scales, special,
     assert (step is client) == all(want)
     for u, row, w in zip(client, step, want):
         # a rejected row, finite or not, applies zeros, not inf * 0 = NaN
+        assert row.tobytes() == (u if w else np.zeros(dim)).tobytes()
+
+    # a block of two iterations, (2, rows, dim): the server rows broadcast
+    # over its leading axis, and each update meets its own row's g_s
+    block = np.stack([client, 2 * server - client[::-1]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = defenses.aflguard_accept(block, server, lam)
+        want = [[l2norm(u - g) <= lam * l2norm(g) for u, g in zip(updates, server)]
+                for updates in block]
+        codes, step = decide(list(range(rows)), [list(range(rows))] * 2, block,
+                             None, server)
+    assert got.shape == (2, rows) and got.tolist() == want
+    assert np.asarray(codes).tolist() == [[ACCEPT if w else REJECT for w in ws]
+                                          for ws in want]
+    assert (step is block) == all(map(all, want))
+    for u, row, w in zip(block.reshape(-1, dim), step.reshape(-1, dim),
+                         sum(want, [])):
         assert row.tobytes() == (u if w else np.zeros(dim)).tobytes()
 
 

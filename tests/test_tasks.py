@@ -131,6 +131,15 @@ def test_stacked_gradients_equal_the_single_calls_bit_for_bit(
         assert single.tobytes() == _old_logistic_gradient(params[k], xk, lk,
                                                           classes).tobytes()
 
+    if not shared:
+        # the engine's block of iterations: two leading axes, (2, K, ...)
+        X2, y2, labels2, theta2, params2 = (np.stack([a, a[::-1]]) for a in
+                                            (X, y, labels, theta, params))
+        reg2 = tasks.regression_gradient(theta2, X2, y2)
+        log2 = tasks.logistic_gradient(params2, X2, labels2, classes)
+        assert reg2.tobytes() == np.stack([reg, reg[::-1]]).tobytes()
+        assert log2.tobytes() == np.stack([log, log[::-1]]).tobytes()
+
     # one label that is no class index, anywhere in the stack
     bad = labels.astype(float)
     bad.flat[rng.integers(bad.size)] = classes if bad_label == "classes" else bad_label
