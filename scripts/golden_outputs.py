@@ -41,6 +41,7 @@ on one core):
 """
 from __future__ import annotations
 
+import argparse
 import contextlib
 import dataclasses
 import hashlib
@@ -87,6 +88,11 @@ def digest(directory: Path) -> str:
 
 
 def main() -> int:
+    # no options: this parses only so that --help and a stray argument do
+    # not start the gate
+    argparse.ArgumentParser(
+        description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter).parse_args()
     regression = load_config(REGRESSION_CONFIG)
     classification = load_config(CLASSIFICATION_CONFIG)
     with tempfile.TemporaryDirectory() as tmp:

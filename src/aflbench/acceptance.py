@@ -22,7 +22,7 @@ import tempfile
 import traceback
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
@@ -278,58 +278,63 @@ def _check_aflguard_examples() -> None:
                 == defenses.aflguard_accept(c * client, c * server, lam))
 
 
-def _decision(verdict: defenses.Verdict) -> int:
-    """A verdict's decision code, once its contract is checked: an accept
-    carries a vector, a reject or buffered verdict none."""
-    assert (verdict.effective_update is None) == (verdict.decision != ACCEPT)
-    return verdict.decision
+def _decision(answer) -> Tuple[int, np.ndarray]:
+    """A one-row answer's decision code and step, once its contract is
+    checked: a rejected or buffered row of the step is zero."""
+    assert answer[0] == ACCEPT or not np.any(answer[1])
+    return int(answer[0]), answer[1]
 
 
 def _check_kardam_examples() -> None:
     state = defenses.KardamState()
+
+    def decide(cid, update, base):
+        return _decision(defenses.kardam_step([state], [0], cid, update, base))[0]
+
     base0 = np.zeros(2)
     # bootstrap accepts for every client
     for cid in range(3):
-        assert _decision(defenses.kardam_step(state, cid, np.ones(2) * (cid + 1), base0)) == ACCEPT
+        assert decide(cid, np.ones(2) * (cid + 1), base0) == ACCEPT
     # build coefficients {0.5, 1.0, 2.0}: client c moves its update by k*delta
     # over a unit base-model change
     base1 = np.array([1.0, 0.0])
     for cid, k in zip(range(3), (0.5, 1.0, 2.0)):
         update = np.ones(2) * (cid + 1) + np.array([k, 0.0])
-        defenses.kardam_step(state, cid, update, base1)
+        decide(cid, update, base1)
     assert sorted(state.coefficients.values()) == [0.5, 1.0, 2.0]
     base2 = np.array([2.0, 0.0])
     incoming_ok = state.prev_update[0] + np.array([0.8, 0.0])
-    assert _decision(defenses.kardam_step(state, 0, incoming_ok, base2)) == ACCEPT
+    assert decide(0, incoming_ok, base2) == ACCEPT
     base3 = np.array([3.0, 0.0])
     incoming_bad = state.prev_update[1] + np.array([5.0, 0.0])
-    assert _decision(defenses.kardam_step(state, 1, incoming_bad, base3)) == REJECT
+    assert decide(1, incoming_bad, base3) == REJECT
 
 
 def _check_basgd_examples() -> None:
-    state = defenses.BasgdState(2)
-    assert _decision(defenses.basgd_step(state, 0, np.array([1.0]))) == BUFFERED
-    one = defenses.BasgdState(1)
-    v = defenses.basgd_step(one, 7, np.array([3.0, -1.0]))
-    assert _decision(v) == ACCEPT and np.array_equal(v.effective_update, [3.0, -1.0])
+    def decide(state, cid, update):
+        return _decision(defenses.basgd_step([state], [0], cid, update))
+
+    assert decide(defenses.BasgdState(2), 0, np.array([1.0]))[0] == BUFFERED
+    code, step = decide(defenses.BasgdState(1), 7, np.array([3.0, -1.0]))
+    assert code == ACCEPT and np.array_equal(step, [3.0, -1.0])
     three = defenses.BasgdState(3)
     for cid, x in ((0, 0.0), (3, 1.0), (1, 2.0)):
-        assert _decision(defenses.basgd_step(three, cid, np.array([x]))) == BUFFERED
+        assert decide(three, cid, np.array([x]))[0] == BUFFERED
     # buffer means are {0.5, 2, 10}; their coordinate median is 2
-    v = defenses.basgd_step(three, 2, np.array([10.0]))
-    assert _decision(v) == ACCEPT and v.effective_update[0] == 2.0
+    code, step = decide(three, 2, np.array([10.0]))
+    assert code == ACCEPT and step[0] == 2.0
     assert all(not buf for buf in three.buffers)
 
 
 def _check_zeno_examples() -> None:
     server = np.array([1.0, 2.0, 2.0])
-    v = defenses.zeno_step(3.0 * server, server)
-    assert _decision(v) == ACCEPT
-    assert abs(vecmath.l2norm(v.effective_update) - vecmath.l2norm(server)) < 1e-12
-    assert np.allclose(v.effective_update, server)
+    code, step = _decision(defenses.zeno_step(3.0 * server, server))
+    assert code == ACCEPT
+    assert abs(vecmath.l2norm(step) - vecmath.l2norm(server)) < 1e-12
+    assert np.allclose(step, server)
     orth = np.array([2.0, -1.0, 0.0])
-    assert _decision(defenses.zeno_step(orth, server)) == REJECT
-    assert _decision(defenses.zeno_step(-server, server)) == REJECT
+    assert _decision(defenses.zeno_step(orth, server))[0] == REJECT
+    assert _decision(defenses.zeno_step(-server, server))[0] == REJECT
 
 
 def _check_adaptive_examples() -> None:
@@ -464,7 +469,7 @@ def criterion_9(runner: ScenarioRunner) -> CriterionResult:
         vs = [rng.normal(size=d) for _ in range(k)]
         state = defenses.BasgdState(k)  # k buffers of one update each
         for cid, v in enumerate(vs):
-            got = defenses.basgd_step(state, cid, v).effective_update
+            _, got = defenses.basgd_step([state], [0], cid, v)
         stacked = np.stack(vs)
         for j in range(d):
             col = np.sort(stacked[:, j])

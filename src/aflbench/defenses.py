@@ -2,21 +2,28 @@
 median of means, and cosine-gated normalization. AsyncSGD, which applies
 every update as sent, needs no function here.
 
-A filter's answer is a ``Verdict``: an int decision code, ``ACCEPT``,
-``REJECT`` or ``BUFFERED``, which also indexes the engine's tally of its
-decision log, and for an accept the update to apply. A rejected or
-buffered update carries none. ``aflguard_accept`` instead answers for a
-whole (..., K, p) stack at once, one bool per row, against a (K, p) stack
-of server updates that broadcasts over the leading axes, with each row's
-norms bit-equal to ``vecmath.l2norm``. The engine binds the configured
-filter once per run over the stack of its trials (``engine._bind_filter``)
-and calls it once per block of iterations, on the block's L x K updates:
-AFLGuard's binding makes one ``aflguard_accept`` call for all of them; it
-returns the stack itself as the step when no row is rejected, and
-otherwise a step with zeros in the rejected rows, finite or not. Kardam,
-BASGD and Zeno++ are called once per trial and iteration, in iteration
-order, and Kardam's and BASGD's per-trial state lives in that binding,
-which copies each row they keep. Filter parameters are validated once, by
+Every filter decides the live rows of a block with one call. It takes a
+(..., K, p) stack of wire updates, whose leading axes are the block's
+iterations and whose K rows are the live trials, and returns (codes,
+step). The codes hold one int decision, ``ACCEPT``, ``REJECT`` or
+``BUFFERED``, per update (bool where only the first two occur), and index
+the engine's tally of its decision log. The step has the stack's shape: it
+holds each applied row, and zeros wherever nothing is applied, whatever
+that row held. A stack may also be one (p,) row.
+
+* AFLGuard (``aflguard_step``, on the ball test ``aflguard_accept``) and
+  Zeno++ (``zeno_step``) are stateless. They take g_s as a (K, p) stack
+  that broadcasts over the leading axes, and each row's norms and dots
+  come from ``np.vecdot``, bit-equal to ``vecmath.l2norm`` and ``np.dot``
+  of the row.
+* Kardam (``kardam_step``) and BASGD (``basgd_step``) keep state per
+  trial. They take the run's states, each row's trial (row k of every
+  iteration is trial ``trials[k]``) and the client ids (..., K), and
+  decide the rows one at a time in iteration order. A row of a stack is a
+  view that pins the whole stack, so they copy each row they keep.
+
+The engine binds the configured filter once per run
+(``engine._bind_filter``). Filter parameters are validated once, by
 ``config.DefenseConfig``.
 
 Kardam keeps its per-client Lipschitz coefficients as a running sorted
@@ -28,23 +35,34 @@ coefficient is NaN), not a sort of every coefficient on every update.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .vecmath import cosine, l2norm
+from .vecmath import l2norm
 
 ACCEPT, REJECT, BUFFERED = 0, 1, 2
 
 DEFENSE_KINDS = ("asyncsgd", "kardam", "basgd", "zenopp", "aflguard")
 
+Answer = Tuple[np.ndarray, np.ndarray]
 
-class Verdict(NamedTuple):
-    decision: int
-    effective_update: Optional[np.ndarray] = None
+
+def _check_server_rows(client_update: np.ndarray, server_update: np.ndarray) -> None:
+    """The server stack must be the client stack's trailing shape."""
+    trailing = client_update.shape[client_update.ndim - server_update.ndim:]
+    if trailing != server_update.shape:
+        raise ValueError("dimension mismatch")
+
+
+def _applied(rows: np.ndarray, accept) -> np.ndarray:
+    """A step: each row where ``accept`` holds, zeros elsewhere, whatever a
+    rejected row holds (a selection, not a product: inf * 0 would be NaN)."""
+    return np.where(accept[..., None], rows, 0.0)
 
 
 def aflguard_accept(client_update: np.ndarray, server_update: np.ndarray,
@@ -54,12 +72,59 @@ def aflguard_accept(client_update: np.ndarray, server_update: np.ndarray,
     the leading shape. The server stack's shape is the client stack's
     trailing shape, and it broadcasts over the leading axes (a block's
     iterations). Each norm has the bits of ``vecmath.l2norm`` of its row."""
-    trailing = client_update.shape[client_update.ndim - server_update.ndim:]
-    if trailing != server_update.shape:
-        raise ValueError("dimension mismatch")
+    _check_server_rows(client_update, server_update)
     deviation = client_update - server_update
     return (np.sqrt(np.vecdot(deviation, deviation))
             <= lam * np.sqrt(np.vecdot(server_update, server_update)))
+
+
+def aflguard_step(updates: np.ndarray, g_s: np.ndarray, lam: float) -> Answer:
+    """AFLGuard: ``aflguard_accept`` decides each row. The step is
+    ``updates`` itself when no row is rejected."""
+    accept = aflguard_accept(updates, g_s, lam)
+    reject = np.logical_not(accept)  # REJECT is 1, ACCEPT 0
+    # count_nonzero is a C call; ndarray.any goes through Python
+    if not np.count_nonzero(reject):
+        return reject, updates
+    return reject, _applied(updates, accept)
+
+
+def zeno_step(updates: np.ndarray, g_s: np.ndarray) -> Answer:
+    """Cosine-gated filter: accept a row positively aligned with its server
+    update, renormalized to that update's length.
+
+    A zero row is rejected, and any other is accepted iff its
+    ``vecmath.cosine`` with its g_s row is > 0. That function's clamp to
+    [-1, 1] keeps the sign of the quotient dot / (client norm * server
+    norm) and turns a NaN into -1.0, so the test here is the quotient > 0,
+    which a NaN fails: a row with an inf or NaN entry is rejected. A zero
+    g_s row raises.
+    """
+    _check_server_rows(updates, g_s)
+    server_norms = np.sqrt(np.vecdot(g_s, g_s))
+    if np.count_nonzero(server_norms == 0.0):
+        raise ValueError("zero server update")
+    client_norms = np.sqrt(np.vecdot(updates, updates))
+    # a zero row is rejected, so its quotient and its ratio are never used
+    with np.errstate(divide="ignore", invalid="ignore"):
+        accept = (client_norms != 0.0) & (
+            np.vecdot(updates, g_s) / (client_norms * server_norms) > 0.0)
+        scaled = updates * (server_norms / client_norms)[..., None]
+    return np.logical_not(accept), _applied(scaled, accept)
+
+
+def _in_order(rule, states, trials, cids, *stacks) -> Answer:
+    """Decide a block's rows one at a time, in iteration order. Row k of
+    every iteration is trial ``trials[k]``. ``rule(state, cid, out,
+    *rows)`` gets that trial's state, the row's client id, the row of the
+    step to write and the row of each stack, and returns the code."""
+    p = stacks[0].shape[-1]
+    step = np.zeros(stacks[0].shape)
+    codes = list(itertools.starmap(rule, zip(
+        itertools.cycle([states[trial] for trial in trials]),
+        np.ravel(cids).tolist(), step.reshape(-1, p),
+        *(stack.reshape(-1, p) for stack in stacks))))
+    return np.reshape(codes, step.shape[:-1]), step
 
 
 class KardamState:
@@ -103,23 +168,11 @@ class KardamState:
         return (self.ordered[n // 2 - 1] + self.ordered[n // 2]) / 2
 
 
-def kardam_step(state: KardamState, client_id: int, update: np.ndarray,
-                base_model: np.ndarray) -> Verdict:
-    """Empirical-Lipschitz filter against the median coefficient.
-
-    A client with no usable history (first update, or identical consecutive
-    base models) is accepted and recorded: with no cold-start rule everything
-    would be rejected and training would deadlock. The median is taken over
-    the coefficients stored before this update arrives, read from the
-    state's running sorted order; a stored NaN makes it NaN, which rejects.
-    """
-    if update.shape != base_model.shape:
-        raise ValueError("dimension mismatch")
+def _kardam_row(state, client_id, out, update, base_model) -> int:
     prev_u = state.prev_update.get(client_id)
-    prev_b = state.prev_base.get(client_id)
     coeff = None
     if prev_u is not None:
-        denom = l2norm(base_model - prev_b)
+        denom = l2norm(base_model - state.prev_base[client_id])
         if denom > 0.0:
             coeff = l2norm(update - prev_u) / denom
     accept = True
@@ -127,43 +180,52 @@ def kardam_step(state: KardamState, client_id: int, update: np.ndarray,
         median = state.median()
         accept = coeff <= (coeff if median is None else median)
         state.record(client_id, coeff)
-    state.prev_update[client_id] = update
-    state.prev_base[client_id] = base_model
-    return Verdict(ACCEPT, update) if accept else Verdict(REJECT)
+    state.prev_update[client_id] = update.copy()
+    state.prev_base[client_id] = base_model.copy()
+    if accept:
+        out[...] = update
+    return ACCEPT if accept else REJECT
+
+
+def kardam_step(states, trials, cids, updates, bases) -> Answer:
+    """Empirical-Lipschitz filter against the median coefficient, one row
+    at a time on its trial's state.
+
+    A client with no usable history (first update, or identical consecutive
+    base models) is accepted and recorded: with no cold-start rule everything
+    would be rejected and training would deadlock. The median is taken over
+    the coefficients stored before this update arrives, read from the
+    state's running sorted order; a stored NaN makes it NaN, which rejects.
+    """
+    if updates.shape != bases.shape:
+        raise ValueError("dimension mismatch")
+    return _in_order(_kardam_row, states, trials, cids, updates, bases)
 
 
 @dataclass
 class BasgdState:
     num_buffers: int
-    buffers: List[List[np.ndarray]] = field(default_factory=list)
+    buffers: List[List[np.ndarray]] = field(init=False)
 
     def __post_init__(self):
         self.buffers = [[] for _ in range(self.num_buffers)]
 
 
-def basgd_step(state: BasgdState, client_id: int, update: np.ndarray) -> Verdict:
-    """Buffered aggregation: clients map to buffers by id modulo B.
+def _basgd_row(state, client_id, out, update) -> int:
+    state.buffers[client_id % state.num_buffers].append(update.copy())
+    if not all(state.buffers):
+        return BUFFERED
+    out[...] = np.median([np.mean(buf, axis=0) for buf in state.buffers], axis=0)
+    state.buffers = [[] for _ in range(state.num_buffers)]
+    return ACCEPT
+
+
+def basgd_step(states, trials, cids, updates) -> Answer:
+    """Buffered aggregation, one row at a time on its trial's buffers:
+    clients map to buffers by id modulo B.
 
     Once every buffer is nonempty the step emits the coordinatewise median
     of per-buffer means and clears all buffers; otherwise the update is
     buffered and the model is left unchanged.
     """
-    state.buffers[client_id % state.num_buffers].append(update)
-    if all(state.buffers):
-        buffer_means = [np.mean(buf, axis=0) for buf in state.buffers]
-        aggregated = np.median(np.stack(buffer_means), axis=0)
-        state.buffers = [[] for _ in range(state.num_buffers)]
-        return Verdict(ACCEPT, aggregated)
-    return Verdict(BUFFERED)
-
-
-def zeno_step(client_update: np.ndarray, server_update: np.ndarray) -> Verdict:
-    """Cosine-gated filter: accept positively aligned updates, renormalized
-    to the server update's magnitude."""
-    server_norm = l2norm(server_update)
-    if server_norm == 0.0:
-        raise ValueError("zero server update")
-    client_norm = l2norm(client_update)
-    if client_norm == 0.0 or cosine(client_update, server_update) <= 0.0:
-        return Verdict(REJECT)
-    return Verdict(ACCEPT, client_update * (server_norm / client_norm))
+    return _in_order(_basgd_row, states, trials, cids, updates)

@@ -57,17 +57,15 @@ the block plan stays valid, since a drop only removes rows. So a trial's
 output does not depend on the seeds run beside it, and K = 1 is simply
 one trial.
 
-Bindings, each made once per run: ``_bind_filter`` (AFLGuard decides a
-block's rows with one ``defenses.aflguard_accept`` call and applies the
-stack as sent when it rejects none; AsyncSGD applies the stack as sent;
-Kardam, BASGD and Zeno++ call their step function per row, iteration by
-iteration, Kardam and BASGD on per-trial state that the binding keeps by
-the row's trial, the index of its seed, so a drop leaves it as it is),
-``_bind_attack`` (with the adaptive attack's threat scope) and
-``_bind_evaluate``, which precomputes what every record shares and theta
-does not change, the regression truths (the test features times theta*,
-when theta* is known) and, under the backdoor attack, the probe (the
-eligible test rows with the trigger applied, ``metrics.backdoor_probe``).
+Bindings, each made once per run: ``_bind_filter`` (the configured
+``defenses`` filter, Kardam's and BASGD's on per-trial state that the
+binding keeps by the row's trial, the index of its seed, so a drop leaves
+it as it is; AsyncSGD applies the stack as sent), ``_bind_attack`` (with
+the adaptive attack's threat scope) and ``_bind_evaluate``, which
+precomputes what every record shares and theta does not change, the
+regression truths (the test features times theta*, when theta* is known)
+and, under the backdoor attack, the probe (the eligible test rows with the
+trigger applied, ``metrics.backdoor_probe``).
 The bound functions look up the ``defenses``, ``tasks``, ``attacks`` and
 ``metrics`` functions, and this module's ``make_threat_knowledge`` and
 ``server_update_vector``, by name at each call, so a wrapper patched onto
@@ -127,7 +125,6 @@ flipped, so the clean sets keep the generated labels.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
@@ -411,62 +408,27 @@ def _bind_filter(config: ExperimentConfig, num_trials: int):
     ``num_trials`` seeds, which keys the filter's per-trial state), and a
     (..., K, p) stack of wire updates with their client ids (..., K) and
     base models (..., K, p), where K is the live rows and the leading axes
-    are a block's iterations, and g_s, one per row (K, p). It returns
-    (codes, step): the decision codes, one per update or one for all, and
-    the step of the stack's shape, the update's row where it applies that,
-    zeros where it applies nothing. The step may be ``updates`` itself.
-    The filters run the iterations in order. ``updates`` and ``bases`` are
-    fresh arrays each call, but a row of either is a view that pins the
-    whole stack, so a filter that keeps a row copies it."""
+    are a block's iterations, and g_s, one per row (K, p). It returns the
+    ``defenses`` filter's (codes, step); AsyncSGD returns one code for all
+    and ``updates`` itself as the step."""
     kind, lam = config.defense.kind, config.defense.lam
     if kind == "asyncsgd":
-        def decide(trials, cids, updates, bases, g_s):
-            return ACCEPT, updates
-        return decide
+        return lambda trials, cids, updates, bases, g_s: (ACCEPT, updates)
     if kind == "aflguard":
-        def decide(trials, cids, updates, bases, g_s):
-            accept = defenses.aflguard_accept(updates, g_s, lam)
-            reject = np.logical_not(accept)  # REJECT is 1, ACCEPT 0
-            # count_nonzero is a C call; ndarray.any goes through Python
-            if not np.count_nonzero(reject):
-                return reject, updates
-            # a rejected row stays 0 whatever it holds: inf * 0 would be NaN
-            step = np.zeros(updates.shape)
-            np.copyto(step.T, updates.T, where=accept.T)
-            return reject, step
-        return decide
-
-    if kind == "kardam":
-        states = [defenses.KardamState() for _ in range(num_trials)]
-        def verdict(k, trial, cid, update, base, g_s):
-            return defenses.kardam_step(states[trial], cid, update.copy(),
-                                        base.copy())
-    elif kind == "basgd":
-        states = [defenses.BasgdState(config.defense.num_buffers)
-                  for _ in range(num_trials)]
-        def verdict(k, trial, cid, update, base, g_s):
-            return defenses.basgd_step(states[trial], cid, update.copy())
-    else:  # zenopp, on the trusted-set sum at the client's batch scale
+        return lambda trials, cids, updates, bases, g_s: defenses.aflguard_step(
+            updates, g_s, lam)
+    if kind == "zenopp":  # on the trusted-set sum at the client's batch scale
         scale = config.schedule.batch_size / config.data.trusted_size
-        def verdict(k, trial, cid, update, base, g_s):
-            return defenses.zeno_step(update, scale * g_s[k])
-
-    def decide(trials, cids, updates, bases, g_s):
-        p = updates.shape[-1]
-        step = np.zeros(updates.shape)
-        # the stack's rows in (iteration, row) order, row k of each
-        # iteration being trial trials[k]
-        rows = zip(itertools.cycle(enumerate(trials)), np.ravel(cids).tolist(),
-                   updates.reshape(-1, p), bases.reshape(-1, p),
-                   step.reshape(-1, p))
-        codes = []
-        for (k, trial), cid, update, base, out in rows:
-            decision, applied = verdict(k, trial, cid, update, base, g_s)
-            codes.append(decision)
-            if applied is not None:
-                out[...] = applied
-        return np.array(codes).reshape(updates.shape[:-1]), step
-    return decide
+        return lambda trials, cids, updates, bases, g_s: defenses.zeno_step(
+            updates, scale * g_s)
+    if kind == "kardam":
+        kardam = [defenses.KardamState() for _ in range(num_trials)]
+        return lambda trials, cids, updates, bases, g_s: defenses.kardam_step(
+            kardam, trials, cids, updates, bases)
+    basgd = [defenses.BasgdState(config.defense.num_buffers)
+             for _ in range(num_trials)]
+    return lambda trials, cids, updates, bases, g_s: defenses.basgd_step(
+        basgd, trials, cids, updates)
 
 
 def _bind_attack(prepared: PreparedData, config: ExperimentConfig):

@@ -21,7 +21,9 @@ def l2norm(a: np.ndarray) -> float:
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity in [-1, 1]; zero-norm input is a hard error."""
+    """Cosine similarity in [-1, 1]; zero-norm input is a hard error. A
+    NaN quotient, which an inf or NaN entry can give, comes back as -1.0:
+    ``max(-1.0, nan)`` is -1.0."""
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     na, nb = l2norm(a), l2norm(b)

@@ -64,14 +64,17 @@ def test_criterion_1_fails_without_filtering(monkeypatch):
     assert not result.passed, result.details
 
 
-def _basgd_mean_of_means(state, client_id, update):
-    """BASGD with the coordinate median of buffer means replaced by their mean."""
+def _basgd_mean_of_means(states, trials, client_id, update):
+    """BASGD with the coordinate median of buffer means replaced by their
+    mean, on one row of one trial, as criterion 9 calls it."""
+    [trial] = trials
+    state = states[trial]
     state.buffers[client_id % state.num_buffers].append(update)
     if not all(state.buffers):
-        return defenses.Verdict(defenses.BUFFERED)
+        return defenses.BUFFERED, np.zeros(update.shape)
     means = np.stack([np.mean(buf, axis=0) for buf in state.buffers])
     state.buffers = [[] for _ in state.buffers]
-    return defenses.Verdict(defenses.ACCEPT, means.mean(axis=0))
+    return defenses.ACCEPT, means.mean(axis=0)
 
 
 @pytest.mark.parametrize("module, name, mutate", [

@@ -7,10 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aflbench import defenses, engine
-from aflbench.acceptance import _decision as decision
 from aflbench.config import DefenseConfig, ExperimentConfig
 from aflbench.defenses import ACCEPT, BUFFERED, REJECT, BasgdState, KardamState
-from aflbench.vecmath import l2norm
+from aflbench.vecmath import cosine, l2norm
 
 
 class TestAflguard:
@@ -122,19 +121,26 @@ def test_stacked_aflguard_is_the_row_rule(seed, rows, dim, scales, special,
         assert row.tobytes() == (u if w else np.zeros(dim)).tobytes()
 
 
+def _kardam(state, cid, update, base):
+    """kardam_step on one row of one trial: its decision code, once its
+    step is checked to be the update where it accepts and zeros where not."""
+    code, step = defenses.kardam_step([state], [0], cid, update, base)
+    applied = update if code == ACCEPT else np.zeros(len(update))
+    assert step.tobytes() == applied.tobytes()
+    return int(code)
+
+
 class TestKardam:
     def test_bootstrap_accepts_first_update(self):
         state = KardamState()
         for cid in range(5):
-            v = defenses.kardam_step(state, cid, np.ones(2) * cid, np.zeros(2))
-            assert decision(v) == ACCEPT
+            assert _kardam(state, cid, np.ones(2) * cid, np.zeros(2)) == ACCEPT
 
     def test_zero_denominator_bootstraps(self):
         state = KardamState()
         base = np.array([1.0, 1.0])
-        defenses.kardam_step(state, 0, np.ones(2), base)
-        v = defenses.kardam_step(state, 0, np.ones(2) * 100, base.copy())
-        assert decision(v) == ACCEPT
+        _kardam(state, 0, np.ones(2), base)
+        assert _kardam(state, 0, np.ones(2) * 100, base.copy()) == ACCEPT
         assert 0 not in state.coefficients
 
     def test_decision_ignores_client_identity(self):
@@ -144,13 +150,12 @@ class TestKardam:
             state = KardamState()
             ks = {perm[0]: 0.5, perm[1]: 1.0, perm[2]: 2.0}
             for cid, k in ks.items():
-                defenses.kardam_step(state, cid, np.zeros(2), np.zeros(2))
-                defenses.kardam_step(state, cid, np.array([k, 0.0]),
-                                     np.array([1.0, 0.0]))
+                _kardam(state, cid, np.zeros(2), np.zeros(2))
+                _kardam(state, cid, np.array([k, 0.0]), np.array([1.0, 0.0]))
             probe = perm[0]
             incoming = state.prev_update[probe] + np.array([1.2, 0.0])
             base = state.prev_base[probe] + np.array([1.0, 0.0])
-            outcomes.append(decision(defenses.kardam_step(state, probe, incoming, base)))
+            outcomes.append(_kardam(state, probe, incoming, base))
         # ratio 1.2 lies between the median 1.0 and the largest coefficient 2.0
         assert outcomes == [REJECT] * 3
 
@@ -224,7 +229,7 @@ def test_kardam_decisions_match_a_numpy_median_reference(steps):
     with np.errstate(all="ignore"):
         for cid, u0, u1, b in steps:
             update, base = np.array([u0, u1]), np.array([b, 0.0])
-            got = decision(defenses.kardam_step(state, cid, update, base))
+            got = _kardam(state, cid, update, base)
             assert got == reference.step(cid, update, base)
             assert state.coefficients.keys() == reference.coefficients.keys()
             assert all(_same_float(state.coefficients[c], reference.coefficients[c])
@@ -237,13 +242,18 @@ class TestBasgd:
         accepts = 0
         rng = np.random.default_rng(5)
         for i in range(40):
-            v = defenses.basgd_step(state, int(rng.integers(10)), rng.normal(size=3))
-            if decision(v) == ACCEPT:
+            code, step = defenses.basgd_step([state], [0], int(rng.integers(10)),
+                                             rng.normal(size=3))
+            if code == ACCEPT:
                 accepts += 1
                 assert all(not buf for buf in state.buffers)
             else:
-                assert v.decision == BUFFERED
+                assert code == BUFFERED and not np.any(step)
         assert accepts >= 1
+
+    def test_buffers_are_not_an_argument(self):
+        with pytest.raises(TypeError):
+            BasgdState(2, [[np.ones(2)], []])
 
 
 class TestZeno:
@@ -253,20 +263,103 @@ class TestZeno:
         sn = np.linalg.norm(server)
         for _ in range(50):
             client = rng.normal(size=6)
-            v = defenses.zeno_step(client, server)
-            if decision(v) == ACCEPT:
-                assert abs(np.linalg.norm(v.effective_update) - sn) <= 1e-12 * sn
+            code, step = defenses.zeno_step(client, server)
+            if code == ACCEPT:
+                assert abs(np.linalg.norm(step) - sn) <= 1e-12 * sn
 
     def test_orthogonal_rejected(self):
-        assert decision(defenses.zeno_step(np.array([0.0, 1.0]),
-                                           np.array([1.0, 0.0]))) == REJECT
+        code, step = defenses.zeno_step(np.array([0.0, 1.0]), np.array([1.0, 0.0]))
+        assert code == REJECT and not np.any(step)
 
     def test_reversed_rejected(self):
         s = np.array([1.0, -2.0])
-        assert decision(defenses.zeno_step(-s, s)) == REJECT
+        assert defenses.zeno_step(-s, s)[0] == REJECT
 
     def test_zero_client_rejected_zero_server_error(self):
-        assert decision(defenses.zeno_step(np.zeros(2), np.ones(2))) == REJECT
+        code, step = defenses.zeno_step(np.zeros(2), np.ones(2))
+        assert code == REJECT and step.tobytes() == np.zeros(2).tobytes()
         with pytest.raises(ValueError):
             defenses.zeno_step(np.ones(2), np.zeros(2))
+        # one zero server row among K fails the whole stack
+        server = np.ones((3, 2))
+        server[1] = 0.0
+        with pytest.raises(ValueError, match="zero server update"):
+            defenses.zeno_step(np.ones((2, 3, 2)), server)
 
+    def test_non_finite_rows_rejected(self):
+        # the quotient is NaN or 0 here: the 1-D rule's clamp makes a NaN
+        # -1.0, and numpy's NaN > 0 is False
+        client = np.array([[math.inf, 0.0], [math.nan, 1.0], [1e200, 1e200]])
+        server = np.array([1.0, 0.5])
+        with np.errstate(over="ignore", invalid="ignore"):
+            codes, step = defenses.zeno_step(client, np.stack([server] * 3))
+            assert [_reference_zeno(u, server)[0] for u in client] == [REJECT] * 3
+        assert codes.tolist() == [REJECT] * 3
+        assert step.tobytes() == np.zeros((3, 2)).tobytes()
+
+    def test_quotient_divides_by_the_product_of_the_norms(self):
+        # dot / client norm alone underflows to 0 here, but dot / (client
+        # norm * server norm) is 1e-180, so the 1-D rule accepts
+        client, server = np.array([1e150, 1e-30]), np.array([0.0, 1e-150])
+        assert _reference_zeno(client, server)[0] == ACCEPT
+        assert defenses.zeno_step(client[None], server[None])[0].tolist() == [ACCEPT]
+
+
+def _reference_zeno(client, server):
+    """zeno_step's rule on one row, with ``vecmath.cosine``: its decision
+    code and step."""
+    server_norm = l2norm(server)
+    if server_norm == 0.0:
+        raise ValueError("zero server update")
+    client_norm = l2norm(client)
+    if client_norm == 0.0 or cosine(client, server) <= 0.0:
+        return REJECT, np.zeros(len(client))
+    return ACCEPT, client * (server_norm / client_norm)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), iterations=st.integers(1, 3),
+       rows=st.integers(1, 4), dim=st.integers(1, 40),
+       # 1e-170: a nonzero row whose norm underflows to zero
+       client_scales=st.lists(_ROW_SCALES | st.just(1e-170), min_size=12, max_size=12),
+       server_scales=st.lists(_ROW_SCALES.filter(bool), min_size=4, max_size=4),
+       special=st.sampled_from([None, math.inf, -math.inf, math.nan]),
+       special_in_server=st.booleans())
+@example(seed=1, iterations=2, rows=2, dim=3, client_scales=[1e150, 1e-150, 0.0] * 4,
+         server_scales=[1e-150, 1e150] * 2, special=None, special_in_server=False)
+@example(seed=3, iterations=2, rows=2, dim=1, client_scales=[1e-170] * 12,
+         server_scales=[1e150] * 4, special=None, special_in_server=False)
+@example(seed=2, iterations=1, rows=3, dim=2, client_scales=[1.0] * 12,
+         server_scales=[1.0] * 4, special=math.nan, special_in_server=True)
+def test_stacked_zeno_is_the_row_rule(seed, iterations, rows, dim, client_scales,
+                                      server_scales, special, special_in_server):
+    # each row of an (L, K, p) stack gets the 1-D rule's decision against
+    # its row of g_s, and its step has the bytes of the rule's: the row
+    # rescaled where it accepts, zeros where it rejects
+    rng = np.random.default_rng(seed)
+    server = np.stack([scale * rng.normal(size=dim) for scale in server_scales[:rows]])
+    client = (np.reshape(client_scales[:iterations * rows], (iterations, rows, 1))
+              * rng.normal(size=(iterations, rows, dim)))
+    if special is not None:
+        target = server if special_in_server else client[rng.integers(iterations)]
+        target[rng.integers(rows), rng.integers(dim)] = special
+    cfg = ExperimentConfig(defense=DefenseConfig(kind="zenopp"))
+    scale = cfg.schedule.batch_size / cfg.data.trusted_size
+    decide = engine._bind_filter(cfg, rows)
+    with np.errstate(all="ignore"):
+        for g_s, answer in ((server, defenses.zeno_step(client, server)),
+                            (scale * server, decide(list(range(rows)),
+                                                    [list(range(rows))] * iterations,
+                                                    client, None, server))):
+            want = [_reference_zeno(u, g) for updates in client
+                    for u, g in zip(updates, g_s)]
+            codes, step = answer
+            assert np.shape(codes) == (iterations, rows) and step.shape == client.shape
+            assert np.ravel(codes).tolist() == [code for code, _ in want]
+            for row, (_, applied) in zip(step.reshape(-1, dim), want):
+                assert row.tobytes() == applied.tobytes()
+        # and a single (p,) row is a stack of one
+        for u, g in zip(client[0], server):
+            code, row = defenses.zeno_step(u, g)
+            want_code, applied = _reference_zeno(u, g)
+            assert code == want_code and row.tobytes() == applied.tobytes()

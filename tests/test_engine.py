@@ -331,22 +331,22 @@ def test_a_row_diverging_inside_a_block_gets_that_iterations_record(monkeypatch)
 
 @pytest.mark.parametrize("defense, step", [("kardam", "kardam_step"),
                                            ("basgd", "basgd_step")])
-def test_stateful_filters_keep_copies_of_block_rows(monkeypatch, defense, step):
+def test_stateful_filters_keep_copies_of_block_rows(defense, step):
     # a kept row view would pin the whole block stack
-    kept = []
-    real = getattr(defenses, step)
-
-    def recording(state, cid, update, *base):
-        kept.extend((update,) + base)
-        return real(state, cid, update, *base)
-
-    monkeypatch.setattr(defenses, step, recording)
-    cfg = ExperimentConfig(defense=DefenseConfig(kind=defense, num_buffers=3))
-    decide = engine._bind_filter(cfg, 2)
+    if defense == "kardam":
+        states = [defenses.KardamState() for _ in range(2)]
+    else:
+        states = [defenses.BasgdState(3) for _ in range(2)]
     rng = np.random.default_rng(3)
     updates, bases = rng.normal(size=(2, 2, 2, 5))
-    codes, out = decide([0, 1], [[0, 1], [2, 3]], updates, bases, None)
+    stacks = (updates, bases) if defense == "kardam" else (updates,)
+    codes, out = getattr(defenses, step)(states, [0, 1], [[0, 1], [2, 3]], *stacks)
     assert np.asarray(codes).shape == (2, 2) and out.shape == updates.shape
+    if defense == "kardam":
+        kept = [row for state in states
+                for row in (*state.prev_update.values(), *state.prev_base.values())]
+    else:
+        kept = [row for state in states for buf in state.buffers for row in buf]
     assert len(kept) == (8 if defense == "kardam" else 4)
     assert all(row.base is None for row in kept)
 
@@ -366,16 +366,18 @@ def test_bound_functions_call_through_their_modules(monkeypatch):
     # perfbench traces a layer by wrapping its name in its module; a trial
     # that resolved these functions at import time would bypass the wrapper
     calls = collections.Counter()
-    for module, name in ((defenses, "aflguard_accept"), (defenses, "kardam_step"),
-                         (tasks, "regression_gradient"),
-                         (engine, "server_update_vector")):
+    filters = {"aflguard": "aflguard_accept", "kardam": "kardam_step",
+               "basgd": "basgd_step", "zenopp": "zeno_step"}
+    for module, name in ([(defenses, step) for step in filters.values()]
+                         + [(tasks, "regression_gradient"),
+                            (engine, "server_update_vector")]):
         def counted(*args, _real=getattr(module, name), _name=name):
             calls[_name] += 1
             return _real(*args)
         monkeypatch.setattr(module, name, counted)
     iterations, period = 120, 10
     refreshes = 1 + (iterations - 1) // period  # the first g_s, then t = 10, ..., 110
-    for defense, step in (("aflguard", "aflguard_accept"), ("kardam", "kardam_step")):
+    for defense, step in filters.items():
         cfg = small_config(defense=defense, iterations=iterations,
                            server_refresh_period=period)
         prepared = prepare_data(cfg)
@@ -386,12 +388,9 @@ def test_bound_functions_call_through_their_modules(monkeypatch):
                                for seed in seeds], axis=1)
             blocks = len(engine.plan_blocks(delays, period)) - 1
             assert blocks < iterations
-            # AFLGuard: one filter call per block for all trials; Kardam:
-            # one per trial and iteration. One gradient call per block for
-            # the client updates of all trials, and one per g_s
-            filter_calls = blocks if defense == "aflguard" else len(seeds) * iterations
-            assert calls == {step: filter_calls,
-                             "server_update_vector": refreshes,
+            # one filter call per block for all trials, one gradient call
+            # per block for the client updates of all trials, and one per g_s
+            assert calls == {step: blocks, "server_update_vector": refreshes,
                              "regression_gradient": blocks + refreshes}, defense
 
 
