@@ -289,7 +289,7 @@ def _check_kardam_examples() -> None:
     state = defenses.KardamState()
 
     def decide(cid, update, base):
-        return _decision(defenses.kardam_step([state], [0], cid, update, base))[0]
+        return _decision(defenses.kardam_step([state], cid, update, base))[0]
 
     base0 = np.zeros(2)
     # bootstrap accepts for every client
@@ -312,7 +312,7 @@ def _check_kardam_examples() -> None:
 
 def _check_basgd_examples() -> None:
     def decide(state, cid, update):
-        return _decision(defenses.basgd_step([state], [0], cid, update))
+        return _decision(defenses.basgd_step([state], cid, update))
 
     assert decide(defenses.BasgdState(2), 0, np.array([1.0]))[0] == BUFFERED
     code, step = decide(defenses.BasgdState(1), 7, np.array([3.0, -1.0]))
@@ -469,7 +469,7 @@ def criterion_9(runner: ScenarioRunner) -> CriterionResult:
         vs = [rng.normal(size=d) for _ in range(k)]
         state = defenses.BasgdState(k)  # k buffers of one update each
         for cid, v in enumerate(vs):
-            _, got = defenses.basgd_step([state], [0], cid, v)
+            _, got = defenses.basgd_step([state], cid, v)
         stacked = np.stack(vs)
         for j in range(d):
             col = np.sort(stacked[:, j])

@@ -2,9 +2,9 @@
 median of means, and cosine-gated normalization. AsyncSGD, which applies
 every update as sent, needs no function here.
 
-Every filter decides the live rows of a block with one call. It takes a
+Every filter decides the rows of a block with one call. It takes a
 (..., K, p) stack of wire updates, whose leading axes are the block's
-iterations and whose K rows are the live trials, and returns (codes,
+iterations and whose K rows are the run's trials, and returns (codes,
 step). The codes hold one int decision, ``ACCEPT``, ``REJECT`` or
 ``BUFFERED``, per update (bool where only the first two occur), and index
 the engine's tally of its decision log. The step has the stack's shape: it
@@ -17,10 +17,11 @@ that row held. A stack may also be one (p,) row.
   come from ``np.vecdot``, bit-equal to ``vecmath.l2norm`` and ``np.dot``
   of the row.
 * Kardam (``kardam_step``) and BASGD (``basgd_step``) keep state per
-  trial. They take the run's states, each row's trial (row k of every
-  iteration is trial ``trials[k]``) and the client ids (..., K), and
-  decide the rows one at a time in iteration order. A row of a stack is a
-  view that pins the whole stack, so they copy each row they keep.
+  trial. They take the run's states, one per row (row k of every
+  iteration is trial k, whose state is ``states[k]``), and the client ids
+  (..., K), and decide the rows one at a time in iteration order. A row
+  of a stack is a view that pins the whole stack, so they copy each row
+  they keep.
 
 The engine binds the configured filter once per run
 (``engine._bind_filter``). Filter parameters are validated once, by
@@ -113,15 +114,15 @@ def zeno_step(updates: np.ndarray, g_s: np.ndarray) -> Answer:
     return np.logical_not(accept), _applied(scaled, accept)
 
 
-def _in_order(rule, states, trials, cids, *stacks) -> Answer:
+def _in_order(rule, states, cids, *stacks) -> Answer:
     """Decide a block's rows one at a time, in iteration order. Row k of
-    every iteration is trial ``trials[k]``. ``rule(state, cid, out,
-    *rows)`` gets that trial's state, the row's client id, the row of the
-    step to write and the row of each stack, and returns the code."""
+    every iteration is trial k. ``rule(state, cid, out, *rows)`` gets
+    ``states[k]``, the row's client id, the row of the step to write and
+    the row of each stack, and returns the code."""
     p = stacks[0].shape[-1]
     step = np.zeros(stacks[0].shape)
     codes = list(itertools.starmap(rule, zip(
-        itertools.cycle([states[trial] for trial in trials]),
+        itertools.cycle(states),
         np.ravel(cids).tolist(), step.reshape(-1, p),
         *(stack.reshape(-1, p) for stack in stacks))))
     return np.reshape(codes, step.shape[:-1]), step
@@ -187,7 +188,7 @@ def _kardam_row(state, client_id, out, update, base_model) -> int:
     return ACCEPT if accept else REJECT
 
 
-def kardam_step(states, trials, cids, updates, bases) -> Answer:
+def kardam_step(states, cids, updates, bases) -> Answer:
     """Empirical-Lipschitz filter against the median coefficient, one row
     at a time on its trial's state.
 
@@ -199,7 +200,7 @@ def kardam_step(states, trials, cids, updates, bases) -> Answer:
     """
     if updates.shape != bases.shape:
         raise ValueError("dimension mismatch")
-    return _in_order(_kardam_row, states, trials, cids, updates, bases)
+    return _in_order(_kardam_row, states, cids, updates, bases)
 
 
 @dataclass
@@ -220,7 +221,7 @@ def _basgd_row(state, client_id, out, update) -> int:
     return ACCEPT
 
 
-def basgd_step(states, trials, cids, updates) -> Answer:
+def basgd_step(states, cids, updates) -> Answer:
     """Buffered aggregation, one row at a time on its trial's buffers:
     clients map to buffers by id modulo B.
 
@@ -228,4 +229,4 @@ def basgd_step(states, trials, cids, updates) -> Answer:
     of per-buffer means and clears all buffers; otherwise the update is
     buffered and the model is left unchanged.
     """
-    return _in_order(_basgd_row, states, trials, cids, updates)
+    return _in_order(_basgd_row, states, cids, updates)

@@ -43,24 +43,25 @@ of L iterations does once, for all rows:
   theta - (learning_rate * S)[i], written straight into the iteration's
   ring slot, which is then theta;
 * the finiteness check, on the last model only: a non-finite entry stays
-  non-finite under subtraction. When it fires, each row's first
-  non-finite model is read back from the ring slots the block wrote,
-  which are distinct, as L <= max_client_delay + 1.
+  non-finite under subtraction. When it fires, each newly diverged row's
+  first non-finite model is read back from the ring slots the block
+  wrote, which are distinct, as L <= max_client_delay + 1.
 
 Per row, at the metric cadence, which always ends a block: the
 evaluation, with the accepted, rejected and buffered counts, which each
 record adds up from the row's decision log into a K x 3 running count. A
 row whose model leaves the finite range gets its divergence record at the
-iteration it left and is dropped, at the end of that block, from the
-arrays, its counts, log, mask and plan with it; the other rows go on, and
-the block plan stays valid, since a drop only removes rows. So a trial's
-output does not depend on the seeds run beside it, and K = 1 is simply
-one trial.
+iteration it left, and that is its last record: it is never recorded
+again. At the end of that block its ring slots are zeroed, the model it
+holds included, and it runs on from zero, the model every trial starts
+from, until the last row has diverged, which ends the loop. So row k is
+trial k for the whole run, every array keeps its K rows, and rows never
+move. Rows are independent, so a trial's output does not depend on the
+seeds run beside it, and K = 1 is simply one trial.
 
 Bindings, each made once per run: ``_bind_filter`` (the configured
-``defenses`` filter, Kardam's and BASGD's on per-trial state that the
-binding keeps by the row's trial, the index of its seed, so a drop leaves
-it as it is; AsyncSGD applies the stack as sent), ``_bind_attack`` (with
+``defenses`` filter, Kardam's and BASGD's on one state per trial;
+AsyncSGD applies the stack as sent), ``_bind_attack`` (with
 the adaptive attack's threat scope) and ``_bind_evaluate``, which
 precomputes what every record shares and theta does not change, the
 regression truths (the test features times theta*, when theta* is known)
@@ -403,32 +404,31 @@ def make_threat_knowledge(base_model: np.ndarray, scope: ThreatScope,
 
 
 def _bind_filter(config: ExperimentConfig, num_trials: int):
-    """The run's filter over its live rows: ``decide(trials, cids, updates,
-    bases, g_s)`` takes each live row's trial (its index among the run's
-    ``num_trials`` seeds, which keys the filter's per-trial state), and a
+    """The run's filter: ``decide(cids, updates, bases, g_s)`` takes a
     (..., K, p) stack of wire updates with their client ids (..., K) and
-    base models (..., K, p), where K is the live rows and the leading axes
-    are a block's iterations, and g_s, one per row (K, p). It returns the
-    ``defenses`` filter's (codes, step); AsyncSGD returns one code for all
-    and ``updates`` itself as the step."""
+    base models (..., K, p), whose leading axes are a block's iterations
+    and whose row k is trial k of the run's ``num_trials``, and g_s, one
+    per row (K, p). It returns the ``defenses`` filter's (codes, step);
+    AsyncSGD returns one code for all and ``updates`` itself as the step.
+    Kardam and BASGD keep one state per trial, built here."""
     kind, lam = config.defense.kind, config.defense.lam
     if kind == "asyncsgd":
-        return lambda trials, cids, updates, bases, g_s: (ACCEPT, updates)
+        return lambda cids, updates, bases, g_s: (ACCEPT, updates)
     if kind == "aflguard":
-        return lambda trials, cids, updates, bases, g_s: defenses.aflguard_step(
+        return lambda cids, updates, bases, g_s: defenses.aflguard_step(
             updates, g_s, lam)
     if kind == "zenopp":  # on the trusted-set sum at the client's batch scale
         scale = config.schedule.batch_size / config.data.trusted_size
-        return lambda trials, cids, updates, bases, g_s: defenses.zeno_step(
+        return lambda cids, updates, bases, g_s: defenses.zeno_step(
             updates, scale * g_s)
     if kind == "kardam":
         kardam = [defenses.KardamState() for _ in range(num_trials)]
-        return lambda trials, cids, updates, bases, g_s: defenses.kardam_step(
-            kardam, trials, cids, updates, bases)
+        return lambda cids, updates, bases, g_s: defenses.kardam_step(
+            kardam, cids, updates, bases)
     basgd = [defenses.BasgdState(config.defense.num_buffers)
              for _ in range(num_trials)]
-    return lambda trials, cids, updates, bases, g_s: defenses.basgd_step(
-        basgd, trials, cids, updates)
+    return lambda cids, updates, bases, g_s: defenses.basgd_step(
+        basgd, cids, updates)
 
 
 def _bind_attack(prepared: PreparedData, config: ExperimentConfig):
@@ -546,8 +546,8 @@ def run_trials(config: ExperimentConfig, prepared: PreparedData,
     """Execute one seeded trial per seed, all in lockstep (module
     docstring); each is fully deterministic given (config, its seed)."""
     sched, task, store = config.schedule, prepared.task, prepared.store
-    # iteration by live row: the store rows of the batches, the client ids
-    # and the ring slots of the bases. Each trial's plan is drawn into its
+    # iteration by row: the store rows of the batches, the client ids and
+    # the ring rows of the bases. Each trial's plan is drawn into its
     # column as rows of its client's set, then moved to the set's place.
     plan = np.empty((sched.iterations, len(seeds), sched.batch_size), dtype=np.intp)
     draws = [draw_trial(config, prepared, seed, plan[:, k])
@@ -556,49 +556,42 @@ def run_trials(config: ExperimentConfig, prepared: PreparedData,
     plan += np.array([rows.start for rows in prepared.client_rows])[clients, None]
     depth = sched.max_client_delay + 1
     delays = np.stack([d.delays for d in draws], axis=1)
-    slots = (np.arange(sched.iterations)[:, None] - delays) % depth
+    # slot s % depth holds the model after s steps, and base model [t, k]
+    # is row index[t, k] of its flat view
+    ring = np.zeros((depth, len(seeds), task.param_dim))
+    flat = ring.reshape(-1, task.param_dim)
+    index = ((np.arange(sched.iterations)[:, None] - delays) % depth * len(seeds)
+             + np.arange(len(seeds)))
     bounds = plan_blocks(delays, sched.server_refresh_period)
-    longest = int(np.diff(bounds).max())
+    # the batch buffers of the longest block
+    shape = (int(np.diff(bounds).max()), len(seeds), sched.batch_size)
+    features = np.empty(shape + (store.dim,))
+    labels = np.empty(shape, dtype=store.labels.dtype)
     bounds = bounds.tolist()
     craft = _bind_attack(prepared, config)
     decide = _bind_filter(config, len(seeds))
     evaluate = _bind_evaluate(prepared, config)
     results = [TrialResult(seed=seed) for seed in seeds]
-    # per live row: its trial, its result and attack-noise stream, its
-    # decision counts up to the last record and its decision codes since,
-    # iteration t in row t - counted
-    trials = list(range(len(seeds)))
-    rows = [(result, d.noise) for result, d in zip(results, draws)]
-    del draws  # their batches view the plan, which a drop replaces
+    # per iteration, the rows whose client is malicious
+    attacked = {}
+    malicious = sorted(prepared.malicious) if craft is not None else []
+    for t, k in np.argwhere(np.isin(clients, malicious)).tolist():
+        attacked.setdefault(t, []).append(k)
+    # per row: its decision counts up to the last record and its decision
+    # codes since, iteration t in row t - counted
     counts = np.zeros((len(seeds), 3), dtype=np.intp)
     log = np.zeros((METRIC_CADENCE, len(seeds)), dtype=np.intp)
     counted = 0
-    malicious = sorted(prepared.malicious) if craft is not None else []
 
-    theta = np.zeros((len(seeds), task.param_dim))
-    ring = np.zeros((depth,) + theta.shape)  # slot s % depth: the model after s steps
+    theta = ring[0]
     zero = np.zeros(theta.size)
     server_update = server_update_vector(task, theta, prepared.trusted)
-
-    def cut():
-        """For the live rows: the ring as one (depth * K) x p view, the ring
-        row of each base model per iteration, per iteration the rows whose
-        client is malicious, and the batch buffers of the longest block."""
-        attacked = {}
-        for t, k in np.argwhere(np.isin(clients, malicious)).tolist():
-            attacked.setdefault(t, []).append(k)
-        shape = (longest, len(rows), sched.batch_size)
-        return (ring.reshape(-1, task.param_dim),
-                slots * len(rows) + np.arange(len(rows)), attacked,
-                np.empty(shape + (store.dim,)),
-                np.empty(shape, dtype=store.labels.dtype))
 
     def tally(k, completed):
         """Row k's decision counts over its first ``completed`` iterations,
         indexed by the decision codes."""
         return counts[k] + np.bincount(log[:completed - counted, k], minlength=3)
 
-    flat, index, attacked, features, labels = cut()
     with np.errstate(over="ignore", invalid="ignore"):
         for start, stop in zip(bounds, bounds[1:]):
             if start % sched.server_refresh_period == 0 and start > 0:
@@ -616,10 +609,10 @@ def run_trials(config: ExperimentConfig, prepared: PreparedData,
             for t in range(start, stop):
                 for k in attacked.get(t, ()):
                     sent[t - start, k] = craft(sent[t - start, k],
-                                               base[t - start, k], rows[k][1])
+                                               base[t - start, k], draws[k].noise)
 
             log[start - counted:stop - counted], step = decide(
-                trials, clients[start:stop], sent, base, server_update)
+                clients[start:stop], sent, base, server_update)
             step = sched.learning_rate * step
             for i in range(size):
                 # the model is the ring slot it was written to
@@ -631,37 +624,33 @@ def run_trials(config: ExperimentConfig, prepared: PreparedData,
                 finite = np.logical_and.reduce(np.isfinite(theta), axis=1)
                 written = np.arange(start + 1, stop + 1) % depth
                 for k in np.flatnonzero(~finite):
+                    result = results[k]
+                    if result.diverged:
+                        continue
                     # the row's models after start + 1, ..., stop steps
                     models = ring[written, k]
                     first = int(np.argmin(np.logical_and.reduce(
                         np.isfinite(models), axis=1)))
                     completed = start + first + 1
-                    result = rows[k][0]
                     result.records.append(evaluate(models[first], completed,
                                                    tally(k, completed).tolist(),
                                                    diverged=True))
                     result.diverged = True
                     result.final_model = models[first]
-                kept = np.flatnonzero(finite)
-                if not len(kept):
+                if all(result.diverged for result in results):
                     break
-                trials, rows = [trials[k] for k in kept], [rows[k] for k in kept]
-                theta, server_update = theta[kept], server_update[kept]
-                counts, log = counts[kept], log[:, kept]
-                zero = zero[:theta.size]
-                # C order, so that the flat ring in cut is a view
-                ring = np.ascontiguousarray(ring[:, kept])
-                clients, slots, plan = clients[:, kept], slots[:, kept], plan[:, kept]
-                flat, index, attacked, features, labels = cut()
+                # theta among them: the row runs on from zero, unrecorded
+                ring[:, ~finite] = 0.0
 
             if stop % METRIC_CADENCE == 0 or stop == sched.iterations:
-                for k, (result, _) in enumerate(rows):
-                    counts[k] = tally(k, stop)
-                    result.records.append(evaluate(theta[k], stop,
-                                                   counts[k].tolist()))
+                for k, result in enumerate(results):
+                    if not result.diverged:
+                        counts[k] = tally(k, stop)
+                        result.records.append(evaluate(theta[k], stop,
+                                                       counts[k].tolist()))
                 counted = stop
 
-    for k, (result, _) in enumerate(rows):
+    for k, result in enumerate(results):
         if not result.diverged:
             result.final_model = theta[k].copy()  # not a view of the ring
     return results

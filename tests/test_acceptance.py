@@ -64,11 +64,10 @@ def test_criterion_1_fails_without_filtering(monkeypatch):
     assert not result.passed, result.details
 
 
-def _basgd_mean_of_means(states, trials, client_id, update):
+def _basgd_mean_of_means(states, client_id, update):
     """BASGD with the coordinate median of buffer means replaced by their
     mean, on one row of one trial, as criterion 9 calls it."""
-    [trial] = trials
-    state = states[trial]
+    [state] = states
     state.buffers[client_id % state.num_buffers].append(update)
     if not all(state.buffers):
         return defenses.BUFFERED, np.zeros(update.shape)

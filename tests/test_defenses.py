@@ -94,8 +94,7 @@ def test_stacked_aflguard_is_the_row_rule(seed, rows, dim, scales, special,
 
         cfg = ExperimentConfig(defense=DefenseConfig(kind="aflguard", lam=lam))
         decide = engine._bind_filter(cfg, rows)
-        codes, step = decide(list(range(rows)), list(range(rows)), client,
-                             None, server)
+        codes, step = decide(list(range(rows)), client, None, server)
     assert np.asarray(codes).tolist() == [ACCEPT if w else REJECT for w in want]
     # with no row rejected the step is the stack as sent, not a copy
     assert (step is client) == all(want)
@@ -110,8 +109,7 @@ def test_stacked_aflguard_is_the_row_rule(seed, rows, dim, scales, special,
         got = defenses.aflguard_accept(block, server, lam)
         want = [[l2norm(u - g) <= lam * l2norm(g) for u, g in zip(updates, server)]
                 for updates in block]
-        codes, step = decide(list(range(rows)), [list(range(rows))] * 2, block,
-                             None, server)
+        codes, step = decide([list(range(rows))] * 2, block, None, server)
     assert got.shape == (2, rows) and got.tolist() == want
     assert np.asarray(codes).tolist() == [[ACCEPT if w else REJECT for w in ws]
                                           for ws in want]
@@ -124,7 +122,7 @@ def test_stacked_aflguard_is_the_row_rule(seed, rows, dim, scales, special,
 def _kardam(state, cid, update, base):
     """kardam_step on one row of one trial: its decision code, once its
     step is checked to be the update where it accepts and zeros where not."""
-    code, step = defenses.kardam_step([state], [0], cid, update, base)
+    code, step = defenses.kardam_step([state], cid, update, base)
     applied = update if code == ACCEPT else np.zeros(len(update))
     assert step.tobytes() == applied.tobytes()
     return int(code)
@@ -236,13 +234,21 @@ def test_kardam_decisions_match_a_numpy_median_reference(steps):
                        for c in state.coefficients)
 
 
+def _basgd_median(vs):
+    """Coordinate median as BASGD computes it: k buffers of one update each."""
+    state = BasgdState(len(vs))
+    for cid, v in enumerate(vs):
+        _, step = defenses.basgd_step([state], cid, v)
+    return step
+
+
 class TestBasgd:
     def test_one_accept_per_fill_and_buffers_cleared(self):
         state = BasgdState(2)
         accepts = 0
         rng = np.random.default_rng(5)
         for i in range(40):
-            code, step = defenses.basgd_step([state], [0], int(rng.integers(10)),
+            code, step = defenses.basgd_step([state], int(rng.integers(10)),
                                              rng.normal(size=3))
             if code == ACCEPT:
                 accepts += 1
@@ -254,6 +260,28 @@ class TestBasgd:
     def test_buffers_are_not_an_argument(self):
         with pytest.raises(TypeError):
             BasgdState(2, [[np.ones(2)], []])
+
+    def test_coordinate_median_permutation_invariant(self):
+        rng = np.random.default_rng(6)
+        vs = [rng.normal(size=4) for _ in range(6)]
+        base = _basgd_median(vs)
+        for _ in range(5):
+            rng.shuffle(vs)
+            assert np.array_equal(_basgd_median(vs), base)
+
+    def test_mean_and_median_agree_on_identical_vectors(self):
+        # buffer 0 averages three copies of v, buffer 1 holds one; the
+        # median of the two buffer means is v again
+        v = np.array([2.0, -3.0, 0.5])
+        state = BasgdState(2)
+        for cid in (0, 2, 4, 1):
+            code, step = defenses.basgd_step([state], cid, v.copy())
+        assert code == ACCEPT
+        assert np.allclose(step, v)
+
+    def test_mixed_dims_rejected(self):
+        with pytest.raises(ValueError):
+            _basgd_median([np.ones(2), np.ones(3)])
 
 
 class TestZeno:
@@ -348,8 +376,7 @@ def test_stacked_zeno_is_the_row_rule(seed, iterations, rows, dim, client_scales
     decide = engine._bind_filter(cfg, rows)
     with np.errstate(all="ignore"):
         for g_s, answer in ((server, defenses.zeno_step(client, server)),
-                            (scale * server, decide(list(range(rows)),
-                                                    [list(range(rows))] * iterations,
+                            (scale * server, decide([list(range(rows))] * iterations,
                                                     client, None, server))):
             want = [_reference_zeno(u, g) for updates in client
                     for u, g in zip(updates, g_s)]

@@ -1,10 +1,12 @@
 import collections
 import dataclasses
+import math
 import os
 import subprocess
 import sys
 import tempfile
 import tracemalloc
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -149,8 +151,8 @@ def test_lockstep_backdoor_trials_equal_trials_run_alone():
 def test_lockstep_rows_diverge_at_their_own_iterations():
     # measured: AsyncSGD under the adaptive attack on the shipped regression
     # config leaves the finite range at iterations 1893, 1880 and 1934 for
-    # seeds 1, 2 and 3. The middle row leaves first, so the rows after it
-    # move up in the arrays while the first goes on.
+    # seeds 1, 2 and 3. The middle row leaves first and stays in the stack,
+    # unrecorded, while the other two go on.
     cfg = base_config(defense="asyncsgd", attack="adaptive")
     together = _assert_lockstep_equals_alone(cfg, (1, 2, 3))
     assert all(r.diverged for r in together)
@@ -158,13 +160,13 @@ def test_lockstep_rows_diverge_at_their_own_iterations():
 
 
 def test_lockstep_rows_keep_their_own_server_update(monkeypatch):
-    # each row's filter reads its own trial's g_s, also in the iterations
-    # between another row's drop and the next refresh: seed 1 leaves at
-    # iteration 1893, so seed 3 reads g_s from the arrays cut at that drop
-    # until the refresh at 1900. A call decides a block of iterations;
-    # measured: each row diverges in the last iteration of a block of the
-    # lockstep plan, so no call holds a row past its end. The runs alone
-    # take that plan too (seed 3's own plan holds it two iterations longer)
+    # each row's filter reads its own trial's g_s, also once other rows
+    # have diverged: seed 2 leaves at iteration 1880 and seed 1 at 1893,
+    # and seed 3 goes on beside them until 1934. Every call decides a
+    # block of iterations for all three rows. Measured: each row diverges
+    # in the last iteration of a block of the lockstep plan, so the run
+    # ends with the block that holds seed 3's end. The runs alone take
+    # that plan too (seed 3's own plan holds it two iterations longer)
     seen, plans = [], []
     real = engine._bind_filter
 
@@ -173,10 +175,10 @@ def test_lockstep_rows_keep_their_own_server_update(monkeypatch):
         log = []
         seen.append(log)
 
-        def recording(trials, cids, updates, bases, g_s):
+        def recording(cids, updates, bases, g_s):
             # one entry per iteration of the block
             log.extend([[hash(g.tobytes()) for g in g_s]] * len(cids))
-            return decide(trials, cids, updates, bases, g_s)
+            return decide(cids, updates, bases, g_s)
         return recording
 
     def plan(delays, refresh_period):
@@ -192,41 +194,41 @@ def test_lockstep_rows_keep_their_own_server_update(monkeypatch):
     seeds, ends = (1, 2, 3), (1893, 1880, 1934)
     run_trials(cfg, prepared, seeds)
     [calls] = seen
-    # at iteration t the live rows are the seeds still running, in seed order
-    together = {seed: [] for seed in seeds}
-    for t, row_hashes in enumerate(calls):
-        live = [seed for seed, end in zip(seeds, ends) if t < end]
-        assert len(row_hashes) == len(live), t
-        for seed, h in zip(live, row_hashes):
-            together[seed].append(h)
-    assert [len(together[seed]) for seed in seeds] == [1893, 1880, 1934]
-    for seed in seeds:
+    assert len(calls) == max(ends)
+    assert all(len(row_hashes) == len(seeds) for row_hashes in calls)
+    for k, (seed, end) in enumerate(zip(seeds, ends)):
         seen.clear()
         run_trials(cfg, prepared, (seed,))
-        assert seen == [[[h] for h in together[seed]]], seed
+        # row k is seed k's trial up to its end
+        assert seen == [[[row_hashes[k]] for row_hashes in calls[:end]]], seed
 
 
 @pytest.mark.parametrize("defense", ["kardam", "basgd"])
 def test_stateful_filters_keep_each_trials_state_across_a_drop(defense):
-    # after trial 1 drops, trial 2's update moves up to row 1 and must still
-    # meet trial 2's state: each trial decides as its own binding would
+    # a diverged trial is not dropped: its row stays in the stack. From
+    # iteration 30 on, row 1 sends non-finite updates, as a row does in
+    # the block where its model leaves the finite range, and every row
+    # must still meet its own trial's state: each trial decides as its own
+    # binding would
     cfg = ExperimentConfig(defense=DefenseConfig(kind=defense, num_buffers=3))
     rng = np.random.default_rng(7)
     together = engine._bind_filter(cfg, 3)
     alone = [engine._bind_filter(cfg, 1) for _ in range(3)]
     decisions = collections.Counter()
-    for t in range(60):
-        trials = [0, 1, 2] if t < 30 else [0, 2]
-        cids = rng.integers(4, size=len(trials)).tolist()
-        updates = rng.normal(size=(len(trials), 5)) * rng.uniform(0.5, 2.0)
-        bases = rng.normal(size=(len(trials), 5))
-        codes, step = together(trials, cids, updates.copy(), bases.copy(), None)
-        for k, trial in enumerate(trials):
-            [code], [row] = alone[trial]([0], [cids[k]], updates[k:k + 1].copy(),
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(60):
+            cids = rng.integers(4, size=3).tolist()
+            updates = rng.normal(size=(3, 5)) * rng.uniform(0.5, 2.0)
+            bases = rng.normal(size=(3, 5))
+            if t >= 30:
+                updates[1] = np.inf
+            codes, step = together(cids, updates.copy(), bases.copy(), None)
+            for k in range(3):
+                [code], [row] = alone[k]([cids[k]], updates[k:k + 1].copy(),
                                          bases[k:k + 1].copy(), None)
-            assert codes[k] == code, (t, trial)
-            assert step[k].tobytes() == row.tobytes(), (t, trial)
-            decisions[code] += 1
+                assert codes[k] == code, (t, k)
+                assert step[k].tobytes() == row.tobytes(), (t, k)
+                decisions[code] += 1
     # both filters reach a decision other than accept on this stream
     assert len(decisions) > 1
 
@@ -329,6 +331,34 @@ def test_a_row_diverging_inside_a_block_gets_that_iterations_record(monkeypatch)
     assert not np.all(np.isfinite(result.final_model))
 
 
+def test_a_row_that_diverges_again_is_not_recorded_again(monkeypatch):
+    # the gradient deviation attack is patched to send an all-inf update
+    # when the CRC-32 of the honest update is 1 mod 30, and AsyncSGD
+    # applies it, so the row's model leaves the finite range. Measured: in
+    # 300 iterations this hits only seed 2's row, at iterations 3, 168 and
+    # 237. The row runs on from zero after the first hit and leaves the
+    # finite range twice more while seeds 1 and 3 go on to the end
+    real = attacks.gradient_deviation_update
+    hits = []
+
+    def patched(honest, scale):
+        if zlib.crc32(honest.tobytes()) % 30 == 1:
+            hits.append(None)
+            return np.full(honest.shape, np.inf)
+        return real(honest, scale)
+
+    monkeypatch.setattr(attacks, "gradient_deviation_update", patched)
+    cfg = small_config(defense="asyncsgd", attack="gradient_deviation")
+    together = _assert_lockstep_equals_alone(cfg, (1, 2, 3))
+    # 3 in the lockstep run, and 1 in seed 2's run alone, which ends there
+    assert len(hits) == 4
+    assert [r.diverged for r in together] == [False, True, False]
+    assert [r.final_record.iteration for r in together] == [300, 4, 300]
+    # one divergence record per diverged trial, and it is the last
+    assert [[math.isinf(record.mse) for record in r.records] for r in together] == [
+        [False] * 6, [True], [False] * 6]
+
+
 @pytest.mark.parametrize("defense, step", [("kardam", "kardam_step"),
                                            ("basgd", "basgd_step")])
 def test_stateful_filters_keep_copies_of_block_rows(defense, step):
@@ -340,7 +370,7 @@ def test_stateful_filters_keep_copies_of_block_rows(defense, step):
     rng = np.random.default_rng(3)
     updates, bases = rng.normal(size=(2, 2, 2, 5))
     stacks = (updates, bases) if defense == "kardam" else (updates,)
-    codes, out = getattr(defenses, step)(states, [0, 1], [[0, 1], [2, 3]], *stacks)
+    codes, out = getattr(defenses, step)(states, [[0, 1], [2, 3]], *stacks)
     assert np.asarray(codes).shape == (2, 2) and out.shape == updates.shape
     if defense == "kardam":
         kept = [row for state in states
