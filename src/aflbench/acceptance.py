@@ -264,18 +264,21 @@ def criterion_7(runner: ScenarioRunner) -> CriterionResult:
 # ---------------------------------------------------------------------------
 
 def _check_aflguard_examples() -> None:
+    radius = defenses.aflguard_radius
     v = np.array([1.0, 0.0])
-    assert defenses.aflguard_accept(v, v, 0.5)
-    assert not defenses.aflguard_accept(np.array([-1.0, 0.0]), v, 1.5)
+    assert defenses.aflguard_accept(v, v, radius(v, 0.5))
+    assert not defenses.aflguard_accept(np.array([-1.0, 0.0]), v, radius(v, 1.5))
     lam = 0.7
     server = np.array([2.0, -1.0, 0.5])
     boundary = (1 + lam) * server
-    assert defenses.aflguard_accept(boundary, server, lam)  # boundary inclusion
+    # boundary inclusion
+    assert defenses.aflguard_accept(boundary, server, radius(server, lam))
     # scale equivariance
     client = np.array([0.3, 1.4, -2.0])
     for c in (3.0, -0.25):
-        assert (defenses.aflguard_accept(client, server, lam)
-                == defenses.aflguard_accept(c * client, c * server, lam))
+        assert (defenses.aflguard_accept(client, server, radius(server, lam))
+                == defenses.aflguard_accept(c * client, c * server,
+                                            radius(c * server, lam)))
 
 
 def _decision(answer) -> Tuple[int, np.ndarray]:
@@ -328,13 +331,14 @@ def _check_basgd_examples() -> None:
 
 def _check_zeno_examples() -> None:
     server = np.array([1.0, 2.0, 2.0])
-    code, step = _decision(defenses.zeno_step(3.0 * server, server))
+    norms = defenses.zeno_norms(server)
+    code, step = _decision(defenses.zeno_step(3.0 * server, server, norms))
     assert code == ACCEPT
     assert abs(vecmath.l2norm(step) - vecmath.l2norm(server)) < 1e-12
     assert np.allclose(step, server)
     orth = np.array([2.0, -1.0, 0.0])
-    assert _decision(defenses.zeno_step(orth, server))[0] == REJECT
-    assert _decision(defenses.zeno_step(-server, server))[0] == REJECT
+    assert _decision(defenses.zeno_step(orth, server, norms))[0] == REJECT
+    assert _decision(defenses.zeno_step(-server, server, norms))[0] == REJECT
 
 
 def _check_adaptive_examples() -> None:

@@ -13,9 +13,11 @@ that row held. A stack may also be one (p,) row.
 
 * AFLGuard (``aflguard_step``, on the ball test ``aflguard_accept``) and
   Zeno++ (``zeno_step``) are stateless. They take g_s as a (K, p) stack
-  that broadcasts over the leading axes, and each row's norms and dots
-  come from ``np.vecdot``, bit-equal to ``vecmath.l2norm`` and ``np.dot``
-  of the row.
+  that broadcasts over the leading axes, with what they need of it
+  computed once per g_s, not per block: AFLGuard's radii
+  (``aflguard_radius``) and Zeno++'s norms (``zeno_norms``), one per row.
+  Each row's norms and dots come from ``np.vecdot``, bit-equal to
+  ``vecmath.l2norm`` and ``np.dot`` of the row.
 * Kardam (``kardam_step``) and BASGD (``basgd_step``) keep state per
   trial. They take the run's states, one per row (row k of every
   iteration is trial k, whose state is ``states[k]``), and the client ids
@@ -66,23 +68,29 @@ def _applied(rows: np.ndarray, accept) -> np.ndarray:
     return np.where(accept[..., None], rows, 0.0)
 
 
+def aflguard_radius(server_update: np.ndarray, lam: float):
+    """The acceptance radius lambda * ||g_server|| of each row of a (..., p)
+    server stack; its norm has the bits of ``vecmath.l2norm`` of its row."""
+    return lam * np.sqrt(np.vecdot(server_update, server_update))
+
+
 def aflguard_accept(client_update: np.ndarray, server_update: np.ndarray,
-                    lam: float):
-    """Accept iff ||g_client - g_server|| <= lambda * ||g_server||, per row
-    of a (..., p) stack: a numpy bool for 1-D input, else a bool array of
-    the leading shape. The server stack's shape is the client stack's
-    trailing shape, and it broadcasts over the leading axes (a block's
-    iterations). Each norm has the bits of ``vecmath.l2norm`` of its row."""
+                    radius):
+    """Accept iff ||g_client - g_server|| <= radius, per row of a (..., p)
+    stack, with ``radius`` its server row's ``aflguard_radius``: a numpy
+    bool for 1-D input, else a bool array of the leading shape. The server
+    stack's shape is the client stack's trailing shape, and it and its radii
+    broadcast over the leading axes (a block's iterations). Each norm has
+    the bits of ``vecmath.l2norm`` of its row."""
     _check_server_rows(client_update, server_update)
     deviation = client_update - server_update
-    return (np.sqrt(np.vecdot(deviation, deviation))
-            <= lam * np.sqrt(np.vecdot(server_update, server_update)))
+    return np.sqrt(np.vecdot(deviation, deviation)) <= radius
 
 
-def aflguard_step(updates: np.ndarray, g_s: np.ndarray, lam: float) -> Answer:
+def aflguard_step(updates: np.ndarray, g_s: np.ndarray, radius) -> Answer:
     """AFLGuard: ``aflguard_accept`` decides each row. The step is
     ``updates`` itself when no row is rejected."""
-    accept = aflguard_accept(updates, g_s, lam)
+    accept = aflguard_accept(updates, g_s, radius)
     reject = np.logical_not(accept)  # REJECT is 1, ACCEPT 0
     # count_nonzero is a C call; ndarray.any goes through Python
     if not np.count_nonzero(reject):
@@ -90,21 +98,27 @@ def aflguard_step(updates: np.ndarray, g_s: np.ndarray, lam: float) -> Answer:
     return reject, _applied(updates, accept)
 
 
-def zeno_step(updates: np.ndarray, g_s: np.ndarray) -> Answer:
+def zeno_norms(g_s: np.ndarray):
+    """The norm of each row of a (..., p) server stack, for ``zeno_step``.
+    A zero row raises."""
+    server_norms = np.sqrt(np.vecdot(g_s, g_s))
+    if np.count_nonzero(server_norms == 0.0):
+        raise ValueError("zero server update")
+    return server_norms
+
+
+def zeno_step(updates: np.ndarray, g_s: np.ndarray, server_norms) -> Answer:
     """Cosine-gated filter: accept a row positively aligned with its server
-    update, renormalized to that update's length.
+    update, renormalized to that update's length. ``server_norms`` is
+    ``zeno_norms(g_s)``.
 
     A zero row is rejected, and any other is accepted iff its
     ``vecmath.cosine`` with its g_s row is > 0. That function's clamp to
     [-1, 1] keeps the sign of the quotient dot / (client norm * server
     norm) and turns a NaN into -1.0, so the test here is the quotient > 0,
-    which a NaN fails: a row with an inf or NaN entry is rejected. A zero
-    g_s row raises.
+    which a NaN fails: a row with an inf or NaN entry is rejected.
     """
     _check_server_rows(updates, g_s)
-    server_norms = np.sqrt(np.vecdot(g_s, g_s))
-    if np.count_nonzero(server_norms == 0.0):
-        raise ValueError("zero server update")
     client_norms = np.sqrt(np.vecdot(updates, updates))
     # a zero row is rejected, so its quotient and its ratio are never used
     with np.errstate(divide="ignore", invalid="ignore"):

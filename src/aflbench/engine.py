@@ -17,7 +17,8 @@ when the block starts and that cross no refresh and no record. Each block
 of L iterations does once, for all rows:
 
 * the refresh at its start, every ``server_refresh_period`` iterations:
-  one ``server_update_vector`` call for all rows on the shared trusted set;
+  one ``server_update_vector`` call for all rows on the shared trusted set,
+  and the filter's reference prepared from it (Bindings below);
 * the base models: one gather, as a copy, of the L x K bases from a
   (max_client_delay + 1) x K x p ring of recent models, by a slot plan
   drawn before the loop (iteration s writes the model after s steps to
@@ -47,22 +48,26 @@ of L iterations does once, for all rows:
   first non-finite model is read back from the ring slots the block
   wrote, which are distinct, as L <= max_client_delay + 1.
 
-Per row, at the metric cadence, which always ends a block: the
-evaluation, with the accepted, rejected and buffered counts, which each
-record adds up from the row's decision log into a K x 3 running count. A
-row whose model leaves the finite range gets its divergence record at the
-iteration it left, and that is its last record: it is never recorded
-again. At the end of that block its ring slots are zeroed, the model it
-holds included, and it runs on from zero, the model every trial starts
-from, until the last row has diverged, which ends the loop. So row k is
-trial k for the whole run, every array keeps its K rows, and rows never
-move. Rows are independent, so a trial's output does not depend on the
-seeds run beside it, and K = 1 is simply one trial.
+At the metric cadence, which always ends a block, one record step for all
+rows: every row's accepted, rejected and buffered counts, one count of the
+decision log by code added to a K x 3 running count, and one ``evaluate``
+call that scores the models of the rows that have not diverged as one
+stack (``_bind_evaluate``). A row whose model leaves the finite range gets
+its divergence record at the iteration it left, from the same
+``evaluate`` on that one row, which then scores nothing, and that is its
+last record: it is never recorded again. At the end of that block its ring
+slots are zeroed, the model it holds included, and it runs on from zero,
+the model every trial starts from, until the last row has diverged, which
+ends the loop. So row k is trial k for the whole run, every array keeps
+its K rows, and rows never move. Rows are independent, so a trial's output
+does not depend on the seeds run beside it, and K = 1 is simply one trial.
 
 Bindings, each made once per run: ``_bind_filter`` (the configured
 ``defenses`` filter, Kardam's and BASGD's on one state per trial;
-AsyncSGD applies the stack as sent), ``_bind_attack`` (with
-the adaptive attack's threat scope) and ``_bind_evaluate``, which
+AsyncSGD applies the stack as sent; and the filter's reference, which
+each refresh prepares from g_s: AFLGuard's radii, Zeno++'s norms),
+``_bind_attack`` (with the adaptive attack's threat scope) and
+``_bind_evaluate``, which
 precomputes what every record shares and theta does not change, the
 regression truths (the test features times theta*, when theta* is known)
 and, under the backdoor attack, the probe (the eligible test rows with the
@@ -404,31 +409,46 @@ def make_threat_knowledge(base_model: np.ndarray, scope: ThreatScope,
 
 
 def _bind_filter(config: ExperimentConfig, num_trials: int):
-    """The run's filter: ``decide(cids, updates, bases, g_s)`` takes a
-    (..., K, p) stack of wire updates with their client ids (..., K) and
-    base models (..., K, p), whose leading axes are a block's iterations
-    and whose row k is trial k of the run's ``num_trials``, and g_s, one
-    per row (K, p). It returns the ``defenses`` filter's (codes, step);
-    AsyncSGD returns one code for all and ``updates`` itself as the step.
-    Kardam and BASGD keep one state per trial, built here."""
+    """The run's filter, as ``(prepare, decide)``. ``prepare(g_s)`` makes
+    the filter's reference from g_s, one row per trial (K, p), once per
+    refresh: AFLGuard's g_s and its radii, Zeno++'s g_s at the client's
+    batch scale and its norms (raising on a zero row), else g_s itself.
+    ``decide(cids, updates, bases, reference)`` takes a (..., K, p) stack
+    of wire updates with their client ids (..., K) and base models
+    (..., K, p), whose leading axes are a block's iterations and whose row
+    k is trial k of the run's ``num_trials``, and returns the ``defenses``
+    filter's (codes, step); AsyncSGD returns one code for all and
+    ``updates`` itself as the step. Kardam and BASGD keep one state per
+    trial, built here."""
     kind, lam = config.defense.kind, config.defense.lam
-    if kind == "asyncsgd":
-        return lambda cids, updates, bases, g_s: (ACCEPT, updates)
     if kind == "aflguard":
-        return lambda cids, updates, bases, g_s: defenses.aflguard_step(
-            updates, g_s, lam)
+        return (lambda g_s: (g_s, defenses.aflguard_radius(g_s, lam)),
+                lambda cids, updates, bases, reference: defenses.aflguard_step(
+                    updates, *reference))
     if kind == "zenopp":  # on the trusted-set sum at the client's batch scale
         scale = config.schedule.batch_size / config.data.trusted_size
-        return lambda cids, updates, bases, g_s: defenses.zeno_step(
-            updates, scale * g_s)
-    if kind == "kardam":
+
+        def prepare(g_s):
+            scaled = scale * g_s
+            return scaled, defenses.zeno_norms(scaled)
+        return prepare, lambda cids, updates, bases, reference: defenses.zeno_step(
+            updates, *reference)
+    # the other filters read no g_s
+    if kind == "asyncsgd":
+        def decide(cids, updates, bases, g_s):
+            return ACCEPT, updates
+    elif kind == "kardam":
         kardam = [defenses.KardamState() for _ in range(num_trials)]
-        return lambda cids, updates, bases, g_s: defenses.kardam_step(
-            kardam, cids, updates, bases)
-    basgd = [defenses.BasgdState(config.defense.num_buffers)
-             for _ in range(num_trials)]
-    return lambda cids, updates, bases, g_s: defenses.basgd_step(
-        basgd, cids, updates)
+
+        def decide(cids, updates, bases, g_s):
+            return defenses.kardam_step(kardam, cids, updates, bases)
+    else:
+        basgd = [defenses.BasgdState(config.defense.num_buffers)
+                 for _ in range(num_trials)]
+
+        def decide(cids, updates, bases, g_s):
+            return defenses.basgd_step(basgd, cids, updates)
+    return (lambda g_s: g_s), decide
 
 
 def _bind_attack(prepared: PreparedData, config: ExperimentConfig):
@@ -458,39 +478,51 @@ def _bind_attack(prepared: PreparedData, config: ExperimentConfig):
 
 
 def _bind_evaluate(prepared: PreparedData, config: ExperimentConfig):
-    """The trial's ``evaluate(theta, iteration, counts, diverged=False)``:
-    the ``MetricRecord`` at ``iteration``. What does not depend on theta is
-    built here, once: the regression truths and the backdoor probe."""
+    """The run's ``evaluate(thetas, iteration, counts, diverged=False)``:
+    the ``MetricRecord``s at ``iteration`` of K' rows, from their (K', p)
+    models and their (K', 3) decision counts, indexed by the decision codes.
+    Each quantity is one ``metrics`` call over the stack, whose values have
+    the bits of each row scored alone (``metrics`` docstring), and the
+    records hold Python floats. A divergence record scores nothing: it holds
+    the divergence values. What does not depend on the models is built
+    here, once: the regression truths and the backdoor probe."""
     task, test = prepared.task, prepared.test
     if isinstance(task, tasks.RegressionTask):
         true_model = task.true_model
         # theta* is known: score against the noiseless ground truth, so the
         # error floor reflects estimation error only.
         truths = test.labels if true_model is None else test.features @ true_model
-        known = true_model is not None
+        diverged_values = dict(mse=math.inf)
+        if true_model is not None:
+            diverged_values["mee"] = math.inf
 
-        def scores(theta, diverged):
-            if diverged:
-                return dict(mse=float("inf"), mee=float("inf") if known else None)
-            predictions = tasks.regression_predict_batch(theta, test.features)
-            return dict(mse=metrics.mse(predictions, truths),
-                        mee=metrics.mee(theta, true_model) if known else None)
+        def scores(thetas):
+            predictions = tasks.regression_predict_batch(thetas, test.features)
+            out = dict(mse=metrics.mse(predictions, truths))
+            if true_model is not None:
+                out["mee"] = metrics.mee(thetas, true_model)
+            return out
     else:
         probe = (metrics.backdoor_probe(test, config.attack)
                  if config.attack.kind == "backdoor" else None)
+        diverged_values = dict(test_error_rate=1.0)
 
-        def scores(theta, diverged):
-            if diverged:
-                return dict(test_error_rate=1.0)
-            out = dict(test_error_rate=metrics.test_error_rate(theta, test))
+        def scores(thetas):
+            out = dict(test_error_rate=metrics.test_error_rate(thetas, test))
             if probe is not None:
-                out["attack_success_rate"] = metrics.attack_success_rate(theta, probe)
+                out["attack_success_rate"] = metrics.attack_success_rate(thetas, probe)
             return out
 
-    def evaluate(theta, iteration, counts, diverged=False):
-        return MetricRecord(iteration=iteration, accepted=counts[ACCEPT],
-                            rejected=counts[REJECT], buffered=counts[BUFFERED],
-                            **scores(theta, diverged))
+    def evaluate(thetas, iteration, counts, diverged=False):
+        if diverged:
+            columns = {name: [value] * len(thetas)
+                       for name, value in diverged_values.items()}
+        else:  # .tolist(): a numpy float's repr is not the float's
+            columns = {name: values.tolist() for name, values in scores(thetas).items()}
+        return [MetricRecord(iteration=iteration, accepted=row[ACCEPT],
+                             rejected=row[REJECT], buffered=row[BUFFERED],
+                             **dict(zip(columns, values)))
+                for row, *values in zip(counts.tolist(), *columns.values())]
     return evaluate
 
 
@@ -569,7 +601,7 @@ def run_trials(config: ExperimentConfig, prepared: PreparedData,
     labels = np.empty(shape, dtype=store.labels.dtype)
     bounds = bounds.tolist()
     craft = _bind_attack(prepared, config)
-    decide = _bind_filter(config, len(seeds))
+    prepare, decide = _bind_filter(config, len(seeds))
     evaluate = _bind_evaluate(prepared, config)
     results = [TrialResult(seed=seed) for seed in seeds]
     # per iteration, the rows whose client is malicious
@@ -581,21 +613,23 @@ def run_trials(config: ExperimentConfig, prepared: PreparedData,
     # codes since, iteration t in row t - counted
     counts = np.zeros((len(seeds), 3), dtype=np.intp)
     log = np.zeros((METRIC_CADENCE, len(seeds)), dtype=np.intp)
+    codes = np.array([ACCEPT, REJECT, BUFFERED])
     counted = 0
 
     theta = ring[0]
     zero = np.zeros(theta.size)
-    server_update = server_update_vector(task, theta, prepared.trusted)
+    reference = prepare(server_update_vector(task, theta, prepared.trusted))
 
-    def tally(k, completed):
-        """Row k's decision counts over its first ``completed`` iterations,
-        indexed by the decision codes."""
-        return counts[k] + np.bincount(log[:completed - counted, k], minlength=3)
+    def tally(completed):
+        """Every row's decision counts over its first ``completed``
+        iterations, indexed by the decision codes, in one count."""
+        return counts + np.count_nonzero(log[:completed - counted, :, None] == codes,
+                                         axis=0)
 
     with np.errstate(over="ignore", invalid="ignore"):
         for start, stop in zip(bounds, bounds[1:]):
             if start % sched.server_refresh_period == 0 and start > 0:
-                server_update = server_update_vector(task, theta, prepared.trusted)
+                reference = prepare(server_update_vector(task, theta, prepared.trusted))
 
             size = stop - start
             base = flat.take(index[start:stop], axis=0)
@@ -612,7 +646,7 @@ def run_trials(config: ExperimentConfig, prepared: PreparedData,
                                                base[t - start, k], draws[k].noise)
 
             log[start - counted:stop - counted], step = decide(
-                clients[start:stop], sent, base, server_update)
+                clients[start:stop], sent, base, reference)
             step = sched.learning_rate * step
             for i in range(size):
                 # the model is the ring slot it was written to
@@ -632,9 +666,8 @@ def run_trials(config: ExperimentConfig, prepared: PreparedData,
                     first = int(np.argmin(np.logical_and.reduce(
                         np.isfinite(models), axis=1)))
                     completed = start + first + 1
-                    result.records.append(evaluate(models[first], completed,
-                                                   tally(k, completed).tolist(),
-                                                   diverged=True))
+                    result.records += evaluate(models[first:first + 1], completed,
+                                               tally(completed)[k:k + 1], diverged=True)
                     result.diverged = True
                     result.final_model = models[first]
                 if all(result.diverged for result in results):
@@ -643,11 +676,10 @@ def run_trials(config: ExperimentConfig, prepared: PreparedData,
                 ring[:, ~finite] = 0.0
 
             if stop % METRIC_CADENCE == 0 or stop == sched.iterations:
-                for k, result in enumerate(results):
-                    if not result.diverged:
-                        counts[k] = tally(k, stop)
-                        result.records.append(evaluate(theta[k], stop,
-                                                       counts[k].tolist()))
+                counts = tally(stop)
+                live = [k for k, result in enumerate(results) if not result.diverged]
+                for k, record in zip(live, evaluate(theta[live], stop, counts[live])):
+                    results[k].records.append(record)
                 counted = stop
 
     for k, result in enumerate(results):

@@ -1,5 +1,16 @@
 """Evaluation quantities: MSE, model estimation error, test error rate,
-and backdoor attack success rate."""
+and backdoor attack success rate.
+
+Stack axis: each quantity takes models, or predictions, with any number of
+leading axes, one formula for every shape, and gives one value per model:
+a float for a single model, an array of the leading shape for a stack.
+Each value has the bits of its model's call alone. The means run over the
+last axis of a C-contiguous array (``mse`` takes a C-ordered copy of
+predictions that are not), so their summation order does not depend on
+the leading axes, and the distances come from ``np.vecdot``,
+bit-equal to ``vecmath.l2norm`` of a row. The engine scores the live
+trials of a record with one call per quantity (``engine._bind_evaluate``).
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -10,7 +21,6 @@ import numpy as np
 from . import attacks, tasks
 from .attacks import AttackConfig
 from .data import CLASSIFICATION, Dataset
-from .vecmath import l2norm
 
 
 @dataclass(frozen=True)
@@ -32,32 +42,39 @@ class MetricRecord:
         return value
 
 
-def mse(predictions: Sequence[float], truths: Sequence[float]) -> float:
-    """Mean squared difference between predictions and reference values."""
-    p = np.asarray(predictions, dtype=np.float64)
+def _per_model(values: np.ndarray):
+    """A float for a single model's value, else the stack's array."""
+    return float(values) if np.ndim(values) == 0 else values
+
+
+def mse(predictions: Sequence[float], truths: Sequence[float]):
+    """Mean squared difference between predictions (..., n) and reference
+    values (n,), per model."""
+    p = np.asarray(predictions, dtype=np.float64, order="C")
     t = np.asarray(truths, dtype=np.float64)
-    if p.shape != t.shape:
+    if p.shape[p.ndim - t.ndim:] != t.shape:
         raise ValueError("prediction/truth length mismatch")
     if p.size == 0:
         raise ValueError("empty prediction list")
-    return float(np.mean((p - t) ** 2))
+    return _per_model(np.mean((p - t) ** 2, axis=-1))
 
 
-def mee(estimate: np.ndarray, true_model: np.ndarray) -> float:
-    """l2 distance between the learnt and the true model."""
-    if estimate.shape != true_model.shape:
+def mee(estimate: np.ndarray, true_model: np.ndarray):
+    """l2 distance between each learnt model (..., p) and the true model."""
+    if estimate.shape[estimate.ndim - true_model.ndim:] != true_model.shape:
         raise ValueError("dimension mismatch")
-    return l2norm(estimate - true_model)
+    deviation = estimate - true_model
+    return _per_model(np.sqrt(np.vecdot(deviation, deviation)))
 
 
-def test_error_rate(params: np.ndarray, test: Dataset) -> float:
-    """Fraction of clean test examples the model misclassifies."""
+def test_error_rate(params: np.ndarray, test: Dataset):
+    """Fraction of clean test examples each model (..., p) misclassifies."""
     if test.kind != CLASSIFICATION:
         raise ValueError("test error rate requires classification data")
     if len(test) == 0:
         raise ValueError("empty test set")
     predicted = tasks.logistic_predict_batch(params, test.features, test.num_classes)
-    return float(np.mean(predicted != test.labels))
+    return _per_model(np.mean(predicted != test.labels, axis=-1))
 
 
 def backdoor_probe(clean_test: Dataset, cfg: AttackConfig) -> Dataset:
@@ -79,9 +96,10 @@ def backdoor_probe(clean_test: Dataset, cfg: AttackConfig) -> Dataset:
                    CLASSIFICATION, clean_test.num_classes)
 
 
-def attack_success_rate(params: np.ndarray, probe: Dataset) -> float:
-    """Fraction of the probe's trigger-embedded inputs predicted as the
-    target class, their label (``backdoor_probe``)."""
+def attack_success_rate(params: np.ndarray, probe: Dataset):
+    """Fraction of the probe's trigger-embedded inputs that each model
+    (..., p) predicts as the target class, their label
+    (``backdoor_probe``)."""
     predicted = tasks.logistic_predict_batch(params, probe.features,
                                              probe.num_classes)
-    return float(np.mean(predicted == probe.labels))
+    return _per_model(np.mean(predicted == probe.labels, axis=-1))

@@ -19,6 +19,12 @@ the same BLAS call per slice, a gemv for the squared loss
 (``theta[..., None]`` is a one-column matrix) and a gemm for the softmax.
 One gemm over the stack (``features @ thetas.T``) would sum in another
 order; do not use one.
+
+The predictions and scores take model stacks the same way: (..., p)
+models against one (n, d) test set give (..., n) predictions, and (...,
+n, C) scores. Each slice is again the single-model call's bits: a gemv per
+regression model, and a gemm per classification model on a C-contiguous
+copy of its W^T.
 """
 from __future__ import annotations
 
@@ -91,9 +97,10 @@ def regression_gradient(theta: np.ndarray, features: np.ndarray, labels: np.ndar
 
 
 def regression_predict_batch(theta: np.ndarray, features: np.ndarray) -> np.ndarray:
-    if features.shape[1] != theta.shape[0]:
+    """Predictions (..., n) of (..., d) models on an (n, d) feature matrix."""
+    if features.shape[-1] != theta.shape[-1]:
         raise ValueError("dimension mismatch")
-    return features @ theta
+    return np.matmul(features, theta[..., None])[..., 0]
 
 
 def _softmax(scores: np.ndarray) -> np.ndarray:
@@ -129,19 +136,21 @@ def logistic_gradient(
 
 
 def logistic_scores(params: np.ndarray, features: np.ndarray, num_classes: int) -> np.ndarray:
+    """Class scores (..., n, C) of (..., d * C) models on (n, d) features."""
     d = features.shape[-1]
-    if params.shape[0] != d * num_classes:
+    if params.shape[-1] != d * num_classes:
         raise ValueError("dimension mismatch")
-    weights = params.reshape(num_classes, d)
+    weights = params.reshape(*params.shape[:-1], num_classes, d)
     # A C-contiguous copy of W^T takes a gemm path about twice as fast as
     # the transposed view on the shipped 2000 x 60 test set with 6 classes
     # (OpenBLAS 0.3.31), with equal bits there (tests/test_tasks.py holds
     # this). At some other shapes the two differ in the last places, which
     # can move an argmax only at a near-exact tie.
-    return features @ np.ascontiguousarray(weights.T)
+    return np.matmul(features, np.ascontiguousarray(np.swapaxes(weights, -1, -2)))
 
 
 def logistic_predict_batch(params: np.ndarray, features: np.ndarray, num_classes: int) -> np.ndarray:
-    """Argmax class per row; ties break toward the lowest class index."""
+    """Argmax class (..., n) per row; ties break toward the lowest class
+    index, and a row with a NaN score takes its first NaN."""
     scores = logistic_scores(params, features, num_classes)
-    return np.argmax(scores, axis=1)
+    return np.argmax(scores, axis=-1)

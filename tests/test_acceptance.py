@@ -46,8 +46,8 @@ def test_suite_detects_flipped_acceptance_rule(monkeypatch, runner):
     # filter unit suite, and the detail must name the failing line
     from aflbench.vecmath import l2norm
 
-    def flipped(client_update, server_update, lam):
-        return l2norm(client_update - server_update) > lam * l2norm(server_update)
+    def flipped(client_update, server_update, radius):
+        return l2norm(client_update - server_update) > radius
 
     monkeypatch.setattr(defenses, "aflguard_accept", flipped)
     result = acceptance.criterion_8(runner)

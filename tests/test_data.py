@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -209,6 +209,43 @@ def test_minibatch_rows_are_distinct_indices_within_each_set(sizes, draw, seed):
     for bad in (0, smallest + 1):
         with pytest.raises(ValueError, match="batch_size must lie in"):
             data.minibatch(np.array(sizes), bad, np.random.default_rng(seed))
+
+
+def _reference_minibatch(sizes, batch_size, rng):
+    """The plan as first written: step j compares a len(sizes) x j block of
+    the filled columns with the draw and reduces it along the short axis."""
+    sizes = np.asarray(sizes, dtype=np.int64)
+    rows = np.empty((len(sizes), batch_size), dtype=np.int64)
+    for j in range(batch_size):
+        top = sizes - (batch_size - j)
+        pick = rng.integers(0, top + 1)
+        taken = (rows[:, :j] == pick[:, None]).any(axis=1)
+        rows[:, j] = np.where(taken, top, pick)
+    return rows
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(sizes=st.lists(st.integers(1, 60), min_size=1, max_size=40),
+       batch=st.sampled_from(["one", "half", "smallest"]),
+       seed=st.integers(0, 2**32 - 1), trials=st.integers(1, 4))
+@example(sizes=[3, 3, 50, 7], batch="smallest", seed=1, trials=3)
+def test_minibatch_is_the_block_compare_plan(sizes, batch, seed, trials):
+    # the column-at-a-time draw gives the reference's plan bit for bit,
+    # also into a strided column of a T x K x B plan, as the engine draws;
+    # a batch as large as the smallest set makes that set's row a permutation
+    smallest = min(sizes)
+    batch = {"one": 1, "half": (smallest + 1) // 2, "smallest": smallest}[batch]
+    want = _reference_minibatch(sizes, batch, np.random.default_rng(seed))
+    assert data.minibatch(np.array(sizes), batch,
+                          np.random.default_rng(seed)).tobytes() == want.tobytes()
+    plan = np.full((len(sizes), trials, batch), -1, dtype=np.intp)
+    k = trials - 1
+    got = data.minibatch(np.array(sizes), batch, np.random.default_rng(seed),
+                         plan[:, k])
+    assert got.base is not None and np.shares_memory(got, plan)
+    assert plan[:, k].tobytes() == want.tobytes()
+    # the other columns are untouched
+    assert np.all(np.delete(plan, k, axis=1) == -1)
 
 
 def test_minibatch_includes_each_index_uniformly():

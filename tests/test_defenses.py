@@ -8,21 +8,22 @@ from hypothesis import strategies as st
 
 from aflbench import defenses, engine
 from aflbench.config import DefenseConfig, ExperimentConfig
-from aflbench.defenses import ACCEPT, BUFFERED, REJECT, BasgdState, KardamState
+from aflbench.defenses import (ACCEPT, BUFFERED, REJECT, BasgdState, KardamState,
+                               aflguard_radius, zeno_norms)
 from aflbench.vecmath import cosine, l2norm
 
 
 class TestAflguard:
     def test_identical_updates_accepted(self):
         v = np.array([0.5, -1.0])
-        assert defenses.aflguard_accept(v, v, 1e-9)
+        assert defenses.aflguard_accept(v, v, aflguard_radius(v, 1e-9))
 
     def test_boundary_is_accepted(self):
         # powers of two keep the boundary arithmetic exact in binary floats
         lam = 0.5
         server = np.array([2.0, -4.0, 8.0])
         client = (1 + lam) * server  # deviation norm exactly lam*||server||
-        assert defenses.aflguard_accept(client, server, lam)
+        assert defenses.aflguard_accept(client, server, aflguard_radius(server, lam))
 
     def test_scale_equivariance(self):
         rng = np.random.default_rng(101)
@@ -30,30 +31,36 @@ class TestAflguard:
             server = rng.normal(size=5)
             client = rng.normal(size=5)
             lam = float(rng.uniform(0.1, 3.0))
-            base = defenses.aflguard_accept(client, server, lam)
+            base = defenses.aflguard_accept(client, server, aflguard_radius(server, lam))
             for c in (2.0, -0.5, 100.0):
-                assert defenses.aflguard_accept(c * client, c * server, lam) == base
+                assert defenses.aflguard_accept(c * client, c * server,
+                                                aflguard_radius(c * server, lam)) == base
 
     def test_huge_lambda_accepts_everything(self):
         rng = np.random.default_rng(102)
         server = rng.normal(size=4)
         for _ in range(20):
-            assert defenses.aflguard_accept(rng.normal(size=4) * 1e6, server, 1e9)
+            assert defenses.aflguard_accept(rng.normal(size=4) * 1e6, server,
+                                            aflguard_radius(server, 1e9))
 
     def test_zero_server_accepts_only_zero_client(self):
         server = np.zeros(3)
-        assert defenses.aflguard_accept(np.zeros(3), server, 1.5)
-        assert not defenses.aflguard_accept(np.array([1e-12, 0, 0]), server, 1.5)
+        radius = aflguard_radius(server, 1.5)
+        assert defenses.aflguard_accept(np.zeros(3), server, radius)
+        assert not defenses.aflguard_accept(np.array([1e-12, 0, 0]), server, radius)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            defenses.aflguard_accept(np.ones(2), np.ones(3), 1.0)
+            defenses.aflguard_accept(np.ones(2), np.ones(3),
+                                     aflguard_radius(np.ones(3), 1.0))
         # the server stack must be the client stack's trailing shape
         for client, server in (((2, 3, 4), (2, 4)), ((4,), (2, 4)), ((2, 4), (3, 4))):
             with pytest.raises(ValueError):
-                defenses.aflguard_accept(np.ones(client), np.ones(server), 1.0)
-        assert defenses.aflguard_accept(np.ones((2, 3, 4)), np.ones((3, 4)),
-                                        1.0).shape == (2, 3)
+                defenses.aflguard_accept(np.ones(client), np.ones(server),
+                                         aflguard_radius(np.ones(server), 1.0))
+        server = np.ones((3, 4))
+        assert defenses.aflguard_accept(np.ones((2, 3, 4)), server,
+                                        aflguard_radius(server, 1.0)).shape == (2, 3)
 
 
 # a row's scale: zero, at the edges of the float range's squares, or plain
@@ -85,16 +92,18 @@ def test_stacked_aflguard_is_the_row_rule(seed, rows, dim, scales, special,
         target = server if special_in_server else client
         target[rng.integers(rows), rng.integers(dim)] = special
     with np.errstate(over="ignore", invalid="ignore"):
-        got = defenses.aflguard_accept(client, server, lam)
+        radius = aflguard_radius(server, lam)
+        got = defenses.aflguard_accept(client, server, radius)
         want = [l2norm(u - g) <= lam * l2norm(g) for u, g in zip(client, server)]
         assert got.shape == (rows,) and got.dtype == bool
         assert got.tolist() == want
         for u, g, w in zip(client, server, want):
-            assert defenses.aflguard_accept(u, g, lam) == w
+            assert defenses.aflguard_accept(u, g, aflguard_radius(g, lam)) == w
 
         cfg = ExperimentConfig(defense=DefenseConfig(kind="aflguard", lam=lam))
-        decide = engine._bind_filter(cfg, rows)
-        codes, step = decide(list(range(rows)), client, None, server)
+        prepare, decide = engine._bind_filter(cfg, rows)
+        reference = prepare(server)
+        codes, step = decide(list(range(rows)), client, None, reference)
     assert np.asarray(codes).tolist() == [ACCEPT if w else REJECT for w in want]
     # with no row rejected the step is the stack as sent, not a copy
     assert (step is client) == all(want)
@@ -106,10 +115,10 @@ def test_stacked_aflguard_is_the_row_rule(seed, rows, dim, scales, special,
     # over its leading axis, and each update meets its own row's g_s
     block = np.stack([client, 2 * server - client[::-1]])
     with np.errstate(over="ignore", invalid="ignore"):
-        got = defenses.aflguard_accept(block, server, lam)
+        got = defenses.aflguard_accept(block, server, radius)
         want = [[l2norm(u - g) <= lam * l2norm(g) for u, g in zip(updates, server)]
                 for updates in block]
-        codes, step = decide([list(range(rows))] * 2, block, None, server)
+        codes, step = decide([list(range(rows))] * 2, block, None, reference)
     assert got.shape == (2, rows) and got.tolist() == want
     assert np.asarray(codes).tolist() == [[ACCEPT if w else REJECT for w in ws]
                                           for ws in want]
@@ -291,28 +300,34 @@ class TestZeno:
         sn = np.linalg.norm(server)
         for _ in range(50):
             client = rng.normal(size=6)
-            code, step = defenses.zeno_step(client, server)
+            code, step = defenses.zeno_step(client, server, zeno_norms(server))
             if code == ACCEPT:
                 assert abs(np.linalg.norm(step) - sn) <= 1e-12 * sn
 
     def test_orthogonal_rejected(self):
-        code, step = defenses.zeno_step(np.array([0.0, 1.0]), np.array([1.0, 0.0]))
+        server = np.array([1.0, 0.0])
+        code, step = defenses.zeno_step(np.array([0.0, 1.0]), server, zeno_norms(server))
         assert code == REJECT and not np.any(step)
 
     def test_reversed_rejected(self):
         s = np.array([1.0, -2.0])
-        assert defenses.zeno_step(-s, s)[0] == REJECT
+        assert defenses.zeno_step(-s, s, zeno_norms(s))[0] == REJECT
 
     def test_zero_client_rejected_zero_server_error(self):
-        code, step = defenses.zeno_step(np.zeros(2), np.ones(2))
+        code, step = defenses.zeno_step(np.zeros(2), np.ones(2), zeno_norms(np.ones(2)))
         assert code == REJECT and step.tobytes() == np.zeros(2).tobytes()
         with pytest.raises(ValueError):
-            defenses.zeno_step(np.ones(2), np.zeros(2))
+            zeno_norms(np.zeros(2))
         # one zero server row among K fails the whole stack
         server = np.ones((3, 2))
         server[1] = 0.0
         with pytest.raises(ValueError, match="zero server update"):
-            defenses.zeno_step(np.ones((2, 3, 2)), server)
+            zeno_norms(server)
+        # and the engine's binding raises it when it prepares g_s
+        cfg = ExperimentConfig(defense=DefenseConfig(kind="zenopp"))
+        prepare, _ = engine._bind_filter(cfg, 3)
+        with pytest.raises(ValueError, match="zero server update"):
+            prepare(server)
 
     def test_non_finite_rows_rejected(self):
         # the quotient is NaN or 0 here: the 1-D rule's clamp makes a NaN
@@ -320,7 +335,8 @@ class TestZeno:
         client = np.array([[math.inf, 0.0], [math.nan, 1.0], [1e200, 1e200]])
         server = np.array([1.0, 0.5])
         with np.errstate(over="ignore", invalid="ignore"):
-            codes, step = defenses.zeno_step(client, np.stack([server] * 3))
+            servers = np.stack([server] * 3)
+            codes, step = defenses.zeno_step(client, servers, zeno_norms(servers))
             assert [_reference_zeno(u, server)[0] for u in client] == [REJECT] * 3
         assert codes.tolist() == [REJECT] * 3
         assert step.tobytes() == np.zeros((3, 2)).tobytes()
@@ -330,7 +346,8 @@ class TestZeno:
         # norm * server norm) is 1e-180, so the 1-D rule accepts
         client, server = np.array([1e150, 1e-30]), np.array([0.0, 1e-150])
         assert _reference_zeno(client, server)[0] == ACCEPT
-        assert defenses.zeno_step(client[None], server[None])[0].tolist() == [ACCEPT]
+        assert defenses.zeno_step(client[None], server[None],
+                                  zeno_norms(server[None]))[0].tolist() == [ACCEPT]
 
 
 def _reference_zeno(client, server):
@@ -373,11 +390,11 @@ def test_stacked_zeno_is_the_row_rule(seed, iterations, rows, dim, client_scales
         target[rng.integers(rows), rng.integers(dim)] = special
     cfg = ExperimentConfig(defense=DefenseConfig(kind="zenopp"))
     scale = cfg.schedule.batch_size / cfg.data.trusted_size
-    decide = engine._bind_filter(cfg, rows)
+    prepare, decide = engine._bind_filter(cfg, rows)
     with np.errstate(all="ignore"):
-        for g_s, answer in ((server, defenses.zeno_step(client, server)),
+        for g_s, answer in ((server, defenses.zeno_step(client, server, zeno_norms(server))),
                             (scale * server, decide([list(range(rows))] * iterations,
-                                                    client, None, server))):
+                                                    client, None, prepare(server)))):
             want = [_reference_zeno(u, g) for updates in client
                     for u, g in zip(updates, g_s)]
             codes, step = answer
@@ -387,6 +404,6 @@ def test_stacked_zeno_is_the_row_rule(seed, iterations, rows, dim, client_scales
                 assert row.tobytes() == applied.tobytes()
         # and a single (p,) row is a stack of one
         for u, g in zip(client[0], server):
-            code, row = defenses.zeno_step(u, g)
+            code, row = defenses.zeno_step(u, g, zeno_norms(g))
             want_code, applied = _reference_zeno(u, g)
             assert code == want_code and row.tobytes() == applied.tobytes()

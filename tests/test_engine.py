@@ -8,6 +8,7 @@ import tempfile
 import tracemalloc
 import zlib
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,14 +16,18 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from aflbench import attacks, defenses, engine, metrics, tasks
+from aflbench.attacks import AttackConfig
 from aflbench.config import (ClientConfig, DataConfig, DefenseConfig,
                              ExperimentConfig, ScheduleConfig, TaskConfig,
                              load_config)
-from aflbench.data import (CLASSIFICATION, GEN_BLOCK_ROWS, minibatch,
-                           partition, sample_trusted, save_csv,
+from aflbench.data import (CLASSIFICATION, GEN_BLOCK_ROWS, REGRESSION, Dataset,
+                           minibatch, partition, sample_trusted, save_csv,
                            split_train_test)
+from aflbench.defenses import ACCEPT, BUFFERED, REJECT
 from aflbench.engine import (draw_trial, make_dataset, make_threat_knowledge,
                              prepare_data, run_trials, threat_scope)
+from aflbench.metrics import MetricRecord
+from aflbench.vecmath import l2norm
 
 
 def base_config(**kwargs):
@@ -171,15 +176,16 @@ def test_lockstep_rows_keep_their_own_server_update(monkeypatch):
     real = engine._bind_filter
 
     def bind(config, num_trials):
-        decide = real(config, num_trials)
+        prepare, decide = real(config, num_trials)
         log = []
         seen.append(log)
 
         def recording(cids, updates, bases, g_s):
-            # one entry per iteration of the block
+            # one entry per iteration of the block; AsyncSGD's reference is
+            # g_s itself
             log.extend([[hash(g.tobytes()) for g in g_s]] * len(cids))
             return decide(cids, updates, bases, g_s)
-        return recording
+        return prepare, recording
 
     def plan(delays, refresh_period):
         if not plans:
@@ -212,8 +218,8 @@ def test_stateful_filters_keep_each_trials_state_across_a_drop(defense):
     # binding would
     cfg = ExperimentConfig(defense=DefenseConfig(kind=defense, num_buffers=3))
     rng = np.random.default_rng(7)
-    together = engine._bind_filter(cfg, 3)
-    alone = [engine._bind_filter(cfg, 1) for _ in range(3)]
+    _, together = engine._bind_filter(cfg, 3)
+    alone = [engine._bind_filter(cfg, 1)[1] for _ in range(3)]
     decisions = collections.Counter()
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(60):
@@ -398,15 +404,20 @@ def test_bound_functions_call_through_their_modules(monkeypatch):
     calls = collections.Counter()
     filters = {"aflguard": "aflguard_accept", "kardam": "kardam_step",
                "basgd": "basgd_step", "zenopp": "zeno_step"}
+    references = {"aflguard": "aflguard_radius", "zenopp": "zeno_norms"}
     for module, name in ([(defenses, step) for step in filters.values()]
+                         + [(defenses, name) for name in references.values()]
                          + [(tasks, "regression_gradient"),
-                            (engine, "server_update_vector")]):
+                            (engine, "server_update_vector"),
+                            (tasks, "regression_predict_batch"),
+                            (metrics, "mse"), (metrics, "mee")]):
         def counted(*args, _real=getattr(module, name), _name=name):
             calls[_name] += 1
             return _real(*args)
         monkeypatch.setattr(module, name, counted)
     iterations, period = 120, 10
     refreshes = 1 + (iterations - 1) // period  # the first g_s, then t = 10, ..., 110
+    records = 3  # at t = 50, 100 and the last iteration
     for defense, step in filters.items():
         cfg = small_config(defense=defense, iterations=iterations,
                            server_refresh_period=period)
@@ -419,9 +430,131 @@ def test_bound_functions_call_through_their_modules(monkeypatch):
             blocks = len(engine.plan_blocks(delays, period)) - 1
             assert blocks < iterations
             # one filter call per block for all trials, one gradient call
-            # per block for the client updates of all trials, and one per g_s
-            assert calls == {step: blocks, "server_update_vector": refreshes,
-                             "regression_gradient": blocks + refreshes}, defense
+            # per block for the client updates of all trials, and one per
+            # g_s, with the filter's reference prepared once per g_s; one
+            # call per record of each evaluation function for all trials
+            want = {step: blocks, "server_update_vector": refreshes,
+                    "regression_gradient": blocks + refreshes,
+                    "regression_predict_batch": records, "mse": records,
+                    "mee": records}
+            if defense in references:
+                want[references[defense]] = refreshes
+            assert calls == want, defense
+
+
+def _reference_scores(task, test, probe, theta):
+    """One row's scores as the record step computed them a row at a time: a
+    gemv per regression model, a gemm on a C-contiguous W^T per
+    classification model, and each mean over the whole row."""
+    if isinstance(task, tasks.RegressionTask):
+        known = task.true_model is not None
+        truths = test.features @ task.true_model if known else test.labels
+        out = dict(mse=float(np.mean((test.features @ theta - truths) ** 2)))
+        if known:
+            out["mee"] = l2norm(theta - task.true_model)
+        return out
+
+    def predict(features):
+        weights = theta.reshape(task.num_classes, task.dim)
+        return np.argmax(features @ np.ascontiguousarray(weights.T), axis=1)
+    out = dict(test_error_rate=float(np.mean(predict(test.features) != test.labels)))
+    if probe is not None:
+        out["attack_success_rate"] = float(np.mean(predict(probe.features) == probe.labels))
+    return out
+
+
+# (dim, classes): the shipped regression and classification shapes, the
+# golden gate's second classification shape, and a small regression
+_EVAL_SHAPES = [(100, None), (7, None), (60, 6), (20, 3)]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.sampled_from([1, 3]),
+       samples=st.sampled_from([1, 2, 3, 5, 7, 9, 64, 333]),
+       shape=st.sampled_from(_EVAL_SHAPES), known=st.booleans(),
+       scales=st.lists(st.sampled_from([0.0, 1e-3, 1.0, 1e150, 1e300]),
+                       min_size=3, max_size=3),
+       special=st.sampled_from([None, math.inf, -math.inf, math.nan]))
+@example(seed=1, rows=3, samples=2000, shape=(100, None), known=True,
+         scales=[1.0] * 3, special=None)
+@example(seed=2, rows=3, samples=2000, shape=(60, 6), known=True,
+         scales=[1.0] * 3, special=None)
+@example(seed=3, rows=3, samples=2000, shape=(20, 3), known=True,
+         scales=[1.0] * 3, special=None)
+@example(seed=4, rows=3, samples=2000, shape=(100, None), known=False,
+         scales=[1.0, 1e150, 1e-3], special=math.nan)
+def test_stacked_evaluate_is_the_row_scores(seed, rows, samples, shape, known,
+                                            scales, special):
+    # the record step scores K' rows in one stacked call per quantity; each
+    # record equals the row scored alone, bit for bit, and holds Python
+    # floats and ints (compared by repr: a numpy float's repr is not the
+    # float's). known: theta* for regression, the backdoor probe for
+    # classification. Huge models overflow the scores, and argmax takes
+    # the first NaN.
+    rng = np.random.default_rng(seed)
+    dim, classes = shape
+    features = rng.normal(1.5, 1.0, size=(samples, dim))
+    cfg = ExperimentConfig()
+    if classes is None:
+        task = tasks.RegressionTask(dim, rng.normal(size=dim) if known else None)
+        test = Dataset(features, rng.normal(size=samples), REGRESSION)
+    else:
+        task = tasks.LogisticTask(dim, classes)
+        labels = rng.integers(classes, size=samples)
+        labels[0] = 0  # the probe keeps this row
+        test = Dataset(features, labels, CLASSIFICATION, classes)
+        cfg = dataclasses.replace(cfg, attack=AttackConfig(
+            kind="backdoor" if known else "none", bd_target_class=classes - 1,
+            bd_trigger_period=10))
+    thetas = np.array(scales[:rows])[:, None] * rng.normal(size=(rows, task.param_dim))
+    if special is not None:
+        thetas[rng.integers(rows), rng.integers(task.param_dim)] = special
+    counts = rng.integers(0, 50, size=(rows, 3))
+    probe = (metrics.backdoor_probe(test, cfg.attack)
+             if classes is not None and known else None)
+    evaluate = engine._bind_evaluate(SimpleNamespace(task=task, test=test), cfg)
+    with np.errstate(all="ignore"):
+        records = evaluate(thetas, 50, counts)
+        wants = [MetricRecord(iteration=50, accepted=int(c[ACCEPT]),
+                              rejected=int(c[REJECT]), buffered=int(c[BUFFERED]),
+                              **_reference_scores(task, test, probe, theta))
+                 for theta, c in zip(thetas, counts)]
+    assert len(records) == rows
+    for record, want in zip(records, wants):
+        assert repr(record) == repr(want)
+
+    # a divergence record is a one-row call that scores nothing
+    [record] = evaluate(thetas[:1], 7, counts[:1], diverged=True)
+    values = (dict(mse=math.inf, mee=math.inf if known else None)
+              if classes is None else dict(test_error_rate=1.0))
+    assert repr(record) == repr(MetricRecord(
+        iteration=7, accepted=int(counts[0, ACCEPT]), rejected=int(counts[0, REJECT]),
+        buffered=int(counts[0, BUFFERED]), **values))
+
+
+def test_records_hold_python_floats():
+    # the CSV writes repr(value); a numpy float would write 'np.float64(x)'
+    cls = load_config(Path(__file__).resolve().parents[1] / "configs"
+                      / "classification_backdoor.ini")
+    cls = dataclasses.replace(cls, schedule=dataclasses.replace(cls.schedule,
+                                                                iterations=100))
+    # AsyncSGD under the adaptive attack leaves the finite range (seeds 1
+    # and 2 at iterations 1893 and 1880)
+    configs = (small_config(), base_config(defense="asyncsgd", attack="adaptive"), cls)
+    kinds = collections.Counter()
+    for cfg in configs:
+        for result in run_trials(cfg, prepare_data(cfg), (1, 2)):
+            for record in result.records:
+                for field in dataclasses.fields(record):
+                    value = getattr(record, field.name)
+                    if field.type == "Optional[float]" and value is not None:
+                        assert type(value) is float, (field.name, value)
+                        kinds[field.name] += 1
+            kinds["diverged"] += result.diverged
+    # every float field is seen, and a divergence record among them
+    assert set(kinds) == {"mse", "mee", "test_error_rate", "attack_success_rate",
+                          "diverged"}
+    assert kinds["diverged"] > 0, kinds
 
 
 def test_evaluation_constants_are_built_once_per_trial(monkeypatch):

@@ -35,6 +35,30 @@ def test_mee_examples():
         metrics.mee(np.ones(2), np.ones(3))
 
 
+def test_stacks_give_one_value_per_model():
+    # a single model gives a float, a stack an array of its leading shape,
+    # each entry the single model's float bit for bit
+    rng = np.random.default_rng(41)
+    predictions, truths = rng.normal(size=(2, 3, 333)), rng.normal(size=333)
+    models, true_model = rng.normal(size=(2, 3, 4)), rng.normal(size=4)
+    for got, one in ((metrics.mse(predictions, truths),
+                      lambda k: metrics.mse(predictions.reshape(-1, 333)[k], truths)),
+                     (metrics.mee(models, true_model),
+                      lambda k: metrics.mee(models.reshape(-1, 4)[k], true_model))):
+        assert got.shape == (2, 3)
+        for k, value in enumerate(got.ravel().tolist()):
+            assert type(one(k)) is float and one(k) == value
+    # predictions that are not C-contiguous are scored with the same bits
+    assert metrics.mse(np.asfortranarray(predictions[0]), truths).tobytes() == \
+        metrics.mse(predictions[0], truths).tobytes()
+    with pytest.raises(ValueError):
+        metrics.mse(predictions, rng.normal(size=332))
+    with pytest.raises(ValueError):
+        metrics.mse(truths, predictions)
+    with pytest.raises(ValueError):
+        metrics.mee(models, np.ones(3))
+
+
 def _tiny_classification():
     features = np.array([[1.0, 0.2], [0.9, 0.1], [0.2, 1.0], [0.1, 0.9]])
     labels = np.array([0, 0, 1, 1])

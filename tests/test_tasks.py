@@ -65,6 +65,21 @@ def test_regression_predict():
     assert got == pytest.approx([float(u @ theta_star) for u in U])
     with pytest.raises(ValueError):
         tasks.regression_predict_batch(np.ones(2), np.ones((1, 3)))
+    with pytest.raises(ValueError):
+        tasks.regression_predict_batch(np.ones((3, 2)), np.ones((1, 3)))
+
+
+def test_stacked_predictions_are_the_gemv_bits():
+    # each slice of a stack is the gemv X @ theta of its model alone, at
+    # the shipped 2000 x 100 test set and at small odd sizes
+    rng = np.random.default_rng(29)
+    for n, d in ((2000, 100), (7, 100), (3, 5)):
+        X = rng.normal(size=(n, d))
+        thetas = rng.normal(size=(2, 3, d))
+        got = tasks.regression_predict_batch(thetas, X)
+        assert got.shape == (2, 3, n)
+        for theta, row in zip(thetas.reshape(-1, d), got.reshape(-1, n)):
+            assert row.tobytes() == (X @ theta).tobytes()
 
 
 def test_logistic_gradient_zero_params_two_classes():
@@ -181,6 +196,29 @@ def test_logistic_scores_keep_the_bits_of_the_transposed_product():
             params = rng.normal(size=C * d)
             expected = X @ params.reshape(C, d).T
             assert np.array_equal(tasks.logistic_scores(params, X, C), expected)
+        # a stack of models is scored slice by slice with the same bits
+        stack = rng.normal(size=(3, C * d))
+        expected = np.stack([X @ p.reshape(C, d).T for p in stack])
+        assert tasks.logistic_scores(stack, X, C).tobytes() == expected.tobytes()
+        assert np.array_equal(tasks.logistic_predict_batch(stack, X, C),
+                              np.argmax(expected, axis=-1))
+
+
+def test_stacked_scores_are_the_single_model_scores():
+    # at the golden gate's d = 20 with 3 classes, where the contiguous W^T
+    # and the transposed view differ in the last places, a stack still
+    # takes the single-model bits (a contiguous W^T per slice)
+    rng = np.random.default_rng(28)
+    for C, d in ((3, 20), (6, 60)):
+        for n in (2000, 1667, 7):
+            X = rng.normal(1.5, 1.0, size=(n, d))
+            stack = rng.normal(size=(2, 3, C * d))
+            got = tasks.logistic_scores(stack, X, C)
+            assert got.shape == (2, 3, n, C)
+            for model, scores in zip(stack.reshape(-1, C * d), got.reshape(-1, n, C)):
+                assert scores.tobytes() == tasks.logistic_scores(model, X, C).tobytes()
+                assert scores.tobytes() == (
+                    X @ np.ascontiguousarray(model.reshape(C, d).T)).tobytes()
 
 
 def test_curvature_validation():
