@@ -23,9 +23,9 @@ from .data import save_csv, split_train_test
 from .engine import (DIVERGENCE_MARKER, PreparedData, TrialResult,
                      beyond_reporting_range, make_dataset, prepare_data,
                      run_trials)
+from .metrics import MetricRecord
 
-CSV_COLUMNS = ("iteration", "mse", "test_error_rate", "mee",
-               "attack_success_rate", "accepted", "rejected", "buffered")
+CSV_COLUMNS = tuple(f.name for f in dataclasses.fields(MetricRecord))
 # the columns a divergent run reports as the divergence marker
 METRIC_COLUMNS = CSV_COLUMNS[1:5]
 
@@ -120,6 +120,8 @@ def sweep_command(config: ExperimentConfig, axis: str, values: Sequence[float],
     """One run per axis value; emit a combined long-format CSV."""
     if not values:
         raise ConfigError("sweep needs at least one value")
+    if len(set(values)) != len(values):
+        raise ConfigError(f"sweep values must be distinct, got {list(values)}")
     runs = [(_label(value), apply_axis(config, axis, value)) for value in values]
     # every value's data before the first run, so that a value whose data
     # is rejected writes nothing

@@ -37,11 +37,14 @@ class TaskConfig:
     def __post_init__(self):
         if self.kind not in TASK_KINDS:
             raise ValueError(f"unknown task kind: {self.kind!r}")
-        if self.kind == "csv" and not self.path:
-            raise ValueError("csv task requires a path")
-        if self.num_samples < 2:
+        if self.kind == "csv":
+            # the file's rows, not num_samples, bound train_count
+            # (data.split_train_test)
+            if not self.path:
+                raise ValueError("csv task requires a path")
+        elif self.num_samples < 2:
             raise ValueError("num_samples must be >= 2")
-        if not (0 < self.train_count < self.num_samples):
+        elif not (0 < self.train_count < self.num_samples):
             raise ValueError("train_count must lie in (0, num_samples)")
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")

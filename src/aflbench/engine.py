@@ -16,8 +16,9 @@ loop, with all seeds' delays, into blocks whose every base model exists
 when the block starts and that cross no refresh and no record. Each block
 of L iterations does once, for all rows:
 
-* the refresh at its start, every ``server_refresh_period`` iterations:
-  one ``server_update_vector`` call for all rows on the shared trusted set,
+* the refresh at its start, every ``server_refresh_period`` iterations
+  from iteration 0, under a filter that reads g_s: one
+  ``server_update_vector`` call for all rows on the shared trusted set,
   and the filter's reference prepared from it (Bindings below);
 * the base models: one gather, as a copy, of the L x K bases from a
   (max_client_delay + 1) x K x p ring of recent models, by a slot plan
@@ -29,7 +30,8 @@ of L iterations does once, for all rows:
   L x K x B buffer, by a T x K x B plan of store rows built before the
   loop;
 * one ``tasks`` gradient call over the (L, K, ...) stack (its docstring:
-  each slice's bits are the single-trial bits) and the wire scaling;
+  each slice's bits are the single-trial bits) and the wire scaling
+  (``server_update_vector`` states the scales);
 * the crafted updates: a T x K mask of the rows whose scheduled client is
   malicious is built from the schedule before the loop, and the attack
   runs on those rows only, in (iteration, row) order, each with the
@@ -64,10 +66,9 @@ does not depend on the seeds run beside it, and K = 1 is simply one trial.
 
 Bindings, each made once per run: ``_bind_filter`` (the configured
 ``defenses`` filter, Kardam's and BASGD's on one state per trial;
-AsyncSGD applies the stack as sent; and the filter's reference, which
-each refresh prepares from g_s: AFLGuard's radii, Zeno++'s norms),
-``_bind_attack`` (with the adaptive attack's threat scope) and
-``_bind_evaluate``, which
+AsyncSGD applies the stack as sent; and the reference that AFLGuard and
+Zeno++ prepare from g_s at each refresh), ``_bind_attack`` (with the
+adaptive attack's threat scope) and ``_bind_evaluate``, which
 precomputes what every record shares and theta does not change, the
 regression truths (the test features times theta*, when theta* is known)
 and, under the backdoor attack, the probe (the eligible test rows with the
@@ -100,22 +101,6 @@ defense: common random numbers, so a difference between such cells is the
 attack's or the filter's, not the luck of the draw. With the data drawn
 from ``seeds.data_seed``, a trial's output is a function of (config, seed)
 alone, whatever other trials run before it or beside it.
-
-Wire format of updates: a client's model update is the SUM of per-example
-gradients over its mini-batch (batch_size times the average gradient), and
-the server's reference update g_s is the sum over its trusted dataset. With
-the default batch of 16 and trusted set of 100, g_s is 100/16 = 6.25 times
-the client scale. The filters use g_s as follows:
-
-* AFLGuard compares a client update with g_s as sent, so its acceptance
-  radius lambda * ||g_s|| depends on that scale ratio; lambda is tuned for
-  it and the ball is deliberately left at the trusted-set scale.
-* Zeno++ renormalises each accepted update to the length of its reference,
-  so it receives g_s rescaled to the client's batch scale
-  (batch_size / len(trusted) * g_s). An accepted step then has the length
-  of a client step, not 6.25 times it. Its cosine gate is unchanged by the
-  rescaling.
-* Kardam, BASGD and AsyncSGD do not read g_s.
 
 Data layout: ``prepare_data`` plans the rows first (train/test split,
 client partition, trusted set, all as row indices), then generates or
@@ -243,11 +228,9 @@ class _RowPlan:
         cfg, seed = self.config, self.config.seeds.data_seed
         train, test = split_train_test(num_examples, cfg.task.train_count, seed)
         train_labels = None if labels is None else labels[train]
-        # regression datasets only partition iid
-        mode = "iid" if labels is None else cfg.data.partition
-        clients = partition(len(train), cfg.clients.num_clients, mode,
-                            cfg.data.noniid_degree, seed, train_labels,
-                            num_classes)
+        clients = partition(len(train), cfg.clients.num_clients,
+                            cfg.data.partition, cfg.data.noniid_degree, seed,
+                            train_labels, num_classes)
         batch = cfg.schedule.batch_size
         for i, rows in enumerate(clients):
             if len(rows) < batch:
@@ -326,7 +309,27 @@ def _avg_gradient(task, theta: np.ndarray, features: np.ndarray,
 
 
 def server_update_vector(task, theta: np.ndarray, trusted: Dataset) -> np.ndarray:
-    """Reference update: sum of per-example gradients over the trusted set."""
+    """The server's reference update g_s: the sum of per-example gradients
+    over the trusted set, one row per row of ``theta``.
+
+    The scales of updates, stated here once. A client's wire update is the
+    sum over its mini-batch, batch_size times its average gradient. g_s is
+    the sum over all len(trusted) = ``data.trusted_size`` examples: with the
+    default batch of 16 and trusted set of 100, 6.25 times the client scale.
+    Only AFLGuard and Zeno++ read g_s (``_bind_filter``):
+
+    * AFLGuard compares a client update with g_s as sent, so its acceptance
+      radius lambda * ||g_s|| is at the trusted-set scale, which lambda is
+      tuned for.
+    * Zeno++ renormalises each accepted update to the length of its
+      reference, so it takes g_s at the client's batch scale,
+      batch_size / trusted_size * g_s: an accepted step has the length of a
+      client step. The rescaling leaves its cosine gate unchanged.
+
+    The adaptive attacker's estimate of g_s (``make_threat_knowledge``) is
+    the same sum over the data it knows, ``ThreatScope.known_examples``
+    examples: the trusted set and its size are the server's own.
+    """
     return len(trusted) * _avg_gradient(task, theta, trusted.features,
                                         trusted.labels)
 
@@ -387,14 +390,9 @@ def make_threat_knowledge(base_model: np.ndarray, scope: ThreatScope,
     ``run_trials`` builds the moments once per run. The softmax gradient is
     not linear in theta, so the logistic task keeps the per-client loop.
 
-    The server-update estimate is the attacker's reconstruction, not the
-    server's private vector: the attacker knows every client's data and the
-    filter parameters, but the trusted dataset (and its size) is the
-    server's private capability. The attacker therefore mirrors the
-    server's sum-over-its-dataset computation on the dataset it does know,
-    the joint training data, and the reconstruction inherits that dataset's
-    scale. Both the scale gap and the trusted-set sampling noise are
-    estimation error the attacker cannot remove.
+    The server-update estimate mirrors g_s on the data the attacker knows,
+    at that data's scale (``server_update_vector``): the scale gap and the
+    trusted-set sampling noise are estimation error it cannot remove.
     """
     if scope.moments is not None:
         a, b = scope.moments
@@ -412,7 +410,8 @@ def _bind_filter(config: ExperimentConfig, num_trials: int):
     """The run's filter, as ``(prepare, decide)``. ``prepare(g_s)`` makes
     the filter's reference from g_s, one row per trial (K, p), once per
     refresh: AFLGuard's g_s and its radii, Zeno++'s g_s at the client's
-    batch scale and its norms (raising on a zero row), else g_s itself.
+    batch scale (``server_update_vector``) and its norms (raising on a zero
+    row). It is None for a filter that reads no g_s, whose reference is None.
     ``decide(cids, updates, bases, reference)`` takes a (..., K, p) stack
     of wire updates with their client ids (..., K) and base models
     (..., K, p), whose leading axes are a block's iterations and whose row
@@ -425,7 +424,7 @@ def _bind_filter(config: ExperimentConfig, num_trials: int):
         return (lambda g_s: (g_s, defenses.aflguard_radius(g_s, lam)),
                 lambda cids, updates, bases, reference: defenses.aflguard_step(
                     updates, *reference))
-    if kind == "zenopp":  # on the trusted-set sum at the client's batch scale
+    if kind == "zenopp":
         scale = config.schedule.batch_size / config.data.trusted_size
 
         def prepare(g_s):
@@ -433,22 +432,21 @@ def _bind_filter(config: ExperimentConfig, num_trials: int):
             return scaled, defenses.zeno_norms(scaled)
         return prepare, lambda cids, updates, bases, reference: defenses.zeno_step(
             updates, *reference)
-    # the other filters read no g_s
     if kind == "asyncsgd":
-        def decide(cids, updates, bases, g_s):
+        def decide(cids, updates, bases, reference):
             return ACCEPT, updates
     elif kind == "kardam":
         kardam = [defenses.KardamState() for _ in range(num_trials)]
 
-        def decide(cids, updates, bases, g_s):
+        def decide(cids, updates, bases, reference):
             return defenses.kardam_step(kardam, cids, updates, bases)
     else:
         basgd = [defenses.BasgdState(config.defense.num_buffers)
                  for _ in range(num_trials)]
 
-        def decide(cids, updates, bases, g_s):
+        def decide(cids, updates, bases, reference):
             return defenses.basgd_step(basgd, cids, updates)
-    return (lambda g_s: g_s), decide
+    return None, decide
 
 
 def _bind_attack(prepared: PreparedData, config: ExperimentConfig):
@@ -618,7 +616,7 @@ def run_trials(config: ExperimentConfig, prepared: PreparedData,
 
     theta = ring[0]
     zero = np.zeros(theta.size)
-    reference = prepare(server_update_vector(task, theta, prepared.trusted))
+    reference = None
 
     def tally(completed):
         """Every row's decision counts over its first ``completed``
@@ -628,7 +626,7 @@ def run_trials(config: ExperimentConfig, prepared: PreparedData,
 
     with np.errstate(over="ignore", invalid="ignore"):
         for start, stop in zip(bounds, bounds[1:]):
-            if start % sched.server_refresh_period == 0 and start > 0:
+            if prepare is not None and start % sched.server_refresh_period == 0:
                 reference = prepare(server_update_vector(task, theta, prepared.trusted))
 
             size = stop - start

@@ -5,7 +5,7 @@ Multinomial logistic regression stores its parameters as a single flat
 vector, row-major by class, so every defense filter sees plain vectors.
 
 Gradients returned here are mini-batch AVERAGES. The training engine owns
-the wire-format scaling of updates.
+the wire-format scaling of updates (``engine.server_update_vector``).
 
 Stack axis: the gradients take any number of leading axes, one formula for
 every shape. A (K, m, d) batch with (K, m) labels and a (K, p) model stack

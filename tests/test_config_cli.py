@@ -389,7 +389,10 @@ def test_rejected_data_plans_write_nothing(tmp_path, capsys):
             ("num_clients = 10", "num_clients = 600",
              "client 0 holds 1 examples, fewer than batch size 8"),
             ("kind = gaussian", "kind = backdoor",
-             "backdoor poisoning requires classification data")):
+             "backdoor poisoning requires classification data"),
+            # not run iid under a header that says noniid
+            ("partition = iid", "partition = noniid\nnoniid_degree = 0.9",
+             "noniid partitioning requires classification data")):
         path = tmp_path / "plan.ini"
         path.write_text(base.replace(old, new))
         load_config(path)
@@ -420,6 +423,49 @@ def test_sweep_prepares_every_value_before_writing(tmp_path, capsys):
     assert "trusted set larger than source dataset" in capsys.readouterr().err
     assert not (out / "trusted_size_50").exists()
     assert not out.exists()
+
+
+def test_sweep_rejects_repeated_values_before_writing(tmp_path, capsys):
+    # 1.5 and 1.50 parse to one value, which would run and be written twice
+    out = tmp_path / "sweep"
+    rc = cli.main(["sweep", "--config", str(_quick_config(tmp_path)),
+                   "--out", str(out), "--axis", "lambda",
+                   "--values", "1.5,1.50,2"])
+    assert rc == 2
+    assert ("sweep values must be distinct, got [1.5, 1.5, 2.0]"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_csv_train_count_is_bounded_by_the_files_rows(tmp_path, capsys):
+    # a CSV task reads no num_samples: the file's 12,000 rows bound
+    # train_count, not the default num_samples of 10,000
+    pool, _ = data.gen_synthetic_regression(5, 12_000, 3)
+    data.save_csv(pool, tmp_path / "pool.csv")
+    base = _quick_config(tmp_path).read_text()
+    for old, new in (("kind = synthetic_regression", "kind = csv\npath = pool.csv"),
+                     ("num_samples = 600\n", ""), ("dim = 10", "dim = 3")):
+        assert old in base
+        base = base.replace(old, new)
+    path = tmp_path / "csv.ini"
+    for train_count in (11_000, 12_000, 13_000):
+        path.write_text(base.replace("train_count = 480",
+                                     f"train_count = {train_count}"))
+        assert load_config(path).task.num_samples == 10_000
+        out = tmp_path / f"out_{train_count}"
+        with contextlib.chdir(tmp_path):
+            rc = cli.main(["run", "--config", str(path), "--out", str(out)])
+            if train_count < 12_000:
+                assert rc == 0
+                prepared = prepare_data(load_config(path))
+                assert len(prepared.test) == 1_000
+                assert sum(len(ds) for ds in prepared.client_data) == 11_000
+                assert (out / "summary.json").exists()
+            else:
+                assert rc == 2
+                assert ("train_count must lie in (0, 12000)"
+                        in capsys.readouterr().err)
+                assert not out.exists()
 
 
 def test_cli_main_errors_cleanly(tmp_path):

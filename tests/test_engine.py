@@ -181,11 +181,13 @@ def test_lockstep_rows_keep_their_own_server_update(monkeypatch):
         seen.append(log)
 
         def recording(cids, updates, bases, g_s):
-            # one entry per iteration of the block; AsyncSGD's reference is
-            # g_s itself
+            # one entry per iteration of the block; the reference is g_s
+            # itself, by the identity given for AsyncSGD below
             log.extend([[hash(g.tobytes()) for g in g_s]] * len(cids))
             return decide(cids, updates, bases, g_s)
-        return prepare, recording
+        # AsyncSGD reads no g_s, so an identity reference makes the engine
+        # refresh g_s for the rows this test watches
+        return prepare or (lambda g_s: g_s), recording
 
     def plan(delays, refresh_period):
         if not plans:
@@ -402,10 +404,11 @@ def test_bound_functions_call_through_their_modules(monkeypatch):
     # perfbench traces a layer by wrapping its name in its module; a trial
     # that resolved these functions at import time would bypass the wrapper
     calls = collections.Counter()
+    # AsyncSGD calls no defenses function
     filters = {"aflguard": "aflguard_accept", "kardam": "kardam_step",
-               "basgd": "basgd_step", "zenopp": "zeno_step"}
+               "basgd": "basgd_step", "zenopp": "zeno_step", "asyncsgd": None}
     references = {"aflguard": "aflguard_radius", "zenopp": "zeno_norms"}
-    for module, name in ([(defenses, step) for step in filters.values()]
+    for module, name in ([(defenses, step) for step in filters.values() if step]
                          + [(defenses, name) for name in references.values()]
                          + [(tasks, "regression_gradient"),
                             (engine, "server_update_vector"),
@@ -430,16 +433,41 @@ def test_bound_functions_call_through_their_modules(monkeypatch):
             blocks = len(engine.plan_blocks(delays, period)) - 1
             assert blocks < iterations
             # one filter call per block for all trials, one gradient call
-            # per block for the client updates of all trials, and one per
-            # g_s, with the filter's reference prepared once per g_s; one
-            # call per record of each evaluation function for all trials
-            want = {step: blocks, "server_update_vector": refreshes,
-                    "regression_gradient": blocks + refreshes,
-                    "regression_predict_batch": records, "mse": records,
-                    "mee": records}
-            if defense in references:
+            # per block for the client updates of all trials, and, only
+            # under a filter that reads g_s, one per g_s, with the filter's
+            # reference prepared once per g_s; one call per record of each
+            # evaluation function for all trials
+            reads = defense in references
+            want = collections.Counter({
+                "server_update_vector": refreshes if reads else 0,
+                "regression_gradient": blocks + (refreshes if reads else 0),
+                "regression_predict_batch": records, "mse": records,
+                "mee": records})
+            if step:
+                want[step] = blocks
+            if reads:
                 want[references[defense]] = refreshes
+            # Counter equality: a name counted 0 times is a name never called
             assert calls == want, defense
+
+
+@pytest.mark.parametrize("defense", ["asyncsgd", "kardam", "basgd"])
+def test_filters_that_read_no_server_update_never_compute_it(monkeypatch, defense):
+    # g_s exists only for the filters that read it: with the reference
+    # update made to raise, these runs give the same records and final
+    # models as unpatched
+    cfg = small_config(defense=defense, attack="gradient_deviation")
+    prepared = prepare_data(cfg)
+    seeds = (1, 2)
+    want = run_trials(cfg, prepared, seeds)
+
+    def forbidden(*args):
+        raise AssertionError("server_update_vector called")
+    monkeypatch.setattr(engine, "server_update_vector", forbidden)
+    got = run_trials(cfg, prepared, seeds)
+    for a, b in zip(got, want, strict=True):
+        assert a.records == b.records
+        assert a.final_model.tobytes() == b.final_model.tobytes()
 
 
 def _reference_scores(task, test, probe, theta):
@@ -758,10 +786,9 @@ def _reference_sets(cfg):
     train = full.subset(train_rows)
     classes = full.kind == CLASSIFICATION
     labels = train.labels if classes else None
-    mode = cfg.data.partition if classes else "iid"
     clients = [train.subset(rows) for rows in partition(
-        len(train), cfg.clients.num_clients, mode, cfg.data.noniid_degree, seed,
-        labels, full.num_classes)]
+        len(train), cfg.clients.num_clients, cfg.data.partition,
+        cfg.data.noniid_degree, seed, labels, full.num_classes)]
     trusted = train.subset(sample_trusted(len(train), cfg.data.trusted_size,
                                           cfg.data.distribution_shift, seed,
                                           labels))
@@ -816,6 +843,12 @@ def test_prepare_data_layout_matches_copy_reference(
             save_csv(make_dataset(cfg)[0], path)
             cfg = dataclasses.replace(cfg, task=dataclasses.replace(
                 cfg.task, kind="csv", path=str(path)))
+        if regression and noniid:
+            # a regression task has no classes to partition by
+            with pytest.raises(ValueError, match="noniid partitioning requires "
+                                                 "classification data"):
+                prepare_data(cfg)
+            return
         clients, test, trusted = _reference_sets(cfg)
         if min(len(ds) for ds in clients) < cfg.schedule.batch_size:
             with pytest.raises(ValueError, match="fewer than batch size"):
