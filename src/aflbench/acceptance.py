@@ -29,7 +29,7 @@ import numpy as np
 from . import attacks, defenses, metrics, tasks, vecmath
 from .attacks import ThreatKnowledge
 from .config import DataConfig, DefenseConfig, ExperimentConfig, TaskConfig
-from .data import gen_synthetic_regression
+from .data import CLASSIFICATION, Dataset, gen_synthetic_regression
 from .defenses import ACCEPT, BUFFERED, REJECT
 from .engine import TrialResult, prepare_data, run_trials
 
@@ -210,8 +210,7 @@ def criterion_6(runner: ScenarioRunner) -> CriterionResult:
     """Contraction: running min of ||theta - theta*|| non-increasing, final < 5%."""
     cfg = regression_config("aflguard", "none")
     effective_step = cfg.schedule.learning_rate * cfg.schedule.batch_size
-    curv = tasks.RegressionTask.curvature
-    bound = 2.0 / (curv.strong_convexity + curv.smoothness)
+    bound = 2.0 / (tasks.REGRESSION_STRONG_CONVEXITY + tasks.REGRESSION_SMOOTHNESS)
     if effective_step > bound:
         return CriterionResult("6 contraction face", False,
                                f"learning-rate precondition violated: "
@@ -379,9 +378,11 @@ def _check_vecmath_examples() -> None:
 
 
 def _check_attack_examples() -> None:
-    assert attacks.flip_label(1, 10) == 8
-    assert attacks.flip_label(9, 10) == 0
-    assert all(attacks.flip_label(attacks.flip_label(y, 6), 6) == y for y in range(6))
+    ten = Dataset(np.zeros((2, 1)), [1, 9], CLASSIFICATION, 10)
+    assert attacks.flip_dataset_labels(ten).labels.tolist() == [8, 0]
+    six = Dataset(np.zeros((6, 1)), np.arange(6), CLASSIFICATION, 6)
+    twice = attacks.flip_dataset_labels(attacks.flip_dataset_labels(six))
+    assert np.array_equal(twice.labels, six.labels)
     gd = attacks.gradient_deviation_update(np.array([1.0, 2.0]), -10.0)
     assert np.array_equal(gd, [-10.0, -20.0])
     honest = np.array([0.5, -1.5])

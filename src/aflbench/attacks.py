@@ -13,7 +13,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .data import CLASSIFICATION, REGRESSION, Dataset
+from .data import CLASSIFICATION, Dataset
 from .vecmath import l2norm
 
 ATTACK_KINDS = ("none", "label_flip", "gaussian", "gradient_deviation",
@@ -61,23 +61,17 @@ class ThreatKnowledge:
             raise ValueError("threat knowledge vectors must share dimension")
 
 
-def flip_label(label: int, num_classes: int) -> int:
-    """Class-label involution y -> C-1-y."""
-    if not (0 <= label < num_classes):
-        raise ValueError(f"label {label} out of range [0, {num_classes})")
-    return num_classes - 1 - label
-
-
 def flip_dataset_labels(ds: Dataset) -> Dataset:
     """Label-flip an entire local dataset.
 
-    Classification labels map to C-1-y. Regression labels are reflected
-    through zero, the real-valued analogue of the class reflection.
+    Classification labels map to C-1-y, an involution of the classes.
+    Regression labels are reflected through zero, the real-valued analogue
+    of the class reflection. The set's labels are valid, so the flipped
+    ones are too, and the features are shared, not scanned again.
     """
     if ds.kind == CLASSIFICATION:
-        flipped = np.array([flip_label(int(y), ds.num_classes) for y in ds.labels])
-        return Dataset(ds.features, flipped, CLASSIFICATION, ds.num_classes)
-    return Dataset(ds.features, -ds.labels, REGRESSION)
+        return ds.relabelled(ds.num_classes - 1 - ds.labels)
+    return ds.relabelled(-ds.labels)
 
 
 def gaussian_update(dim: int, sigma: float, rng: np.random.Generator) -> np.ndarray:

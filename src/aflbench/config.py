@@ -39,14 +39,14 @@ class TaskConfig:
             raise ValueError(f"unknown task kind: {self.kind!r}")
         if self.kind == "csv":
             # the file's rows, not num_samples, bound train_count
-            # (data.split_train_test)
+            # (data.split_train_test), and its columns give the dim
             if not self.path:
                 raise ValueError("csv task requires a path")
         elif self.num_samples < 2:
             raise ValueError("num_samples must be >= 2")
         elif not (0 < self.train_count < self.num_samples):
             raise ValueError("train_count must lie in (0, num_samples)")
-        if self.dim < 1:
+        elif self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
         if self.kind == "synthetic_classification":
             if self.num_classes < 2:

@@ -35,9 +35,6 @@ import numpy as np
 REGRESSION = "regression"
 CLASSIFICATION = "classification"
 
-# Appendix-standard synthetic regression sizes.
-DEFAULT_NUM_SAMPLES = 10_000
-DEFAULT_DIM = 100
 THETA_STAR_STD = 5.0  # N(0, 25) read as variance 25
 
 # Rows the generators draw per block. A multiple of 4, so that each block's
@@ -156,8 +153,7 @@ def _positions(layout: Optional[Layout], num_samples: int,
     return positions, len(order)
 
 
-def gen_synthetic_regression(seed: int, num_samples: int = DEFAULT_NUM_SAMPLES,
-                             dim: int = DEFAULT_DIM,
+def gen_synthetic_regression(seed: int, num_samples: int, dim: int,
                              layout: Optional[Layout] = None):
     """Generate the linear-regression benchmark; returns (Dataset, theta_star).
 

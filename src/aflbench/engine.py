@@ -148,7 +148,7 @@ def beyond_reporting_range(value: float) -> bool:
 
 @dataclass
 class PreparedData:
-    """Datasets and task description shared by every trial of a config.
+    """Datasets and model facts shared by every trial of a config.
 
     ``store`` holds every client's training set, client-major, then the
     test rows (module docstring Data layout), and ``client_rows[c]`` is
@@ -158,10 +158,14 @@ class PreparedData:
     the same list but for the poisoned sets, whose clean rows it views in
     the generated data: the prefix of the poisoned set under the backdoor
     attack, the same rows with the generated labels under label flipping.
-    ``test`` is a view and ``trusted`` a copy of generated rows.
+    ``test`` is a view and ``trusted`` a copy of generated rows. The sets
+    name the model family by their ``num_classes`` (``tasks`` docstring);
+    ``true_model`` is theta*, known for synthetic regression only, and
+    ``param_dim`` the model length.
     """
 
-    task: tasks.RegressionTask | tasks.LogisticTask
+    true_model: Optional[np.ndarray]
+    param_dim: int
     test: Dataset
     trusted: Dataset
     store: Dataset
@@ -265,12 +269,6 @@ def prepare_data(config: ExperimentConfig) -> PreparedData:
     test = pool.subset(plan.test_rows)
     trusted = pool.subset(plan.trusted_rows)
 
-    if pool.kind == REGRESSION:
-        task: tasks.RegressionTask | tasks.LogisticTask = tasks.RegressionTask(
-            pool.dim, true_model)
-    else:
-        task = tasks.LogisticTask(pool.dim, pool.num_classes)
-
     malicious = frozenset(config.clients.malicious_ids())
     kind = config.attack.kind
     poisoned = malicious if kind in ("label_flip", "backdoor") else frozenset()
@@ -294,21 +292,24 @@ def prepare_data(config: ExperimentConfig) -> PreparedData:
         for arr in (pool.features, pool.labels):
             arr.setflags(write=False)
     client_data = [store.subset(rows) for rows in plan.client_rows]
-    return PreparedData(task=task, test=test, trusted=trusted, store=store,
+    return PreparedData(true_model=true_model,
+                        param_dim=tasks.param_dim(pool.dim, pool.num_classes),
+                        test=test, trusted=trusted, store=store,
                         client_rows=plan.client_rows, client_data=client_data,
                         client_data_clean=[clean.get(cid, ds) for cid, ds
                                            in enumerate(client_data)],
                         malicious=malicious)
 
 
-def _avg_gradient(task, theta: np.ndarray, features: np.ndarray,
-                  labels: np.ndarray) -> np.ndarray:
-    if isinstance(task, tasks.RegressionTask):
+def _avg_gradient(theta: np.ndarray, features: np.ndarray, labels: np.ndarray,
+                  num_classes: Optional[int]) -> np.ndarray:
+    """The batch-average gradient of the family that ``num_classes`` names."""
+    if num_classes is None:
         return tasks.regression_gradient(theta, features, labels)
-    return tasks.logistic_gradient(theta, features, labels, task.num_classes)
+    return tasks.logistic_gradient(theta, features, labels, num_classes)
 
 
-def server_update_vector(task, theta: np.ndarray, trusted: Dataset) -> np.ndarray:
+def server_update_vector(theta: np.ndarray, trusted: Dataset) -> np.ndarray:
     """The server's reference update g_s: the sum of per-example gradients
     over the trusted set, one row per row of ``theta``.
 
@@ -330,8 +331,8 @@ def server_update_vector(task, theta: np.ndarray, trusted: Dataset) -> np.ndarra
     the same sum over the data it knows, ``ThreatScope.known_examples``
     examples: the trusted set and its size are the server's own.
     """
-    return len(trusted) * _avg_gradient(task, theta, trusted.features,
-                                        trusted.labels)
+    return len(trusted) * _avg_gradient(theta, trusted.features, trusted.labels,
+                                        trusted.num_classes)
 
 
 @dataclass(frozen=True)
@@ -346,7 +347,6 @@ class ThreatScope:
     task.
     """
 
-    task: tasks.RegressionTask | tasks.LogisticTask
     client_sets: Tuple[Dataset, ...]
     known_examples: int
     moments: Optional[Tuple[np.ndarray, np.ndarray]]
@@ -360,8 +360,8 @@ def threat_scope(prepared: PreparedData, config: ExperimentConfig) -> ThreatScop
         ids = range(len(prepared.client_data_clean))
     client_sets = tuple(prepared.client_data_clean[c] for c in ids)
     moments = None
-    if isinstance(prepared.task, tasks.RegressionTask):
-        dim = prepared.task.dim
+    if prepared.store.kind == REGRESSION:
+        dim = prepared.store.dim
         a, b = np.zeros((dim, dim)), np.zeros(dim)
         for ds in client_sets:
             # a contiguous transpose sends the product to gemm: numpy sends
@@ -370,7 +370,7 @@ def threat_scope(prepared: PreparedData, config: ExperimentConfig) -> ThreatScop
             a += np.ascontiguousarray(ds.features.T) @ ds.features / len(ds)
             b += ds.features.T @ ds.labels / len(ds)
         moments = (a / len(client_sets), b / len(client_sets))
-    return ThreatScope(task=prepared.task, client_sets=client_sets,
+    return ThreatScope(client_sets=client_sets,
                        known_examples=sum(len(ds) for ds in client_sets),
                        moments=moments)
 
@@ -398,8 +398,8 @@ def make_threat_knowledge(base_model: np.ndarray, scope: ThreatScope,
         a, b = scope.moments
         mean_grad = a @ base_model - b
     else:
-        mean_grad = np.mean([_avg_gradient(scope.task, base_model, ds.features,
-                                           ds.labels)
+        mean_grad = np.mean([_avg_gradient(base_model, ds.features, ds.labels,
+                                           ds.num_classes)
                              for ds in scope.client_sets], axis=0)
     return ThreatKnowledge(benign_mean_gradient=config.schedule.batch_size * mean_grad,
                            server_update_estimate=scope.known_examples * mean_grad,
@@ -455,7 +455,7 @@ def _bind_attack(prepared: PreparedData, config: ExperimentConfig):
     stale model ``base_model``, with ``noise`` its trial's attack-noise
     stream. None when every client is honest: under no attack or a
     data-level one (an honest pass on the poisoned set)."""
-    cfg, task = config.attack, prepared.task
+    cfg = config.attack
     if cfg.kind in ("none", "label_flip") or not prepared.malicious:
         return None
     if cfg.kind == "backdoor":
@@ -463,7 +463,7 @@ def _bind_attack(prepared: PreparedData, config: ExperimentConfig):
             return attacks.backdoor_update(honest, cfg)
     elif cfg.kind == "gaussian":
         def craft(honest, base_model, noise):
-            return attacks.gaussian_update(task.param_dim, cfg.gauss_sigma, noise)
+            return attacks.gaussian_update(prepared.param_dim, cfg.gauss_sigma, noise)
     elif cfg.kind == "gradient_deviation":
         def craft(honest, base_model, noise):
             return attacks.gradient_deviation_update(honest, cfg.gd_scale)
@@ -484,9 +484,8 @@ def _bind_evaluate(prepared: PreparedData, config: ExperimentConfig):
     records hold Python floats. A divergence record scores nothing: it holds
     the divergence values. What does not depend on the models is built
     here, once: the regression truths and the backdoor probe."""
-    task, test = prepared.task, prepared.test
-    if isinstance(task, tasks.RegressionTask):
-        true_model = task.true_model
+    test, true_model = prepared.test, prepared.true_model
+    if test.kind == REGRESSION:
         # theta* is known: score against the noiseless ground truth, so the
         # error floor reflects estimation error only.
         truths = test.labels if true_model is None else test.features @ true_model
@@ -575,7 +574,7 @@ def run_trials(config: ExperimentConfig, prepared: PreparedData,
                seeds: Sequence[int]) -> List[TrialResult]:
     """Execute one seeded trial per seed, all in lockstep (module
     docstring); each is fully deterministic given (config, its seed)."""
-    sched, task, store = config.schedule, prepared.task, prepared.store
+    sched, store = config.schedule, prepared.store
     # iteration by row: the store rows of the batches, the client ids and
     # the ring rows of the bases. Each trial's plan is drawn into its
     # column as rows of its client's set, then moved to the set's place.
@@ -588,8 +587,8 @@ def run_trials(config: ExperimentConfig, prepared: PreparedData,
     delays = np.stack([d.delays for d in draws], axis=1)
     # slot s % depth holds the model after s steps, and base model [t, k]
     # is row index[t, k] of its flat view
-    ring = np.zeros((depth, len(seeds), task.param_dim))
-    flat = ring.reshape(-1, task.param_dim)
+    ring = np.zeros((depth, len(seeds), prepared.param_dim))
+    flat = ring.reshape(-1, prepared.param_dim)
     index = ((np.arange(sched.iterations)[:, None] - delays) % depth * len(seeds)
              + np.arange(len(seeds)))
     bounds = plan_blocks(delays, sched.server_refresh_period)
@@ -627,7 +626,7 @@ def run_trials(config: ExperimentConfig, prepared: PreparedData,
     with np.errstate(over="ignore", invalid="ignore"):
         for start, stop in zip(bounds, bounds[1:]):
             if prepare is not None and start % sched.server_refresh_period == 0:
-                reference = prepare(server_update_vector(task, theta, prepared.trusted))
+                reference = prepare(server_update_vector(theta, prepared.trusted))
 
             size = stop - start
             base = flat.take(index[start:stop], axis=0)
@@ -636,8 +635,8 @@ def run_trials(config: ExperimentConfig, prepared: PreparedData,
             store.features.take(plan[start:stop], axis=0, out=features[:size],
                                 mode="clip")
             store.labels.take(plan[start:stop], out=labels[:size], mode="clip")
-            sent = sched.batch_size * _avg_gradient(task, base, features[:size],
-                                                    labels[:size])
+            sent = sched.batch_size * _avg_gradient(base, features[:size], labels[:size],
+                                                    store.num_classes)
             for t in range(start, stop):
                 for k in attacked.get(t, ()):
                     sent[t - start, k] = craft(sent[t - start, k],

@@ -3,6 +3,8 @@
 Linear regression uses squared loss f(theta, (u, y)) = (<u, theta> - y)^2 / 2.
 Multinomial logistic regression stores its parameters as a single flat
 vector, row-major by class, so every defense filter sees plain vectors.
+The data name the family: a ``data.Dataset`` with no class count is a
+regression set, one with C classes a softmax set (``param_dim``).
 
 Gradients returned here are mini-batch AVERAGES. The training engine owns
 the wire-format scaling of updates (``engine.server_update_vector``).
@@ -28,57 +30,20 @@ copy of its W^T.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
-@dataclass(frozen=True)
-class Curvature:
-    """Smoothness L and strong convexity mu of the population risk."""
-
-    smoothness: float
-    strong_convexity: float
-
-    def __post_init__(self):
-        if not (0.0 < self.strong_convexity <= self.smoothness):
-            raise ValueError("need 0 < mu <= L")
+# L: the synthetic regression features have identity covariance, so the
+# squared loss's population Hessian is the identity, whose largest eigenvalue is 1.
+REGRESSION_SMOOTHNESS = 1.0
+# mu: the smallest eigenvalue of that same identity Hessian.
+REGRESSION_STRONG_CONVEXITY = 1.0
 
 
-@dataclass(frozen=True)
-class RegressionTask:
-    dim: int
-    true_model: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
-        if self.true_model is not None and self.true_model.shape != (self.dim,):
-            raise ValueError("true_model length must equal dim")
-
-    @property
-    def param_dim(self) -> int:
-        return self.dim
-
-    # The synthetic linear regression problem has identity feature covariance,
-    # so the population risk is exactly 1-smooth and 1-strongly convex.
-    curvature = Curvature(smoothness=1.0, strong_convexity=1.0)
-
-
-@dataclass(frozen=True)
-class LogisticTask:
-    dim: int
-    num_classes: int
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
-        if self.num_classes < 2:
-            raise ValueError("need at least 2 classes")
-
-    @property
-    def param_dim(self) -> int:
-        return self.dim * self.num_classes
+def param_dim(dim: int, num_classes: int | None) -> int:
+    """The model length: d for the squared loss (no classes), d * C for
+    the softmax's flat row-major weights."""
+    return dim if num_classes is None else dim * num_classes
 
 
 def regression_gradient(theta: np.ndarray, features: np.ndarray, labels: np.ndarray) -> np.ndarray:

@@ -13,11 +13,15 @@ updates the clause expects it to stop. CHANGES.md records the measured
 values and causes of both.
 """
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from aflbench import acceptance, cli, defenses, tasks
+from aflbench.config import load_config
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
 @pytest.fixture(scope="module")
@@ -32,6 +36,14 @@ def test_criterion(criterion, runner):
     status = "PASS" if result.passed else "FAIL"
     print(f"[{status}] {result.name}: {result.details}")
     assert result.passed, f"{result.name}: {result.details}"
+
+
+def test_scenarios_equal_the_shipped_configs():
+    # each scenario is written twice, in code and in a config file
+    assert acceptance.regression_config() == load_config(
+        CONFIG_DIR / "table1_synthetic.ini")
+    assert acceptance.classification_config("aflguard", "backdoor") == load_config(
+        CONFIG_DIR / "classification_backdoor.ini")
 
 
 @pytest.mark.parametrize("check", acceptance.EXAMPLE_CHECKS,

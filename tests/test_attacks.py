@@ -8,19 +8,24 @@ from aflbench import attacks, data, vecmath
 from aflbench.attacks import AttackConfig, ThreatKnowledge
 
 
+def _classes(labels, num_classes):
+    return data.Dataset(np.zeros((len(labels), 1)), labels, data.CLASSIFICATION,
+                        num_classes)
+
+
 def test_flip_label_examples():
-    assert attacks.flip_label(1, 10) == 8
-    assert attacks.flip_label(9, 10) == 0
-    with pytest.raises(ValueError):
-        attacks.flip_label(10, 10)
-    with pytest.raises(ValueError):
-        attacks.flip_label(-1, 10)
+    assert attacks.flip_dataset_labels(_classes([1, 9], 10)).labels.tolist() == [8, 0]
+    # a label out of range never reaches the flip: the set rejects it
+    for label in (10, -1):
+        with pytest.raises(ValueError, match="class label out of range"):
+            _classes([label], 10)
 
 
 def test_flip_label_is_involution():
     for c in (2, 6, 10):
-        for y in range(c):
-            assert attacks.flip_label(attacks.flip_label(y, c), c) == y
+        ds = _classes(np.arange(c), c)
+        twice = attacks.flip_dataset_labels(attacks.flip_dataset_labels(ds))
+        assert np.array_equal(twice.labels, ds.labels)
 
 
 def test_flip_dataset_classification():

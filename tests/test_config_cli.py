@@ -375,6 +375,11 @@ def test_task_sizes_are_checked_before_anything_is_written(tmp_path, capsys):
     path.write_text(base.replace("dim = 10\n", "dim = 10\nnum_classes = 1\n"
                                  "class_spread = -1\n"))
     assert load_config(path).task.num_classes == 1
+    # a CSV task takes its dim from the file's columns, so dim is not checked
+    path.write_text(base.replace("kind = synthetic_regression",
+                                 "kind = csv\npath = pool.csv")
+                    .replace("dim = 10", "dim = 0"))
+    assert load_config(path).task.dim == 0
 
 
 def test_rejected_data_plans_write_nothing(tmp_path, capsys):

@@ -90,7 +90,7 @@ def test_stale_free_run_matches_independent_sgd_oracle():
     assert not schedule.integers(0, np.ones(iterations, dtype=int)).any()
     sizes = np.array([len(prepared.client_data[c]) for c in cids])
     plan = minibatch(sizes, cfg.schedule.batch_size, batches)
-    theta = np.zeros(prepared.task.param_dim)
+    theta = np.zeros(prepared.param_dim)
     eta = cfg.schedule.learning_rate
     for t in range(iterations):
         ds = prepared.client_data[cids[t]]
@@ -99,7 +99,7 @@ def test_stale_free_run_matches_independent_sgd_oracle():
         grad_sum = np.einsum("i,ij->j", residuals, features)
         theta = theta - eta * grad_sum
     assert np.allclose(theta, result.final_model, rtol=0, atol=1e-10)
-    final_distance = np.linalg.norm(theta - prepared.task.true_model)
+    final_distance = np.linalg.norm(theta - prepared.true_model)
     assert final_distance < 1.0
 
 
@@ -394,7 +394,7 @@ def test_rejection_never_changes_model():
     cfg = small_config(defense="aflguard", lam=1e-12)
     prepared = prepare_data(cfg)
     result = run_trials(cfg, prepared, (1,))[0]
-    assert np.array_equal(result.final_model, np.zeros(prepared.task.param_dim))
+    assert np.array_equal(result.final_model, np.zeros(prepared.param_dim))
     final = result.final_record
     assert final.rejected == cfg.schedule.iterations
     assert final.accepted == 0
@@ -470,20 +470,20 @@ def test_filters_that_read_no_server_update_never_compute_it(monkeypatch, defens
         assert a.final_model.tobytes() == b.final_model.tobytes()
 
 
-def _reference_scores(task, test, probe, theta):
+def _reference_scores(true_model, test, probe, theta):
     """One row's scores as the record step computed them a row at a time: a
     gemv per regression model, a gemm on a C-contiguous W^T per
     classification model, and each mean over the whole row."""
-    if isinstance(task, tasks.RegressionTask):
-        known = task.true_model is not None
-        truths = test.features @ task.true_model if known else test.labels
+    if test.kind == REGRESSION:
+        known = true_model is not None
+        truths = test.features @ true_model if known else test.labels
         out = dict(mse=float(np.mean((test.features @ theta - truths) ** 2)))
         if known:
-            out["mee"] = l2norm(theta - task.true_model)
+            out["mee"] = l2norm(theta - true_model)
         return out
 
     def predict(features):
-        weights = theta.reshape(task.num_classes, task.dim)
+        weights = theta.reshape(test.num_classes, test.dim)
         return np.argmax(features @ np.ascontiguousarray(weights.T), axis=1)
     out = dict(test_error_rate=float(np.mean(predict(test.features) != test.labels)))
     if probe is not None:
@@ -524,28 +524,30 @@ def test_stacked_evaluate_is_the_row_scores(seed, rows, samples, shape, known,
     features = rng.normal(1.5, 1.0, size=(samples, dim))
     cfg = ExperimentConfig()
     if classes is None:
-        task = tasks.RegressionTask(dim, rng.normal(size=dim) if known else None)
+        true_model = rng.normal(size=dim) if known else None
         test = Dataset(features, rng.normal(size=samples), REGRESSION)
     else:
-        task = tasks.LogisticTask(dim, classes)
+        true_model = None
         labels = rng.integers(classes, size=samples)
         labels[0] = 0  # the probe keeps this row
         test = Dataset(features, labels, CLASSIFICATION, classes)
         cfg = dataclasses.replace(cfg, attack=AttackConfig(
             kind="backdoor" if known else "none", bd_target_class=classes - 1,
             bd_trigger_period=10))
-    thetas = np.array(scales[:rows])[:, None] * rng.normal(size=(rows, task.param_dim))
+    size = tasks.param_dim(dim, classes)
+    thetas = np.array(scales[:rows])[:, None] * rng.normal(size=(rows, size))
     if special is not None:
-        thetas[rng.integers(rows), rng.integers(task.param_dim)] = special
+        thetas[rng.integers(rows), rng.integers(size)] = special
     counts = rng.integers(0, 50, size=(rows, 3))
     probe = (metrics.backdoor_probe(test, cfg.attack)
              if classes is not None and known else None)
-    evaluate = engine._bind_evaluate(SimpleNamespace(task=task, test=test), cfg)
+    evaluate = engine._bind_evaluate(
+        SimpleNamespace(true_model=true_model, test=test), cfg)
     with np.errstate(all="ignore"):
         records = evaluate(thetas, 50, counts)
         wants = [MetricRecord(iteration=50, accepted=int(c[ACCEPT]),
                               rejected=int(c[REJECT]), buffered=int(c[BUFFERED]),
-                              **_reference_scores(task, test, probe, theta))
+                              **_reference_scores(true_model, test, probe, theta))
                  for theta, c in zip(thetas, counts)]
     assert len(records) == rows
     for record, want in zip(records, wants):
@@ -653,7 +655,7 @@ def test_threat_knowledge_identical_clients():
     # overwrite every client with the same local data
     shared = prepared.client_data_clean[0]
     prepared.client_data_clean = [shared] * cfg.clients.num_clients
-    theta = np.zeros(prepared.task.param_dim)
+    theta = np.zeros(prepared.param_dim)
     know = make_threat_knowledge(theta, threat_scope(prepared, cfg), cfg)
     from aflbench.tasks import regression_gradient
     single_full = regression_gradient(theta, shared.features, shared.labels)
@@ -666,7 +668,7 @@ def test_threat_knowledge_partial_scope():
     cfg = dataclasses.replace(cfg, attack=dataclasses.replace(cfg.attack,
                                                               knowledge="partial"))
     prepared = prepare_data(cfg)
-    theta = np.zeros(prepared.task.param_dim)
+    theta = np.zeros(prepared.param_dim)
     know = make_threat_knowledge(theta, threat_scope(prepared, cfg), cfg)
     from aflbench.tasks import regression_gradient
     grads = [regression_gradient(theta, prepared.client_data_clean[c].features,
@@ -679,7 +681,7 @@ def test_threat_knowledge_partial_scope():
 def test_threat_knowledge_mean_equals_pooled_for_equal_sizes():
     cfg = base_config(attack="adaptive")
     prepared = prepare_data(cfg)
-    theta = np.ones(prepared.task.param_dim)
+    theta = np.ones(prepared.param_dim)
     know = make_threat_knowledge(theta, threat_scope(prepared, cfg), cfg)
     from aflbench.tasks import regression_gradient
     clients = prepared.client_data_clean  # iid: together, the train rows
@@ -727,7 +729,7 @@ def test_threat_knowledge_logistic_keeps_per_client_loop():
         cfg = _adaptive_config(knowledge, kind="synthetic_classification",
                                num_samples=2_500, dim=5, train_count=1_997)
         prepared = prepare_data(cfg)
-        theta = np.random.default_rng(5).normal(0.0, 1.0, prepared.task.param_dim)
+        theta = np.random.default_rng(5).normal(0.0, 1.0, prepared.param_dim)
         scope = threat_scope(prepared, cfg)
         assert scope.moments is None
         know = make_threat_knowledge(theta, scope, cfg)

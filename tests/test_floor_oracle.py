@@ -31,7 +31,7 @@ def sgd_floor(features, labels, prepared, learning_rate, batch_size):
     """Expected final test MSE of SGD trained on the pool (features, labels)."""
     theta_ls, *_ = np.linalg.lstsq(features, labels, rcond=None)
     test_x = prepared.test.features
-    ls_mse = metrics.mse(test_x @ theta_ls, test_x @ prepared.task.true_model)
+    ls_mse = metrics.mse(test_x @ theta_ls, test_x @ prepared.true_model)
     sigma2 = float(np.mean((features @ theta_ls - labels) ** 2))
     d = features.shape[1]
     alpha = learning_rate * batch_size

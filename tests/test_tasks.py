@@ -221,16 +221,6 @@ def test_stacked_scores_are_the_single_model_scores():
                     X @ np.ascontiguousarray(model.reshape(C, d).T)).tobytes()
 
 
-def test_curvature_validation():
-    tasks.Curvature(1.0, 1.0)
-    with pytest.raises(ValueError):
-        tasks.Curvature(1.0, 2.0)
-    with pytest.raises(ValueError):
-        tasks.Curvature(1.0, 0.0)
-
-
 def test_task_param_dims():
-    assert tasks.RegressionTask(7).param_dim == 7
-    assert tasks.LogisticTask(5, 3).param_dim == 15
-    with pytest.raises(ValueError):
-        tasks.RegressionTask(3, true_model=np.ones(4))
+    assert tasks.param_dim(7, None) == 7
+    assert tasks.param_dim(5, 3) == 15
