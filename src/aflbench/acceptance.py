@@ -288,10 +288,10 @@ def _decision(answer) -> Tuple[int, np.ndarray]:
 
 
 def _check_kardam_examples() -> None:
-    state = defenses.KardamState()
+    history = defenses.KardamHistory(1, 3)
 
     def decide(cid, update, base):
-        return _decision(defenses.kardam_step([state], cid, update, base))[0]
+        return _decision(defenses.kardam_step(history, cid, update, base))[0]
 
     base0 = np.zeros(2)
     # bootstrap accepts for every client
@@ -303,12 +303,12 @@ def _check_kardam_examples() -> None:
     for cid, k in zip(range(3), (0.5, 1.0, 2.0)):
         update = np.ones(2) * (cid + 1) + np.array([k, 0.0])
         decide(cid, update, base1)
-    assert sorted(state.coefficients.values()) == [0.5, 1.0, 2.0]
+    assert sorted(history.trials[0].coefficients.values()) == [0.5, 1.0, 2.0]
     base2 = np.array([2.0, 0.0])
-    incoming_ok = state.prev_update[0] + np.array([0.8, 0.0])
+    incoming_ok = history.prev_update[0] + np.array([0.8, 0.0])
     assert decide(0, incoming_ok, base2) == ACCEPT
     base3 = np.array([3.0, 0.0])
-    incoming_bad = state.prev_update[1] + np.array([5.0, 0.0])
+    incoming_bad = history.prev_update[1] + np.array([5.0, 0.0])
     assert decide(1, incoming_bad, base3) == REJECT
 
 

@@ -126,6 +126,10 @@ def sweep_command(config: ExperimentConfig, axis: str, values: Sequence[float],
     # every value's data before the first run, so that a value whose data
     # is rejected writes nothing
     prepared = [prepare_data(run_config) for _, run_config in runs]
+    if axis == "ds" and prepared[0].trusted.num_classes is None:
+        # data.sample_trusted draws a regression trusted set uniformly
+        raise ConfigError("sweep axis ds (distribution_shift) is not read by a "
+                          "regression task, so every value would run the same")
     combined = [",".join(("axis", "value", "seed") + CSV_COLUMNS)]
     for (label, run_config), data in zip(runs, prepared):
         results = _run_prepared(run_config, data, out_dir / f"{axis}_{label}")

@@ -19,17 +19,25 @@ that row held. A stack may also be one (p,) row.
   Each row's norms and dots come from ``np.vecdot``, bit-equal to
   ``vecmath.l2norm`` and ``np.dot`` of the row.
 * Kardam (``kardam_step``) and BASGD (``basgd_step``) keep state per
-  trial. They take the run's states, one per row (row k of every
-  iteration is trial k, whose state is ``states[k]``), and the client ids
-  (..., K), and decide the rows one at a time in iteration order. A row
-  of a stack is a view that pins the whole stack, so they copy each row
-  they keep.
+  trial, and take the client ids (..., K). Row k of every iteration is
+  trial k, and each row is decided as if alone, in (iteration, row)
+  order. A row of a stack is a view that pins the whole stack, so
+  neither keeps one.
+  - Kardam takes the run's ``KardamHistory``: every (trial, client)
+    pair's last update and base as rows of two arrays, and one
+    ``KardamState`` per trial. It gathers, differences and takes norms
+    for a whole block at once (split only where a trial's client reports
+    twice in it), and leaves to Python only each row's division, median
+    read and record. Its squared norms come from ``np.vecdot``, and its
+    history is written back by fancy assignment, which copies.
+  - BASGD takes one ``BasgdState`` per row, ``states[k]``, decides one
+    row at a time, and copies each row it buffers.
 
 The engine binds the configured filter once per run
 (``engine._bind_filter``). Filter parameters are validated once, by
 ``config.DefenseConfig``.
 
-Kardam keeps its per-client Lipschitz coefficients as a running sorted
+Kardam keeps each trial's Lipschitz coefficients as a running sorted
 order: each new coefficient replaces its client's old one by one bisect
 removal and one insertion, and NaNs are counted apart. So the median it
 compares against is an index into that order, with ``np.median``'s value
@@ -46,8 +54,6 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .vecmath import l2norm
-
 ACCEPT, REJECT, BUFFERED = 0, 1, 2
 
 DEFENSE_KINDS = ("asyncsgd", "kardam", "basgd", "zenopp", "aflguard")
@@ -62,10 +68,10 @@ def _check_server_rows(client_update: np.ndarray, server_update: np.ndarray) -> 
         raise ValueError("dimension mismatch")
 
 
-def _applied(rows: np.ndarray, accept) -> np.ndarray:
-    """A step: each row where ``accept`` holds, zeros elsewhere, whatever a
-    rejected row holds (a selection, not a product: inf * 0 would be NaN)."""
-    return np.where(accept[..., None], rows, 0.0)
+def _applied(rows: np.ndarray, reject) -> np.ndarray:
+    """A step: zeros where ``reject`` holds, whatever a rejected row holds
+    (a selection, not a product: inf * 0 would be NaN), each row elsewhere."""
+    return np.where(reject[..., None], 0.0, rows)
 
 
 def aflguard_radius(server_update: np.ndarray, lam: float):
@@ -95,7 +101,7 @@ def aflguard_step(updates: np.ndarray, g_s: np.ndarray, radius) -> Answer:
     # count_nonzero is a C call; ndarray.any goes through Python
     if not np.count_nonzero(reject):
         return reject, updates
-    return reject, _applied(updates, accept)
+    return reject, _applied(updates, reject)
 
 
 def zeno_norms(g_s: np.ndarray):
@@ -125,25 +131,12 @@ def zeno_step(updates: np.ndarray, g_s: np.ndarray, server_norms) -> Answer:
         accept = (client_norms != 0.0) & (
             np.vecdot(updates, g_s) / (client_norms * server_norms) > 0.0)
         scaled = updates * (server_norms / client_norms)[..., None]
-    return np.logical_not(accept), _applied(scaled, accept)
-
-
-def _in_order(rule, states, cids, *stacks) -> Answer:
-    """Decide a block's rows one at a time, in iteration order. Row k of
-    every iteration is trial k. ``rule(state, cid, out, *rows)`` gets
-    ``states[k]``, the row's client id, the row of the step to write and
-    the row of each stack, and returns the code."""
-    p = stacks[0].shape[-1]
-    step = np.zeros(stacks[0].shape)
-    codes = list(itertools.starmap(rule, zip(
-        itertools.cycle(states),
-        np.ravel(cids).tolist(), step.reshape(-1, p),
-        *(stack.reshape(-1, p) for stack in stacks))))
-    return np.reshape(codes, step.shape[:-1]), step
+    reject = np.logical_not(accept)
+    return reject, _applied(scaled, reject)
 
 
 class KardamState:
-    """Per-client history: last update, last base model, current coefficient.
+    """One trial's Lipschitz coefficients, one per client that has one.
 
     ``ordered`` holds the non-NaN values of ``coefficients`` in ascending
     order and ``nan_count`` the number of NaN ones; ``record`` keeps both in
@@ -151,8 +144,6 @@ class KardamState:
     """
 
     def __init__(self):
-        self.prev_update: Dict[int, np.ndarray] = {}
-        self.prev_base: Dict[int, np.ndarray] = {}
         self.coefficients: Dict[int, float] = {}
         self.ordered: List[float] = []
         self.nan_count = 0
@@ -183,38 +174,102 @@ class KardamState:
         return (self.ordered[n // 2 - 1] + self.ordered[n // 2]) / 2
 
 
-def _kardam_row(state, client_id, out, update, base_model) -> int:
-    prev_u = state.prev_update.get(client_id)
-    coeff = None
-    if prev_u is not None:
-        denom = l2norm(base_model - state.prev_base[client_id])
-        if denom > 0.0:
-            coeff = l2norm(update - prev_u) / denom
-    accept = True
-    if coeff is not None:
-        median = state.median()
-        accept = coeff <= (coeff if median is None else median)
-        state.record(client_id, coeff)
-    state.prev_update[client_id] = update.copy()
-    state.prev_base[client_id] = base_model.copy()
-    if accept:
-        out[...] = update
-    return ACCEPT if accept else REJECT
+class KardamHistory:
+    """A run's Kardam state. Each (trial, client) pair has the key
+    trial * C + client. Its last update and base model are that row of
+    ``prev_update`` and ``prev_base``, two (K * C, p) arrays made at the
+    first block, whose p they take, and ``seen[key]`` says whether it has
+    them, so a stored NaN row is still history. ``trials`` holds one
+    ``KardamState`` per trial."""
+
+    def __init__(self, num_trials: int, num_clients: int):
+        self.num_clients = num_clients
+        self.trials = [KardamState() for _ in range(num_trials)]
+        self.offsets = np.arange(num_trials) * num_clients
+        self.seen = [False] * (num_trials * num_clients)
+        self.prev_update: Optional[np.ndarray] = None
+        self.prev_base: Optional[np.ndarray] = None
 
 
-def kardam_step(states, cids, updates, bases) -> Answer:
-    """Empirical-Lipschitz filter against the median coefficient, one row
-    at a time on its trial's state.
+def _distinct_runs(keys: List[int]) -> List[int]:
+    """The ends of the shortest cut of ``keys`` into runs of distinct keys:
+    each run ends before the first key it already holds."""
+    stops, held = [], set()
+    for j, key in enumerate(keys):
+        if key in held:
+            stops.append(j)
+            held.clear()
+        held.add(key)
+    return stops + [len(keys)]
+
+
+def _kardam_rows(history, first, keys, order, updates, bases) -> List[bool]:
+    """Decide the flat rows ``first``, ``first + 1``, ... of a block, whose
+    ``keys`` (and their list ``order``) are distinct, and store each row as
+    its key's history: whether each row is rejected."""
+    # each row's move from its key's last update, then from its last base
+    diffs = np.empty((2,) + updates.shape)
+    np.subtract(updates, history.prev_update.take(keys, axis=0), out=diffs[0])
+    np.subtract(bases, history.prev_base.take(keys, axis=0), out=diffs[1])
+    # squared norms: math.sqrt of one is vecmath.l2norm of its row
+    nums, denoms = np.vecdot(diffs, diffs).tolist()
+    seen, trials, reject = history.seen, history.trials, []
+    for j, key, num, denom in zip(itertools.count(first), order, nums, denoms):
+        if seen[key] and denom > 0.0:
+            coeff = math.sqrt(num) / math.sqrt(denom)
+            k = j % len(trials)
+            state = trials[k]
+            median = state.median()
+            # a NaN coefficient fails even its own bound
+            reject.append(not coeff <= (coeff if median is None else median))
+            state.record(key - k * history.num_clients, coeff)
+        else:
+            reject.append(False)
+        seen[key] = True
+    # fancy assignment copies: no view of the block is kept
+    history.prev_update[keys] = updates
+    history.prev_base[keys] = bases
+    return reject
+
+
+def kardam_step(history: KardamHistory, cids, updates, bases) -> Answer:
+    """Empirical-Lipschitz filter against the median coefficient, on the
+    run's ``KardamHistory``. Row k of every iteration is trial k, and the
+    rows are decided as if one at a time in (iteration, row) order; client
+    ids lie in [0, C).
 
     A client with no usable history (first update, or identical consecutive
     base models) is accepted and recorded: with no cold-start rule everything
     would be rejected and training would deadlock. The median is taken over
     the coefficients stored before this update arrives, read from the
-    state's running sorted order; a stored NaN makes it NaN, which rejects.
+    trial's running sorted order; a stored NaN makes it NaN, which rejects.
+
+    The array work is done once per run of rows with distinct keys, which
+    is the whole block unless a trial's client reports twice in it: one
+    gather and one difference per history array, and one ``np.vecdot``
+    pass of squared norms, whose ``math.sqrt`` is ``vecmath.l2norm`` of
+    the row bit for bit. The coefficients are divided and compared as
+    Python floats, row by row. The step is ``updates`` itself when no row
+    is rejected.
     """
     if updates.shape != bases.shape:
         raise ValueError("dimension mismatch")
-    return _in_order(_kardam_row, states, cids, updates, bases)
+    p = updates.shape[-1]
+    if history.prev_update is None:
+        history.prev_update = np.zeros((len(history.seen), p))
+        history.prev_base = np.zeros((len(history.seen), p))
+    keys = (history.offsets + cids).ravel()
+    order = keys.tolist()
+    rows, row_bases = updates.reshape(-1, p), bases.reshape(-1, p)
+    reject, start = [], 0
+    for stop in _distinct_runs(order):
+        reject += _kardam_rows(history, start, keys[start:stop], order[start:stop],
+                               rows[start:stop], row_bases[start:stop])
+        start = stop
+    rejected = np.array(reject).reshape(updates.shape[:-1])  # REJECT is 1
+    if not any(reject):
+        return rejected, updates
+    return rejected, _applied(updates, rejected)
 
 
 @dataclass
@@ -243,4 +298,8 @@ def basgd_step(states, cids, updates) -> Answer:
     of per-buffer means and clears all buffers; otherwise the update is
     buffered and the model is left unchanged.
     """
-    return _in_order(_basgd_row, states, cids, updates)
+    p = updates.shape[-1]
+    step = np.zeros(updates.shape)
+    codes = list(map(_basgd_row, itertools.cycle(states), np.ravel(cids).tolist(),
+                     step.reshape(-1, p), updates.reshape(-1, p)))
+    return np.reshape(codes, step.shape[:-1]), step

@@ -65,9 +65,10 @@ its K rows, and rows never move. Rows are independent, so a trial's output
 does not depend on the seeds run beside it, and K = 1 is simply one trial.
 
 Bindings, each made once per run: ``_bind_filter`` (the configured
-``defenses`` filter, Kardam's and BASGD's on one state per trial;
-AsyncSGD applies the stack as sent; and the reference that AFLGuard and
-Zeno++ prepare from g_s at each refresh), ``_bind_attack`` (with the
+``defenses`` filter: Kardam's on one ``KardamHistory`` for the run, keyed
+by trial and client, and BASGD's on one state per trial; AsyncSGD applies
+the stack as sent; and the reference that AFLGuard and Zeno++ prepare
+from g_s at each refresh), ``_bind_attack`` (with the
 adaptive attack's threat scope) and ``_bind_evaluate``, which
 precomputes what every record shares and theta does not change, the
 regression truths (the test features times theta*, when theta* is known)
@@ -417,8 +418,9 @@ def _bind_filter(config: ExperimentConfig, num_trials: int):
     (..., K, p), whose leading axes are a block's iterations and whose row
     k is trial k of the run's ``num_trials``, and returns the ``defenses``
     filter's (codes, step); AsyncSGD returns one code for all and
-    ``updates`` itself as the step. Kardam and BASGD keep one state per
-    trial, built here."""
+    ``updates`` itself as the step. Kardam keeps one history for the
+    run's trials and ``config.clients.num_clients`` clients, and BASGD
+    one state per trial, built here."""
     kind, lam = config.defense.kind, config.defense.lam
     if kind == "aflguard":
         return (lambda g_s: (g_s, defenses.aflguard_radius(g_s, lam)),
@@ -436,7 +438,7 @@ def _bind_filter(config: ExperimentConfig, num_trials: int):
         def decide(cids, updates, bases, reference):
             return ACCEPT, updates
     elif kind == "kardam":
-        kardam = [defenses.KardamState() for _ in range(num_trials)]
+        kardam = defenses.KardamHistory(num_trials, config.clients.num_clients)
 
         def decide(cids, updates, bases, reference):
             return defenses.kardam_step(kardam, cids, updates, bases)

@@ -442,6 +442,39 @@ def test_sweep_rejects_repeated_values_before_writing(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_sweep_rejects_an_axis_the_task_does_not_read(tmp_path, capsys):
+    # a regression trusted set is a uniform sample whatever the
+    # distribution shift, so a ds sweep would write equal runs under
+    # different labels; it exits 2 and writes nothing, for a synthetic and
+    # for a CSV regression task
+    quick = _quick_config(tmp_path)
+    pool, _ = data.gen_synthetic_regression(10, 600, 3)
+    data.save_csv(pool, tmp_path / "pool.csv")
+    csv = tmp_path / "csv.ini"
+    csv.write_text(quick.read_text().replace(
+        "kind = synthetic_regression", "kind = csv\npath = pool.csv"))
+    for path in (quick, csv):
+        out = tmp_path / f"sweep_{path.stem}"
+        with contextlib.chdir(tmp_path):
+            rc = cli.main(["sweep", "--config", str(path), "--out", str(out),
+                           "--axis", "ds", "--values", "0,1"])
+        assert rc == 2
+        assert "sweep axis ds (distribution_shift)" in capsys.readouterr().err
+        assert not out.exists()
+    # a classification task reads it: the two values draw other trusted sets
+    cls = tmp_path / "cls.ini"
+    cls.write_text(quick.read_text().replace(
+        "kind = synthetic_regression", "kind = synthetic_classification"))
+    out = tmp_path / "sweep_cls"
+    assert cli.main(["sweep", "--config", str(cls), "--out", str(out),
+                     "--axis", "ds", "--values", "0,1"]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["ds_0", "ds_1", "sweep.csv"]
+    trusted = [prepare_data(apply_axis(load_config(cls), "ds", v)).trusted.labels
+               for v in (0, 1)]
+    assert np.count_nonzero(trusted[0] == 0) == 0
+    assert np.count_nonzero(trusted[1] == 0) == len(trusted[1])
+
+
 def test_csv_train_count_is_bounded_by_the_files_rows(tmp_path, capsys):
     # a CSV task reads no num_samples: the file's 12,000 rows bound
     # train_count, not the default num_samples of 10,000

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from aflbench import defenses, engine
 from aflbench.config import DefenseConfig, ExperimentConfig
-from aflbench.defenses import (ACCEPT, BUFFERED, REJECT, BasgdState, KardamState,
-                               aflguard_radius, zeno_norms)
+from aflbench.defenses import (ACCEPT, BUFFERED, REJECT, BasgdState, KardamHistory,
+                               KardamState, aflguard_radius, zeno_norms)
 from aflbench.vecmath import cosine, l2norm
 
 
@@ -128,10 +128,11 @@ def test_stacked_aflguard_is_the_row_rule(seed, rows, dim, scales, special,
         assert row.tobytes() == (u if w else np.zeros(dim)).tobytes()
 
 
-def _kardam(state, cid, update, base):
-    """kardam_step on one row of one trial: its decision code, once its
-    step is checked to be the update where it accepts and zeros where not."""
-    code, step = defenses.kardam_step([state], cid, update, base)
+def _kardam(history, cid, update, base):
+    """kardam_step on one (p,) row of a one-trial history: its decision
+    code, once its step is checked to be the update where it accepts and
+    zeros where not."""
+    code, step = defenses.kardam_step(history, cid, update, base)
     applied = update if code == ACCEPT else np.zeros(len(update))
     assert step.tobytes() == applied.tobytes()
     return int(code)
@@ -139,30 +140,30 @@ def _kardam(state, cid, update, base):
 
 class TestKardam:
     def test_bootstrap_accepts_first_update(self):
-        state = KardamState()
+        history = KardamHistory(1, 5)
         for cid in range(5):
-            assert _kardam(state, cid, np.ones(2) * cid, np.zeros(2)) == ACCEPT
+            assert _kardam(history, cid, np.ones(2) * cid, np.zeros(2)) == ACCEPT
 
     def test_zero_denominator_bootstraps(self):
-        state = KardamState()
+        history = KardamHistory(1, 5)
         base = np.array([1.0, 1.0])
-        _kardam(state, 0, np.ones(2), base)
-        assert _kardam(state, 0, np.ones(2) * 100, base.copy()) == ACCEPT
-        assert 0 not in state.coefficients
+        _kardam(history, 0, np.ones(2), base)
+        assert _kardam(history, 0, np.ones(2) * 100, base.copy()) == ACCEPT
+        assert 0 not in history.trials[0].coefficients
 
     def test_decision_ignores_client_identity(self):
         # same coefficient multiset and same incoming ratio, permuted ids
         outcomes = []
         for perm in ([0, 1, 2], [2, 0, 1], [1, 2, 0]):
-            state = KardamState()
+            history = KardamHistory(1, 3)
             ks = {perm[0]: 0.5, perm[1]: 1.0, perm[2]: 2.0}
             for cid, k in ks.items():
-                _kardam(state, cid, np.zeros(2), np.zeros(2))
-                _kardam(state, cid, np.array([k, 0.0]), np.array([1.0, 0.0]))
+                _kardam(history, cid, np.zeros(2), np.zeros(2))
+                _kardam(history, cid, np.array([k, 0.0]), np.array([1.0, 0.0]))
             probe = perm[0]
-            incoming = state.prev_update[probe] + np.array([1.2, 0.0])
-            base = state.prev_base[probe] + np.array([1.0, 0.0])
-            outcomes.append(_kardam(state, probe, incoming, base))
+            incoming = history.prev_update[probe] + np.array([1.2, 0.0])
+            base = history.prev_base[probe] + np.array([1.0, 0.0])
+            outcomes.append(_kardam(history, probe, incoming, base))
         # ratio 1.2 lies between the median 1.0 and the largest coefficient 2.0
         assert outcomes == [REJECT] * 3
 
@@ -232,15 +233,70 @@ _COORDINATE = st.sampled_from([0.0, 1.0, 2.0, 3.5, -1.0, 1e300, math.inf, math.n
 @example([(0, 0.0, 0.0, 0.0), (0, math.nan, 0.0, 1.0), (1, 0.0, 0.0, 0.0),
           (1, 1.0, 0.0, 1.0)])
 def test_kardam_decisions_match_a_numpy_median_reference(steps):
-    state, reference = KardamState(), _ReferenceKardam()
+    history, reference = KardamHistory(1, 6), _ReferenceKardam()
+    state = history.trials[0]
     with np.errstate(all="ignore"):
         for cid, u0, u1, b in steps:
             update, base = np.array([u0, u1]), np.array([b, 0.0])
-            got = _kardam(state, cid, update, base)
+            got = _kardam(history, cid, update, base)
             assert got == reference.step(cid, update, base)
             assert state.coefficients.keys() == reference.coefficients.keys()
             assert all(_same_float(state.coefficients[c], reference.coefficients[c])
                        for c in state.coefficients)
+
+
+@st.composite
+def _kardam_blocks(draw):
+    """A run's trial count K and its blocks: each an (L, K) client-id array
+    and (L, K, 2) updates and bases. Ids come from [0, 4), so a trial's
+    client often reports twice in a block."""
+    rows, blocks = draw(st.integers(1, 4)), []
+    for _ in range(draw(st.integers(1, 3))):
+        iterations = draw(st.integers(1, 6))
+        size = iterations * rows
+        cids = draw(st.lists(st.integers(0, 3), min_size=size, max_size=size))
+        coords = draw(st.lists(_COORDINATE, min_size=4 * size, max_size=4 * size))
+        stacks = np.reshape(coords, (2, iterations, rows, 2))
+        blocks.append((np.reshape(cids, (iterations, rows)), stacks[0], stacks[1]))
+    return rows, blocks
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_kardam_blocks())
+# client 1 reports at iterations 0 and 2 in trial 0 and at iterations 0
+# and 1 in trial 1, so the block is decided in two runs of distinct keys
+@example((2, [(np.array([[1, 1], [0, 1], [1, 2]]),
+               np.arange(12.0).reshape(3, 2, 2),
+               np.array([[[0.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [2.0, 0.0]],
+                         [[2.0, 0.0], [4.0, 0.0]]]))]))
+def test_kardam_blocks_are_the_row_rule_in_iteration_order(run):
+    # a block decided in one call equals K independent reference rules fed
+    # its rows in (iteration, row) order: codes, step bytes, the stored
+    # coefficients and the stored history
+    rows, blocks = run
+    history = KardamHistory(rows, 4)
+    references = [_ReferenceKardam() for _ in range(rows)]
+    with np.errstate(all="ignore"):
+        for cids, updates, bases in blocks:
+            codes, step = defenses.kardam_step(history, cids, updates, bases)
+            assert np.shape(codes) == cids.shape and step.shape == updates.shape
+            for i, k in np.ndindex(cids.shape):
+                want = references[k].step(int(cids[i, k]), updates[i, k], bases[i, k])
+                assert int(codes[i, k]) == want, (i, k)
+                applied = updates[i, k] if want == ACCEPT else np.zeros(2)
+                assert step[i, k].tobytes() == applied.tobytes(), (i, k)
+    for k, (state, reference) in enumerate(zip(history.trials, references)):
+        assert state.coefficients.keys() == reference.coefficients.keys()
+        assert all(_same_float(state.coefficients[c], reference.coefficients[c])
+                   for c in state.coefficients)
+        for cid in range(4):
+            key = k * 4 + cid
+            assert history.seen[key] == (cid in reference.prev_update)
+            if history.seen[key]:
+                assert (history.prev_update[key].tobytes()
+                        == reference.prev_update[cid].tobytes())
+                assert (history.prev_base[key].tobytes()
+                        == reference.prev_base[cid].tobytes())
 
 
 def _basgd_median(vs):
