@@ -4,22 +4,22 @@
 Each cell is the default regression config, ``configs/table1_synthetic.ini``,
 under one (defense, attack) pair: AFLGuard with no attack, and Zeno++,
 Kardam and BASGD under gradient deviation. Its data is prepared once, and
-``run_trials`` on seeds 1, ..., K is timed ``--repeats`` times; the table
-shows the best run's time over T * K trial-iterations. This times less
+``run_trials`` on seeds 1, ..., K is timed three times for each K in
+{3, 12, 48}; the table shows the best run's time over T * K
+trial-iterations. This times less
 than ``perfbench``'s ``iter_us``, which also times data preparation and
 the output files. BLAS runs on one thread. Usage (about 20 s):
 
-    python3 scripts/width_table.py [--widths 3,12,48] [--repeats 3]
+    python3 scripts/width_table.py
 """
 from __future__ import annotations
 
-import argparse
 import dataclasses
 import os
 import sys
 import time
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 # One BLAS thread: set before numpy is first imported.
 for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -36,6 +36,8 @@ CELLS = (("AFLGuard, no attack", "aflguard", "none"),
          ("Zeno++, gradient deviation", "zenopp", "gradient_deviation"),
          ("Kardam, gradient deviation", "kardam", "gradient_deviation"),
          ("BASGD, gradient deviation", "basgd", "gradient_deviation"))
+WIDTHS = (3, 12, 48)
+REPEATS = 3
 
 
 def cell_config(base: ExperimentConfig, defense: str, attack: str,
@@ -58,33 +60,19 @@ def us_per_trial_iteration(config: ExperimentConfig, prepared, width: int,
     return best / (config.schedule.iterations * width) * 1e6
 
 
-def _widths(raw: str) -> List[int]:
-    widths = [int(tok) for tok in raw.split(",")]
-    if min(widths) < 1:
-        raise argparse.ArgumentTypeError("widths must be >= 1")
-    return widths
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--widths", type=_widths, default=[3, 12, 48],
-                        help="comma-separated seed counts K (default 3,12,48)")
-    parser.add_argument("--repeats", type=int, default=3,
-                        help="timed runs per entry; the best is shown (default 3)")
-    parser.add_argument("--iterations", type=int, default=None,
-                        help="iterations per trial (default: the config's)")
-    args = parser.parse_args(argv)
+def main(widths: Sequence[int] = WIDTHS, repeats: int = REPEATS,
+         iterations: Optional[int] = None) -> int:
+    """Print the table; ``iterations`` defaults to the config's."""
     base = load_config(CONFIG)
-    iterations = (base.schedule.iterations if args.iterations is None
-                  else args.iterations)
-    print("| cell | " + " | ".join(f"K = {k}" for k in args.widths) + " |")
-    print("|---|" + "---|" * len(args.widths))
+    if iterations is None:
+        iterations = base.schedule.iterations
+    print("| cell | " + " | ".join(f"K = {k}" for k in widths) + " |")
+    print("|---|" + "---|" * len(widths))
     for label, defense, attack in CELLS:
         config = cell_config(base, defense, attack, iterations)
         prepared = prepare_data(config)
-        times = [us_per_trial_iteration(config, prepared, k, args.repeats)
-                 for k in args.widths]
+        times = [us_per_trial_iteration(config, prepared, k, repeats)
+                 for k in widths]
         print(f"| {label} | " + " | ".join(f"{t:.1f}" for t in times) + " |")
     return 0
 

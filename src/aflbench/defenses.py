@@ -68,10 +68,10 @@ def _check_server_rows(client_update: np.ndarray, server_update: np.ndarray) -> 
         raise ValueError("dimension mismatch")
 
 
-def _applied(rows: np.ndarray, reject) -> np.ndarray:
-    """A step: zeros where ``reject`` holds, whatever a rejected row holds
-    (a selection, not a product: inf * 0 would be NaN), each row elsewhere."""
-    return np.where(reject[..., None], 0.0, rows)
+def _applied(rows: np.ndarray, accept) -> np.ndarray:
+    """A step: each row where ``accept`` holds, zeros elsewhere, whatever a
+    rejected row holds (a selection, not a product: inf * 0 would be NaN)."""
+    return np.where(accept[..., None], rows, 0.0)
 
 
 def aflguard_radius(server_update: np.ndarray, lam: float):
@@ -101,7 +101,7 @@ def aflguard_step(updates: np.ndarray, g_s: np.ndarray, radius) -> Answer:
     # count_nonzero is a C call; ndarray.any goes through Python
     if not np.count_nonzero(reject):
         return reject, updates
-    return reject, _applied(updates, reject)
+    return reject, _applied(updates, accept)
 
 
 def zeno_norms(g_s: np.ndarray):
@@ -131,8 +131,7 @@ def zeno_step(updates: np.ndarray, g_s: np.ndarray, server_norms) -> Answer:
         accept = (client_norms != 0.0) & (
             np.vecdot(updates, g_s) / (client_norms * server_norms) > 0.0)
         scaled = updates * (server_norms / client_norms)[..., None]
-    reject = np.logical_not(accept)
-    return reject, _applied(scaled, reject)
+    return np.logical_not(accept), _applied(scaled, accept)
 
 
 class KardamState:
@@ -269,7 +268,7 @@ def kardam_step(history: KardamHistory, cids, updates, bases) -> Answer:
     rejected = np.array(reject).reshape(updates.shape[:-1])  # REJECT is 1
     if not any(reject):
         return rejected, updates
-    return rejected, _applied(updates, rejected)
+    return rejected, _applied(updates, np.logical_not(rejected))
 
 
 @dataclass
