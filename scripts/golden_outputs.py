@@ -22,7 +22,11 @@ Runs, from the ``src/`` tree next to this script:
 * an asyncsgd gradient-deviation run that diverges, through the command
   line with a ``--seed`` override;
 * ``gen-data`` for both shipped configs;
-* a ``kind = csv`` regression run, read from a file ``save_csv`` writes.
+* a ``kind = csv`` regression run, read from a file ``save_csv`` writes;
+* a ``kind = csv`` run of the classification config's aflguard backdoor
+  cell, d = 20 with 3 classes, for 400 iterations, read the same way: the
+  header's class count reaches ``Dataset.arranged``, which reserves the
+  replica rows.
 
 It prints one SHA-256 per output directory. Two checkouts that print the
 same lines write byte-identical trial CSVs, ``summary.json`` and
@@ -59,7 +63,8 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from aflbench import cli  # noqa: E402
 from aflbench.config import ExperimentConfig, TaskConfig, load_config  # noqa: E402
-from aflbench.data import gen_synthetic_regression, save_csv  # noqa: E402
+from aflbench.data import (gen_synthetic_classification,  # noqa: E402
+                           gen_synthetic_regression, save_csv)
 from aflbench.defenses import DEFENSE_KINDS  # noqa: E402
 
 BASELINE = Path(__file__).resolve().with_name("golden_baseline.txt")
@@ -170,6 +175,18 @@ def main() -> int:
         with contextlib.chdir(out):
             cli.run_command(from_csv, Path("reg_csv"))
         names.append("reg_csv")
+
+        pool, _ = gen_synthetic_classification(7, 2_500, 20, 3, 0.4, 1.5)
+        save_csv(pool, out / "cls_pool.csv")
+        cls_csv = dataclasses.replace(
+            classification,
+            task=TaskConfig(kind="csv", path="cls_pool.csv", num_samples=2_500,
+                            train_count=2_000),
+            attack=dataclasses.replace(classification.attack, bd_target_class=2),
+            schedule=dataclasses.replace(classification.schedule, iterations=400))
+        with contextlib.chdir(out):
+            cli.run_command(cls_csv, Path("cls_csv_backdoor"))
+        names.append("cls_csv_backdoor")
 
         got = {name: digest(out / name) for name in names}
     for name, sha in got.items():

@@ -13,7 +13,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .data import CLASSIFICATION, Dataset
+from .data import Dataset
 from .vecmath import l2norm
 
 ATTACK_KINDS = ("none", "label_flip", "gaussian", "gradient_deviation",
@@ -69,9 +69,9 @@ def flip_dataset_labels(ds: Dataset) -> Dataset:
     of the class reflection. The set's labels are valid, so the flipped
     ones are too, and the features are shared, not scanned again.
     """
-    if ds.kind == CLASSIFICATION:
-        return ds.relabelled(ds.num_classes - 1 - ds.labels)
-    return ds.relabelled(-ds.labels)
+    if ds.num_classes is None:
+        return ds.relabelled(-ds.labels)
+    return ds.relabelled(ds.num_classes - 1 - ds.labels)
 
 
 def gaussian_update(dim: int, sigma: float, rng: np.random.Generator) -> np.ndarray:
@@ -108,12 +108,10 @@ def backdoor_poison(local: Dataset, cfg: AttackConfig,
     poisoned set's length whose leading rows already hold ``local``, as a
     store's reserved rows follow a clean set (``engine.prepare_data``): the
     replicas are written into its tail and the result views it. Without
-    it the result owns new arrays.
+    it the result owns new arrays. ``local`` is a classification set with
+    ``cfg.bd_target_class`` one of its classes (``engine._RowPlan`` checks
+    both, once per run).
     """
-    if local.kind != CLASSIFICATION:
-        raise ValueError("backdoor poisoning requires classification data")
-    if not (0 <= cfg.bd_target_class < local.num_classes):
-        raise ValueError("bd_target_class out of range")
     num_rep = backdoor_replica_count(len(local), cfg)
     if out is None:
         out = (np.concatenate([local.features, local.features[:num_rep]]),
@@ -122,7 +120,7 @@ def backdoor_poison(local: Dataset, cfg: AttackConfig,
     features[len(local):] = apply_trigger(local.features[:num_rep],
                                           cfg.bd_trigger_period)
     labels[len(local):] = cfg.bd_target_class
-    return Dataset(features, labels, CLASSIFICATION, local.num_classes)
+    return Dataset(features, labels, local.num_classes)
 
 
 def backdoor_update(honest_on_poisoned: np.ndarray, cfg: AttackConfig) -> np.ndarray:

@@ -20,9 +20,13 @@ once, by ``config.TaskConfig``. ``split_train_test``, ``partition`` and
 ``sample_trusted`` work on row indices, so a layout can be planned from
 them before any row exists.
 
-CSV files are self-describing: the first line is either
-``# kind=regression`` or ``# kind=classification classes=C``, each following
-row is comma-separated features with the label in the last column.
+A ``Dataset`` names its model family by ``num_classes`` alone: None for
+regression, with real labels, or the class count C for classification,
+with integer labels in [0, C). CSV files are self-describing: the first
+line is either ``# kind=regression`` or ``# kind=classification
+classes=C``, the one place the family is spelt as a word, and each
+following row is comma-separated features with the label in the last
+column.
 """
 from __future__ import annotations
 
@@ -32,6 +36,7 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
+# the CSV header's kind tokens
 REGRESSION = "regression"
 CLASSIFICATION = "classification"
 
@@ -46,9 +51,10 @@ Layout = Callable[[int, Optional[np.ndarray], Optional[int]], np.ndarray]
 
 
 class Dataset:
-    """Immutable collection of examples with homogeneous label kind."""
+    """Immutable collection of examples of the model family its
+    ``num_classes`` names (module docstring)."""
 
-    def __init__(self, features: np.ndarray, labels: np.ndarray, kind: str,
+    def __init__(self, features: np.ndarray, labels: np.ndarray,
                  num_classes: int | None = None):
         features = np.asarray(features, dtype=np.float64)
         if features.ndim != 2 or features.shape[1] == 0:
@@ -61,32 +67,27 @@ class Dataset:
             raise ValueError("features contain NaN or Inf")
         if len(labels) != features.shape[0]:
             raise ValueError("label count does not match example count")
-        if kind == REGRESSION:
+        if num_classes is None:
             labels = np.asarray(labels, dtype=np.float64)
             if not np.all(np.isfinite(labels)):
                 raise ValueError("labels contain NaN or Inf")
-            if num_classes is not None:
-                raise ValueError("regression datasets carry no class count")
-        elif kind == CLASSIFICATION:
+        else:
             labels = np.asarray(labels)
             if not np.all(labels == labels.astype(int)):
                 raise ValueError("classification labels must be integers")
             labels = labels.astype(np.int64, copy=False)
-            if num_classes is None or num_classes < 2:
+            if num_classes < 2:
                 raise ValueError("classification datasets need num_classes >= 2")
             if len(labels) and (labels.min() < 0 or labels.max() >= num_classes):
                 raise ValueError("class label out of range")
-        else:
-            raise ValueError(f"unknown dataset kind: {kind!r}")
-        self._freeze(features, labels, kind, num_classes)
+        self._freeze(features, labels, num_classes)
 
-    def _freeze(self, features: np.ndarray, labels: np.ndarray, kind: str,
+    def _freeze(self, features: np.ndarray, labels: np.ndarray,
                 num_classes: int | None) -> None:
         features.setflags(write=False)
         labels.setflags(write=False)
         self.features = features
         self.labels = labels
-        self.kind = kind
         self.num_classes = num_classes
 
     def __len__(self) -> int:
@@ -103,26 +104,25 @@ class Dataset:
         return self._like(self.features[indices], self.labels[indices])
 
     def relabelled(self, labels: np.ndarray) -> "Dataset":
-        """This set's rows with ``labels``, valid labels of its kind, in
+        """This set's rows with ``labels``, valid labels of its family, in
         place of its own; the features are shared, not scanned again."""
         return self._like(self.features, labels)
 
     def arranged(self, layout: "Layout") -> "Dataset":
         """This set's rows in ``layout`` order, reserved rows zero (module
         docstring): one copy, not scanned again."""
-        classes = self.kind == CLASSIFICATION
-        positions, size = _positions(layout, len(self),
-                                     self.labels if classes else None,
-                                     self.num_classes)
+        positions, size = _positions(
+            layout, len(self), None if self.num_classes is None else self.labels,
+            self.num_classes)
         features = np.zeros((size, self.dim))
         labels = np.zeros(size, dtype=self.labels.dtype)
         features[positions], labels[positions] = self.features, self.labels
         return self._like(features, labels)
 
     def _like(self, features: np.ndarray, labels: np.ndarray) -> "Dataset":
-        """A set of this one's kind over rows that pass its checks."""
+        """A set of this one's family over rows that pass its checks."""
         out = Dataset.__new__(Dataset)
-        out._freeze(features, labels, self.kind, self.num_classes)
+        out._freeze(features, labels, self.num_classes)
         return out
 
 
@@ -171,7 +171,7 @@ def gen_synthetic_regression(seed: int, num_samples: int, dim: int,
         features[positions[lo:hi]] = block
     labels = np.zeros(size)
     labels[positions] = signal + rng.standard_normal(num_samples)
-    return Dataset(features, labels, REGRESSION), theta_star
+    return Dataset(features, labels), theta_star
 
 
 def gen_synthetic_classification(seed: int, num_samples: int, dim: int,
@@ -198,7 +198,7 @@ def gen_synthetic_classification(seed: int, num_samples: int, dim: int,
         features[positions[lo:hi]] = block
     labels = np.zeros(size, dtype=drawn.dtype)
     labels[positions] = drawn
-    return Dataset(features, labels, CLASSIFICATION, num_classes), means
+    return Dataset(features, labels, num_classes), means
 
 
 def split_train_test(num_examples: int, train_count: int, seed: int):
@@ -316,30 +316,31 @@ def minibatch(sizes: np.ndarray, batch_size: int, rng: np.random.Generator,
 def save_csv(ds: Dataset, path) -> None:
     """Write a dataset in the self-describing CSV format."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        if ds.kind == CLASSIFICATION:
-            fh.write(f"# kind=classification classes={ds.num_classes}\n")
+        if ds.num_classes is None:
+            fh.write(f"# kind={REGRESSION}\n")
         else:
-            fh.write("# kind=regression\n")
+            fh.write(f"# kind={CLASSIFICATION} classes={ds.num_classes}\n")
         for i in range(len(ds)):
             row = [repr(float(v)) for v in ds.features[i]]
-            if ds.kind == CLASSIFICATION:
+            if ds.num_classes is not None:
                 row.append(str(int(ds.labels[i])))
             else:
                 row.append(repr(float(ds.labels[i])))
             fh.write(",".join(row) + "\n")
 
 
-def _parse_header(line: str, path) -> tuple[str, int | None]:
+def _parse_header(line: str, path) -> int | None:
+    """The class count a header line declares: None for regression."""
     tokens = line.lstrip("#").split()
     fields = dict(tok.split("=", 1) for tok in tokens if "=" in tok)
     kind = fields.get("kind")
     if kind == REGRESSION:
-        return REGRESSION, None
+        return None
     if kind == CLASSIFICATION:
         if "classes" not in fields:
             raise ValueError(f"{path}: classification header missing classes=")
         try:
-            return CLASSIFICATION, int(fields["classes"])
+            return int(fields["classes"])
         except ValueError:
             raise ValueError(f"{path}: classes must be an integer, "
                              f"got {fields['classes']!r}") from None
@@ -354,13 +355,13 @@ def load_csv(path) -> Dataset:
         header = fh.readline()
         if not header.startswith("#"):
             raise ValueError(f"{path}: missing '# kind=...' header line")
-        kind, num_classes = _parse_header(header, path)
+        num_classes = _parse_header(header, path)
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)  # a file with no rows
                 rows = np.loadtxt((line for line in fh if line.strip()),
                                   delimiter=",", comments="#", ndmin=2)
-            return Dataset(rows[:, :-1], rows[:, -1], kind, num_classes)
+            return Dataset(rows[:, :-1], rows[:, -1], num_classes)
         except ValueError as exc:
             raise _row_error(path, exc) from None
 

@@ -118,11 +118,10 @@ def zeno_step(updates: np.ndarray, g_s: np.ndarray, server_norms) -> Answer:
     update, renormalized to that update's length. ``server_norms`` is
     ``zeno_norms(g_s)``.
 
-    A zero row is rejected, and any other is accepted iff its
-    ``vecmath.cosine`` with its g_s row is > 0. That function's clamp to
-    [-1, 1] keeps the sign of the quotient dot / (client norm * server
-    norm) and turns a NaN into -1.0, so the test here is the quotient > 0,
-    which a NaN fails: a row with an inf or NaN entry is rejected.
+    A zero row is rejected, and any other is accepted iff its cosine with
+    its g_s row, the quotient dot / (client norm * server norm), is > 0. A
+    NaN quotient fails that test, so a row with an inf or NaN entry is
+    rejected.
     """
     _check_server_rows(updates, g_s)
     client_norms = np.sqrt(np.vecdot(updates, updates))

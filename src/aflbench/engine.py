@@ -126,7 +126,7 @@ import numpy as np
 from . import attacks, defenses, metrics, tasks
 from .attacks import ThreatKnowledge
 from .config import ExperimentConfig
-from .data import (REGRESSION, Dataset, Layout,
+from .data import (Dataset, Layout,
                    gen_synthetic_classification, gen_synthetic_regression,
                    load_csv, minibatch, partition, sample_trusted,
                    split_train_test)
@@ -244,8 +244,14 @@ class _RowPlan:
         trusted = sample_trusted(len(train), cfg.data.trusted_size,
                                  cfg.data.distribution_shift, seed, train_labels)
 
-        replicated = (cfg.clients.malicious_ids()
-                      if cfg.attack.kind == "backdoor" else range(0))
+        replicated = range(0)
+        if cfg.attack.kind == "backdoor":
+            # with malicious clients or none: the probe scores the target too
+            if num_classes is None:
+                raise ValueError("backdoor poisoning requires classification data")
+            if not (0 <= cfg.attack.bd_target_class < num_classes):
+                raise ValueError("bd_target_class out of range")
+            replicated = cfg.clients.malicious_ids()
         parts, lo = [], 0
         for cid, rows in enumerate(clients):
             reserved = (attacks.backdoor_replica_count(len(rows), cfg.attack)
@@ -361,7 +367,7 @@ def threat_scope(prepared: PreparedData, config: ExperimentConfig) -> ThreatScop
         ids = range(len(prepared.client_data_clean))
     client_sets = tuple(prepared.client_data_clean[c] for c in ids)
     moments = None
-    if prepared.store.kind == REGRESSION:
+    if prepared.store.num_classes is None:
         dim = prepared.store.dim
         a, b = np.zeros((dim, dim)), np.zeros(dim)
         for ds in client_sets:
@@ -487,7 +493,7 @@ def _bind_evaluate(prepared: PreparedData, config: ExperimentConfig):
     the divergence values. What does not depend on the models is built
     here, once: the regression truths and the backdoor probe."""
     test, true_model = prepared.test, prepared.true_model
-    if test.kind == REGRESSION:
+    if test.num_classes is None:
         # theta* is known: score against the noiseless ground truth, so the
         # error floor reflects estimation error only.
         truths = test.labels if true_model is None else test.features @ true_model

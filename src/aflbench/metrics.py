@@ -20,7 +20,7 @@ import numpy as np
 
 from . import attacks, tasks
 from .attacks import AttackConfig
-from .data import CLASSIFICATION, Dataset
+from .data import Dataset
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,7 @@ def mee(estimate: np.ndarray, true_model: np.ndarray):
 
 def test_error_rate(params: np.ndarray, test: Dataset):
     """Fraction of clean test examples each model (..., p) misclassifies."""
-    if test.kind != CLASSIFICATION:
+    if test.num_classes is None:
         raise ValueError("test error rate requires classification data")
     if len(test) == 0:
         raise ValueError("empty test set")
@@ -85,7 +85,7 @@ def backdoor_probe(clean_test: Dataset, cfg: AttackConfig) -> Dataset:
     rate measures only attacker-induced predictions. The probe does not
     depend on the model, so it is built once per run, for all its trials.
     """
-    if clean_test.kind != CLASSIFICATION:
+    if clean_test.num_classes is None:
         raise ValueError("attack success rate requires classification data")
     eligible = clean_test.labels != cfg.bd_target_class
     if not np.any(eligible):
@@ -93,7 +93,7 @@ def backdoor_probe(clean_test: Dataset, cfg: AttackConfig) -> Dataset:
     triggered = attacks.apply_trigger(clean_test.features[eligible],
                                       cfg.bd_trigger_period)
     return Dataset(triggered, np.full(len(triggered), cfg.bd_target_class),
-                   CLASSIFICATION, clean_test.num_classes)
+                   clean_test.num_classes)
 
 
 def attack_success_rate(params: np.ndarray, probe: Dataset):

@@ -1,8 +1,6 @@
 """Dense real-vector arithmetic shared by models, attacks, and filters.
 
-All vectors are 1-D float64 numpy arrays. ``cosine`` insists on matching
-dimensions and raises ValueError otherwise; nothing here silently
-broadcasts.
+All vectors are 1-D float64 numpy arrays.
 """
 from __future__ import annotations
 
@@ -18,15 +16,3 @@ def l2norm(a: np.ndarray) -> float:
     dot, so they agree bit for bit; ``a @ a`` costs about 2.5 times as
     much per call on 100-vectors."""
     return math.sqrt(a.dot(a))
-
-
-def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity in [-1, 1]; zero-norm input is a hard error. A
-    NaN quotient, which an inf or NaN entry can give, comes back as -1.0:
-    ``max(-1.0, nan)`` is -1.0."""
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    na, nb = l2norm(a), l2norm(b)
-    if na == 0.0 or nb == 0.0:
-        raise ValueError("cosine undefined for zero-norm input")
-    return min(1.0, max(-1.0, float(np.dot(a, b)) / (na * nb)))

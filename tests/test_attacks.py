@@ -9,8 +9,7 @@ from aflbench.attacks import AttackConfig, ThreatKnowledge
 
 
 def _classes(labels, num_classes):
-    return data.Dataset(np.zeros((len(labels), 1)), labels, data.CLASSIFICATION,
-                        num_classes)
+    return data.Dataset(np.zeros((len(labels), 1)), labels, num_classes)
 
 
 def test_flip_label_examples():
@@ -29,14 +28,13 @@ def test_flip_label_is_involution():
 
 
 def test_flip_dataset_classification():
-    ds = data.Dataset(np.ones((4, 2)), np.array([0, 1, 2, 3]),
-                      data.CLASSIFICATION, 4)
+    ds = data.Dataset(np.ones((4, 2)), np.array([0, 1, 2, 3]), 4)
     flipped = attacks.flip_dataset_labels(ds)
     assert np.array_equal(flipped.labels, [3, 2, 1, 0])
 
 
 def test_flip_dataset_regression_negates():
-    ds = data.Dataset(np.ones((3, 2)), np.array([1.0, -2.0, 0.0]), data.REGRESSION)
+    ds = data.Dataset(np.ones((3, 2)), np.array([1.0, -2.0, 0.0]))
     flipped = attacks.flip_dataset_labels(ds)
     assert np.array_equal(flipped.labels, [-1.0, 2.0, 0.0])
 
@@ -67,7 +65,8 @@ def test_gradient_deviation_examples():
     honest = np.array([0.5, -2.0, 1.0])
     out = attacks.gradient_deviation_update(honest, -4.0)
     assert vecmath.l2norm(out) == pytest.approx(4.0 * vecmath.l2norm(honest))
-    assert vecmath.cosine(honest, out) == pytest.approx(-1.0)
+    assert np.vecdot(honest, out) == pytest.approx(
+        -vecmath.l2norm(honest) * vecmath.l2norm(out))
     with pytest.raises(ValueError):  # scale < 0 is checked at the config boundary
         AttackConfig(kind="gradient_deviation", gd_scale=2.0)
 
@@ -95,12 +94,6 @@ def test_backdoor_poison_trigger_zeroes():
     assert np.all(replica_feats[:, [0, 20, 40]] == 0.0)
     # non-trigger coordinates are untouched copies
     assert np.array_equal(replica_feats[:, 1], local.features[:20, 1])
-
-
-def test_backdoor_poison_rejects_regression():
-    ds, _ = data.gen_synthetic_regression(89, 10, 4)
-    with pytest.raises(ValueError):
-        attacks.backdoor_poison(ds, AttackConfig(kind="backdoor"))
 
 
 def test_backdoor_update_scaling():

@@ -51,9 +51,33 @@ def test_unknown_section_is_hard_error(tmp_path):
 
 def test_invalid_malicious_fraction(tmp_path):
     # DefenseConfig is the only check of lambda and num_buffers, and
-    # ExperimentConfig the only check that every float is finite
+    # ExperimentConfig the only check that every float is finite; each
+    # section's own checks follow
     path = tmp_path / "bad.ini"
     for text, match in (("[clients]\nmalicious_fraction = 1.0\n", "malicious_fraction"),
+                        ("[task]\nkind = images\n", "unknown task kind: 'images'"),
+                        ("[task]\nkind = csv\n", "csv task requires a path"),
+                        ("[task]\nnum_samples = 1\n", "num_samples must be >= 2"),
+                        ("[task]\ntrain_count = 10000\n",
+                         r"train_count must lie in \(0, num_samples\)"),
+                        ("[clients]\nnum_clients = 0\n", "num_clients must be >= 1"),
+                        ("[defense]\nkind = krum\n", "unknown defense kind: 'krum'"),
+                        ("[defense]\nlambda = abc\n",
+                         r"\[defense\] lambda: cannot parse 'abc' as float"),
+                        ("[schedule]\niterations = 0\n", "iterations must be >= 1"),
+                        ("[schedule]\nlearning_rate = 0\n", "learning_rate must be positive"),
+                        ("[schedule]\nmax_client_delay = -1\n",
+                         "max_client_delay must be >= 0"),
+                        ("[schedule]\nserver_refresh_period = 0\n",
+                         "server_refresh_period must be >= 1"),
+                        ("[schedule]\nbatch_size = 0\n", "batch_size must be >= 1"),
+                        ("[data]\npartition = skewed\n", "unknown partition mode: 'skewed'"),
+                        ("[data]\ntrusted_size = 0\n", "trusted_size must be >= 1"),
+                        ("[data]\ndistribution_shift = 1.5\n",
+                         r"distribution_shift must lie in \[0, 1\]"),
+                        ("[attack]\nbd_trigger_period = 0\n", "bd_trigger_period must be >= 1"),
+                        ("[attack]\nknowledge = some\n",
+                         "knowledge must be 'full' or 'partial'"),
                         ("[defense]\nlambda = 0\n", "lambda"),
                         ("[defense]\nlambda = -1\n", "lambda"),
                         ("[defense]\nnum_buffers = 0\n", "num_buffers"),
@@ -383,23 +407,34 @@ def test_task_sizes_are_checked_before_anything_is_written(tmp_path, capsys):
 
 
 def test_rejected_data_plans_write_nothing(tmp_path, capsys):
-    # the row plan and the poisoning reject these after the config loads;
-    # the run checks them before it makes its output directory
+    # the row plan rejects these after the config loads; the run checks
+    # them before it makes its output directory. The backdoor's
+    # requirements hold with no malicious client too.
     base = _quick_config(tmp_path).read_text()
-    for old, new, message in (
-            ("trusted_size = 50", "trusted_size = 500",
+    honest = {"malicious_fraction = 0.2": "malicious_fraction = 0.0"}
+    for edits, message in (
+            ({"trusted_size = 50": "trusted_size = 500"},
              "trusted set larger than source dataset"),
-            ("batch_size = 8", "batch_size = 60",
+            ({"batch_size = 8": "batch_size = 60"},
              "client 0 holds 48 examples, fewer than batch size 60"),
-            ("num_clients = 10", "num_clients = 600",
+            ({"num_clients = 10": "num_clients = 600"},
              "client 0 holds 1 examples, fewer than batch size 8"),
-            ("kind = gaussian", "kind = backdoor",
+            ({"kind = gaussian": "kind = backdoor"},
              "backdoor poisoning requires classification data"),
+            ({**honest, "kind = gaussian": "kind = backdoor"},
+             "backdoor poisoning requires classification data"),
+            ({**honest, "kind = gaussian": "kind = backdoor\nbd_target_class = 9",
+              "kind = synthetic_regression":
+                  "kind = synthetic_classification\nnum_classes = 6"},
+             "bd_target_class out of range"),
             # not run iid under a header that says noniid
-            ("partition = iid", "partition = noniid\nnoniid_degree = 0.9",
+            ({"partition = iid": "partition = noniid\nnoniid_degree = 0.9"},
              "noniid partitioning requires classification data")):
+        text = base
+        for old, new in edits.items():
+            text = text.replace(old, new)
         path = tmp_path / "plan.ini"
-        path.write_text(base.replace(old, new))
+        path.write_text(text)
         load_config(path)
         out = tmp_path / "out"
         assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 2

@@ -15,7 +15,7 @@ def test_synthetic_regression_shapes():
     assert len(ds) == 10_000
     assert ds.dim == 100
     assert theta_star.shape == (100,)
-    assert ds.kind == data.REGRESSION
+    assert ds.num_classes is None
 
 
 def test_synthetic_regression_deterministic():
@@ -267,7 +267,7 @@ def test_csv_round_trip(tmp_path):
     path = tmp_path / "reg.csv"
     data.save_csv(ds, path)
     loaded = data.load_csv(path)
-    assert loaded.kind == data.REGRESSION
+    assert loaded.num_classes is None
     assert np.allclose(loaded.features, ds.features, atol=1e-9)
     assert np.allclose(loaded.labels, ds.labels, atol=1e-9)
 
@@ -277,7 +277,6 @@ def test_csv_round_trip_classification(tmp_path):
     path = tmp_path / "cls.csv"
     data.save_csv(ds, path)
     loaded = data.load_csv(path)
-    assert loaded.kind == data.CLASSIFICATION
     assert loaded.num_classes == 6
     assert np.array_equal(loaded.labels, ds.labels)
 
@@ -292,9 +291,11 @@ def test_csv_well_formed_small(tmp_path):
 
 def test_csv_wrong_width_names_line(tmp_path):
     path = tmp_path / "bad.csv"
-    path.write_text("# kind=regression\n1.0,2.0,3.0\n1.0,2.0\n")
-    with pytest.raises(ValueError, match=":3"):
-        data.load_csv(path)
+    for rows, message in (("1.0,2.0,3.0\n1.0,2.0\n", ":3"),
+                          ("1.0\n2.0\n", r"bad\.csv:2: need at least one feature and a label")):
+        path.write_text(f"# kind=regression\n{rows}")
+        with pytest.raises(ValueError, match=message):
+            data.load_csv(path)
 
 
 def test_csv_non_finite_names_line(tmp_path):
@@ -323,12 +324,17 @@ def test_csv_load_peak_memory_is_near_the_feature_bytes(tmp_path):
 
 def test_csv_bad_header(tmp_path):
     path = tmp_path / "hdr.csv"
-    path.write_text("1.0,2.0\n")
-    with pytest.raises(ValueError):
-        data.load_csv(path)
-    path.write_text("# kind=classification\n1.0,0\n")
-    with pytest.raises(ValueError):
-        data.load_csv(path)
+    for text, message in (
+            ("1.0,2.0\n", "missing '# kind=...' header line"),
+            ("# kind=classification\n1.0,0\n", "classification header missing classes="),
+            ("# classes=2\n1.0,0\n",
+             "header must declare kind=regression or kind=classification"),
+            ("# kind=ranking\n1.0,0\n",
+             "header must declare kind=regression or kind=classification"),
+            ("# kind=regression\n\n", "no data rows")):
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+            data.load_csv(path)
     for classes in ("x", "2.5", ""):
         path.write_text(f"# kind=classification classes={classes}\n1.0,0\n")
         with pytest.raises(ValueError, match=re.escape(
@@ -339,14 +345,15 @@ def test_csv_bad_header(tmp_path):
 def test_dataset_validation():
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="features contain NaN or Inf"):
-            data.Dataset(np.array([[bad, 1.0]]), np.array([0.0]), data.REGRESSION)
+            data.Dataset(np.array([[bad, 1.0]]), np.array([0.0]))
         with pytest.raises(ValueError, match="labels contain NaN or Inf"):
-            data.Dataset(np.ones((2, 2)), np.array([0.0, bad]), data.REGRESSION)
+            data.Dataset(np.ones((2, 2)), np.array([0.0, bad]))
     for label in (-1, 2, 3):
         with pytest.raises(ValueError, match="class label out of range"):
-            data.Dataset(np.ones((2, 2)), np.array([0, label]), data.CLASSIFICATION, 2)
-    with pytest.raises(ValueError):
-        data.Dataset(np.ones((2, 2)), np.array([0.0, 1.0]), "other")
+            data.Dataset(np.ones((2, 2)), np.array([0, label]), 2)
+    for classes in (1, 0):
+        with pytest.raises(ValueError, match="need num_classes >= 2"):
+            data.Dataset(np.ones((2, 2)), np.array([0, 0]), classes)
 
 
 def test_subset_is_a_read_only_copy_equal_to_a_checked_dataset():
@@ -355,9 +362,8 @@ def test_subset_is_a_read_only_copy_equal_to_a_checked_dataset():
     idx = np.array([7, 0, 29, 7, 12])
     for ds in (reg, cls):
         sub = ds.subset(idx)
-        expected = data.Dataset(ds.features[idx], ds.labels[idx], ds.kind,
-                                ds.num_classes)
-        assert (sub.kind, sub.num_classes) == (expected.kind, expected.num_classes)
+        expected = data.Dataset(ds.features[idx], ds.labels[idx], ds.num_classes)
+        assert sub.num_classes == expected.num_classes
         for got, want in ((sub.features, expected.features),
                           (sub.labels, expected.labels)):
             assert got.dtype == want.dtype and np.array_equal(got, want)

@@ -10,7 +10,7 @@ from aflbench import defenses, engine
 from aflbench.config import DefenseConfig, ExperimentConfig
 from aflbench.defenses import (ACCEPT, BUFFERED, REJECT, BasgdState, KardamHistory,
                                KardamState, aflguard_radius, zeno_norms)
-from aflbench.vecmath import cosine, l2norm
+from aflbench.vecmath import l2norm
 
 
 class TestAflguard:
@@ -406,9 +406,21 @@ class TestZeno:
                                   zeno_norms(server[None]))[0].tolist() == [ACCEPT]
 
 
+def cosine(a: np.ndarray, b: np.ndarray) -> float:
+    """Cosine similarity in [-1, 1]; zero-norm input is a hard error. A
+    NaN quotient, which an inf or NaN entry can give, comes back as -1.0:
+    ``max(-1.0, nan)`` is -1.0."""
+    if a.shape != b.shape:
+        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    na, nb = l2norm(a), l2norm(b)
+    if na == 0.0 or nb == 0.0:
+        raise ValueError("cosine undefined for zero-norm input")
+    return min(1.0, max(-1.0, float(np.dot(a, b)) / (na * nb)))
+
+
 def _reference_zeno(client, server):
-    """zeno_step's rule on one row, with ``vecmath.cosine``: its decision
-    code and step."""
+    """zeno_step's rule on one row, with ``cosine``: its decision code and
+    step."""
     server_norm = l2norm(server)
     if server_norm == 0.0:
         raise ValueError("zero server update")

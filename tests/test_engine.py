@@ -20,9 +20,8 @@ from aflbench.attacks import AttackConfig
 from aflbench.config import (ClientConfig, DataConfig, DefenseConfig,
                              ExperimentConfig, ScheduleConfig, TaskConfig,
                              load_config)
-from aflbench.data import (CLASSIFICATION, GEN_BLOCK_ROWS, REGRESSION, Dataset,
-                           minibatch, partition, sample_trusted, save_csv,
-                           split_train_test)
+from aflbench.data import (GEN_BLOCK_ROWS, Dataset, minibatch, partition,
+                           sample_trusted, save_csv, split_train_test)
 from aflbench.defenses import ACCEPT, BUFFERED, REJECT
 from aflbench.engine import (draw_trial, make_dataset, make_threat_knowledge,
                              prepare_data, run_trials, threat_scope)
@@ -495,7 +494,7 @@ def _reference_scores(true_model, test, probe, theta):
     """One row's scores as the record step computed them a row at a time: a
     gemv per regression model, a gemm on a C-contiguous W^T per
     classification model, and each mean over the whole row."""
-    if test.kind == REGRESSION:
+    if test.num_classes is None:
         known = true_model is not None
         truths = test.features @ true_model if known else test.labels
         out = dict(mse=float(np.mean((test.features @ theta - truths) ** 2)))
@@ -546,12 +545,12 @@ def test_stacked_evaluate_is_the_row_scores(seed, rows, samples, shape, known,
     cfg = ExperimentConfig()
     if classes is None:
         true_model = rng.normal(size=dim) if known else None
-        test = Dataset(features, rng.normal(size=samples), REGRESSION)
+        test = Dataset(features, rng.normal(size=samples))
     else:
         true_model = None
         labels = rng.integers(classes, size=samples)
         labels[0] = 0  # the probe keeps this row
-        test = Dataset(features, labels, CLASSIFICATION, classes)
+        test = Dataset(features, labels, classes)
         cfg = dataclasses.replace(cfg, attack=AttackConfig(
             kind="backdoor" if known else "none", bd_target_class=classes - 1,
             bd_trigger_period=10))
@@ -807,8 +806,7 @@ def _reference_sets(cfg):
     full, _ = make_dataset(cfg)
     train_rows, test_rows = split_train_test(len(full), cfg.task.train_count, seed)
     train = full.subset(train_rows)
-    classes = full.kind == CLASSIFICATION
-    labels = train.labels if classes else None
+    labels = None if full.num_classes is None else train.labels
     clients = [train.subset(rows) for rows in partition(
         len(train), cfg.clients.num_clients, cfg.data.partition,
         cfg.data.noniid_degree, seed, labels, full.num_classes)]
@@ -819,7 +817,7 @@ def _reference_sets(cfg):
 
 
 def _assert_same_rows(got, want):
-    assert (got.kind, got.num_classes) == (want.kind, want.num_classes)
+    assert got.num_classes == want.num_classes
     for a, b in ((got.features, want.features), (got.labels, want.labels)):
         assert a.dtype == b.dtype and a.shape == b.shape
         assert a.tobytes() == b.tobytes()

@@ -62,7 +62,7 @@ def test_stacks_give_one_value_per_model():
 def _tiny_classification():
     features = np.array([[1.0, 0.2], [0.9, 0.1], [0.2, 1.0], [0.1, 0.9]])
     labels = np.array([0, 0, 1, 1])
-    return data.Dataset(features, labels, data.CLASSIFICATION, 2)
+    return data.Dataset(features, labels, 2)
 
 
 def test_error_rate_perfect_model():
@@ -90,7 +90,7 @@ def test_error_rate_matches_enumeration():
 def test_error_rate_errors():
     with pytest.raises(ValueError):
         metrics.test_error_rate(np.zeros(4), data.Dataset(
-            np.ones((1, 2)), np.array([1.0]), data.REGRESSION))
+            np.ones((1, 2)), np.array([1.0])))
 
 
 def _bd_cfg(target=1, period=2):
@@ -114,7 +114,7 @@ def test_asr_hardwired_models():
 def test_asr_excludes_target_class_inputs():
     features = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
     labels = np.array([1, 1, 0])  # only one non-target example
-    ds = data.Dataset(features, labels, data.CLASSIFICATION, 2)
+    ds = data.Dataset(features, labels, 2)
     cfg = _bd_cfg(target=1)
     params = np.array([0.0, 0.0, 5.0, 5.0])
     # rate computed over the single eligible input only
@@ -139,10 +139,10 @@ def test_asr_matches_enumeration():
 
 
 def test_asr_requires_eligible_inputs():
-    ds = data.Dataset(np.ones((2, 2)), np.array([1, 1]), data.CLASSIFICATION, 2)
+    ds = data.Dataset(np.ones((2, 2)), np.array([1, 1]), 2)
     with pytest.raises(ValueError, match="no eligible test inputs"):
         metrics.backdoor_probe(ds, _bd_cfg(target=1))
-    regression = data.Dataset(np.ones((2, 2)), np.array([1.0, 0.0]), data.REGRESSION)
+    regression = data.Dataset(np.ones((2, 2)), np.array([1.0, 0.0]))
     with pytest.raises(ValueError, match="requires classification data"):
         metrics.backdoor_probe(regression, _bd_cfg(target=1))
 

@@ -16,22 +16,6 @@ def test_l2norm_homogeneous():
         assert vecmath.l2norm(c * a) == pytest.approx(abs(c) * vecmath.l2norm(a))
 
 
-def test_cosine_examples():
-    assert vecmath.cosine(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
-    a = np.array([0.3, -1.2, 4.0])
-    assert vecmath.cosine(a, a) == pytest.approx(1.0)
-    assert vecmath.cosine(a, -a) == pytest.approx(-1.0)
-
-
-def test_cosine_zero_norm_is_error():
-    with pytest.raises(ValueError):
-        vecmath.cosine(np.zeros(2), np.ones(2))
-    with pytest.raises(ValueError):
-        vecmath.cosine(np.ones(2), np.zeros(2))
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        vecmath.cosine(np.ones(3), np.ones(4))
-
-
 def test_triangle_inequality():
     rng = np.random.default_rng(9)
     for _ in range(50):
