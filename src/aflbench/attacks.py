@@ -8,6 +8,7 @@ Attack parameters are validated once, by ``AttackConfig``.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -151,7 +152,9 @@ def adaptive_update(knowledge: ThreatKnowledge) -> np.ndarray:
     norm_a = l2norm(a)
     if norm_a > r:
         return g_bar.copy()
-    a_s = float(np.dot(a, s))
+    a_s = float(a.dot(s))
     # r >= ||a|| >= |a.s|, so the discriminant is nonnegative up to rounding
-    gamma = a_s + np.sqrt(max(a_s * a_s + (r - norm_a) * (r + norm_a), 0.0))
-    return g_bar - min(gamma, 10.0 * norm_gs) * s
+    gamma = a_s + math.sqrt(max(a_s * a_s + (r - norm_a) * (r + norm_a), 0.0))
+    # g_bar - gamma * s, written over s
+    s *= min(gamma, 10.0 * norm_gs)
+    return np.subtract(g_bar, s, out=s)

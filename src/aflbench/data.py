@@ -292,24 +292,23 @@ def minibatch(sizes: np.ndarray, batch_size: int, rng: np.random.Generator,
     batch_size - 1 draws t uniformly from [0, m] with m = n - batch_size + j
     in every row and keeps t, or m where t is already in the row. Each row
     is then a uniform batch_size-subset of [0, n); with batch_size = n it is
-    a permutation. Step j tests the j columns filled so far one at a time,
-    with two buffers of one entry per plan row, so the transients are
-    O(len(sizes)): no len(sizes) x j block is compared and reduced.
+    a permutation. The steps fill a batch_size x len(sizes) scratch of the
+    plan's size one contiguous row at a time, so step j tests the rows
+    filled so far with one compare and one reduce; its bool block is at
+    most batch_size x len(sizes) bytes, 1/8 of the plan. The scratch is
+    then written, as its transpose, into the plan.
     """
     sizes = np.asarray(sizes, dtype=np.int64)
     if not (1 <= batch_size <= sizes.min()):
         raise ValueError(f"batch_size must lie in [1, {sizes.min()}]")
     rows = np.empty((len(sizes), batch_size), dtype=np.int64) if out is None else out
-    taken = np.empty(len(sizes), dtype=bool)
-    equal = np.empty(len(sizes), dtype=bool)
+    cols = np.empty((batch_size, len(sizes)), dtype=np.int64)
     for j in range(batch_size):
         top = sizes - (batch_size - j)
         pick = rng.integers(0, top + 1)
-        taken[:] = False
-        for i in range(j):
-            np.equal(rows[:, i], pick, out=equal)
-            taken |= equal
-        rows[:, j] = np.where(taken, top, pick)
+        taken = (cols[:j] == pick).any(axis=0)
+        cols[j] = np.where(taken, top, pick)
+    rows[...] = cols.T
     return rows
 
 

@@ -52,12 +52,16 @@ of L iterations does once, for all rows:
 
 At the metric cadence, which always ends a block, one record step for all
 rows: every row's accepted, rejected and buffered counts, one count of the
-decision log by code added to a K x 3 running count, and one ``evaluate``
-call that scores the models of the rows that have not diverged as one
-stack (``_bind_evaluate``). A row whose model leaves the finite range gets
-its divergence record at the iteration it left, from the same
-``evaluate`` on that one row, which then scores nothing, and that is its
-last record: it is never recorded again. At the end of that block its ring
+decision log by code added to a K x 3 running count, and a copy of the
+models of the rows that have not diverged, kept with their ids and counts
+in one list, in iteration order. A row whose model leaves the finite range
+gets its divergence record at the iteration it left, kept in the same list
+for that one row, and that is its last record: it is never recorded again.
+After the last block, each entry of the list is scored by one ``evaluate``
+call (``_bind_evaluate``): a record's live models as one stack, and a
+divergence record with no scoring. So the loop scores nothing, and the
+list holds T / ``METRIC_CADENCE`` x K x p floats, less than the T x K x B
+plan whenever p <= 800. At the end of the divergent block the row's ring
 slots are zeroed, the model it holds included, and it runs on from zero,
 the model every trial starts from, until the last row has diverged, which
 ends the loop. So row k is trial k for the whole run, every array keeps
@@ -251,6 +255,9 @@ class _RowPlan:
                 raise ValueError("backdoor poisoning requires classification data")
             if not (0 <= cfg.attack.bd_target_class < num_classes):
                 raise ValueError("bd_target_class out of range")
+            # the probe (metrics.backdoor_probe) needs a test row to trigger
+            if not np.any(labels[test] != cfg.attack.bd_target_class):
+                raise ValueError("no eligible test inputs (all carry the target label)")
             replicated = cfg.clients.malicious_ids()
         parts, lo = [], 0
         for cid, rows in enumerate(clients):
@@ -487,11 +494,13 @@ def _bind_evaluate(prepared: PreparedData, config: ExperimentConfig):
     """The run's ``evaluate(thetas, iteration, counts, diverged=False)``:
     the ``MetricRecord``s at ``iteration`` of K' rows, from their (K', p)
     models and their (K', 3) decision counts, indexed by the decision codes.
-    Each quantity is one ``metrics`` call over the stack, whose values have
-    the bits of each row scored alone (``metrics`` docstring), and the
-    records hold Python floats. A divergence record scores nothing: it holds
-    the divergence values. What does not depend on the models is built
-    here, once: the regression truths and the backdoor probe."""
+    ``run_trials`` calls it after its loop, once per kept record, in
+    iteration order. Each quantity is one ``metrics`` call over the stack,
+    whose values have the bits of each row scored alone (``metrics``
+    docstring), and the records hold Python floats. A divergence record
+    scores nothing: it holds the divergence values. What does not depend on
+    the models is built here, once: the regression truths and the backdoor
+    probe, whose eligible test row ``_RowPlan`` has checked."""
     test, true_model = prepared.test, prepared.true_model
     if test.num_classes is None:
         # theta* is known: score against the noiseless ground truth, so the
@@ -614,6 +623,9 @@ def run_trials(config: ExperimentConfig, prepared: PreparedData,
     malicious = sorted(prepared.malicious) if craft is not None else []
     for t, k in np.argwhere(np.isin(clients, malicious)).tolist():
         attacked.setdefault(t, []).append(k)
+    # the records to score after the loop, in iteration order: each the
+    # rows, their models and counts, the iteration and the divergence flag
+    pending = []
     # per row: its decision counts up to the last record and its decision
     # codes since, iteration t in row t - counted
     counts = np.zeros((len(seeds), 3), dtype=np.intp)
@@ -645,10 +657,11 @@ def run_trials(config: ExperimentConfig, prepared: PreparedData,
             store.labels.take(plan[start:stop], out=labels[:size], mode="clip")
             sent = sched.batch_size * _avg_gradient(base, features[:size], labels[:size],
                                                     store.num_classes)
-            for t in range(start, stop):
-                for k in attacked.get(t, ()):
-                    sent[t - start, k] = craft(sent[t - start, k],
-                                               base[t - start, k], draws[k].noise)
+            if attacked:
+                for t in range(start, stop):
+                    for k in attacked.get(t, ()):
+                        sent[t - start, k] = craft(sent[t - start, k],
+                                                   base[t - start, k], draws[k].noise)
 
             log[start - counted:stop - counted], step = decide(
                 clients[start:stop], sent, base, reference)
@@ -671,8 +684,8 @@ def run_trials(config: ExperimentConfig, prepared: PreparedData,
                     first = int(np.argmin(np.logical_and.reduce(
                         np.isfinite(models), axis=1)))
                     completed = start + first + 1
-                    result.records += evaluate(models[first:first + 1], completed,
-                                               tally(completed)[k:k + 1], diverged=True)
+                    pending.append(([k], models[first:first + 1], completed,
+                                    tally(completed)[k:k + 1], True))
                     result.diverged = True
                     result.final_model = models[first]
                 if all(result.diverged for result in results):
@@ -683,10 +696,14 @@ def run_trials(config: ExperimentConfig, prepared: PreparedData,
             if stop % METRIC_CADENCE == 0 or stop == sched.iterations:
                 counts = tally(stop)
                 live = [k for k, result in enumerate(results) if not result.diverged]
-                for k, record in zip(live, evaluate(theta[live], stop, counts[live])):
-                    results[k].records.append(record)
+                # theta[live] is a copy: the ring slots are written again
+                pending.append((live, theta[live], stop, counts[live], False))
                 counted = stop
 
+        for rows, models, iteration, row_counts, diverged in pending:
+            for k, record in zip(rows, evaluate(models, iteration, row_counts,
+                                                diverged)):
+                results[k].records.append(record)
     for k, result in enumerate(results):
         if not result.diverged:
             result.final_model = theta[k].copy()  # not a view of the ring

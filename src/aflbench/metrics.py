@@ -82,14 +82,15 @@ def backdoor_probe(clean_test: Dataset, cfg: AttackConfig) -> Dataset:
     target class, with the trigger embedded and labelled as the target.
 
     Inputs whose clean label already equals the target are excluded so the
-    rate measures only attacker-induced predictions. The probe does not
-    depend on the model, so it is built once per run, for all its trials.
+    rate measures only attacker-induced predictions. The caller guarantees
+    that at least one test input is eligible: ``engine._RowPlan`` rejects a
+    backdoor config whose test rows all carry the target class, before any
+    row or file exists. The probe does not depend on the model, so it is
+    built once per run, for all its trials.
     """
     if clean_test.num_classes is None:
         raise ValueError("attack success rate requires classification data")
     eligible = clean_test.labels != cfg.bd_target_class
-    if not np.any(eligible):
-        raise ValueError("no eligible test inputs (all carry the target label)")
     triggered = attacks.apply_trigger(clean_test.features[eligible],
                                       cfg.bd_trigger_period)
     return Dataset(triggered, np.full(len(triggered), cfg.bd_target_class),

@@ -16,9 +16,10 @@ iterations, an (L, K, m, d) batch against (L, K, p) models, gives an
 (L, K, p) array the same way; a single (m, d) feature matrix against a
 (K, p) stack gives each model's gradient on that one batch (the server's
 reference update for every trial of a run). Each slice of a stacked call
-equals the call on that slice alone bit for bit: numpy's ``matmul`` runs
-the same BLAS call per slice, a gemv for the squared loss
-(``theta[..., None]`` is a one-column matrix) and a gemm for the softmax.
+equals the call on that slice alone bit for bit: numpy runs the same BLAS
+call per slice, a gemv for the squared loss (``np.matvec`` for X theta,
+``np.vecmat`` for r^T X, with no one-column matrices built around them)
+and a gemm for the softmax (``matmul``).
 One gemm over the stack (``features @ thetas.T``) would sum in another
 order; do not use one.
 
@@ -56,8 +57,7 @@ def regression_gradient(theta: np.ndarray, features: np.ndarray, labels: np.ndar
         raise ValueError("batch must be a nonempty (m, d) array")
     if features.shape[-1] != theta.shape[-1]:
         raise ValueError(f"feature dim {features.shape[-1]} != model dim {theta.shape[-1]}")
-    residual = np.matmul(features, theta[..., None])[..., 0] - labels
-    return (np.matmul(np.swapaxes(features, -1, -2), residual[..., None])[..., 0]
+    return (np.vecmat(np.matvec(features, theta) - labels, features)
             / features.shape[-2])
 
 
@@ -65,7 +65,7 @@ def regression_predict_batch(theta: np.ndarray, features: np.ndarray) -> np.ndar
     """Predictions (..., n) of (..., d) models on an (n, d) feature matrix."""
     if features.shape[-1] != theta.shape[-1]:
         raise ValueError("dimension mismatch")
-    return np.matmul(features, theta[..., None])[..., 0]
+    return np.matvec(features, theta)
 
 
 def _softmax(scores: np.ndarray) -> np.ndarray:

@@ -412,6 +412,10 @@ def test_rejected_data_plans_write_nothing(tmp_path, capsys):
     # requirements hold with no malicious client too.
     base = _quick_config(tmp_path).read_text()
     honest = {"malicious_fraction = 0.2": "malicious_fraction = 0.0"}
+    # 40 rows of 2 classes; the one test row carries the target class
+    labels = np.arange(40) % 2
+    target = int(labels[data.split_train_test(40, 39, 9)[1][0]])
+    data.save_csv(data.Dataset(np.ones((40, 3)), labels, 2), tmp_path / "two.csv")
     for edits, message in (
             ({"trusted_size = 50": "trusted_size = 500"},
              "trusted set larger than source dataset"),
@@ -427,6 +431,12 @@ def test_rejected_data_plans_write_nothing(tmp_path, capsys):
               "kind = synthetic_regression":
                   "kind = synthetic_classification\nnum_classes = 6"},
              "bd_target_class out of range"),
+            ({"kind = synthetic_regression": f"kind = csv\npath = {tmp_path / 'two.csv'}",
+              "train_count = 480": "train_count = 39",
+              "num_clients = 10": "num_clients = 2",
+              "trusted_size = 50": "trusted_size = 10",
+              "kind = gaussian": f"kind = backdoor\nbd_target_class = {target}"},
+             "no eligible test inputs (all carry the target label)"),
             # not run iid under a header that says noniid
             ({"partition = iid": "partition = noniid\nnoniid_degree = 0.9"},
              "noniid partitioning requires classification data")):

@@ -138,10 +138,9 @@ def test_asr_matches_enumeration():
     assert _asr(params, ds, cfg) == pytest.approx(hits / len(eligible))
 
 
-def test_asr_requires_eligible_inputs():
-    ds = data.Dataset(np.ones((2, 2)), np.array([1, 1]), 2)
-    with pytest.raises(ValueError, match="no eligible test inputs"):
-        metrics.backdoor_probe(ds, _bd_cfg(target=1))
+def test_backdoor_probe_requires_classification_data():
+    # a test set with no eligible input is rejected by the row plan, before
+    # the run (test_config_cli.test_rejected_data_plans_write_nothing)
     regression = data.Dataset(np.ones((2, 2)), np.array([1.0, 0.0]))
     with pytest.raises(ValueError, match="requires classification data"):
         metrics.backdoor_probe(regression, _bd_cfg(target=1))

@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aflbench import tasks
@@ -80,6 +82,62 @@ def test_stacked_predictions_are_the_gemv_bits():
         assert got.shape == (2, 3, n)
         for theta, row in zip(thetas.reshape(-1, d), got.reshape(-1, n)):
             assert row.tobytes() == (X @ theta).tobytes()
+
+
+def _matmul_regression_gradient(theta, features, labels):
+    """The matmul formula the mat-vec gufuncs replaced, as a bit reference."""
+    residual = np.matmul(features, theta[..., None])[..., 0] - labels
+    return (np.matmul(np.swapaxes(features, -1, -2), residual[..., None])[..., 0]
+            / features.shape[-2])
+
+
+def _matmul_regression_predict(theta, features):
+    return np.matmul(features, theta[..., None])[..., 0]
+
+
+_SPECIAL = np.array([0.0, 1.0, -1.0, 1e300, -1e300, math.inf, -math.inf, math.nan])
+
+
+def _with_specials(rng, shape, share):
+    """Normal coordinates, each replaced by a special value with
+    probability ``share``."""
+    values = rng.normal(size=shape)
+    special = rng.random(shape) < share
+    values[special] = rng.choice(_SPECIAL, size=np.count_nonzero(special))
+    return values
+
+
+def _same_bits(got, want):
+    """NaNs at the same positions, every other entry the same bytes."""
+    assert got.shape == want.shape
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(layout=st.sampled_from(["stack", "server"]), blocks=st.integers(1, 3),
+       trials=st.integers(1, 4), m=st.integers(1, 20), d=st.integers(1, 12),
+       share=st.sampled_from([0.0, 0.1, 0.5]), seed=st.integers(0, 2**16))
+@example(layout="stack", blocks=2, trials=3, m=1, d=1, share=0.5, seed=1)
+@example(layout="server", blocks=1, trials=2, m=1, d=7, share=0.0, seed=2)
+@example(layout="server", blocks=1, trials=3, m=9, d=1, share=0.5, seed=3)
+def test_regression_kernels_are_the_matmul_bits(layout, blocks, trials, m, d,
+                                                share, seed):
+    # an (L, K, m, d) block of batches against (L, K, d) models, as the
+    # engine's block, or one (m, d) batch against a (K, d) stack, as the
+    # server's g_s: the mat-vec gufuncs give the matmul formula's bits
+    rng = np.random.default_rng(seed)
+    lead = (blocks, trials) if layout == "stack" else ()
+    features = _with_specials(rng, lead + (m, d), share)
+    labels = _with_specials(rng, lead + (m,), share)
+    theta = _with_specials(rng, (blocks, trials, d) if lead else (trials, d), share)
+    with np.errstate(all="ignore"):
+        _same_bits(tasks.regression_gradient(theta, features, labels),
+                   _matmul_regression_gradient(theta, features, labels))
+        test = features.reshape(-1, d)
+        _same_bits(tasks.regression_predict_batch(theta, test),
+                   _matmul_regression_predict(theta, test))
 
 
 def test_logistic_gradient_zero_params_two_classes():
