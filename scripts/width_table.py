@@ -1,14 +1,16 @@
 """Print the lockstep width table: microseconds per trial-iteration of
 ``engine.run_trials`` alone, with K seeds run in lockstep.
 
-Each cell is the default regression config, ``configs/table1_synthetic.ini``,
-under one (defense, attack) pair: AFLGuard with no attack, and Zeno++,
-Kardam and BASGD under gradient deviation. Its data is prepared once, and
+Each cell is one (config, defense, attack) triple: the default regression
+config, ``configs/table1_synthetic.ini``, with AFLGuard and no attack, and
+with Zeno++, Kardam and BASGD under gradient deviation; and AFLGuard under
+the backdoor on ``configs/classification_backdoor.ini``, the softmax task.
+Its data is prepared once, and
 ``run_trials`` on seeds 1, ..., K is timed three times for each K in
 {3, 12, 48}; the table shows the best run's time over T * K
 trial-iterations. This times less
 than ``perfbench``'s ``iter_us``, which also times data preparation and
-the output files. BLAS runs on one thread. Usage (about 20 s):
+the output files. BLAS runs on one thread. Usage (about 30 s):
 
     python3 scripts/width_table.py
 """
@@ -31,11 +33,13 @@ sys.path.insert(0, str(ROOT / "src"))
 from aflbench.config import ExperimentConfig, load_config  # noqa: E402
 from aflbench.engine import prepare_data, run_trials  # noqa: E402
 
-CONFIG = ROOT / "configs" / "table1_synthetic.ini"
-CELLS = (("AFLGuard, no attack", "aflguard", "none"),
-         ("Zeno++, gradient deviation", "zenopp", "gradient_deviation"),
-         ("Kardam, gradient deviation", "kardam", "gradient_deviation"),
-         ("BASGD, gradient deviation", "basgd", "gradient_deviation"))
+REGRESSION = ROOT / "configs" / "table1_synthetic.ini"
+CELLS = (("AFLGuard, no attack", REGRESSION, "aflguard", "none"),
+         ("Zeno++, gradient deviation", REGRESSION, "zenopp", "gradient_deviation"),
+         ("Kardam, gradient deviation", REGRESSION, "kardam", "gradient_deviation"),
+         ("BASGD, gradient deviation", REGRESSION, "basgd", "gradient_deviation"),
+         ("AFLGuard, backdoor (softmax)",
+          ROOT / "configs" / "classification_backdoor.ini", "aflguard", "backdoor"))
 WIDTHS = (3, 12, 48)
 REPEATS = 3
 
@@ -62,14 +66,13 @@ def us_per_trial_iteration(config: ExperimentConfig, prepared, width: int,
 
 def main(widths: Sequence[int] = WIDTHS, repeats: int = REPEATS,
          iterations: Optional[int] = None) -> int:
-    """Print the table; ``iterations`` defaults to the config's."""
-    base = load_config(CONFIG)
-    if iterations is None:
-        iterations = base.schedule.iterations
+    """Print the table; ``iterations`` defaults to each cell's config's."""
     print("| cell | " + " | ".join(f"K = {k}" for k in widths) + " |")
     print("|---|" + "---|" * len(widths))
-    for label, defense, attack in CELLS:
-        config = cell_config(base, defense, attack, iterations)
+    for label, path, defense, attack in CELLS:
+        base = load_config(path)
+        config = cell_config(base, defense, attack, base.schedule.iterations
+                             if iterations is None else iterations)
         prepared = prepare_data(config)
         times = [us_per_trial_iteration(config, prepared, k, repeats)
                  for k in widths]

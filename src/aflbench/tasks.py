@@ -19,9 +19,21 @@ reference update for every trial of a run). Each slice of a stacked call
 equals the call on that slice alone bit for bit: numpy runs the same BLAS
 call per slice, a gemv for the squared loss (``np.matvec`` for X theta,
 ``np.vecmat`` for r^T X, with no one-column matrices built around them)
-and a gemm for the softmax (``matmul``).
+and two gemms for the softmax (``matmul``).
 One gemm over the stack (``features @ thetas.T``) would sum in another
 order; do not use one.
+
+The softmax gradient is class-major: its scores are W X^T, (..., C, m),
+so the class max and the class sum reduce over axis -2, one elementwise
+pass per class row, rather than over a short last axis of C entries. A
+max is exact in any order, and numpy sums a last axis of up to 7 entries
+left to right, as the rows are summed here; so for up to 7 classes the
+bits are those of the row-major softmax on (..., m, C) scores
+(``tests/test_tasks.py`` holds this at the shapes the runs use). From 8
+classes numpy's last-axis sum is pairwise, and the last places may differ.
+The second product keeps the row-major formula's gemm call, the
+transposed view of a C-contiguous (..., m, C) difference; a C-contiguous
+(..., C, m) operand there takes another BLAS path, whose bits differ.
 
 The predictions and scores take model stacks the same way: (..., p)
 models against one (n, d) test set give (..., n) predictions, and (...,
@@ -47,6 +59,14 @@ def param_dim(dim: int, num_classes: int | None) -> int:
     return dim if num_classes is None else dim * num_classes
 
 
+def _check_labels(features: np.ndarray, labels: np.ndarray) -> None:
+    """One label per batch row: a label array of another shape would
+    broadcast against the batch, or fail with numpy's own message."""
+    if np.shape(labels) != features.shape[:-1]:
+        raise ValueError(f"labels shape {np.shape(labels)} != batch shape "
+                         f"{features.shape[:-1]}")
+
+
 def regression_gradient(theta: np.ndarray, features: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Average gradient of the squared loss over a batch.
 
@@ -57,6 +77,7 @@ def regression_gradient(theta: np.ndarray, features: np.ndarray, labels: np.ndar
         raise ValueError("batch must be a nonempty (m, d) array")
     if features.shape[-1] != theta.shape[-1]:
         raise ValueError(f"feature dim {features.shape[-1]} != model dim {theta.shape[-1]}")
+    _check_labels(features, labels)
     return (np.vecmat(np.matvec(features, theta) - labels, features)
             / features.shape[-2])
 
@@ -68,12 +89,6 @@ def regression_predict_batch(theta: np.ndarray, features: np.ndarray) -> np.ndar
     return np.matvec(features, theta)
 
 
-def _softmax(scores: np.ndarray) -> np.ndarray:
-    shifted = scores - scores.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def logistic_gradient(
     params: np.ndarray, features: np.ndarray, labels: np.ndarray, num_classes: int
 ) -> np.ndarray:
@@ -82,6 +97,11 @@ def logistic_gradient(
     features: (..., m, d) array, labels: (..., m) array of class indices,
     params: (..., d * num_classes); the leading axes broadcast (module
     docstring).
+
+    Class-major (module docstring): the (..., C, m) scores W X^T take the
+    max and the sum over their class axis, the probabilities minus the
+    one-hot are formed in place, and the difference is copied once to
+    (..., m, C), so that ``diff^T X`` runs on its transposed view.
     """
     if features.ndim < 2 or features.shape[-2] == 0:
         raise ValueError("batch must be a nonempty (m, d) array")
@@ -89,14 +109,21 @@ def logistic_gradient(
     if params.shape[-1] != d * num_classes:
         raise ValueError(f"param length {params.shape[-1]} != dim*C = {d * num_classes}")
     labels = np.asarray(labels)
-    one_hot = labels[..., None] == np.arange(num_classes)
+    _check_labels(features, labels)
+    one_hot = labels[..., None, :] == np.arange(num_classes)[:, None]
     # a label that is no class index (negative, too large, or not an
-    # integer) matches no column
+    # integer) matches no row
     if np.count_nonzero(one_hot) != labels.size:
         raise ValueError("class label out of range")
     weights = params.reshape(*params.shape[:-1], num_classes, d)
-    probs = _softmax(np.matmul(features, np.swapaxes(weights, -1, -2)))
-    grad = np.matmul(np.swapaxes(probs - one_hot, -1, -2), features) / m
+    probs = np.matmul(weights, np.swapaxes(features, -1, -2))
+    probs -= probs.max(axis=-2, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-2, keepdims=True)
+    probs -= one_hot
+    diff = np.swapaxes(probs, -1, -2).copy()
+    grad = np.matmul(np.swapaxes(diff, -1, -2), features)
+    grad /= m
     return grad.reshape(*grad.shape[:-2], -1)
 
 

@@ -220,6 +220,77 @@ def test_stacked_gradients_equal_the_single_calls_bit_for_bit(
         tasks.logistic_gradient(params, X, bad, classes)
 
 
+def _logistic_case(rng, lead, m, d, classes, trigger):
+    """Features at the classification generator's offset, with every 10th
+    column zeroed in the first ``trigger`` rows (the backdoor's replicas)."""
+    X = rng.normal(1.5, 1.0, size=lead + (m, d))
+    X[..., :trigger, ::10] = 0.0
+    labels = rng.integers(0, classes, size=lead + (m,))
+    return X, labels
+
+
+def _params(rng, shape, special):
+    """Normal parameters; with ``special``, about two coordinates per model
+    in {+-inf, NaN, +-1e200}, so that most models keep some finite rows."""
+    params = rng.normal(size=shape)
+    if special:
+        hit = rng.random(shape) < 2 / shape[-1]
+        params[hit] = rng.choice([math.inf, -math.inf, math.nan, 1e200, -1e200],
+                                 size=np.count_nonzero(hit))
+    return params
+
+
+@pytest.mark.parametrize("classes, d", [(6, 60), (3, 20)])
+@pytest.mark.parametrize("special", [False, True], ids=["finite", "special"])
+def test_class_major_gradient_is_the_row_major_bits(classes, d, special):
+    # the engine's (L, 3, 16, d) blocks for L = 1..11, and the server's
+    # (100, d) trusted set against a (3, p) stack, at the shipped d = 60
+    # with 6 classes and the golden gate's d = 20 with 3: each slice equals
+    # the 2-D row-major formula bit for bit (NaNs by position)
+    rng = np.random.default_rng(31 + d)
+    p = d * classes
+    with np.errstate(all="ignore"):
+        for blocks in range(1, 12):
+            for _ in range(4):
+                X, labels = _logistic_case(rng, (blocks, 3), 16, d, classes,
+                                           trigger=rng.integers(0, 17))
+                params = _params(rng, (blocks, 3, p), special)
+                got = tasks.logistic_gradient(params, X, labels, classes)
+                assert got.shape == (blocks, 3, p)
+                for idx in np.ndindex(blocks, 3):
+                    _same_bits(got[idx], _old_logistic_gradient(
+                        params[idx], X[idx], labels[idx], classes))
+        for _ in range(20):
+            X, labels = _logistic_case(rng, (), 100, d, classes,
+                                       trigger=rng.integers(0, 101))
+            params = _params(rng, (3, p), special)
+            got = tasks.logistic_gradient(params, X, labels, classes)
+            assert got.shape == (3, p)
+            for k in range(3):
+                _same_bits(got[k], _old_logistic_gradient(params[k], X, labels,
+                                                          classes))
+
+
+@pytest.mark.parametrize("gradient", ["regression", "logistic"])
+def test_gradients_reject_labels_of_another_shape(gradient):
+    # one label per batch row: a single label, a short array, or a stack
+    # of labels against one shared batch would otherwise broadcast or fail
+    # inside numpy
+    def call(features, labels):
+        if gradient == "regression":
+            return tasks.regression_gradient(np.zeros(3), features, labels)
+        return tasks.logistic_gradient(np.zeros(6), features, labels, 2)
+
+    for features, labels in ((np.ones((5, 3)), np.array([1])),
+                             (np.ones((5, 3)), np.ones(4, dtype=int)),
+                             (np.ones((5, 3)), np.ones((2, 5), dtype=int)),
+                             (np.ones((2, 5, 3)), np.ones(5, dtype=int)),
+                             (np.ones((5, 3)), np.int64(1))):
+        with pytest.raises(ValueError, match=r"labels shape .* != batch shape"):
+            call(features, labels)
+    assert call(np.ones((5, 3)), np.ones(5, dtype=int)).shape in ((3,), (6,))
+
+
 def test_logistic_predict_tie_breaks_low():
     assert np.array_equal(
         tasks.logistic_predict_batch(np.zeros(8), np.ones((3, 4)), 2), [0, 0, 0])

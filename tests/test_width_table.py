@@ -13,6 +13,6 @@ def test_width_table_prints_one_timed_row_per_cell(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[:2] == ["| cell | K = 2 |", "|---|---|"]
     assert [line.split(" | ")[0] for line in lines[2:]] == [
-        "| " + label for label, _, _ in module.CELLS]
+        "| " + cell[0] for cell in module.CELLS]
     for line in lines[2:]:
         assert float(re.fullmatch(r"\| .+ \| (\S+) \|", line).group(1)) > 0
