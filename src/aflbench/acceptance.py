@@ -27,7 +27,6 @@ from typing import Callable, Dict, List, Tuple
 import numpy as np
 
 from . import attacks, defenses, metrics, tasks, vecmath
-from .attacks import ThreatKnowledge
 from .config import DataConfig, DefenseConfig, ExperimentConfig, TaskConfig
 from .data import Dataset, gen_synthetic_regression
 from .defenses import ACCEPT, BUFFERED, REJECT
@@ -347,8 +346,7 @@ def _check_adaptive_examples() -> None:
         g_s = rng.normal(size=dim)
         g_bar = rng.normal(size=dim)
         lam = float(rng.uniform(0.2, 3.0))
-        know = ThreatKnowledge(g_bar, g_s, lam)
-        crafted = attacks.adaptive_update(know)
+        crafted = attacks.adaptive_update(g_bar, g_s, lam)
         norm_gs = vecmath.l2norm(g_s)
         if vecmath.l2norm(g_bar - g_s) > lam * norm_gs:
             # even gamma = 0 is infeasible: benign mean returned unchanged
@@ -362,14 +360,12 @@ def _check_adaptive_examples() -> None:
             assert vecmath.l2norm(probe - g_s) > lam * norm_gs
     # g_bar == g_s: gamma equals lam*||g_s||
     g = np.array([3.0, 4.0])
-    know = ThreatKnowledge(g, g, 1.5)
-    crafted = attacks.adaptive_update(know)
+    crafted = attacks.adaptive_update(g, g, 1.5)
     gamma = float(np.dot(g - crafted, g / 5.0))
     assert abs(gamma - 1.5 * 5.0) < 1e-12
     assert vecmath.l2norm(crafted - g) <= 1.5 * 5.0 + 1e-9
     # lam = 0 degenerate ball
-    know0 = ThreatKnowledge(g, g, 0.0)
-    assert np.allclose(attacks.adaptive_update(know0), g)
+    assert np.allclose(attacks.adaptive_update(g, g, 0.0), g)
 
 
 def _check_vecmath_examples() -> None:

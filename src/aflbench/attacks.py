@@ -49,19 +49,6 @@ class AttackConfig:
             raise ValueError("knowledge must be 'full' or 'partial'")
 
 
-@dataclass(frozen=True)
-class ThreatKnowledge:
-    """What the attacker sees when crafting an adaptive update."""
-
-    benign_mean_gradient: np.ndarray
-    server_update_estimate: np.ndarray
-    lam: float
-
-    def __post_init__(self):
-        if self.benign_mean_gradient.shape != self.server_update_estimate.shape:
-            raise ValueError("threat knowledge vectors must share dimension")
-
-
 def flip_dataset_labels(ds: Dataset) -> Dataset:
     """Label-flip an entire local dataset.
 
@@ -129,26 +116,28 @@ def backdoor_update(honest_on_poisoned: np.ndarray, cfg: AttackConfig) -> np.nda
     return cfg.bd_scale_factor * honest_on_poisoned
 
 
-def adaptive_update(knowledge: ThreatKnowledge) -> np.ndarray:
+def adaptive_update(g_bar: np.ndarray, g_s: np.ndarray, lam: float) -> np.ndarray:
     """Craft the largest filter-feasible deviation along the reversed benign mean.
 
-    Returns g_bar - gamma * s with s = g_bar / ||g_bar||, where gamma is the
-    largest value in [0, 10 * ||g_s||] keeping the crafted update inside the
-    acceptance ball of radius r = lam * ||g_s|| around the attacker's
-    server-update estimate g_s. With a = g_bar - g_s, the line meets the
-    ball's sphere where ||a - gamma * s||^2 = r^2, so gamma is the larger
-    root of that quadratic, capped at 10 * ||g_s||. If even gamma = 0 is
-    infeasible (||a|| > r) the benign mean is sent unchanged.
+    The attacker knows the benign mean update g_bar, its estimate g_s of the
+    server update (``engine.make_threat_knowledge`` builds both, in wire
+    units) and the filter's lam. Returns g_bar - gamma * s with
+    s = g_bar / ||g_bar||, where gamma is the largest value in
+    [0, 10 * ||g_s||] keeping the crafted update inside the acceptance ball
+    of radius r = lam * ||g_s|| around g_s. With a = g_bar - g_s, the line
+    meets the ball's sphere where ||a - gamma * s||^2 = r^2, so gamma is the
+    larger root of that quadratic, capped at 10 * ||g_s||. If even
+    gamma = 0 is infeasible (||a|| > r) the benign mean is sent unchanged.
     """
-    g_bar = knowledge.benign_mean_gradient
-    g_s = knowledge.server_update_estimate
+    if g_bar.shape != g_s.shape:
+        raise ValueError("threat knowledge vectors must share dimension")
     norm_gbar = l2norm(g_bar)
     norm_gs = l2norm(g_s)
     if norm_gbar == 0.0 or norm_gs == 0.0:
         raise ValueError("adaptive attack needs nonzero knowledge vectors")
     s = g_bar / norm_gbar
     a = g_bar - g_s
-    r = knowledge.lam * norm_gs
+    r = lam * norm_gs
     norm_a = l2norm(a)
     if norm_a > r:
         return g_bar.copy()

@@ -68,7 +68,9 @@ class ClientConfig:
 
     @property
     def num_malicious(self) -> int:
-        return int(self.malicious_fraction * self.num_clients)
+        # rounded first, so that float noise does not drop a client:
+        # 0.29 * 100 is 28.999999999999996
+        return math.floor(round(self.malicious_fraction * self.num_clients, 9))
 
     def malicious_ids(self) -> range:
         return range(self.num_malicious)

@@ -113,11 +113,11 @@ loads the data straight into one array, the store, in the order client 0,
 ..., client C-1, then test. Under the backdoor attack the plan reserves,
 right after each malicious client's clean rows, the rows its poisoning
 adds, and the poisoning writes its replicas there: a poisoned set is
-[clean rows | replicas], and its clean set is the prefix. Every client's
-set, clean or poisoned, and the test set are read-only row-slice views of
-the store, and no clean row is copied. The labels are the generated
-array, or under label flipping a copy with the malicious clients' rows
-flipped, so the clean sets keep the generated labels.
+[clean rows | replicas], and its clean set is the prefix. Under label
+flipping the flipped labels overwrite the malicious clients' own rows. So
+the store holds each set as the run reads it, poisoned or not, and a
+client's set is the read-only row-slice view ``store.subset(client_rows[c])``,
+as is the test set; no client row is copied.
 """
 from __future__ import annotations
 
@@ -128,7 +128,6 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import attacks, defenses, metrics, tasks
-from .attacks import ThreatKnowledge
 from .config import ExperimentConfig
 from .data import (Dataset, Layout,
                    gen_synthetic_classification, gen_synthetic_regression,
@@ -157,16 +156,12 @@ class PreparedData:
 
     ``store`` holds every client's training set, client-major, then the
     test rows (module docstring Data layout), and ``client_rows[c]`` is
-    client c's set in it. ``client_data[c]`` is the read-only view of those
-    rows: the clean set of a benign client, or under a data-poisoning
-    attack the poisoned set of a malicious one. ``client_data_clean`` is
-    the same list but for the poisoned sets, whose clean rows it views in
-    the generated data: the prefix of the poisoned set under the backdoor
-    attack, the same rows with the generated labels under label flipping.
-    ``test`` is a view and ``trusted`` a copy of generated rows. The sets
-    name the model family by their ``num_classes`` (``tasks`` docstring);
-    ``true_model`` is theta*, known for synthetic regression only, and
-    ``param_dim`` the model length.
+    client c's set in it: the clean set of a benign client, or under a
+    data-poisoning attack the poisoned set of a malicious one, whose ids
+    are ``config.clients.malicious_ids()``. ``test`` is a view of the store
+    and ``trusted`` a copy of clean rows. The sets name the model family by
+    their ``num_classes`` (``tasks`` docstring); ``true_model`` is theta*,
+    known for synthetic regression only, and ``param_dim`` the model length.
     """
 
     true_model: Optional[np.ndarray]
@@ -175,9 +170,6 @@ class PreparedData:
     trusted: Dataset
     store: Dataset
     client_rows: List[slice]
-    client_data: List[Dataset]
-    client_data_clean: List[Dataset]
-    malicious: frozenset
 
 
 @dataclass
@@ -283,36 +275,25 @@ def prepare_data(config: ExperimentConfig) -> PreparedData:
     test = pool.subset(plan.test_rows)
     trusted = pool.subset(plan.trusted_rows)
 
-    malicious = frozenset(config.clients.malicious_ids())
     kind = config.attack.kind
-    poisoned = malicious if kind in ("label_flip", "backdoor") else frozenset()
-    clean = {cid: pool.subset(plan.clean_rows[cid]) for cid in poisoned}
-    store = pool
-    if kind == "label_flip":
-        # a copy, so that the generated labels stay clean for client_data_clean
-        labels = pool.labels.copy()
-        for cid in poisoned:
-            labels[plan.client_rows[cid]] = attacks.flip_dataset_labels(
-                clean[cid]).labels
-        store = pool.relabelled(labels)
-    elif kind == "backdoor":
-        # the replicas go into the rows reserved for them, in place
+    if kind in ("label_flip", "backdoor"):
+        # in place: a flipped client's labels over its own rows, a backdoor
+        # client's replicas into the rows reserved after its clean rows
         for arr in (pool.features, pool.labels):
             arr.setflags(write=True)
-        for cid in poisoned:
-            rows = plan.client_rows[cid]
-            attacks.backdoor_poison(clean[cid], config.attack,
-                                    out=(pool.features[rows], pool.labels[rows]))
+        for cid in config.clients.malicious_ids():
+            clean, rows = pool.subset(plan.clean_rows[cid]), plan.client_rows[cid]
+            if kind == "label_flip":
+                pool.labels[rows] = attacks.flip_dataset_labels(clean).labels
+            else:
+                attacks.backdoor_poison(clean, config.attack,
+                                        out=(pool.features[rows], pool.labels[rows]))
         for arr in (pool.features, pool.labels):
             arr.setflags(write=False)
-    client_data = [store.subset(rows) for rows in plan.client_rows]
     return PreparedData(true_model=true_model,
                         param_dim=tasks.param_dim(pool.dim, pool.num_classes),
-                        test=test, trusted=trusted, store=store,
-                        client_rows=plan.client_rows, client_data=client_data,
-                        client_data_clean=[clean.get(cid, ds) for cid, ds
-                                           in enumerate(client_data)],
-                        malicious=malicious)
+                        test=test, trusted=trusted, store=pool,
+                        client_rows=plan.client_rows)
 
 
 def _avg_gradient(theta: np.ndarray, features: np.ndarray, labels: np.ndarray,
@@ -353,12 +334,13 @@ def server_update_vector(theta: np.ndarray, trusted: Dataset) -> np.ndarray:
 class ThreatScope:
     """What the adaptive attacker knows, fixed for the length of a run.
 
-    ``client_sets`` holds the clean data of every client for knowledge =
-    full and of the malicious clients, in id order, for partial;
-    ``known_examples`` is their total size. For the squared loss,
-    ``moments`` is (A, b) with A = mean_c X_c^T X_c / n_c and
-    b = mean_c X_c^T y_c / n_c over that scope; it is None for the logistic
-    task.
+    ``client_sets`` holds the data of every client for knowledge = full and
+    of the malicious clients, in id order, for partial: each the view
+    ``store.subset(client_rows[c])``, which is the client's clean set, as
+    the adaptive attack poisons no data. ``known_examples`` is their total
+    size. For the squared loss, ``moments`` is (A, b) with
+    A = mean_c X_c^T X_c / n_c and b = mean_c X_c^T y_c / n_c over that
+    scope; it is None for the logistic task.
     """
 
     client_sets: Tuple[Dataset, ...]
@@ -367,12 +349,12 @@ class ThreatScope:
 
 
 def threat_scope(prepared: PreparedData, config: ExperimentConfig) -> ThreatScope:
-    """Build the attacker's scope and, for regression, its gradient moments."""
-    if config.attack.knowledge == "partial":
-        ids = sorted(prepared.malicious)
-    else:
-        ids = range(len(prepared.client_data_clean))
-    client_sets = tuple(prepared.client_data_clean[c] for c in ids)
+    """Build the attacker's scope (``ThreatScope``) and, for regression,
+    its gradient moments."""
+    clients = config.clients
+    ids = (clients.malicious_ids() if config.attack.knowledge == "partial"
+           else range(clients.num_clients))
+    client_sets = tuple(prepared.store.subset(prepared.client_rows[c]) for c in ids)
     moments = None
     if prepared.store.num_classes is None:
         dim = prepared.store.dim
@@ -390,12 +372,15 @@ def threat_scope(prepared: PreparedData, config: ExperimentConfig) -> ThreatScop
 
 
 def make_threat_knowledge(base_model: np.ndarray, scope: ThreatScope,
-                          config: ExperimentConfig) -> ThreatKnowledge:
-    """Assemble the attacker's view for the adaptive attack.
+                          config: ExperimentConfig
+                          ) -> Tuple[np.ndarray, np.ndarray]:
+    """The adaptive attacker's view at ``base_model``, as
+    ``(g_bar, g_s_estimate)``: the first two arguments of
+    ``attacks.adaptive_update``.
 
-    The benign mean is the expected client update at the base model: the
-    unweighted mean of per-client full-data gradients over the knowledge
-    scope, scaled to wire units (batch_size times the average).
+    The benign mean g_bar is the expected client update at the base model:
+    the unweighted mean of per-client full-data gradients over the
+    knowledge scope, scaled to wire units (batch_size times the average).
 
     For the squared loss a client's average gradient is
     X_c^T (X_c theta - y_c) / n_c, which is linear in theta, so the mean
@@ -415,9 +400,8 @@ def make_threat_knowledge(base_model: np.ndarray, scope: ThreatScope,
         mean_grad = np.mean([_avg_gradient(base_model, ds.features, ds.labels,
                                            ds.num_classes)
                              for ds in scope.client_sets], axis=0)
-    return ThreatKnowledge(benign_mean_gradient=config.schedule.batch_size * mean_grad,
-                           server_update_estimate=scope.known_examples * mean_grad,
-                           lam=config.defense.lam)
+    return (config.schedule.batch_size * mean_grad,
+            scope.known_examples * mean_grad)
 
 
 def _bind_filter(config: ExperimentConfig, num_trials: int):
@@ -471,7 +455,7 @@ def _bind_attack(prepared: PreparedData, config: ExperimentConfig):
     stream. None when every client is honest: under no attack or a
     data-level one (an honest pass on the poisoned set)."""
     cfg = config.attack
-    if cfg.kind in ("none", "label_flip") or not prepared.malicious:
+    if cfg.kind in ("none", "label_flip") or not config.clients.num_malicious:
         return None
     if cfg.kind == "backdoor":
         def craft(honest, base_model, noise):
@@ -483,10 +467,10 @@ def _bind_attack(prepared: PreparedData, config: ExperimentConfig):
         def craft(honest, base_model, noise):
             return attacks.gradient_deviation_update(honest, cfg.gd_scale)
     else:  # adaptive, on the attacker's scope and moments built once per run
-        scope = threat_scope(prepared, config)
+        scope, lam = threat_scope(prepared, config), config.defense.lam
         def craft(honest, base_model, noise):
             return attacks.adaptive_update(
-                make_threat_knowledge(base_model, scope, config))
+                *make_threat_knowledge(base_model, scope, config), lam)
     return craft
 
 
@@ -562,7 +546,7 @@ def draw_trial(config: ExperimentConfig, prepared: PreparedData, seed: int,
     t = np.arange(sched.iterations)
     clients = schedule.integers(config.clients.num_clients, size=len(t))
     delays = schedule.integers(0, np.minimum(sched.max_client_delay, t) + 1)
-    sizes = np.array([len(ds) for ds in prepared.client_data])
+    sizes = np.array([rows.stop - rows.start for rows in prepared.client_rows])
     return TrialDraws(clients=clients, delays=delays,
                       batches=minibatch(sizes[clients], sched.batch_size,
                                         batches, out),
@@ -620,7 +604,7 @@ def run_trials(config: ExperimentConfig, prepared: PreparedData,
     results = [TrialResult(seed=seed) for seed in seeds]
     # per iteration, the rows whose client is malicious
     attacked = {}
-    malicious = sorted(prepared.malicious) if craft is not None else []
+    malicious = config.clients.malicious_ids() if craft is not None else []
     for t, k in np.argwhere(np.isin(clients, malicious)).tolist():
         attacked.setdefault(t, []).append(k)
     # the records to score after the loop, in iteration order: each the

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from aflbench import attacks, data, vecmath
-from aflbench.attacks import AttackConfig, ThreatKnowledge
+from aflbench.attacks import AttackConfig
 
 
 def _classes(labels, num_classes):
@@ -116,8 +116,7 @@ def test_adaptive_feasibility_and_maximality():
         g_s = rng.normal(size=dim)
         g_bar = rng.normal(size=dim)
         lam = float(rng.uniform(0.2, 3.0))
-        know = ThreatKnowledge(g_bar, g_s, lam)
-        crafted = attacks.adaptive_update(know)
+        crafted = attacks.adaptive_update(g_bar, g_s, lam)
         norm_gs = vecmath.l2norm(g_s)
         if vecmath.l2norm(g_bar - g_s) > lam * norm_gs:
             assert np.array_equal(crafted, g_bar)
@@ -140,15 +139,15 @@ def _knowledge(draw):
     g_s = draw(arrays(np.float64, dim, elements=coords))
     assume(vecmath.l2norm(g_bar) > 1e-3 and vecmath.l2norm(g_s) > 1e-3)
     # lambda above 5 lets the cap 10 * ||g_s|| bind (gamma <= 2 * lambda * ||g_s||)
-    return ThreatKnowledge(g_bar, g_s, draw(st.floats(0.05, 8.0)))
+    return g_bar, g_s, draw(st.floats(0.05, 8.0))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_knowledge())
 def test_adaptive_is_the_farthest_point_in_the_ball(know):
-    g_bar, g_s = know.benign_mean_gradient, know.server_update_estimate
-    crafted = attacks.adaptive_update(know)
-    r = know.lam * vecmath.l2norm(g_s)
+    g_bar, g_s, lam = know
+    crafted = attacks.adaptive_update(g_bar, g_s, lam)
+    r = lam * vecmath.l2norm(g_s)
     if vecmath.l2norm(g_bar - g_s) > r:
         # even gamma = 0 is infeasible: the benign mean goes out unchanged
         assert np.array_equal(crafted, g_bar)
@@ -163,8 +162,12 @@ def test_adaptive_is_the_farthest_point_in_the_ball(know):
 
 
 def test_adaptive_rejects_zero_knowledge():
-    with pytest.raises(ValueError):
-        attacks.adaptive_update(ThreatKnowledge(np.zeros(2), np.ones(2), 1.0))
+    # without the shape check, (3,) against (1,) broadcasts to a crafted update
+    for g_bar, g_s, message in (
+            (np.zeros(2), np.ones(2), "nonzero knowledge vectors"),
+            (np.ones(3), np.ones(1), "must share dimension")):
+        with pytest.raises(ValueError, match=message):
+            attacks.adaptive_update(g_bar, g_s, 1.0)
 
 
 def test_attack_config_validation():

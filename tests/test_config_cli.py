@@ -49,6 +49,19 @@ def test_unknown_section_is_hard_error(tmp_path):
         load_config(path)
 
 
+def test_num_malicious_is_the_floor_of_the_exact_share():
+    # int(0.29 * 100) is 28: the product's float noise must not drop a client
+    for fraction, clients, expected in ((0.29, 100, 29), (0.57, 100, 57),
+                                        (0.58, 100, 58), (15 / 22, 22, 15),
+                                        (0.0, 100, 0), (0.2, 100, 20),
+                                        (0.25, 100, 25), (0.45, 100, 45),
+                                        (0.5, 100, 50), (1 / 3, 3, 1),
+                                        (0.299, 100, 29), (0.5, 7, 3)):
+        cfg = ClientConfig(num_clients=clients, malicious_fraction=fraction)
+        assert cfg.num_malicious == expected, (fraction, clients)
+        assert cfg.malicious_ids() == range(expected)
+
+
 def test_invalid_malicious_fraction(tmp_path):
     # DefenseConfig is the only check of lambda and num_buffers, and
     # ExperimentConfig the only check that every float is finite; each
@@ -542,7 +555,8 @@ def test_csv_train_count_is_bounded_by_the_files_rows(tmp_path, capsys):
                 assert rc == 0
                 prepared = prepare_data(load_config(path))
                 assert len(prepared.test) == 1_000
-                assert sum(len(ds) for ds in prepared.client_data) == 11_000
+                assert sum(rows.stop - rows.start
+                           for rows in prepared.client_rows) == 11_000
                 assert (out / "summary.json").exists()
             else:
                 assert rc == 2

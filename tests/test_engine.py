@@ -29,6 +29,11 @@ from aflbench.metrics import MetricRecord
 from aflbench.vecmath import l2norm
 
 
+def client_sets(prepared):
+    """Every client's set, as the run reads it from the store."""
+    return [prepared.store.subset(rows) for rows in prepared.client_rows]
+
+
 def base_config(**kwargs):
     cfg = ExperimentConfig()
     defense = kwargs.pop("defense", "aflguard")
@@ -87,12 +92,13 @@ def test_stale_free_run_matches_independent_sgd_oracle():
     cids = schedule.integers(cfg.clients.num_clients, size=iterations)
     # the delay draw: max_client_delay = 0 bounds every delay at 0
     assert not schedule.integers(0, np.ones(iterations, dtype=int)).any()
-    sizes = np.array([len(prepared.client_data[c]) for c in cids])
+    sets = client_sets(prepared)
+    sizes = np.array([len(sets[c]) for c in cids])
     plan = minibatch(sizes, cfg.schedule.batch_size, batches)
     theta = np.zeros(prepared.param_dim)
     eta = cfg.schedule.learning_rate
     for t in range(iterations):
-        ds = prepared.client_data[cids[t]]
+        ds = sets[cids[t]]
         features, labels = ds.features[plan[t]], ds.labels[plan[t]]
         residuals = np.einsum("ij,j->i", features, theta) - labels
         grad_sum = np.einsum("i,ij->j", residuals, features)
@@ -672,15 +678,15 @@ def test_threat_scope_bytes_do_not_depend_on_the_blas_thread_count():
 def test_threat_knowledge_identical_clients():
     cfg = base_config(attack="adaptive", malicious_fraction=0.2)
     prepared = prepare_data(cfg)
-    # overwrite every client with the same local data
-    shared = prepared.client_data_clean[0]
-    prepared.client_data_clean = [shared] * cfg.clients.num_clients
+    # point every client at the same local data
+    prepared.client_rows = [prepared.client_rows[0]] * cfg.clients.num_clients
+    shared = prepared.store.subset(prepared.client_rows[0])
     theta = np.zeros(prepared.param_dim)
-    know = make_threat_knowledge(theta, threat_scope(prepared, cfg), cfg)
+    benign, _ = make_threat_knowledge(theta, threat_scope(prepared, cfg), cfg)
     from aflbench.tasks import regression_gradient
     single_full = regression_gradient(theta, shared.features, shared.labels)
     expected = cfg.schedule.batch_size * single_full
-    assert np.allclose(know.benign_mean_gradient, expected)
+    assert np.allclose(benign, expected)
 
 
 def test_threat_knowledge_partial_scope():
@@ -689,37 +695,37 @@ def test_threat_knowledge_partial_scope():
                                                               knowledge="partial"))
     prepared = prepare_data(cfg)
     theta = np.zeros(prepared.param_dim)
-    know = make_threat_knowledge(theta, threat_scope(prepared, cfg), cfg)
+    benign, _ = make_threat_knowledge(theta, threat_scope(prepared, cfg), cfg)
     from aflbench.tasks import regression_gradient
-    grads = [regression_gradient(theta, prepared.client_data_clean[c].features,
-                                 prepared.client_data_clean[c].labels)
-             for c in sorted(prepared.malicious)]
+    sets = client_sets(prepared)
+    grads = [regression_gradient(theta, sets[c].features, sets[c].labels)
+             for c in cfg.clients.malicious_ids()]
     expected = cfg.schedule.batch_size * np.mean(grads, axis=0)
-    assert np.allclose(know.benign_mean_gradient, expected)
+    assert np.allclose(benign, expected)
 
 
 def test_threat_knowledge_mean_equals_pooled_for_equal_sizes():
     cfg = base_config(attack="adaptive")
     prepared = prepare_data(cfg)
     theta = np.ones(prepared.param_dim)
-    know = make_threat_knowledge(theta, threat_scope(prepared, cfg), cfg)
+    benign, _ = make_threat_knowledge(theta, threat_scope(prepared, cfg), cfg)
     from aflbench.tasks import regression_gradient
-    clients = prepared.client_data_clean  # iid: together, the train rows
+    clients = client_sets(prepared)  # iid: together, the train rows
     pooled = regression_gradient(theta,
                                  np.concatenate([ds.features for ds in clients]),
                                  np.concatenate([ds.labels for ds in clients]))
     expected = cfg.schedule.batch_size * pooled
-    assert np.allclose(know.benign_mean_gradient, expected, rtol=1e-10)
+    assert np.allclose(benign, expected, rtol=1e-10)
 
 
 def _per_client_oracle(theta, prepared, cfg):
     """Both threat-knowledge vectors from one gradient per known client."""
     from aflbench.tasks import logistic_gradient, regression_gradient
     if cfg.attack.knowledge == "partial":
-        ids = sorted(prepared.malicious)
+        ids = cfg.clients.malicious_ids()
     else:
         ids = range(cfg.clients.num_clients)
-    sets = [prepared.client_data_clean[c] for c in ids]
+    sets = [client_sets(prepared)[c] for c in ids]
     if cfg.task.kind == "synthetic_regression":
         grads = [regression_gradient(theta, ds.features, ds.labels) for ds in sets]
     else:
@@ -737,8 +743,7 @@ def _adaptive_config(knowledge, **task):
 
 
 def _assert_matches_oracle(theta, prepared, cfg):
-    know = make_threat_knowledge(theta, threat_scope(prepared, cfg), cfg)
-    got = (know.benign_mean_gradient, know.server_update_estimate)
+    got = make_threat_knowledge(theta, threat_scope(prepared, cfg), cfg)
     for vec, want in zip(got, _per_client_oracle(theta, prepared, cfg)):
         np.testing.assert_allclose(vec, want, rtol=1e-12,
                                    atol=1e-12 * np.abs(want).max())
@@ -752,10 +757,10 @@ def test_threat_knowledge_logistic_keeps_per_client_loop():
         theta = np.random.default_rng(5).normal(0.0, 1.0, prepared.param_dim)
         scope = threat_scope(prepared, cfg)
         assert scope.moments is None
-        know = make_threat_knowledge(theta, scope, cfg)
+        got = make_threat_knowledge(theta, scope, cfg)
         benign, estimate = _per_client_oracle(theta, prepared, cfg)
-        assert np.array_equal(know.benign_mean_gradient, benign)
-        assert np.array_equal(know.server_update_estimate, estimate)
+        assert np.array_equal(got[0], benign)
+        assert np.array_equal(got[1], estimate)
 
 
 # The benchmark's shape: 7,993 examples of dimension 100 over 100 clients
@@ -783,13 +788,13 @@ def test_threat_knowledge_moments_match_per_client_loop(
 
 def test_prepare_data_poisons_only_malicious():
     cfg = base_config(attack="label_flip", malicious_fraction=0.2)
-    prepared = prepare_data(cfg)
-    assert prepared.malicious == frozenset(range(20))
-    for cid in range(20):
-        assert np.array_equal(prepared.client_data[cid].labels,
-                              -prepared.client_data_clean[cid].labels)
-    for cid in range(20, 100):
-        assert prepared.client_data[cid] is prepared.client_data_clean[cid]
+    assert cfg.clients.malicious_ids() == range(20)
+    # the same data and layout, unpoisoned
+    clean = client_sets(prepare_data(base_config(malicious_fraction=0.2)))
+    for cid, ds in enumerate(client_sets(prepare_data(cfg))):
+        assert np.array_equal(ds.features, clean[cid].features)
+        assert np.array_equal(ds.labels, -clean[cid].labels if cid < 20
+                              else clean[cid].labels)
 
 
 def test_metric_cadence_and_final_record():
@@ -877,44 +882,34 @@ def test_prepare_data_layout_matches_copy_reference(
             return
         prepared = prepare_data(cfg)
 
-    for got, want in zip(prepared.client_data_clean, clients, strict=True):
-        _assert_same_rows(got, want)
+    sets, malicious = client_sets(prepared), cfg.clients.malicious_ids()
     _assert_same_rows(prepared.test, test)
     _assert_same_rows(prepared.trusted, trusted)
-    for cid, want in enumerate(clients):
-        if cid not in prepared.malicious or attack == "none":
-            assert prepared.client_data[cid] is prepared.client_data_clean[cid]
+    for cid, (got, want) in enumerate(zip(sets, clients, strict=True)):
+        if cid not in malicious or attack == "none":
+            _assert_same_rows(got, want)
         elif attack == "label_flip":
-            _assert_same_rows(prepared.client_data[cid],
-                              attacks.flip_dataset_labels(want))
+            _assert_same_rows(got, attacks.flip_dataset_labels(want))
         else:
-            _assert_same_rows(prepared.client_data[cid],
-                              attacks.backdoor_poison(want, cfg.attack))
+            _assert_same_rows(got, attacks.backdoor_poison(want, cfg.attack))
 
     # every client's set, poisoned ones included, is a read-only row slice
     # of the one store, client-major and back to back, then the test rows;
     # a backdoor client's replicas fill the rows reserved after its clean
     # rows, which are the prefix of its set
     store, lo = prepared.store, 0
-    for cid, (ds, rows) in enumerate(zip(prepared.client_data,
-                                         prepared.client_rows, strict=True)):
+    for cid, (ds, rows) in enumerate(zip(sets, prepared.client_rows, strict=True)):
         assert (rows.start, rows.stop) == (lo, lo + len(ds))
         _assert_row_view(ds.features, store.features, lo)
         _assert_row_view(ds.labels, store.labels, lo)
         replicas = (attacks.backdoor_replica_count(len(clients[cid]), cfg.attack)
-                    if attack == "backdoor" and cid in prepared.malicious else 0)
+                    if attack == "backdoor" and cid in malicious else 0)
         assert len(ds) == len(clients[cid]) + replicas
-        clean = prepared.client_data_clean[cid]
-        _assert_row_view(clean.features, store.features, lo)
-        if attack == "label_flip" and cid in prepared.malicious:
-            # the generated labels, which the test rows view too
-            _assert_row_view(clean.labels, prepared.test.labels.base, lo)
-        else:
-            _assert_row_view(clean.labels, store.labels, lo)
         lo += len(ds)
     _assert_row_view(prepared.test.features, store.features, lo)
+    _assert_row_view(prepared.test.labels, store.labels, lo)
     assert lo + len(prepared.test) == len(store) == cfg.task.num_samples + sum(
-        len(ds) - len(want) for ds, want in zip(prepared.client_data, clients))
+        len(ds) - len(want) for ds, want in zip(sets, clients))
 
 
 def _assert_row_view(arr, base, lo):

@@ -50,10 +50,12 @@ def _floors(cfg):
                          np.concatenate([ds.labels for ds in sets]),
                          prepared, sched.learning_rate, sched.batch_size)
 
-    # iid: the clients' rows together are the train rows
-    benign = [ds for cid, ds in enumerate(prepared.client_data_clean)
-              if cid not in prepared.malicious]
-    return prepared, floor(prepared.client_data_clean), floor(benign)
+    # iid: the clients' rows together are the train rows; no attack
+    # poisons them
+    sets = [prepared.store.subset(rows) for rows in prepared.client_rows]
+    benign = [ds for cid, ds in enumerate(sets)
+              if cid not in cfg.clients.malicious_ids()]
+    return prepared, floor(sets), floor(benign)
 
 
 def test_asyncsgd_no_attack_sits_on_the_all_data_floor():
