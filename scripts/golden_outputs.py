@@ -10,6 +10,8 @@ Runs, from the ``src/`` tree next to this script:
 * the aflguard backdoor cell of the classification config at a second
   shape, d = 20 with 3 classes, for 400 iterations: BLAS may take other
   kernel paths there than at d = 60 with 6 classes;
+* the aflguard adaptive cell of the classification config for 400
+  iterations, which pins the logistic threat-knowledge path;
 * the aflguard backdoor cell of the classification config at
   ``bd_replication_fraction = 0.25``, the ``AttackConfig`` default, where
   a poisoned set adds fewer replica rows than it has clean rows (the
@@ -129,6 +131,12 @@ def main() -> int:
             schedule=dataclasses.replace(classification.schedule, iterations=400))
         cli.run_command(small, out / "cls_aflguard_backdoor_d20_c3")
         names.append("cls_aflguard_backdoor_d20_c3")
+
+        adaptive = dataclasses.replace(
+            cell(classification, "aflguard", "adaptive"),
+            schedule=dataclasses.replace(classification.schedule, iterations=400))
+        cli.run_command(adaptive, out / "cls_aflguard_adaptive_400")
+        names.append("cls_aflguard_adaptive_400")
 
         quarter = dataclasses.replace(classification, attack=dataclasses.replace(
             classification.attack, bd_replication_fraction=0.25))
