@@ -7,9 +7,9 @@ Every filter decides the rows of a block with one call. It takes a
 iterations and whose K rows are the run's trials, and returns (codes,
 step). The codes hold one int decision, ``ACCEPT``, ``REJECT`` or
 ``BUFFERED``, per update (bool where only the first two occur), and index
-the engine's tally of its decision log. The step has the stack's shape: it
-holds each applied row, and zeros wherever nothing is applied, whatever
-that row held. A stack may also be one (p,) row.
+the engine's counts of its decision array. The step has the stack's
+shape: it holds each applied row, and zeros wherever nothing is applied,
+whatever that row held. A stack may also be one (p,) row.
 
 * AFLGuard (``aflguard_step``, on the ball test ``aflguard_accept``) and
   Zeno++ (``zeno_step``) are stateless. They take g_s as a (K, p) stack

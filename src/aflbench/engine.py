@@ -40,8 +40,8 @@ of L iterations does once, for all rows:
 * one filter call, ``decide``, over the L x K stack: it returns each
   update's int decision code and the step S, where S[i, k] is what trial k
   applies at the block's iteration i, or zeros: theta - learning_rate * 0
-  is theta bit for bit. The codes go into a ``METRIC_CADENCE`` x K
-  decision log, which holds the iterations since the last record;
+  is theta bit for bit. The codes go into the block's rows of the run's
+  T x K int8 decision array;
 * the product learning_rate * S; then, per iteration, the step
   theta - (learning_rate * S)[i], written straight into the iteration's
   ring slot, which is then theta;
@@ -51,22 +51,25 @@ of L iterations does once, for all rows:
   wrote, which are distinct, as L <= max_client_delay + 1.
 
 At the metric cadence, which always ends a block, one record step for all
-rows: every row's accepted, rejected and buffered counts, one count of the
-decision log by code added to a K x 3 running count, and a copy of the
-models of the rows that have not diverged, kept with their ids and counts
-in one list, in iteration order. A row whose model leaves the finite range
-gets its divergence record at the iteration it left, kept in the same list
-for that one row, and that is its last record: it is never recorded again.
-After the last block, each entry of the list is scored by one ``evaluate``
-call (``_bind_evaluate``): a record's live models as one stack, and a
-divergence record with no scoring. So the loop scores nothing, and the
-list holds T / ``METRIC_CADENCE`` x K x p floats, less than the T x K x B
-plan whenever p <= 800. At the end of the divergent block the row's ring
-slots are zeroed, the model it holds included, and it runs on from zero,
-the model every trial starts from, until the last row has diverged, which
-ends the loop. So row k is trial k for the whole run, every array keeps
-its K rows, and rows never move. Rows are independent, so a trial's output
-does not depend on the seeds run beside it, and K = 1 is simply one trial.
+rows: a copy of the models of the rows that have not diverged, kept with
+their ids in one list, in iteration order. A row whose model leaves the
+finite range gets its divergence record at the iteration it left, kept in
+the same list for that one row, and that is its last record: it is never
+recorded again. Its model there is its final model, kept in a K x p array
+beside a K-bool divergence vector. After the last block, each entry of the
+list is scored by one ``evaluate`` call (``_bind_evaluate``): a record's
+live models as one stack, and a divergence record with no scoring, each
+with its rows' accepted, rejected and buffered counts, read at its
+iteration from one cumulative count of the decision array by code. So the
+loop neither scores nor counts, and the list holds T / ``METRIC_CADENCE``
+x K x p floats, less than the T x K x B plan whenever p <= 800. At the end
+of the divergent block the row's ring slots are zeroed, the model it holds
+included, and it runs on from zero, the model every trial starts from,
+until the last row has diverged, which ends the loop. So row k is trial k
+for the whole run, every array keeps its K rows, and rows never move. The
+``TrialResult``s are built once, after the scoring. Rows are independent,
+so a trial's output does not depend on the seeds run beside it, and K = 1
+is simply one trial.
 
 Bindings, each made once per run: ``_bind_filter`` (the configured
 ``defenses`` filter: Kardam's on one ``KardamHistory`` for the run, keyed
@@ -601,31 +604,21 @@ def run_trials(config: ExperimentConfig, prepared: PreparedData,
     craft = _bind_attack(prepared, config)
     prepare, decide = _bind_filter(config, len(seeds))
     evaluate = _bind_evaluate(prepared, config)
-    results = [TrialResult(seed=seed) for seed in seeds]
     # per iteration, the rows whose client is malicious
     attacked = {}
     malicious = config.clients.malicious_ids() if craft is not None else []
     for t, k in np.argwhere(np.isin(clients, malicious)).tolist():
         attacked.setdefault(t, []).append(k)
     # the records to score after the loop, in iteration order: each the
-    # rows, their models and counts, the iteration and the divergence flag
+    # rows, their models, the iteration and the divergence flag
     pending = []
-    # per row: its decision counts up to the last record and its decision
-    # codes since, iteration t in row t - counted
-    counts = np.zeros((len(seeds), 3), dtype=np.intp)
-    log = np.zeros((METRIC_CADENCE, len(seeds)), dtype=np.intp)
-    codes = np.array([ACCEPT, REJECT, BUFFERED])
-    counted = 0
+    decisions = np.zeros(clients.shape, dtype=np.int8)
+    diverged = np.zeros(len(seeds), dtype=bool)
+    final = np.empty_like(ring[0])  # a diverged row's first non-finite model
 
     theta = ring[0]
     zero = np.zeros(theta.size)
     reference = None
-
-    def tally(completed):
-        """Every row's decision counts over its first ``completed``
-        iterations, indexed by the decision codes, in one count."""
-        return counts + np.count_nonzero(log[:completed - counted, :, None] == codes,
-                                         axis=0)
 
     with np.errstate(over="ignore", invalid="ignore"):
         for start, stop in zip(bounds, bounds[1:]):
@@ -647,7 +640,7 @@ def run_trials(config: ExperimentConfig, prepared: PreparedData,
                         sent[t - start, k] = craft(sent[t - start, k],
                                                    base[t - start, k], draws[k].noise)
 
-            log[start - counted:stop - counted], step = decide(
+            decisions[start:stop], step = decide(
                 clients[start:stop], sent, base, reference)
             step = sched.learning_rate * step
             for i in range(size):
@@ -659,36 +652,34 @@ def run_trials(config: ExperimentConfig, prepared: PreparedData,
             if math.isnan(theta.ravel().dot(zero)):
                 finite = np.logical_and.reduce(np.isfinite(theta), axis=1)
                 written = np.arange(start + 1, stop + 1) % depth
-                for k in np.flatnonzero(~finite):
-                    result = results[k]
-                    if result.diverged:
-                        continue
+                for k in np.flatnonzero(~finite & ~diverged):
                     # the row's models after start + 1, ..., stop steps
                     models = ring[written, k]
                     first = int(np.argmin(np.logical_and.reduce(
                         np.isfinite(models), axis=1)))
-                    completed = start + first + 1
-                    pending.append(([k], models[first:first + 1], completed,
-                                    tally(completed)[k:k + 1], True))
-                    result.diverged = True
-                    result.final_model = models[first]
-                if all(result.diverged for result in results):
+                    final[k] = models[first]
+                    pending.append(([k], final[k:k + 1], start + first + 1, True))
+                diverged |= ~finite
+                if diverged.all():
                     break
                 # theta among them: the row runs on from zero, unrecorded
                 ring[:, ~finite] = 0.0
 
             if stop % METRIC_CADENCE == 0 or stop == sched.iterations:
-                counts = tally(stop)
-                live = [k for k, result in enumerate(results) if not result.diverged]
+                live = np.flatnonzero(~diverged)
                 # theta[live] is a copy: the ring slots are written again
-                pending.append((live, theta[live], stop, counts[live], False))
-                counted = stop
+                pending.append((live, theta[live], stop, False))
 
-        for rows, models, iteration, row_counts, diverged in pending:
-            for k, record in zip(rows, evaluate(models, iteration, row_counts,
-                                                diverged)):
-                results[k].records.append(record)
-    for k, result in enumerate(results):
-        if not result.diverged:
-            result.final_model = theta[k].copy()  # not a view of the ring
-    return results
+        # counts[t, k, c]: row k's decisions of code c in its first t iterations
+        counts = np.zeros((len(decisions) + 1, len(seeds), 3), dtype=np.intp)
+        np.cumsum(decisions[:, :, None] == np.array([ACCEPT, REJECT, BUFFERED]),
+                  axis=0, out=counts[1:])
+        records = [[] for _ in seeds]
+        for rows, models, iteration, divergence in pending:
+            for k, record in zip(rows, evaluate(models, iteration,
+                                                counts[iteration, rows], divergence)):
+                records[k].append(record)
+    final[~diverged] = theta[~diverged]
+    return [TrialResult(seed=seed, records=records[k], final_model=final[k].copy(),
+                        diverged=bool(diverged[k]))
+            for k, seed in enumerate(seeds)]
