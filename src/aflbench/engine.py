@@ -13,8 +13,8 @@ a K x p model array. A client's update depends on the global model of
 ``delay`` iterations ago, not on the steps taken since, so the loop works
 a block of iterations at a time: ``plan_blocks`` cuts [0, T) before the
 loop, with all seeds' delays, into blocks whose every base model exists
-when the block starts and that cross no refresh and no record. Each block
-of L iterations does once, for all rows:
+when the block starts and that cross no record and, under a filter that
+reads g_s, no refresh. Each block of L iterations does once, for all rows:
 
 * the refresh at its start, every ``server_refresh_period`` iterations
   from iteration 0, under a filter that reads g_s: one
@@ -556,20 +556,21 @@ def draw_trial(config: ExperimentConfig, prepared: PreparedData, seed: int,
                       noise=noise)
 
 
-def plan_blocks(delays: np.ndarray, refresh_period: int) -> np.ndarray:
+def plan_blocks(delays: np.ndarray, refresh_period: Optional[int]) -> np.ndarray:
     """The block bounds of a run (module docstring) with the T x K
     ``delays`` of its rows: block j is the iterations [bounds[j],
     bounds[j + 1]). A block that starts at t takes a later iteration s only
     if every row's base model, the model after s - delay steps, exists at t
-    (s - delay <= t), and s is neither a refresh iteration nor the first
-    after a record. As delay <= max_client_delay, a block holds at most
+    (s - delay <= t), and s is neither the first after a record nor a
+    multiple of ``refresh_period``, which is None under a filter that reads
+    no g_s. As delay <= max_client_delay, a block holds at most
     max_client_delay + 1 iterations."""
     iterations = len(delays)
     latest = (np.arange(iterations) - delays.min(axis=1)).tolist()
     starts = [0]
     for s in range(1, iterations):
-        if (latest[s] > starts[-1] or s % refresh_period == 0
-                or s % METRIC_CADENCE == 0):
+        if (latest[s] > starts[-1] or s % METRIC_CADENCE == 0
+                or refresh_period is not None and s % refresh_period == 0):
             starts.append(s)
     return np.array(starts + [iterations])
 
@@ -595,14 +596,15 @@ def run_trials(config: ExperimentConfig, prepared: PreparedData,
     flat = ring.reshape(-1, prepared.param_dim)
     index = ((np.arange(sched.iterations)[:, None] - delays) % depth * len(seeds)
              + np.arange(len(seeds)))
-    bounds = plan_blocks(delays, sched.server_refresh_period)
+    prepare, decide = _bind_filter(config, len(seeds))
+    bounds = plan_blocks(delays, None if prepare is None
+                         else sched.server_refresh_period)
     # the batch buffers of the longest block
     shape = (int(np.diff(bounds).max()), len(seeds), sched.batch_size)
     features = np.empty(shape + (store.dim,))
     labels = np.empty(shape, dtype=store.labels.dtype)
     bounds = bounds.tolist()
     craft = _bind_attack(prepared, config)
-    prepare, decide = _bind_filter(config, len(seeds))
     evaluate = _bind_evaluate(prepared, config)
     # per iteration, the rows whose client is malicious
     attacked = {}
