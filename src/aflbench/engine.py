@@ -337,41 +337,63 @@ def server_update_vector(theta: np.ndarray, trusted: Dataset) -> np.ndarray:
 class ThreatScope:
     """What the adaptive attacker knows, fixed for the length of a run.
 
-    ``client_sets`` holds the data of every client for knowledge = full and
-    of the malicious clients, in id order, for partial: each the view
+    The scope is every client for knowledge = full and the malicious
+    clients for partial, in id order, each with the view
     ``store.subset(client_rows[c])``, which is the client's clean set, as
     the adaptive attack poisons no data. ``known_examples`` is their total
     size. For the squared loss, ``moments`` is (A, b) with
     A = mean_c X_c^T X_c / n_c and b = mean_c X_c^T y_c / n_c over that
-    scope; it is None for the logistic task.
+    scope, and ``groups`` is empty. For the logistic task on
+    ``num_classes`` classes, ``moments`` is None and ``groups`` holds the
+    scope's sets grouped by size, in ascending size and then id order,
+    each group as its (g, n, d) features and (g, n) labels: a view of the
+    store where the group's rows are one run of it (so under iid and for
+    the partial scope), else one copy. ``order`` is each client's row, in
+    scope order, of the group-major stack of their gradients.
     """
 
-    client_sets: Tuple[Dataset, ...]
     known_examples: int
     moments: Optional[Tuple[np.ndarray, np.ndarray]]
+    num_classes: Optional[int] = None
+    groups: Tuple[Tuple[np.ndarray, np.ndarray], ...] = ()
+    order: Optional[np.ndarray] = None
+
+
+def _stacked(store: Dataset, rows: List[slice]) -> Tuple[np.ndarray, np.ndarray]:
+    """The sets at ``rows``, each of n rows, as (g, n, d) features and
+    (g, n) labels: views when the slices are one run of the store."""
+    g, n = len(rows), rows[0].stop - rows[0].start
+    if all(a.stop == b.start for a, b in zip(rows, rows[1:])):
+        run = slice(rows[0].start, rows[-1].stop)
+        return store.features[run].reshape(g, n, -1), store.labels[run].reshape(g, n)
+    index = np.array([np.arange(r.start, r.stop) for r in rows])
+    return store.features[index], store.labels[index]
 
 
 def threat_scope(prepared: PreparedData, config: ExperimentConfig) -> ThreatScope:
-    """Build the attacker's scope (``ThreatScope``) and, for regression,
-    its gradient moments."""
-    clients = config.clients
+    """Build the attacker's scope (``ThreatScope``): for regression, its
+    gradient moments; for the logistic task, its sets grouped by size."""
+    clients, store = config.clients, prepared.store
     ids = (clients.malicious_ids() if config.attack.knowledge == "partial"
            else range(clients.num_clients))
-    client_sets = tuple(prepared.store.subset(prepared.client_rows[c]) for c in ids)
-    moments = None
-    if prepared.store.num_classes is None:
-        dim = prepared.store.dim
-        a, b = np.zeros((dim, dim)), np.zeros(dim)
-        for ds in client_sets:
-            # a contiguous transpose sends the product to gemm: numpy sends
-            # X.T @ X to syrk, whose sums, and so whose bits, change with
-            # the BLAS thread count
-            a += np.ascontiguousarray(ds.features.T) @ ds.features / len(ds)
-            b += ds.features.T @ ds.labels / len(ds)
-        moments = (a / len(client_sets), b / len(client_sets))
-    return ThreatScope(client_sets=client_sets,
-                       known_examples=sum(len(ds) for ds in client_sets),
-                       moments=moments)
+    rows = [prepared.client_rows[c] for c in ids]
+    sizes = np.array([r.stop - r.start for r in rows])
+    if store.num_classes is not None:
+        groups = tuple(_stacked(store, [r for r, size in zip(rows, sizes) if size == n])
+                       for n in np.unique(sizes))
+        # a client's row of the group-major stack is its rank by (size, id)
+        return ThreatScope(known_examples=int(sizes.sum()), moments=None,
+                           num_classes=store.num_classes, groups=groups,
+                           order=np.argsort(np.argsort(sizes, kind="stable")))
+    a, b = np.zeros((store.dim, store.dim)), np.zeros(store.dim)
+    for ds in map(store.subset, rows):
+        # a contiguous transpose sends the product to gemm: numpy sends
+        # X.T @ X to syrk, whose sums, and so whose bits, change with
+        # the BLAS thread count
+        a += np.ascontiguousarray(ds.features.T) @ ds.features / len(ds)
+        b += ds.features.T @ ds.labels / len(ds)
+    return ThreatScope(known_examples=int(sizes.sum()),
+                       moments=(a / len(rows), b / len(rows)))
 
 
 def make_threat_knowledge(base_model: np.ndarray, scope: ThreatScope,
@@ -390,7 +412,10 @@ def make_threat_knowledge(base_model: np.ndarray, scope: ThreatScope,
     over the scope is exactly A theta - b with the moments of
     ``ThreatScope``: one d x d mat-vec in place of a gradient per client.
     ``run_trials`` builds the moments once per run. The softmax gradient is
-    not linear in theta, so the logistic task keeps the per-client loop.
+    not linear in theta, so the logistic task keeps one gradient per
+    client, from one call per set size over the group's stack (each slice
+    has the bits of its client's call alone, ``tasks`` docstring), and
+    takes the mean of the rows in scope order.
 
     The server-update estimate mirrors g_s on the data the attacker knows,
     at that data's scale (``server_update_vector``): the scale gap and the
@@ -400,9 +425,10 @@ def make_threat_knowledge(base_model: np.ndarray, scope: ThreatScope,
         a, b = scope.moments
         mean_grad = a @ base_model - b
     else:
-        mean_grad = np.mean([_avg_gradient(base_model, ds.features, ds.labels,
-                                           ds.num_classes)
-                             for ds in scope.client_sets], axis=0)
+        grads = np.concatenate([_avg_gradient(base_model, features, labels,
+                                              scope.num_classes)
+                                for features, labels in scope.groups])
+        mean_grad = np.mean(grads[scope.order], axis=0)
     return (config.schedule.batch_size * mean_grad,
             scope.known_examples * mean_grad)
 

@@ -757,17 +757,37 @@ def _assert_matches_oracle(theta, prepared, cfg):
 
 
 def test_threat_knowledge_logistic_keeps_per_client_loop():
-    for knowledge in ("full", "partial"):
-        cfg = _adaptive_config(knowledge, kind="synthetic_classification",
-                               num_samples=2_500, dim=5, train_count=1_997)
-        prepared = prepare_data(cfg)
-        theta = np.random.default_rng(5).normal(0.0, 1.0, prepared.param_dim)
-        scope = threat_scope(prepared, cfg)
-        assert scope.moments is None
-        got = make_threat_knowledge(theta, scope, cfg)
-        benign, estimate = _per_client_oracle(theta, prepared, cfg)
-        assert np.array_equal(got[0], benign)
-        assert np.array_equal(got[1], estimate)
+    # one gradient call per client-set size, whose rows are the bits of
+    # one call per client. Under iid the 100 clients hold 19 or 20 rows and
+    # each size's clients are one run of the store, so every group views
+    # it; the noniid sizes interleave (measured: 27 sizes in the full scope,
+    # 20 of them copied), and the groups that are not one run are copies
+    iid = _adaptive_config("full", kind="synthetic_classification",
+                           num_samples=2_500, dim=5, train_count=1_997)
+    noniid = _adaptive_config("full", kind="synthetic_classification",
+                              num_samples=4_500, dim=5, train_count=3_997)
+    noniid = dataclasses.replace(noniid, data=dataclasses.replace(
+        noniid.data, partition="noniid", noniid_degree=0.5))
+    for partition in (iid, noniid):
+        for knowledge in ("full", "partial"):
+            cfg = dataclasses.replace(partition, attack=dataclasses.replace(
+                partition.attack, knowledge=knowledge))
+            prepared = prepare_data(cfg)
+            theta = np.random.default_rng(5).normal(0.0, 1.0, prepared.param_dim)
+            scope = threat_scope(prepared, cfg)
+            assert scope.moments is None
+            got = make_threat_knowledge(theta, scope, cfg)
+            benign, estimate = _per_client_oracle(theta, prepared, cfg)
+            assert np.array_equal(got[0], benign)
+            assert np.array_equal(got[1], estimate)
+            views = [np.shares_memory(stack, part)
+                     for features, labels in scope.groups
+                     for stack, part in ((features, prepared.store.features),
+                                         (labels, prepared.store.labels))]
+            if partition is iid:
+                assert all(views)
+            else:
+                assert not all(views)
 
 
 # The benchmark's shape: 7,993 examples of dimension 100 over 100 clients
