@@ -390,6 +390,62 @@ def test_a_row_that_diverges_again_is_not_recorded_again(monkeypatch):
         [False] * 6, [True], [False] * 6]
 
 
+# the defenses function that decides a block under each filter; AsyncSGD
+# calls none and accepts every update
+_STEP_FUNCTIONS = {"aflguard": "aflguard_step", "zenopp": "zeno_step",
+                   "kardam": "kardam_step", "basgd": "basgd_step"}
+
+
+@pytest.mark.parametrize("cfg, seeds", [
+    # seed 3 alone leaves the finite range at iteration 1934, inside its
+    # block [1932, 1936) (test_a_row_diverging_inside_a_block_...), and in
+    # lockstep seeds 2, 1 and 3 leave at 1880, 1893 and 1934
+    pytest.param(base_config(defense="asyncsgd", attack="adaptive"), (3,),
+                 id="asyncsgd-adaptive-divergence"),
+    pytest.param(base_config(defense="asyncsgd", attack="adaptive"), (1, 2, 3),
+                 id="asyncsgd-adaptive-lockstep-divergence"),
+    pytest.param(small_config(defense="basgd", attack="gaussian"), (1, 2, 3),
+                 id="basgd-gaussian"),
+    pytest.param(small_config(defense="kardam", attack="gradient_deviation"),
+                 (1, 2, 3), id="kardam-gradient_deviation"),
+    pytest.param(small_config(defense="aflguard", attack="gaussian"), (1, 2),
+                 id="aflguard-gaussian")])
+def test_record_counts_equal_an_independent_decision_log(monkeypatch, cfg, seeds):
+    # the test logs every row's code by iteration from the filter's own
+    # return, one entry per iteration of each block call, and counts it
+    # through each record's iteration
+    log = []
+    name = _STEP_FUNCTIONS.get(cfg.defense.kind)
+    if name is not None:
+        real = getattr(defenses, name)
+
+        def logged(*args):
+            codes, step = real(*args)
+            log.extend(np.broadcast_to(codes, step.shape[:-1]).astype(int).tolist())
+            return codes, step
+        monkeypatch.setattr(defenses, name, logged)
+    results = run_trials(cfg, prepare_data(cfg), seeds)
+    if name is None:
+        log = [[ACCEPT] * len(seeds)] * cfg.schedule.iterations
+    log = np.array(log)
+    for k, result in enumerate(results):
+        for record in result.records:
+            codes = log[:record.iteration, k]
+            want = [np.count_nonzero(codes == code) for code in (ACCEPT, REJECT, BUFFERED)]
+            assert [record.accepted, record.rejected, record.buffered] == want, (
+                result.seed, record.iteration)
+    # each case reaches the counts it is here for
+    finals = [r.final_record for r in results]
+    if cfg.defense.kind == "asyncsgd":
+        assert all(r.diverged for r in results)
+        assert [f.iteration for f in finals] == {1: [1934], 3: [1893, 1880, 1934]}[
+            len(seeds)]
+    elif cfg.defense.kind == "basgd":
+        assert all(f.buffered for f in finals)
+    else:
+        assert all(f.rejected for f in finals)
+
+
 @pytest.mark.parametrize("defense, step", [("kardam", "kardam_step"),
                                            ("basgd", "basgd_step")])
 def test_stateful_filters_keep_copies_of_block_rows(defense, step):
