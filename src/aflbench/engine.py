@@ -125,7 +125,7 @@ as is the test set; no client row is copied.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -178,9 +178,9 @@ class PreparedData:
 @dataclass
 class TrialResult:
     seed: int
-    records: List[MetricRecord] = field(default_factory=list)
-    final_model: Optional[np.ndarray] = None
-    diverged: bool = False
+    records: List[MetricRecord]
+    final_model: np.ndarray
+    diverged: bool
 
     @property
     def final_record(self) -> MetricRecord:
