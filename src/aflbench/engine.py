@@ -642,7 +642,8 @@ def run_trials(config: ExperimentConfig, prepared: PreparedData,
     pending = []
     decisions = np.zeros(clients.shape, dtype=np.int8)
     diverged = np.zeros(len(seeds), dtype=bool)
-    final = np.empty_like(ring[0])  # a diverged row's first non-finite model
+    # each row's final model; a diverged row's is its first non-finite one
+    final = np.empty_like(ring[0])
 
     theta = ring[0]
     zero = np.zeros(theta.size)
