@@ -699,14 +699,14 @@ def run_trials(config: ExperimentConfig, prepared: PreparedData,
                 # theta[live] is a copy: the ring slots are written again
                 pending.append((live, theta[live], stop, False))
 
-        # counts[t, k, c]: row k's decisions of code c in its first t iterations
-        counts = np.zeros((len(decisions) + 1, len(seeds), 3), dtype=np.intp)
-        np.cumsum(decisions[:, :, None] == np.array([ACCEPT, REJECT, BUFFERED]),
-                  axis=0, out=counts[1:])
+        # counts[t - 1, k, c]: row k's decisions of code c in its first t
+        # iterations
+        counts = np.cumsum(decisions[:, :, None] == np.array([ACCEPT, REJECT, BUFFERED]),
+                           axis=0, dtype=np.int32)
         records = [[] for _ in seeds]
         for rows, models, iteration, divergence in pending:
             for k, record in zip(rows, evaluate(models, iteration,
-                                                counts[iteration, rows], divergence)):
+                                                counts[iteration - 1, rows], divergence)):
                 records[k].append(record)
     final[~diverged] = theta[~diverged]
     return [TrialResult(seed=seed, records=records[k], final_model=final[k].copy(),
