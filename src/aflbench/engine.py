@@ -62,7 +62,9 @@ live models as one stack, and a divergence record with no scoring, each
 with its rows' accepted, rejected and buffered counts, read at its
 iteration from one cumulative count of the decision array by code. So the
 loop neither scores nor counts, and the list holds T / ``METRIC_CADENCE``
-x K x p floats, less than the T x K x B plan whenever p <= 800. At the end
+x K x p floats, less than the T x K x B plan whenever p <= 800. The plan
+is released before ``evaluate`` is bound, so the scoring sets it builds
+take the plan's place rather than adding to it. At the end
 of the divergent block the row's ring slots are zeroed, the model it holds
 included, and it runs on from zero, the model every trial starts from,
 until the last row has diverged, which ends the loop. So row k is trial k
@@ -76,11 +78,12 @@ Bindings, each made once per run: ``_bind_filter`` (the configured
 by trial and client, and BASGD's on one state per trial; AsyncSGD applies
 the stack as sent; and the reference that AFLGuard and Zeno++ prepare
 from g_s at each refresh), ``_bind_attack`` (with the
-adaptive attack's threat scope) and ``_bind_evaluate``, which
-precomputes what every record shares and theta does not change, the
-regression truths (the test features times theta*, when theta* is known)
-and, under the backdoor attack, the probe (the eligible test rows with the
-trigger applied, ``metrics.backdoor_probe``).
+adaptive attack's threat scope) and, after the loop, ``_bind_evaluate``,
+which precomputes what every record shares and theta does not change: the
+regression truths (the test features times theta*, when theta* is known),
+or the class-major test set (``metrics.class_major``) and, under the
+backdoor attack, the probe (the eligible test rows with the trigger
+applied, ``metrics.backdoor_probe``).
 The bound functions look up the ``defenses``, ``tasks``, ``attacks`` and
 ``metrics`` functions, and this module's ``make_threat_knowledge`` and
 ``server_update_vector``, by name at each call, so a wrapper patched onto
@@ -507,13 +510,14 @@ def _bind_evaluate(prepared: PreparedData, config: ExperimentConfig):
     """The run's ``evaluate(thetas, iteration, counts, diverged=False)``:
     the ``MetricRecord``s at ``iteration`` of K' rows, from their (K', p)
     models and their (K', 3) decision counts, indexed by the decision codes.
-    ``run_trials`` calls it after its loop, once per kept record, in
-    iteration order. Each quantity is one ``metrics`` call over the stack,
-    whose values have the bits of each row scored alone (``metrics``
-    docstring), and the records hold Python floats. A divergence record
-    scores nothing: it holds the divergence values. What does not depend on
-    the models is built here, once: the regression truths and the backdoor
-    probe, whose eligible test row ``_RowPlan`` has checked."""
+    ``run_trials`` binds it after its loop and calls it once per kept
+    record, in iteration order. Each quantity is one ``metrics`` call over
+    the stack, whose values have the bits of each row scored alone
+    (``metrics`` docstring), and the records hold Python floats. A
+    divergence record scores nothing: it holds the divergence values. What
+    does not depend on the models is built here, once: the regression
+    truths, and the class-major test set and backdoor probe, whose eligible
+    test row ``_RowPlan`` has checked."""
     test, true_model = prepared.test, prepared.true_model
     if test.num_classes is None:
         # theta* is known: score against the noiseless ground truth, so the
@@ -532,6 +536,7 @@ def _bind_evaluate(prepared: PreparedData, config: ExperimentConfig):
     else:
         probe = (metrics.backdoor_probe(test, config.attack)
                  if config.attack.kind == "backdoor" else None)
+        test = metrics.class_major(test)
         diverged_values = dict(test_error_rate=1.0)
 
         def scores(thetas):
@@ -631,7 +636,6 @@ def run_trials(config: ExperimentConfig, prepared: PreparedData,
     labels = np.empty(shape, dtype=store.labels.dtype)
     bounds = bounds.tolist()
     craft = _bind_attack(prepared, config)
-    evaluate = _bind_evaluate(prepared, config)
     # per iteration, the rows whose client is malicious
     attacked = {}
     malicious = config.clients.malicious_ids() if craft is not None else []
@@ -703,6 +707,10 @@ def run_trials(config: ExperimentConfig, prepared: PreparedData,
         # iterations
         counts = np.cumsum(decisions[:, :, None] == np.array([ACCEPT, REJECT, BUFFERED]),
                            axis=0, dtype=np.int32)
+        # the scoring sets take the place of the batch plan, which the draws
+        # view, and of the batch buffers
+        del plan, draws, features, labels
+        evaluate = _bind_evaluate(prepared, config)
         records = [[] for _ in seeds]
         for rows, models, iteration, divergence in pending:
             for k, record in zip(rows, evaluate(models, iteration,

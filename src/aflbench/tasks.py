@@ -35,11 +35,13 @@ The second product keeps the row-major formula's gemm call, the
 transposed view of a C-contiguous (..., m, C) difference; a C-contiguous
 (..., C, m) operand there takes another BLAS path, whose bits differ.
 
-The predictions and scores take model stacks the same way: (..., p)
-models against one (n, d) test set give (..., n) predictions, and (...,
-n, C) scores. Each slice is again the single-model call's bits: a gemv per
-regression model, and a gemm per classification model on a C-contiguous
-copy of its W^T.
+The regression predictions and the softmax scores take model stacks the
+same way: (..., p) models against one (n, d) test set give (..., n)
+predictions, and (..., n, C) scores. Each slice is again the single-model
+call's bits: a gemv per regression model, and a gemm per classification
+model on a C-contiguous copy of its W^T. The records' class predictions
+are not made here: ``metrics`` scores a test set class-major and tests
+each row's argmax against its label without forming the argmax.
 """
 from __future__ import annotations
 
@@ -140,9 +142,3 @@ def logistic_scores(params: np.ndarray, features: np.ndarray, num_classes: int) 
     # can move an argmax only at a near-exact tie.
     return np.matmul(features, np.ascontiguousarray(np.swapaxes(weights, -1, -2)))
 
-
-def logistic_predict_batch(params: np.ndarray, features: np.ndarray, num_classes: int) -> np.ndarray:
-    """Argmax class (..., n) per row; ties break toward the lowest class
-    index, and a row with a NaN score takes its first NaN."""
-    scores = logistic_scores(params, features, num_classes)
-    return np.argmax(scores, axis=-1)

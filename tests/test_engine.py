@@ -628,8 +628,13 @@ def test_stacked_evaluate_is_the_row_scores(seed, rows, samples, shape, known,
     if special is not None:
         thetas[rng.integers(rows), rng.integers(size)] = special
     counts = rng.integers(0, 50, size=(rows, 3))
-    probe = (metrics.backdoor_probe(test, cfg.attack)
-             if classes is not None and known else None)
+    probe = None
+    if classes is not None and known:
+        # the probe as the record step built it, row-major: the eligible
+        # rows with the trigger applied, labelled as the target
+        eligible = test.labels != classes - 1
+        probe = Dataset(attacks.apply_trigger(test.features[eligible], 10),
+                        np.full(np.count_nonzero(eligible), classes - 1), classes)
     evaluate = engine._bind_evaluate(
         SimpleNamespace(true_model=true_model, test=test), cfg)
     with np.errstate(all="ignore"):
@@ -685,14 +690,22 @@ def test_evaluation_constants_are_built_once_per_trial(monkeypatch):
                                                                 iterations=150))
     prepared = prepare_data(cfg)  # poisoning applies the trigger too
     calls = collections.Counter()
-    for module, name in ((attacks, "apply_trigger"), (metrics, "attack_success_rate")):
+    scored = {}  # the scoring sets by id
+    for module, name in ((attacks, "apply_trigger"), (metrics, "attack_success_rate"),
+                         (metrics, "test_error_rate")):
         def counted(*args, _real=getattr(module, name), _name=name):
             calls[_name] += 1
+            if _name != "apply_trigger":
+                scored[id(args[1])] = args[1]
             return _real(*args)
         monkeypatch.setattr(module, name, counted)
     result = run_trials(cfg, prepared, (1,))[0]
     assert len(result.records) == 3
-    assert calls == {"apply_trigger": 1, "attack_success_rate": 3}
+    assert calls == {"apply_trigger": 1, "attack_success_rate": 3, "test_error_rate": 3}
+    # the test set and the probe, each C-contiguous: an F-ordered (d, n)
+    # set takes a slower gemm path
+    assert len(scored) == 2
+    assert all(s.features_t.flags.c_contiguous for s in scored.values())
 
 
 def test_asyncsgd_under_gd_reports_divergence_marker():
