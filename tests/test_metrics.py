@@ -70,20 +70,16 @@ def _tiny_classification():
     return data.Dataset(features, labels, 2)
 
 
-def _scored(ds):
-    return metrics.class_major(ds)
-
-
 def test_error_rate_perfect_model():
     ds = _tiny_classification()
     params = np.array([1.0, 0.0, 0.0, 1.0])  # class rows match features
-    assert metrics.test_error_rate(params, _scored(ds)) == 0.0
+    assert metrics.test_error_rate(params, metrics.class_major(ds)) == 0.0
 
 
 def test_error_rate_zero_model_balanced():
     ds = _tiny_classification()
     # all scores tie; prediction falls to class 0, misclassifying class 1
-    assert metrics.test_error_rate(np.zeros(4), _scored(ds)) == 0.5
+    assert metrics.test_error_rate(np.zeros(4), metrics.class_major(ds)) == 0.5
 
 
 def test_error_rate_matches_enumeration():
@@ -93,14 +89,14 @@ def test_error_rate_matches_enumeration():
     W = params.reshape(3, 5)
     wrong = sum(int(np.argmax(W @ ds.features[i])) != ds.labels[i]
                 for i in range(len(ds)))
-    assert metrics.test_error_rate(params, _scored(ds)) == pytest.approx(wrong / len(ds))
+    assert metrics.test_error_rate(params, metrics.class_major(ds)) == pytest.approx(wrong / len(ds))
 
 
 def test_error_rate_errors():
     with pytest.raises(ValueError, match="requires classification data"):
         metrics.class_major(data.Dataset(np.ones((1, 2)), np.array([1.0])))
     with pytest.raises(ValueError, match="dimension mismatch"):
-        metrics.test_error_rate(np.zeros(6), _scored(_tiny_classification()))
+        metrics.test_error_rate(np.zeros(6), metrics.class_major(_tiny_classification()))
 
 
 def test_empty_scoring_sets_are_rejected():
@@ -109,7 +105,7 @@ def test_empty_scoring_sets_are_rejected():
     ds = data.Dataset(np.ones((3, 2)), np.array([1, 1, 1]), 2)
     probe = metrics.backdoor_probe(ds, _bd_cfg(target=1))
     assert probe.features_t.shape == (2, 0)
-    empty = _scored(data.Dataset(np.ones((0, 2)), np.array([], dtype=int), 2))
+    empty = metrics.class_major(data.Dataset(np.ones((0, 2)), np.array([], dtype=int), 2))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for rate, scored in ((metrics.attack_success_rate, probe),
@@ -124,7 +120,7 @@ def test_hit_test_tie_breaks_low():
     # the zero model ties every class: each row is predicted as class 0
     X = np.ones((3, 4))
     for labels, rate in (([0, 0, 0], 1.0), ([1, 1, 1], 0.0), ([0, 1, 0], 2 / 3)):
-        scored = _scored(data.Dataset(X, np.array(labels), 2))
+        scored = metrics.class_major(data.Dataset(X, np.array(labels), 2))
         assert metrics.attack_success_rate(np.zeros(8), scored) == rate
 
 
@@ -132,7 +128,7 @@ def test_hit_test_matching_row_wins():
     x = np.array([1.0, 2.0, -1.0])
     params = np.concatenate([np.zeros(3), x, np.zeros(3)])
     for label, rate in ((0, 0.0), (1, 1.0), (2, 0.0)):
-        scored = _scored(data.Dataset(x[None, :], np.array([label]), 3))
+        scored = metrics.class_major(data.Dataset(x[None, :], np.array([label]), 3))
         assert metrics.attack_success_rate(params, scored) == rate
 
 
@@ -145,7 +141,7 @@ def test_hit_test_matches_score_enumeration():
     labels = rng.integers(C, size=20)
     hits = sum(int(np.argmax([float(W[c] @ x) for c in range(C)])) == label
                for x, label in zip(X, labels))
-    scored = _scored(data.Dataset(X, labels, C))
+    scored = metrics.class_major(data.Dataset(X, labels, C))
     assert metrics.attack_success_rate(params, scored) == hits / 20
     assert metrics.test_error_rate(params, scored) == (20 - hits) / 20
 
@@ -208,7 +204,7 @@ def test_class_major_hits_equal_the_row_major_argmax():
     for n, d, C in ((2000, 60, 6), (1667, 60, 6), (1600, 60, 6), (2000, 20, 3)):
         X = rng.normal(1.5, 1.0, size=(n, d))
         labels = rng.integers(C, size=n)
-        scored = _scored(data.Dataset(X, labels, C))
+        scored = metrics.class_major(data.Dataset(X, labels, C))
         assert scored.features_t.flags.c_contiguous
         for _ in range(8):  # 8 x 25 models
             stack = rng.normal(size=(5, 5, C * d))
