@@ -89,7 +89,8 @@ def test_error_rate_matches_enumeration():
     W = params.reshape(3, 5)
     wrong = sum(int(np.argmax(W @ ds.features[i])) != ds.labels[i]
                 for i in range(len(ds)))
-    assert metrics.test_error_rate(params, metrics.class_major(ds)) == pytest.approx(wrong / len(ds))
+    assert (metrics.test_error_rate(params, metrics.class_major(ds))
+            == pytest.approx(wrong / len(ds)))
 
 
 def test_error_rate_errors():
