@@ -1,20 +1,21 @@
 """Poisoning behaviors mounted by malicious clients.
 
 Data-level attacks (label flipping, backdoor replication) poison a client's
-local dataset once at setup; the client then behaves honestly on the
-poisoned data. Update-level attacks (Gaussian, gradient deviation, backdoor
-scaling, adaptive) transform or replace the update a client would send.
+local data once at setup. They take and return arrays, not sets:
+``engine.prepare_data`` passes a malicious client's rows of its store, and
+the client then behaves honestly on the poisoned data. Update-level attacks
+(Gaussian, gradient deviation, backdoor scaling, adaptive) transform or
+replace the update a client would send.
 Attack parameters are validated once, by ``AttackConfig``.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
-from .data import Dataset
 from .vecmath import l2norm
 
 ATTACK_KINDS = ("none", "label_flip", "gaussian", "gradient_deviation",
@@ -49,17 +50,17 @@ class AttackConfig:
             raise ValueError("knowledge must be 'full' or 'partial'")
 
 
-def flip_dataset_labels(ds: Dataset) -> Dataset:
-    """Label-flip an entire local dataset.
+def flip_dataset_labels(labels: np.ndarray, num_classes: Optional[int]) -> np.ndarray:
+    """The label-flipped copy of a local set's labels.
 
     Classification labels map to C-1-y, an involution of the classes.
-    Regression labels are reflected through zero, the real-valued analogue
-    of the class reflection. The set's labels are valid, so the flipped
-    ones are too, and the features are shared, not scanned again.
+    Regression labels (``num_classes`` None) are reflected through zero,
+    the real-valued analogue of the class reflection. Valid labels flip to
+    valid labels, so the result is not checked again.
     """
-    if ds.num_classes is None:
-        return ds.relabelled(-ds.labels)
-    return ds.relabelled(ds.num_classes - 1 - ds.labels)
+    if num_classes is None:
+        return -labels
+    return num_classes - 1 - labels
 
 
 def gaussian_update(dim: int, sigma: float, rng: np.random.Generator) -> np.ndarray:
@@ -86,29 +87,21 @@ def backdoor_replica_count(num_clean: int, cfg: AttackConfig) -> int:
     return int(round(cfg.bd_replication_fraction * num_clean))
 
 
-def backdoor_poison(local: Dataset, cfg: AttackConfig,
-                    out: Optional[Tuple[np.ndarray, np.ndarray]] = None) -> Dataset:
-    """Augment a local dataset with trigger-embedded, target-labeled
-    replicas of its first ``backdoor_replica_count`` examples, placed after
-    its own rows.
+def backdoor_poison(features: np.ndarray, labels: np.ndarray, num_clean: int,
+                    cfg: AttackConfig) -> None:
+    """Write trigger-embedded, target-labeled replicas of a local set's
+    first ``backdoor_replica_count`` examples after its own rows.
 
-    ``out``, if given, is a writable (features, labels) pair of the
-    poisoned set's length whose leading rows already hold ``local``, as a
-    store's reserved rows follow a clean set (``engine.prepare_data``): the
-    replicas are written into its tail and the result views it. Without
-    it the result owns new arrays. ``local`` is a classification set with
-    ``cfg.bd_target_class`` one of its classes (``engine._RowPlan`` checks
-    both, once per run).
+    ``features`` and ``labels`` are the poisoned set's writable rows: its
+    ``num_clean`` clean rows, then the rows reserved for the replicas, as a
+    store reserves them after a clean set (``engine.prepare_data``). The
+    replicas fill that tail; the clean rows are left as they are. The set
+    is a classification set with ``cfg.bd_target_class`` one of its classes
+    (``engine._RowPlan`` checks both, once per run).
     """
-    num_rep = backdoor_replica_count(len(local), cfg)
-    if out is None:
-        out = (np.concatenate([local.features, local.features[:num_rep]]),
-               np.concatenate([local.labels, local.labels[:num_rep]]))
-    features, labels = out
-    features[len(local):] = apply_trigger(local.features[:num_rep],
-                                          cfg.bd_trigger_period)
-    labels[len(local):] = cfg.bd_target_class
-    return Dataset(features, labels, local.num_classes)
+    num_rep = backdoor_replica_count(num_clean, cfg)
+    features[num_clean:] = apply_trigger(features[:num_rep], cfg.bd_trigger_period)
+    labels[num_clean:] = cfg.bd_target_class
 
 
 def backdoor_update(honest_on_poisoned: np.ndarray, cfg: AttackConfig) -> np.ndarray:

@@ -103,11 +103,6 @@ class Dataset:
         constructor check, so they are not scanned again."""
         return self._like(self.features[indices], self.labels[indices])
 
-    def relabelled(self, labels: np.ndarray) -> "Dataset":
-        """This set's rows with ``labels``, valid labels of its family, in
-        place of its own; the features are shared, not scanned again."""
-        return self._like(self.features, labels)
-
     def arranged(self, layout: "Layout") -> "Dataset":
         """This set's rows in ``layout`` order, reserved rows zero (module
         docstring): one copy, not scanned again."""

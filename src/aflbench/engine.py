@@ -118,9 +118,11 @@ client partition, trusted set, all as row indices), then generates or
 loads the data straight into one array, the store, in the order client 0,
 ..., client C-1, then test. Under the backdoor attack the plan reserves,
 right after each malicious client's clean rows, the rows its poisoning
-adds, and the poisoning writes its replicas there: a poisoned set is
-[clean rows | replicas], and its clean set is the prefix. Under label
-flipping the flipped labels overwrite the malicious clients' own rows. So
+adds, and ``attacks.backdoor_poison`` writes its replicas there through
+the store's writable row views: a poisoned set is [clean rows | replicas],
+and its clean set is the prefix, whose bytes the poisoning keeps. Under
+label flipping the labels ``attacks.flip_dataset_labels`` returns
+overwrite the malicious clients' own labels. Neither builds a set. So
 the store holds each set as the run reads it, poisoned or not, and a
 client's set is the read-only row-slice view ``store.subset(client_rows[c])``,
 as is the test set; no client row is copied.
@@ -219,14 +221,14 @@ class _RowPlan:
     client's clean rows.
 
     Once called, it holds each client's set (clean rows and reserved rows)
-    and its clean rows, and the test rows, as slices, and the trusted rows
-    as an index array.
+    as a slice and its clean row count, the test rows as a slice, and the
+    trusted rows as an index array.
     """
 
     def __init__(self, config: ExperimentConfig):
         self.config = config
         self.client_rows: List[slice] = []
-        self.clean_rows: List[slice] = []
+        self.clean_sizes: List[int] = []
         self.test_rows = slice(0)
         self.trusted_rows = np.empty(0, dtype=int)
 
@@ -262,7 +264,7 @@ class _RowPlan:
             reserved = (attacks.backdoor_replica_count(len(rows), cfg.attack)
                         if cid in replicated else 0)
             parts += [train[rows], np.full(reserved, -1)]
-            self.clean_rows.append(slice(lo, lo + len(rows)))
+            self.clean_sizes.append(len(rows))
             self.client_rows.append(slice(lo, lo + len(rows) + reserved))
             lo += len(rows) + reserved
         order = np.concatenate(parts + [test])
@@ -288,12 +290,13 @@ def prepare_data(config: ExperimentConfig) -> PreparedData:
         for arr in (pool.features, pool.labels):
             arr.setflags(write=True)
         for cid in config.clients.malicious_ids():
-            clean, rows = pool.subset(plan.clean_rows[cid]), plan.client_rows[cid]
+            rows = plan.client_rows[cid]
             if kind == "label_flip":
-                pool.labels[rows] = attacks.flip_dataset_labels(clean).labels
+                pool.labels[rows] = attacks.flip_dataset_labels(pool.labels[rows],
+                                                                pool.num_classes)
             else:
-                attacks.backdoor_poison(clean, config.attack,
-                                        out=(pool.features[rows], pool.labels[rows]))
+                attacks.backdoor_poison(pool.features[rows], pool.labels[rows],
+                                        plan.clean_sizes[cid], config.attack)
         for arr in (pool.features, pool.labels):
             arr.setflags(write=False)
     return PreparedData(true_model=true_model,
@@ -514,7 +517,8 @@ def _bind_evaluate(prepared: PreparedData, config: ExperimentConfig):
     record, in iteration order. Each quantity is one ``metrics`` call over
     the stack, whose values have the bits of each row scored alone
     (``metrics`` docstring), and the records hold Python floats. A
-    divergence record scores nothing: it holds the divergence values. What
+    divergence record scores nothing: it holds the worst value of each
+    quantity a record holds (infinite errors, rates of 1.0). What
     does not depend on the models is built here, once: the regression
     truths, and the class-major test set and backdoor probe, whose eligible
     test row ``_RowPlan`` has checked."""
@@ -538,6 +542,8 @@ def _bind_evaluate(prepared: PreparedData, config: ExperimentConfig):
                  if config.attack.kind == "backdoor" else None)
         test = metrics.class_major(test)
         diverged_values = dict(test_error_rate=1.0)
+        if probe is not None:
+            diverged_values["attack_success_rate"] = 1.0
 
         def scores(thetas):
             out = dict(test_error_rate=metrics.test_error_rate(thetas, test))

@@ -35,13 +35,11 @@ The second product keeps the row-major formula's gemm call, the
 transposed view of a C-contiguous (..., m, C) difference; a C-contiguous
 (..., C, m) operand there takes another BLAS path, whose bits differ.
 
-The regression predictions and the softmax scores take model stacks the
-same way: (..., p) models against one (n, d) test set give (..., n)
-predictions, and (..., n, C) scores. Each slice is again the single-model
-call's bits: a gemv per regression model, and a gemm per classification
-model on a C-contiguous copy of its W^T. The records' class predictions
-are not made here: ``metrics`` scores a test set class-major and tests
-each row's argmax against its label without forming the argmax.
+The regression predictions take model stacks the same way: (..., p)
+models against one (n, d) test set give (..., n) predictions, each slice
+the single model's gemv bits. The softmax has no score or prediction
+function here: ``metrics`` scores a test set class-major and tests each
+row's argmax against its label without forming the argmax.
 """
 from __future__ import annotations
 
@@ -127,18 +125,4 @@ def logistic_gradient(
     grad = np.matmul(np.swapaxes(diff, -1, -2), features)
     grad /= m
     return grad.reshape(*grad.shape[:-2], -1)
-
-
-def logistic_scores(params: np.ndarray, features: np.ndarray, num_classes: int) -> np.ndarray:
-    """Class scores (..., n, C) of (..., d * C) models on (n, d) features."""
-    d = features.shape[-1]
-    if params.shape[-1] != d * num_classes:
-        raise ValueError("dimension mismatch")
-    weights = params.reshape(*params.shape[:-1], num_classes, d)
-    # A C-contiguous copy of W^T takes a gemm path about twice as fast as
-    # the transposed view on the shipped 2000 x 60 test set with 6 classes
-    # (OpenBLAS 0.3.31), with equal bits there (tests/test_tasks.py holds
-    # this). At some other shapes the two differ in the last places, which
-    # can move an argmax only at a near-exact tie.
-    return np.matmul(features, np.ascontiguousarray(np.swapaxes(weights, -1, -2)))
 

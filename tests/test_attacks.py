@@ -8,35 +8,35 @@ from aflbench import attacks, data, vecmath
 from aflbench.attacks import AttackConfig
 
 
-def _classes(labels, num_classes):
-    return data.Dataset(np.zeros((len(labels), 1)), labels, num_classes)
-
-
 def test_flip_label_examples():
-    assert attacks.flip_dataset_labels(_classes([1, 9], 10)).labels.tolist() == [8, 0]
-    # a label out of range never reaches the flip: the set rejects it
+    assert attacks.flip_dataset_labels(np.array([1, 9]), 10).tolist() == [8, 0]
+    # a label out of range never reaches the flip: the store's set rejects it
     for label in (10, -1):
         with pytest.raises(ValueError, match="class label out of range"):
-            _classes([label], 10)
+            data.Dataset(np.zeros((1, 1)), [label], 10)
 
 
 def test_flip_label_is_involution():
     for c in (2, 6, 10):
-        ds = _classes(np.arange(c), c)
-        twice = attacks.flip_dataset_labels(attacks.flip_dataset_labels(ds))
-        assert np.array_equal(twice.labels, ds.labels)
+        labels = np.arange(c)
+        flipped = attacks.flip_dataset_labels(labels, c)
+        assert np.array_equal(attacks.flip_dataset_labels(flipped, c), labels)
+        # a new array: the caller decides where the flipped labels go
+        assert not np.shares_memory(flipped, labels)
+        assert flipped.dtype == labels.dtype
 
 
 def test_flip_dataset_classification():
-    ds = data.Dataset(np.ones((4, 2)), np.array([0, 1, 2, 3]), 4)
-    flipped = attacks.flip_dataset_labels(ds)
-    assert np.array_equal(flipped.labels, [3, 2, 1, 0])
+    flipped = attacks.flip_dataset_labels(np.array([0, 1, 2, 3]), 4)
+    assert np.array_equal(flipped, [3, 2, 1, 0])
 
 
 def test_flip_dataset_regression_negates():
-    ds = data.Dataset(np.ones((3, 2)), np.array([1.0, -2.0, 0.0]))
-    flipped = attacks.flip_dataset_labels(ds)
-    assert np.array_equal(flipped.labels, [-1.0, 2.0, 0.0])
+    labels = np.array([1.0, -2.0, 0.0])
+    flipped = attacks.flip_dataset_labels(labels, None)
+    assert flipped.dtype == np.float64
+    assert np.array_equal(flipped, [-1.0, 2.0, 0.0])
+    assert labels.tolist() == [1.0, -2.0, 0.0]
 
 
 def test_gaussian_update_statistics():
@@ -71,28 +71,39 @@ def test_gradient_deviation_examples():
         AttackConfig(kind="gradient_deviation", gd_scale=2.0)
 
 
-def _local_classification(n=80, dim=40, c=4):
-    return data.gen_synthetic_classification(83, n, dim, c)[0]
+def _poisoned(cfg, n=80, dim=40, c=4):
+    """A clean set of n rows, and its poisoned rows as a store holds them:
+    the clean rows, then the replicas ``backdoor_poison`` writes into the
+    rows reserved after them."""
+    local = data.gen_synthetic_classification(83, n, dim, c)[0]
+    reserved = attacks.backdoor_replica_count(n, cfg)
+    features = np.concatenate([local.features, np.full((reserved, dim), np.nan)])
+    labels = np.concatenate([local.labels, np.full(reserved, -1)])
+    assert attacks.backdoor_poison(features, labels, n, cfg) is None
+    # the clean rows keep their bytes
+    assert features[:n].tobytes() == local.features.tobytes()
+    assert labels[:n].tobytes() == local.labels.tobytes()
+    return local, features, labels
 
 
 def test_backdoor_poison_counts_and_labels():
-    local = _local_classification()
     cfg = AttackConfig(kind="backdoor", bd_trigger_period=20, bd_target_class=2,
                        bd_replication_fraction=10 / 80)
-    poisoned = attacks.backdoor_poison(local, cfg)
-    assert len(poisoned) == 90
-    replicas = poisoned.labels[80:]
-    assert np.all(replicas == 2)
+    _, features, labels = _poisoned(cfg)
+    assert len(features) == len(labels) == 90
+    assert np.all(labels[80:] == 2)
 
 
 def test_backdoor_poison_trigger_zeroes():
-    local = _local_classification(dim=45)
     cfg = AttackConfig(kind="backdoor", bd_trigger_period=20, bd_target_class=0,
                        bd_replication_fraction=0.25)
-    poisoned = attacks.backdoor_poison(local, cfg)
-    replica_feats = poisoned.features[80:]
+    local, features, _ = _poisoned(cfg, dim=45)
+    replica_feats = features[80:]
+    assert replica_feats.shape == (20, 45)
     assert np.all(replica_feats[:, [0, 20, 40]] == 0.0)
-    # non-trigger coordinates are untouched copies
+    # the replicas are the first 20 clean rows with the trigger applied
+    assert replica_feats.tobytes() == attacks.apply_trigger(
+        local.features[:20], 20).tobytes()
     assert np.array_equal(replica_feats[:, 1], local.features[:20, 1])
 
 

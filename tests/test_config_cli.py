@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from aflbench import cli, data
+from aflbench import acceptance, cli, data
 from aflbench.attacks import AttackConfig
 from aflbench.config import (ClientConfig, ConfigError, DataConfig,
                              DefenseConfig, ExperimentConfig, ScheduleConfig,
@@ -237,6 +237,40 @@ def test_divergent_run_reports_marker(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["mean"]["mse"] == ">1000"
     assert all(entry["diverged"] for entry in summary["per_seed"].values())
+
+
+def test_diverged_backdoor_run_reports_the_attack_success_marker(tmp_path):
+    # features this large overflow AsyncSGD's softmax steps within a few
+    # iterations; a divergence record holds the worst attack success rate,
+    # as it holds the worst test error, so neither reads as missing
+    pool, _ = data.gen_synthetic_classification(7, 2500, 20, 3, 0.4, 1.5)
+    data.save_csv(data.Dataset(pool.features * 1e200, pool.labels, 3),
+                  tmp_path / "huge.csv")
+    text = _quick_config(tmp_path).read_text()
+    for old, new in (("kind = synthetic_regression\n", f"kind = csv\npath = "
+                      f"{tmp_path / 'huge.csv'}\n"),
+                     ("num_samples = 600", "num_samples = 2500"),
+                     ("train_count = 480", "train_count = 2000"),
+                     ("kind = gaussian", "kind = backdoor\nbd_target_class = 2"),
+                     ("kind = aflguard", "kind = asyncsgd"),
+                     ("iterations = 120", "iterations = 200")):
+        text = text.replace(old, new)
+    path = tmp_path / "huge.ini"
+    path.write_text(text)
+    cfg = load_config(path)
+    out = tmp_path / "out"
+    results = cli.run_command(cfg, out)
+    for r in results:
+        final = r.final_record
+        assert r.diverged and final.iteration <= 3
+        assert (final.test_error_rate, final.attack_success_rate) == (1.0, 1.0)
+    last = (out / "trial_seed1.csv").read_text().splitlines()[-1].split(",")
+    assert last[2:5] == ["1.0", "", "1.0"]
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["mean"]["test_error_rate"] == ">1000"
+    assert summary["mean"]["attack_success_rate"] == ">1000"
+    runner = acceptance.ScenarioRunner()
+    assert runner.mean_final(cfg, "attack_success_rate") == 1.0
 
 
 def test_sweep_produces_one_run_per_value(tmp_path):

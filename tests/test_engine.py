@@ -649,8 +649,10 @@ def test_stacked_evaluate_is_the_row_scores(seed, rows, samples, shape, known,
 
     # a divergence record is a one-row call that scores nothing
     [record] = evaluate(thetas[:1], 7, counts[:1], diverged=True)
+    # (the worst values; a probe's rate as well as the test error)
     values = (dict(mse=math.inf, mee=math.inf if known else None)
-              if classes is None else dict(test_error_rate=1.0))
+              if classes is None else
+              dict(test_error_rate=1.0, attack_success_rate=1.0 if known else None))
     assert repr(record) == repr(MetricRecord(
         iteration=7, accepted=int(counts[0, ACCEPT]), rejected=int(counts[0, REJECT]),
         buffered=int(counts[0, BUFFERED]), **values))
@@ -985,9 +987,19 @@ def test_prepare_data_layout_matches_copy_reference(
         if cid not in malicious or attack == "none":
             _assert_same_rows(got, want)
         elif attack == "label_flip":
-            _assert_same_rows(got, attacks.flip_dataset_labels(want))
+            flipped = (-want.labels if regression
+                       else num_classes - 1 - want.labels)
+            _assert_same_rows(got, Dataset(want.features, flipped, want.num_classes))
         else:
-            _assert_same_rows(got, attacks.backdoor_poison(want, cfg.attack))
+            # the clean rows keep their bytes, and the replicas are the
+            # first replica-count of them, triggered, of the target class
+            _assert_same_rows(got.subset(slice(len(want))), want)
+            num_rep = attacks.backdoor_replica_count(len(want), cfg.attack)
+            replicas = Dataset(attacks.apply_trigger(want.features[:num_rep],
+                                                     cfg.attack.bd_trigger_period),
+                               np.full(num_rep, cfg.attack.bd_target_class),
+                               want.num_classes)
+            _assert_same_rows(got.subset(slice(len(want), None)), replicas)
 
     # every client's set, poisoned ones included, is a read-only row slice
     # of the one store, client-major and back to back, then the test rows;

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from aflbench import data, metrics, tasks
+from aflbench import data, metrics
 from aflbench.attacks import AttackConfig, apply_trigger
 
 
@@ -195,6 +195,13 @@ def test_hit_test_is_the_first_argmax(case):
     assert np.asarray(error).tobytes() == np.mean(~hit, axis=-1).tobytes()
 
 
+def _row_major_scores(params, X, C):
+    """The (..., n, C) scores X W^T of (..., d * C) models, each slice one
+    gemm on a C-contiguous copy of its W^T."""
+    weights = params.reshape(*params.shape[:-1], C, X.shape[-1])
+    return np.matmul(X, np.ascontiguousarray(np.swapaxes(weights, -1, -2)))
+
+
 def test_class_major_hits_equal_the_row_major_argmax():
     # the shipped 2000 x 60 test set with 6 classes, its backdoor probe
     # (the ~5/6 of it not of class 5), 1,600 rows, and the golden gate's
@@ -209,7 +216,7 @@ def test_class_major_hits_equal_the_row_major_argmax():
         assert scored.features_t.flags.c_contiguous
         for _ in range(8):  # 8 x 25 models
             stack = rng.normal(size=(5, 5, C * d))
-            hit = np.argmax(tasks.logistic_scores(stack, X, C), axis=-1) == labels
+            hit = np.argmax(_row_major_scores(stack, X, C), axis=-1) == labels
             assert np.array_equal(metrics.attack_success_rate(stack, scored),
                                   np.mean(hit, axis=-1))
             assert np.array_equal(metrics.test_error_rate(stack, scored),

@@ -291,40 +291,6 @@ def test_gradients_reject_labels_of_another_shape(gradient):
     assert call(np.ones((5, 3)), np.ones(5, dtype=int)).shape in ((3,), (6,))
 
 
-def test_logistic_scores_keep_the_bits_of_the_transposed_product():
-    # the shipped classification config scores a 2000 x 60 test set with 6
-    # classes, and its backdoor probe holds the ~5/6 of it not of class 5
-    rng = np.random.default_rng(27)
-    C, d = 6, 60
-    for n in (2000, 1667, 1600):
-        for _ in range(20):
-            X = rng.normal(1.5, 1.0, size=(n, d))
-            params = rng.normal(size=C * d)
-            expected = X @ params.reshape(C, d).T
-            assert np.array_equal(tasks.logistic_scores(params, X, C), expected)
-        # a stack of models is scored slice by slice with the same bits
-        stack = rng.normal(size=(3, C * d))
-        expected = np.stack([X @ p.reshape(C, d).T for p in stack])
-        assert tasks.logistic_scores(stack, X, C).tobytes() == expected.tobytes()
-
-
-def test_stacked_scores_are_the_single_model_scores():
-    # at the golden gate's d = 20 with 3 classes, where the contiguous W^T
-    # and the transposed view differ in the last places, a stack still
-    # takes the single-model bits (a contiguous W^T per slice)
-    rng = np.random.default_rng(28)
-    for C, d in ((3, 20), (6, 60)):
-        for n in (2000, 1667, 7):
-            X = rng.normal(1.5, 1.0, size=(n, d))
-            stack = rng.normal(size=(2, 3, C * d))
-            got = tasks.logistic_scores(stack, X, C)
-            assert got.shape == (2, 3, n, C)
-            for model, scores in zip(stack.reshape(-1, C * d), got.reshape(-1, n, C)):
-                assert scores.tobytes() == tasks.logistic_scores(model, X, C).tobytes()
-                assert scores.tobytes() == (
-                    X @ np.ascontiguousarray(model.reshape(C, d).T)).tobytes()
-
-
 def test_task_param_dims():
     assert tasks.param_dim(7, None) == 7
     assert tasks.param_dim(5, 3) == 15
