@@ -1,7 +1,7 @@
 """Poisoning behaviors mounted by malicious clients.
 
 Data-level attacks (label flipping, backdoor replication) poison a client's
-local data once at setup. They take and return arrays, not sets:
+local data once at setup. They work on arrays and build no set:
 ``engine.prepare_data`` passes a malicious client's rows of its store, and
 the client then behaves honestly on the poisoned data. Update-level attacks
 (Gaussian, gradient deviation, backdoor scaling, adaptive) transform or

@@ -125,4 +125,3 @@ def logistic_gradient(
     grad = np.matmul(np.swapaxes(diff, -1, -2), features)
     grad /= m
     return grad.reshape(*grad.shape[:-2], -1)
-
