@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import filecmp
+import itertools
 import tempfile
 import traceback
 from dataclasses import dataclass
@@ -287,10 +288,14 @@ def _decision(answer) -> Tuple[int, np.ndarray]:
 
 
 def _check_kardam_examples() -> None:
-    history = defenses.KardamHistory(1, 3)
+    # one trial's schedule: each client twice in turn, then clients 0 and 1
+    history = defenses.KardamHistory(np.c_[[0, 1, 2, 0, 1, 2, 0, 1]], 3)
+    iterations = itertools.count()
 
     def decide(cid, update, base):
-        return _decision(defenses.kardam_step(history, cid, update, base))[0]
+        t = next(iterations)
+        assert history.keys[t] == cid
+        return _decision(defenses.kardam_step(history, t, t + 1, update, base))[0]
 
     base0 = np.zeros(2)
     # bootstrap accepts for every client

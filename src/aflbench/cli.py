@@ -26,8 +26,9 @@ from .engine import (DIVERGENCE_MARKER, PreparedData, TrialResult,
 from .metrics import MetricRecord
 
 CSV_COLUMNS = tuple(f.name for f in dataclasses.fields(MetricRecord))
-# the columns a divergent run reports as the divergence marker
-METRIC_COLUMNS = CSV_COLUMNS[1:5]
+# the metric columns, each a MetricRecord field, which a divergent run
+# reports as the divergence marker
+METRIC_COLUMNS = ("mse", "test_error_rate", "mee", "attack_success_rate")
 
 
 def _fmt(value) -> str:

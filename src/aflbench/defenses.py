@@ -19,19 +19,22 @@ whatever that row held. A stack may also be one (p,) row.
   Each row's norms and dots come from ``np.vecdot``, bit-equal to
   ``vecmath.l2norm`` and ``np.dot`` of the row.
 * Kardam (``kardam_step``) and BASGD (``basgd_step``) keep state per
-  trial, and take the client ids (..., K). Row k of every iteration is
-  trial k, and each row is decided as if alone, in (iteration, row)
-  order. A row of a stack is a view that pins the whole stack, so
-  neither keeps one.
-  - Kardam takes the run's ``KardamHistory``: every (trial, client)
-    pair's last update and base as rows of two arrays, and one
-    ``KardamState`` per trial. It gathers, differences and takes norms
+  trial. Row k of every iteration is trial k, and each row is decided as
+  if alone, in (iteration, row) order. A row of a stack is a view that
+  pins the whole stack, so neither keeps one.
+  - Kardam takes the block's iteration range and the run's
+    ``KardamHistory``, built once from the run's T x K client ids: each
+    report's (trial, client) key and where its run of distinct keys
+    starts, every pair's last update and base as rows of two arrays, and
+    one ``KardamState`` per trial. It gathers, differences and takes norms
     for a whole block at once (split only where a trial's client reports
-    twice in it), and leaves to Python only each row's division, median
-    read and record. Its squared norms come from ``np.vecdot``, and its
-    history is written back by fancy assignment, which copies.
-  - BASGD takes one ``BasgdState`` per row, ``states[k]``, decides one
-    row at a time, and copies each row it buffers.
+    twice in it), and leaves to Python only each row's division and one
+    ``KardamState.admits`` call. Its squared norms come from
+    ``np.vecdot``, and its history is written back by fancy assignment,
+    which copies.
+  - BASGD takes the block's client ids (..., K) and one ``BasgdState``
+    per row, ``states[k]``, decides one row at a time, and copies each
+    row it buffers.
 
 The engine binds the configured filter once per run
 (``engine._bind_filter``). Filter parameters are validated once, by
@@ -122,6 +125,13 @@ def zeno_step(updates: np.ndarray, g_s: np.ndarray, server_norms) -> Answer:
     its g_s row, the quotient dot / (client norm * server norm), is > 0. A
     NaN quotient fails that test, so a row with an inf or NaN entry is
     rejected.
+
+    This gate and rescaling is FLTrust's rule (Cao et al., NDSS 2021) for a
+    single update: FLTrust weights each update, rescaled to ||g_s||, by its
+    trust score max(cos, 0) over the sum of the scores, so one update with
+    a positive score is applied whole and one with a zero score not at
+    all. It is not the score test of Zeno++ as published (Xie, Koyejo &
+    Gupta, ICML 2020).
     """
     _check_server_rows(updates, g_s)
     client_norms = np.sqrt(np.vecdot(updates, updates))
@@ -160,6 +170,14 @@ class KardamState:
             insort(self.ordered, coeff)
         self.coefficients[client_id] = coeff
 
+    def admits(self, client_id: int, coeff: float) -> bool:
+        """Whether ``coeff`` is at most the median of the coefficients
+        stored before it (any coefficient is when none is stored), once it
+        is recorded as the client's: a NaN one fails even its own bound."""
+        median = self.median()
+        self.record(client_id, coeff)
+        return coeff <= (coeff if median is None else median)
+
     def median(self) -> Optional[float]:
         """``np.median`` of the stored coefficients, None when there are none."""
         if self.nan_count:
@@ -173,68 +191,53 @@ class KardamState:
 
 
 class KardamHistory:
-    """A run's Kardam state. Each (trial, client) pair has the key
-    trial * C + client. Its last update and base model are that row of
-    ``prev_update`` and ``prev_base``, two (K * C, p) arrays made at the
-    first block, whose p they take, and ``seen[key]`` says whether it has
-    them, so a stored NaN row is still history. ``trials`` holds one
-    ``KardamState`` per trial."""
+    """A run's Kardam state, built from its T x K client ids ``clients``
+    (row t, column k: the client that reports to trial k at iteration t)
+    and its client count C. ``trials`` holds one ``KardamState`` per trial.
 
-    def __init__(self, num_trials: int, num_clients: int):
+    Flat row j = t * K + k is that report, and its (trial, client) pair has
+    the key ``keys[j]`` = k * C + client. The pair's last update and base
+    model are that key's rows of ``prev_update`` and ``prev_base``, two
+    (K * C, p) arrays made at the first block, whose p they take. A pair
+    that has not reported yet holds NaN rows, so the denominator of its
+    first report is NaN, which fails ``denom > 0`` as a zero one does: the
+    report is accepted and gives no coefficient, as one after a stored NaN
+    base does.
+
+    ``run_start[j]`` is the first flat row of the longest run of distinct
+    keys that ends at row j: one past the latest previous report of any
+    key among rows 0, ..., j. A run of rows from a holds distinct keys up
+    to the first row j where ``run_start[j] > a``, and ``run_start`` never
+    decreases, so a block's cut into such runs is one comparison against
+    its first row, and a bisection only where a key repeats in it."""
+
+    def __init__(self, clients, num_clients: int):
+        clients = np.asarray(clients)
         self.num_clients = num_clients
-        self.trials = [KardamState() for _ in range(num_trials)]
-        self.offsets = np.arange(num_trials) * num_clients
-        self.seen = [False] * (num_trials * num_clients)
+        self.trials = [KardamState() for _ in range(clients.shape[1])]
+        self.keys = (np.arange(len(self.trials)) * num_clients + clients).ravel()
+        # the rows by key, in row order within a key (key * rows + row is
+        # distinct, so one plain sort): each but a key's first starts one
+        # row past the row before it, its previous report
+        rows = self.keys.size
+        order = np.sort(self.keys * rows + np.arange(rows)) % rows
+        ranked = self.keys[order]
+        after = order[:-1] + 1
+        after *= ranked[1:] == ranked[:-1]
+        self.run_start = np.zeros_like(self.keys)
+        self.run_start[order[1:]] = after
+        np.maximum.accumulate(self.run_start, out=self.run_start)
         self.prev_update: Optional[np.ndarray] = None
         self.prev_base: Optional[np.ndarray] = None
 
 
-def _distinct_runs(keys: List[int]) -> List[int]:
-    """The ends of the shortest cut of ``keys`` into runs of distinct keys:
-    each run ends before the first key it already holds."""
-    stops, held = [], set()
-    for j, key in enumerate(keys):
-        if key in held:
-            stops.append(j)
-            held.clear()
-        held.add(key)
-    return stops + [len(keys)]
-
-
-def _kardam_rows(history, first, keys, order, updates, bases) -> List[bool]:
-    """Decide the flat rows ``first``, ``first + 1``, ... of a block, whose
-    ``keys`` (and their list ``order``) are distinct, and store each row as
-    its key's history: whether each row is rejected."""
-    # each row's move from its key's last update, then from its last base
-    diffs = np.empty((2,) + updates.shape)
-    np.subtract(updates, history.prev_update.take(keys, axis=0), out=diffs[0])
-    np.subtract(bases, history.prev_base.take(keys, axis=0), out=diffs[1])
-    # squared norms: math.sqrt of one is vecmath.l2norm of its row
-    nums, denoms = np.vecdot(diffs, diffs).tolist()
-    seen, trials, reject = history.seen, history.trials, []
-    for j, key, num, denom in zip(itertools.count(first), order, nums, denoms):
-        if seen[key] and denom > 0.0:
-            coeff = math.sqrt(num) / math.sqrt(denom)
-            k = j % len(trials)
-            state = trials[k]
-            median = state.median()
-            # a NaN coefficient fails even its own bound
-            reject.append(not coeff <= (coeff if median is None else median))
-            state.record(key - k * history.num_clients, coeff)
-        else:
-            reject.append(False)
-        seen[key] = True
-    # fancy assignment copies: no view of the block is kept
-    history.prev_update[keys] = updates
-    history.prev_base[keys] = bases
-    return reject
-
-
-def kardam_step(history: KardamHistory, cids, updates, bases) -> Answer:
+def kardam_step(history: KardamHistory, start: int, stop: int, updates,
+                bases) -> Answer:
     """Empirical-Lipschitz filter against the median coefficient, on the
-    run's ``KardamHistory``. Row k of every iteration is trial k, and the
-    rows are decided as if one at a time in (iteration, row) order; client
-    ids lie in [0, C).
+    run's ``KardamHistory``, for the block of iterations [start, stop):
+    ``updates`` and ``bases`` hold its (stop - start) * K rows, row k of
+    every iteration trial k's, decided as if one at a time in (iteration,
+    row) order.
 
     A client with no usable history (first update, or identical consecutive
     base models) is accepted and recorded: with no cold-start rule everything
@@ -253,21 +256,41 @@ def kardam_step(history: KardamHistory, cids, updates, bases) -> Answer:
     if updates.shape != bases.shape:
         raise ValueError("dimension mismatch")
     p = updates.shape[-1]
-    if history.prev_update is None:
-        history.prev_update = np.zeros((len(history.seen), p))
-        history.prev_base = np.zeros((len(history.seen), p))
-    keys = (history.offsets + cids).ravel()
-    order = keys.tolist()
     rows, row_bases = updates.reshape(-1, p), bases.reshape(-1, p)
-    reject, start = [], 0
-    for stop in _distinct_runs(order):
-        reject += _kardam_rows(history, start, keys[start:stop], order[start:stop],
-                               rows[start:stop], row_bases[start:stop])
-        start = stop
-    rejected = np.array(reject).reshape(updates.shape[:-1])  # REJECT is 1
-    if not any(reject):
+    trials, run_start = history.trials, history.run_start
+    lo, hi = start * len(trials), stop * len(trials)
+    if hi - lo != len(rows):
+        raise ValueError("the stack does not hold the block's rows")
+    if history.prev_update is None:
+        history.prev_update = np.full((len(trials) * history.num_clients, p), np.nan)
+        history.prev_base = history.prev_update.copy()
+    clients, reject = history.num_clients, np.zeros(len(rows), dtype=bool)
+    a = lo
+    while a < hi:
+        # flat rows [a, b) hold distinct keys: the rest of the block
+        # unless a key repeats in it
+        b = hi if run_start[hi - 1] <= a else int(run_start.searchsorted(a, "right"))
+        keys = history.keys[a:b]
+        run, run_bases = rows[a - lo:b - lo], row_bases[a - lo:b - lo]
+        # each row's move from its key's last update, then from its last base
+        diffs = np.empty((2,) + run.shape)
+        np.subtract(run, history.prev_update.take(keys, axis=0), out=diffs[0])
+        np.subtract(run_bases, history.prev_base.take(keys, axis=0), out=diffs[1])
+        # squared norms: math.sqrt of one is vecmath.l2norm of its row
+        nums, denoms = np.vecdot(diffs, diffs).tolist()
+        for j, key, num, denom in zip(itertools.count(a - lo), keys.tolist(), nums, denoms):
+            if denom > 0.0:
+                k, client_id = divmod(key, clients)
+                if not trials[k].admits(client_id, math.sqrt(num) / math.sqrt(denom)):
+                    reject[j] = True
+        # fancy assignment copies: no view of the block is kept
+        history.prev_update[keys] = run
+        history.prev_base[keys] = run_bases
+        a = b
+    rejected = reject.reshape(updates.shape[:-1])  # REJECT is 1
+    if not np.count_nonzero(reject):
         return rejected, updates
-    return rejected, _applied(updates, np.logical_not(rejected))
+    return rejected, np.where(rejected[..., None], 0.0, updates)
 
 
 @dataclass

@@ -37,11 +37,11 @@ reads g_s, no refresh. Each block of L iterations does once, for all rows:
   runs on those rows only, in (iteration, row) order, each with the
   function one trial alone would call (Gaussian noise from that trial's
   own stream);
-* one filter call, ``decide``, over the L x K stack: it returns each
-  update's int decision code and the step S, where S[i, k] is what trial k
-  applies at the block's iteration i, or zeros: theta - learning_rate * 0
-  is theta bit for bit. The codes go into the block's rows of the run's
-  T x K int8 decision array;
+* one filter call, ``decide``, over the L x K stack and the block's
+  iteration range: it returns each update's int decision code and the
+  step S, where S[i, k] is what trial k applies at the block's iteration
+  i, or zeros: theta - learning_rate * 0 is theta bit for bit. The codes
+  go into the block's rows of the run's T x K int8 decision array;
 * the product learning_rate * S; then, per iteration, the step
   theta - (learning_rate * S)[i], written straight into the iteration's
   ring slot, which is then theta;
@@ -74,8 +74,9 @@ so a trial's output does not depend on the seeds run beside it, and K = 1
 is simply one trial.
 
 Bindings, each made once per run: ``_bind_filter`` (the configured
-``defenses`` filter: Kardam's on one ``KardamHistory`` for the run, keyed
-by trial and client, and BASGD's on one state per trial; AsyncSGD applies
+``defenses`` filter, with the run's T x K client ids: Kardam's on one
+``KardamHistory`` for the run, which plans its keys by trial and client
+from them, and BASGD's on one state per trial; AsyncSGD applies
 the stack as sent; and the reference that AFLGuard and Zeno++ prepare
 from g_s at each refresh), ``_bind_attack`` (with the
 adaptive attack's threat scope) and, after the loop, ``_bind_evaluate``,
@@ -439,24 +440,24 @@ def make_threat_knowledge(base_model: np.ndarray, scope: ThreatScope,
             scope.known_examples * mean_grad)
 
 
-def _bind_filter(config: ExperimentConfig, num_trials: int):
-    """The run's filter, as ``(prepare, decide)``. ``prepare(g_s)`` makes
-    the filter's reference from g_s, one row per trial (K, p), once per
-    refresh: AFLGuard's g_s and its radii, Zeno++'s g_s at the client's
+def _bind_filter(config: ExperimentConfig, clients: np.ndarray):
+    """The run's filter, as ``(prepare, decide)``, for the T x K client ids
+    ``clients`` of its schedule, column k trial k's. ``prepare(g_s)``
+    makes the filter's reference from g_s, one row per trial (K, p), once
+    per refresh: AFLGuard's g_s and its radii, Zeno++'s g_s at the client's
     batch scale (``server_update_vector``) and its norms (raising on a zero
     row). It is None for a filter that reads no g_s, whose reference is None.
-    ``decide(cids, updates, bases, reference)`` takes a (..., K, p) stack
-    of wire updates with their client ids (..., K) and base models
-    (..., K, p), whose leading axes are a block's iterations and whose row
-    k is trial k of the run's ``num_trials``, and returns the ``defenses``
-    filter's (codes, step); AsyncSGD returns one code for all and
-    ``updates`` itself as the step. Kardam keeps one history for the
-    run's trials and ``config.clients.num_clients`` clients, and BASGD
-    one state per trial, built here."""
+    ``decide(start, stop, updates, bases, reference)`` takes the block of
+    iterations [start, stop) as a (stop - start, K, p) stack of wire
+    updates and their base models, and returns the ``defenses`` filter's
+    (codes, step); AsyncSGD returns one code for all and ``updates`` itself
+    as the step. Kardam keeps one history for the run, built here from the
+    schedule and ``config.clients.num_clients``, and BASGD one state per
+    trial, each fed its block's client ids."""
     kind, lam = config.defense.kind, config.defense.lam
     if kind == "aflguard":
         return (lambda g_s: (g_s, defenses.aflguard_radius(g_s, lam)),
-                lambda cids, updates, bases, reference: defenses.aflguard_step(
+                lambda start, stop, updates, bases, reference: defenses.aflguard_step(
                     updates, *reference))
     if kind == "zenopp":
         scale = config.schedule.batch_size / config.data.trusted_size
@@ -464,22 +465,22 @@ def _bind_filter(config: ExperimentConfig, num_trials: int):
         def prepare(g_s):
             scaled = scale * g_s
             return scaled, defenses.zeno_norms(scaled)
-        return prepare, lambda cids, updates, bases, reference: defenses.zeno_step(
+        return prepare, lambda start, stop, updates, bases, reference: defenses.zeno_step(
             updates, *reference)
     if kind == "asyncsgd":
-        def decide(cids, updates, bases, reference):
+        def decide(start, stop, updates, bases, reference):
             return ACCEPT, updates
     elif kind == "kardam":
-        kardam = defenses.KardamHistory(num_trials, config.clients.num_clients)
+        kardam = defenses.KardamHistory(clients, config.clients.num_clients)
 
-        def decide(cids, updates, bases, reference):
-            return defenses.kardam_step(kardam, cids, updates, bases)
+        def decide(start, stop, updates, bases, reference):
+            return defenses.kardam_step(kardam, start, stop, updates, bases)
     else:
         basgd = [defenses.BasgdState(config.defense.num_buffers)
-                 for _ in range(num_trials)]
+                 for _ in range(clients.shape[1])]
 
-        def decide(cids, updates, bases, reference):
-            return defenses.basgd_step(basgd, cids, updates)
+        def decide(start, stop, updates, bases, reference):
+            return defenses.basgd_step(basgd, clients[start:stop], updates)
     return None, decide
 
 
@@ -633,7 +634,7 @@ def run_trials(config: ExperimentConfig, prepared: PreparedData,
     flat = ring.reshape(-1, prepared.param_dim)
     index = ((np.arange(sched.iterations)[:, None] - delays) % depth * len(seeds)
              + np.arange(len(seeds)))
-    prepare, decide = _bind_filter(config, len(seeds))
+    prepare, decide = _bind_filter(config, clients)
     bounds = plan_blocks(delays, None if prepare is None
                          else sched.server_refresh_period)
     # the batch buffers of the longest block
@@ -679,8 +680,7 @@ def run_trials(config: ExperimentConfig, prepared: PreparedData,
                         sent[t - start, k] = craft(sent[t - start, k],
                                                    base[t - start, k], draws[k].noise)
 
-            decisions[start:stop], step = decide(
-                clients[start:stop], sent, base, reference)
+            decisions[start:stop], step = decide(start, stop, sent, base, reference)
             step = sched.learning_rate * step
             for i in range(size):
                 # the model is the ring slot it was written to

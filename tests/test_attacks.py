@@ -107,6 +107,15 @@ def test_backdoor_poison_trigger_zeroes():
     assert np.array_equal(replica_feats[:, 1], local.features[:20, 1])
 
 
+def test_backdoor_replica_count_rounds_half_to_even():
+    # at fraction 0.25, 6, 10, 11 and 14 clean rows give 1.5, 2.5, 2.75
+    # and 3.5 replicas. Half to even takes them to 2, 2, 3 and 4; floor
+    # would give 1, 2, 2 and 3, and half up 2, 3, 3 and 4
+    cfg = AttackConfig(kind="backdoor", bd_replication_fraction=0.25)
+    assert [attacks.backdoor_replica_count(n, cfg) for n in (6, 10, 11, 14)] == [
+        2, 2, 3, 4]
+
+
 def test_backdoor_update_scaling():
     u = np.array([1.0, 0.0])
     assert np.array_equal(

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import json
 import os
 import re
@@ -16,6 +17,7 @@ from aflbench.config import (ClientConfig, ConfigError, DataConfig,
                              SeedConfig, TaskConfig, apply_axis,
                              config_to_dict, load_config)
 from aflbench.engine import prepare_data
+from aflbench.metrics import MetricRecord
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -223,6 +225,15 @@ def test_trial_output_does_not_depend_on_the_other_seeds(tmp_path):
         assert config["seeds"]["run_seeds"] == [int(s) for s in seeds.split(",")]
         config["seeds"]["run_seeds"] = [1]
         assert config == json.loads(echo[len("# config: "):])
+
+
+def test_metric_columns_are_record_fields():
+    # the divergence marker replaces these four columns by name, whatever
+    # the order of MetricRecord's fields
+    fields = [f.name for f in dataclasses.fields(MetricRecord)]
+    assert len(set(cli.METRIC_COLUMNS)) == 4
+    for name in cli.METRIC_COLUMNS:
+        assert name in fields, name
 
 
 def test_divergent_run_reports_marker(tmp_path):

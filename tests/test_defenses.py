@@ -101,9 +101,10 @@ def test_stacked_aflguard_is_the_row_rule(seed, rows, dim, scales, special,
             assert defenses.aflguard_accept(u, g, aflguard_radius(g, lam)) == w
 
         cfg = ExperimentConfig(defense=DefenseConfig(kind="aflguard", lam=lam))
-        prepare, decide = engine._bind_filter(cfg, rows)
+        # a two-iteration schedule, client k for row k
+        prepare, decide = engine._bind_filter(cfg, np.tile(np.arange(rows), (2, 1)))
         reference = prepare(server)
-        codes, step = decide(list(range(rows)), client, None, reference)
+        codes, step = decide(0, 1, client, None, reference)
     assert np.asarray(codes).tolist() == [ACCEPT if w else REJECT for w in want]
     # with no row rejected the step is the stack as sent, not a copy
     assert (step is client) == all(want)
@@ -118,7 +119,7 @@ def test_stacked_aflguard_is_the_row_rule(seed, rows, dim, scales, special,
         got = defenses.aflguard_accept(block, server, radius)
         want = [[l2norm(u - g) <= lam * l2norm(g) for u, g in zip(updates, server)]
                 for updates in block]
-        codes, step = decide([list(range(rows))] * 2, block, None, reference)
+        codes, step = decide(0, 2, block, None, reference)
     assert got.shape == (2, rows) and got.tolist() == want
     assert np.asarray(codes).tolist() == [[ACCEPT if w else REJECT for w in ws]
                                           for ws in want]
@@ -128,11 +129,16 @@ def test_stacked_aflguard_is_the_row_rule(seed, rows, dim, scales, special,
         assert row.tobytes() == (u if w else np.zeros(dim)).tobytes()
 
 
-def _kardam(history, cid, update, base):
-    """kardam_step on one (p,) row of a one-trial history: its decision
-    code, once its step is checked to be the update where it accepts and
-    zeros where not."""
-    code, step = defenses.kardam_step(history, cid, update, base)
+def _one_trial(schedule, num_clients):
+    """The history of one trial whose iteration t is client schedule[t]."""
+    return KardamHistory(np.array(schedule, dtype=np.intp).reshape(-1, 1), num_clients)
+
+
+def _kardam(history, t, update, base):
+    """kardam_step on iteration t's one (p,) row of a one-trial history:
+    its decision code, once its step is checked to be the update where it
+    accepts and zeros where not."""
+    code, step = defenses.kardam_step(history, t, t + 1, update, base)
     applied = update if code == ACCEPT else np.zeros(len(update))
     assert step.tobytes() == applied.tobytes()
     return int(code)
@@ -140,32 +146,42 @@ def _kardam(history, cid, update, base):
 
 class TestKardam:
     def test_bootstrap_accepts_first_update(self):
-        history = KardamHistory(1, 5)
+        history = _one_trial(range(5), 5)
         for cid in range(5):
             assert _kardam(history, cid, np.ones(2) * cid, np.zeros(2)) == ACCEPT
 
     def test_zero_denominator_bootstraps(self):
-        history = KardamHistory(1, 5)
+        history = _one_trial([0, 0], 5)
         base = np.array([1.0, 1.0])
         _kardam(history, 0, np.ones(2), base)
-        assert _kardam(history, 0, np.ones(2) * 100, base.copy()) == ACCEPT
+        assert _kardam(history, 1, np.ones(2) * 100, base.copy()) == ACCEPT
         assert 0 not in history.trials[0].coefficients
 
     def test_decision_ignores_client_identity(self):
         # same coefficient multiset and same incoming ratio, permuted ids
         outcomes = []
         for perm in ([0, 1, 2], [2, 0, 1], [1, 2, 0]):
-            history = KardamHistory(1, 3)
             ks = {perm[0]: 0.5, perm[1]: 1.0, perm[2]: 2.0}
-            for cid, k in ks.items():
-                _kardam(history, cid, np.zeros(2), np.zeros(2))
-                _kardam(history, cid, np.array([k, 0.0]), np.array([1.0, 0.0]))
+            # each client twice in turn, then the probe
+            history = _one_trial([cid for cid in ks for _ in range(2)] + [perm[0]], 3)
+            for t, (cid, k) in enumerate(ks.items()):
+                _kardam(history, 2 * t, np.zeros(2), np.zeros(2))
+                _kardam(history, 2 * t + 1, np.array([k, 0.0]), np.array([1.0, 0.0]))
             probe = perm[0]
             incoming = history.prev_update[probe] + np.array([1.2, 0.0])
             base = history.prev_base[probe] + np.array([1.0, 0.0])
-            outcomes.append(_kardam(history, probe, incoming, base))
+            outcomes.append(_kardam(history, 6, incoming, base))
         # ratio 1.2 lies between the median 1.0 and the largest coefficient 2.0
         assert outcomes == [REJECT] * 3
+
+    def test_a_stack_must_hold_the_blocks_rows(self):
+        history = KardamHistory(np.zeros((3, 2), dtype=np.intp), 4)
+        # iterations [0, 2) of two trials are four rows, not two or six
+        for shape in ((1, 2, 3), (3, 2, 3)):
+            with pytest.raises(ValueError):
+                defenses.kardam_step(history, 0, 2, np.ones(shape), np.ones(shape))
+        with pytest.raises(ValueError):
+            defenses.kardam_step(history, 0, 2, np.ones((2, 2, 3)), np.ones((2, 2, 2)))
 
 
 def _same_float(a, b):
@@ -233,12 +249,12 @@ _COORDINATE = st.sampled_from([0.0, 1.0, 2.0, 3.5, -1.0, 1e300, math.inf, math.n
 @example([(0, 0.0, 0.0, 0.0), (0, math.nan, 0.0, 1.0), (1, 0.0, 0.0, 0.0),
           (1, 1.0, 0.0, 1.0)])
 def test_kardam_decisions_match_a_numpy_median_reference(steps):
-    history, reference = KardamHistory(1, 6), _ReferenceKardam()
+    history, reference = _one_trial([step[0] for step in steps], 6), _ReferenceKardam()
     state = history.trials[0]
     with np.errstate(all="ignore"):
-        for cid, u0, u1, b in steps:
+        for t, (cid, u0, u1, b) in enumerate(steps):
             update, base = np.array([u0, u1]), np.array([b, 0.0])
-            got = _kardam(history, cid, update, base)
+            got = _kardam(history, t, update, base)
             assert got == reference.step(cid, update, base)
             assert state.coefficients.keys() == reference.coefficients.keys()
             assert all(_same_float(state.coefficients[c], reference.coefficients[c])
@@ -274,11 +290,16 @@ def test_kardam_blocks_are_the_row_rule_in_iteration_order(run):
     # its rows in (iteration, row) order: codes, step bytes, the stored
     # coefficients and the stored history
     rows, blocks = run
-    history = KardamHistory(rows, 4)
+    # the schedule is the blocks' client ids, and block j is its
+    # iterations [start, stop)
+    history = KardamHistory(np.concatenate([cids for cids, _, _ in blocks]), 4)
     references = [_ReferenceKardam() for _ in range(rows)]
+    start = 0
     with np.errstate(all="ignore"):
         for cids, updates, bases in blocks:
-            codes, step = defenses.kardam_step(history, cids, updates, bases)
+            stop = start + len(cids)
+            codes, step = defenses.kardam_step(history, start, stop, updates, bases)
+            start = stop
             assert np.shape(codes) == cids.shape and step.shape == updates.shape
             for i, k in np.ndindex(cids.shape):
                 want = references[k].step(int(cids[i, k]), updates[i, k], bases[i, k])
@@ -290,13 +311,11 @@ def test_kardam_blocks_are_the_row_rule_in_iteration_order(run):
         assert all(_same_float(state.coefficients[c], reference.coefficients[c])
                    for c in state.coefficients)
         for cid in range(4):
-            key = k * 4 + cid
-            assert history.seen[key] == (cid in reference.prev_update)
-            if history.seen[key]:
-                assert (history.prev_update[key].tobytes()
-                        == reference.prev_update[cid].tobytes())
-                assert (history.prev_base[key].tobytes()
-                        == reference.prev_base[cid].tobytes())
+            # the history of a pair that has not reported is NaN
+            key, nan = k * 4 + cid, np.full(2, math.nan)
+            want = [reference.prev_update.get(cid, nan), reference.prev_base.get(cid, nan)]
+            assert [history.prev_update[key].tobytes(),
+                    history.prev_base[key].tobytes()] == [w.tobytes() for w in want]
 
 
 def _basgd_median(vs):
@@ -381,7 +400,7 @@ class TestZeno:
             zeno_norms(server)
         # and the engine's binding raises it when it prepares g_s
         cfg = ExperimentConfig(defense=DefenseConfig(kind="zenopp"))
-        prepare, _ = engine._bind_filter(cfg, 3)
+        prepare, _ = engine._bind_filter(cfg, np.zeros((1, 3), dtype=np.intp))
         with pytest.raises(ValueError, match="zero server update"):
             prepare(server)
 
@@ -458,11 +477,12 @@ def test_stacked_zeno_is_the_row_rule(seed, iterations, rows, dim, client_scales
         target[rng.integers(rows), rng.integers(dim)] = special
     cfg = ExperimentConfig(defense=DefenseConfig(kind="zenopp"))
     scale = cfg.schedule.batch_size / cfg.data.trusted_size
-    prepare, decide = engine._bind_filter(cfg, rows)
+    prepare, decide = engine._bind_filter(
+        cfg, np.tile(np.arange(rows), (iterations, 1)))
     with np.errstate(all="ignore"):
         for g_s, answer in ((server, defenses.zeno_step(client, server, zeno_norms(server))),
-                            (scale * server, decide([list(range(rows))] * iterations,
-                                                    client, None, prepare(server)))):
+                            (scale * server, decide(0, iterations, client, None,
+                                                    prepare(server)))):
             want = [_reference_zeno(u, g) for updates in client
                     for u, g in zip(updates, g_s)]
             codes, step = answer

@@ -180,16 +180,16 @@ def test_lockstep_rows_keep_their_own_server_update(monkeypatch):
     seen, plans = [], []
     real = engine._bind_filter
 
-    def bind(config, num_trials):
-        prepare, decide = real(config, num_trials)
+    def bind(config, clients):
+        prepare, decide = real(config, clients)
         log = []
         seen.append(log)
 
-        def recording(cids, updates, bases, g_s):
+        def recording(start, stop, updates, bases, g_s):
             # one entry per iteration of the block; the reference is g_s
             # itself, by the identity given for AsyncSGD below
-            log.extend([[hash(g.tobytes()) for g in g_s]] * len(cids))
-            return decide(cids, updates, bases, g_s)
+            log.extend([[hash(g.tobytes()) for g in g_s]] * (stop - start))
+            return decide(start, stop, updates, bases, g_s)
         # AsyncSGD reads no g_s, so an identity reference makes the engine
         # refresh g_s for the rows this test watches
         return prepare or (lambda g_s: g_s), recording
@@ -225,20 +225,20 @@ def test_stateful_filters_keep_each_trials_state_across_a_drop(defense):
     # binding would
     cfg = ExperimentConfig(defense=DefenseConfig(kind=defense, num_buffers=3))
     rng = np.random.default_rng(7)
-    _, together = engine._bind_filter(cfg, 3)
-    alone = [engine._bind_filter(cfg, 1)[1] for _ in range(3)]
+    clients = rng.integers(4, size=(60, 3))
+    _, together = engine._bind_filter(cfg, clients)
+    alone = [engine._bind_filter(cfg, clients[:, k:k + 1])[1] for k in range(3)]
     decisions = collections.Counter()
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(60):
-            cids = rng.integers(4, size=3).tolist()
-            updates = rng.normal(size=(3, 5)) * rng.uniform(0.5, 2.0)
-            bases = rng.normal(size=(3, 5))
+            updates = rng.normal(size=(1, 3, 5)) * rng.uniform(0.5, 2.0)
+            bases = rng.normal(size=(1, 3, 5))
             if t >= 30:
-                updates[1] = np.inf
-            codes, step = together(cids, updates.copy(), bases.copy(), None)
+                updates[0, 1] = np.inf
+            [codes], [step] = together(t, t + 1, updates.copy(), bases.copy(), None)
             for k in range(3):
-                [code], [row] = alone[k]([cids[k]], updates[k:k + 1].copy(),
-                                         bases[k:k + 1].copy(), None)
+                [[code]], [[row]] = alone[k](t, t + 1, updates[:, k:k + 1].copy(),
+                                             bases[:, k:k + 1].copy(), None)
                 assert codes[k] == code, (t, k)
                 assert step[k].tobytes() == row.tobytes(), (t, k)
                 decisions[code] += 1
@@ -450,20 +450,24 @@ def test_record_counts_equal_an_independent_decision_log(monkeypatch, cfg, seeds
                                            ("basgd", "basgd_step")])
 def test_stateful_filters_keep_copies_of_block_rows(defense, step):
     # a kept row view would pin the whole block stack
-    if defense == "kardam":
-        states = defenses.KardamHistory(2, 4)
-    else:
-        states = [defenses.BasgdState(3) for _ in range(2)]
+    cids = np.array([[0, 1], [2, 3]])
     rng = np.random.default_rng(3)
     updates, bases = rng.normal(size=(2, 2, 2, 5))
     stacks = (updates, bases) if defense == "kardam" else (updates,)
-    codes, out = getattr(defenses, step)(states, [[0, 1], [2, 3]], *stacks)
+    if defense == "kardam":
+        # the block is iterations [0, 2) of the schedule cids
+        states, block = defenses.KardamHistory(cids, 4), (0, 2)
+    else:
+        states, block = [defenses.BasgdState(3) for _ in range(2)], (cids,)
+    codes, out = getattr(defenses, step)(states, *block, *stacks)
     assert np.asarray(codes).shape == (2, 2) and out.shape == updates.shape
     if defense == "kardam":
         # the history rows of the block's (trial, client) keys, trial * 4 +
-        # client, in (iteration, row) order
+        # client, in (iteration, row) order; the pairs that never reported
+        # hold NaN
         keys = [0, 5, 2, 7]
-        assert [key for key, seen in enumerate(states.seen) if seen] == sorted(keys)
+        reported = [key for key in range(8) if not np.isnan(states.prev_base[key]).all()]
+        assert reported == sorted(keys)
         kept = [history[key] for history in (states.prev_update, states.prev_base)
                 for key in keys]
         assert [row.tobytes() for row in kept] == [
@@ -475,6 +479,51 @@ def test_stateful_filters_keep_copies_of_block_rows(defense, step):
         assert all(row.base is None for row in kept)
     assert len(kept) == (8 if defense == "kardam" else 4)
     assert not any(np.shares_memory(row, stack) for row in kept for stack in stacks)
+
+
+def test_server_update_sums_every_trusted_row():
+    # g_s is the sum of the squared loss's per-example gradients
+    # (<u, theta> - y) u over all trusted_size rows, for each model row
+    cfg = base_config()
+    prepared = prepare_data(cfg)
+    trusted = prepared.trusted
+    assert len(trusted) == cfg.data.trusted_size
+    thetas = np.random.default_rng(5).normal(size=(3, prepared.param_dim))
+    want = [sum((u @ theta - y) * u for u, y in zip(trusted.features, trusted.labels))
+            for theta in thetas]
+    got = engine.server_update_vector(thetas, trusted)
+    assert np.allclose(got, want, rtol=1e-12, atol=1e-9)
+
+
+def test_gaussian_rows_are_their_trials_noise_draws(monkeypatch):
+    # each update a malicious client sends under the Gaussian attack is
+    # gaussian_update(p, gauss_sigma, noise), byte for byte, where noise is
+    # the trial's third stream of SeedSequence(seed), drawn in iteration
+    # order; the filter's log of its stacks holds every sent row
+    assert AttackConfig().gauss_sigma == 200.0
+    sent = []
+    real = defenses.aflguard_step
+
+    def logged(updates, *reference):
+        sent.append(updates.copy())
+        return real(updates, *reference)
+    monkeypatch.setattr(defenses, "aflguard_step", logged)
+    cfg = small_config(attack="gaussian", iterations=60)
+    prepared = prepare_data(cfg)
+    seeds = (1, 2)
+    run_trials(cfg, prepared, seeds)
+    sent = np.concatenate(sent)
+    assert sent.shape == (60, len(seeds), prepared.param_dim)
+    malicious = cfg.clients.malicious_ids()
+    for k, seed in enumerate(seeds):
+        noise = np.random.default_rng(np.random.SeedSequence(seed).spawn(3)[2])
+        attacked = np.flatnonzero(np.isin(draw_trial(cfg, prepared, seed).clients,
+                                          malicious))
+        assert len(attacked) > 5, seed
+        for t in attacked:
+            want = attacks.gaussian_update(prepared.param_dim, cfg.attack.gauss_sigma,
+                                           noise)
+            assert sent[t, k].tobytes() == want.tobytes(), (seed, t)
 
 
 def test_rejection_never_changes_model():
