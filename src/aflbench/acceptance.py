@@ -78,18 +78,17 @@ def classification_config(defense: str = "aflguard", attack: str = "none",
 
 
 class ScenarioRunner:
-    """Runs trials for configs, memoizing on the (frozen, hashable) config."""
+    """Runs trials for configs, memoizing on the (frozen, hashable) config,
+    and prints a ``running:`` line for each config it runs."""
 
-    def __init__(self, verbose: bool = False):
+    def __init__(self):
         self._results: Dict[ExperimentConfig, List[TrialResult]] = {}
-        self.verbose = verbose
 
     def results(self, config: ExperimentConfig) -> List[TrialResult]:
         if config not in self._results:
-            if self.verbose:
-                print(f"  running: task={config.task.kind} defense={config.defense.kind} "
-                      f"attack={config.attack.kind} lam={config.defense.lam} "
-                      f"mal={config.clients.malicious_fraction}", flush=True)
+            print(f"  running: task={config.task.kind} defense={config.defense.kind} "
+                  f"attack={config.attack.kind} lam={config.defense.lam} "
+                  f"mal={config.clients.malicious_fraction}", flush=True)
             prepared = prepare_data(config)
             self._results[config] = run_trials(config, prepared,
                                                config.seeds.run_seeds)
@@ -289,7 +288,7 @@ def _decision(answer) -> Tuple[int, np.ndarray]:
 
 def _check_kardam_examples() -> None:
     # one trial's schedule: each client twice in turn, then clients 0 and 1
-    history = defenses.KardamHistory(np.c_[[0, 1, 2, 0, 1, 2, 0, 1]], 3)
+    history = defenses.KardamHistory(np.c_[[0, 1, 2, 0, 1, 2, 0, 1]], 3, 2)
     iterations = itertools.count()
 
     def decide(cid, update, base):
@@ -564,7 +563,7 @@ CRITERIA = (criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,
 
 
 def run_all() -> List[CriterionResult]:
-    runner = ScenarioRunner(verbose=True)
+    runner = ScenarioRunner()
     results = []
     for criterion in CRITERIA:
         result = criterion(runner)

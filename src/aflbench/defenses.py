@@ -23,13 +23,13 @@ whatever that row held. A stack may also be one (p,) row.
   if alone, in (iteration, row) order. A row of a stack is a view that
   pins the whole stack, so neither keeps one.
   - Kardam takes the block's iteration range and the run's
-    ``KardamHistory``, built once from the run's T x K client ids: each
-    report's (trial, client) key and where its run of distinct keys
-    starts, every pair's last update and base as rows of two arrays, and
-    one ``KardamState`` per trial. It gathers, differences and takes norms
-    for a whole block at once (split only where a trial's client reports
-    twice in it), and leaves to Python only each row's division and one
-    ``KardamState.admits`` call. Its squared norms come from
+    ``KardamHistory``, built once from the run's T x K client ids and the
+    model length p: each report's (trial, client) key and where its run
+    of distinct keys starts, every pair's last update and base as rows of
+    two (K * C, p) arrays, and one ``KardamState`` per trial. It gathers,
+    differences and takes norms for a whole block at once (split only
+    where a trial's client reports twice in it), and leaves to Python only
+    each row's division and one ``KardamState.admits`` call. Its squared norms come from
     ``np.vecdot``, and its history is written back by fancy assignment,
     which copies.
   - BASGD takes the block's client ids (..., K) and one ``BasgdState``
@@ -192,17 +192,17 @@ class KardamState:
 
 class KardamHistory:
     """A run's Kardam state, built from its T x K client ids ``clients``
-    (row t, column k: the client that reports to trial k at iteration t)
-    and its client count C. ``trials`` holds one ``KardamState`` per trial.
+    (row t, column k: the client that reports to trial k at iteration t),
+    its client count C and its model length p. ``trials`` holds one
+    ``KardamState`` per trial.
 
     Flat row j = t * K + k is that report, and its (trial, client) pair has
     the key ``keys[j]`` = k * C + client. The pair's last update and base
     model are that key's rows of ``prev_update`` and ``prev_base``, two
-    (K * C, p) arrays made at the first block, whose p they take. A pair
-    that has not reported yet holds NaN rows, so the denominator of its
-    first report is NaN, which fails ``denom > 0`` as a zero one does: the
-    report is accepted and gives no coefficient, as one after a stored NaN
-    base does.
+    (K * C, p) arrays made here, all NaN. A pair that has not reported yet
+    holds NaN rows, so the denominator of its first report is NaN, which
+    fails ``denom > 0`` as a zero one does: the report is accepted and
+    gives no coefficient, as one after a stored NaN base does.
 
     ``run_start[j]`` is the first flat row of the longest run of distinct
     keys that ends at row j: one past the latest previous report of any
@@ -211,10 +211,12 @@ class KardamHistory:
     decreases, so a block's cut into such runs is one comparison against
     its first row, and a bisection only where a key repeats in it."""
 
-    def __init__(self, clients, num_clients: int):
+    def __init__(self, clients, num_clients: int, param_dim: int):
         clients = np.asarray(clients)
         self.num_clients = num_clients
         self.trials = [KardamState() for _ in range(clients.shape[1])]
+        self.prev_update = np.full((len(self.trials) * num_clients, param_dim), np.nan)
+        self.prev_base = self.prev_update.copy()
         self.keys = (np.arange(len(self.trials)) * num_clients + clients).ravel()
         # the rows by key, in row order within a key (key * rows + row is
         # distinct, so one plain sort): each but a key's first starts one
@@ -227,8 +229,6 @@ class KardamHistory:
         self.run_start = np.zeros_like(self.keys)
         self.run_start[order[1:]] = after
         np.maximum.accumulate(self.run_start, out=self.run_start)
-        self.prev_update: Optional[np.ndarray] = None
-        self.prev_base: Optional[np.ndarray] = None
 
 
 def kardam_step(history: KardamHistory, start: int, stop: int, updates,
@@ -250,8 +250,7 @@ def kardam_step(history: KardamHistory, start: int, stop: int, updates,
     gather and one difference per history array, and one ``np.vecdot``
     pass of squared norms, whose ``math.sqrt`` is ``vecmath.l2norm`` of
     the row bit for bit. The coefficients are divided and compared as
-    Python floats, row by row. The step is ``updates`` itself when no row
-    is rejected.
+    Python floats, row by row.
     """
     if updates.shape != bases.shape:
         raise ValueError("dimension mismatch")
@@ -261,9 +260,6 @@ def kardam_step(history: KardamHistory, start: int, stop: int, updates,
     lo, hi = start * len(trials), stop * len(trials)
     if hi - lo != len(rows):
         raise ValueError("the stack does not hold the block's rows")
-    if history.prev_update is None:
-        history.prev_update = np.full((len(trials) * history.num_clients, p), np.nan)
-        history.prev_base = history.prev_update.copy()
     clients, reject = history.num_clients, np.zeros(len(rows), dtype=bool)
     a = lo
     while a < hi:
@@ -288,8 +284,6 @@ def kardam_step(history: KardamHistory, start: int, stop: int, updates,
         history.prev_base[keys] = run_bases
         a = b
     rejected = reject.reshape(updates.shape[:-1])  # REJECT is 1
-    if not np.count_nonzero(reject):
-        return rejected, updates
     return rejected, np.where(rejected[..., None], 0.0, updates)
 
 

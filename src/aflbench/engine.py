@@ -21,10 +21,10 @@ reads g_s, no refresh. Each block of L iterations does once, for all rows:
   ``server_update_vector`` call for all rows on the shared trusted set,
   and the filter's reference prepared from it (Bindings below);
 * the base models: one gather, as a copy, of the L x K bases from a
-  (max_client_delay + 1) x K x p ring of recent models, by a slot plan
-  drawn before the loop (iteration s writes the model after s steps to
-  slot s mod (max_client_delay + 1), so a base model from ``delay``
-  iterations ago sits in slot (t - delay) mod (max_client_delay + 1));
+  D x K x p ring of recent models, D the run's largest drawn delay plus
+  one, by a slot plan drawn before the loop (iteration s writes the model
+  after s steps to slot s mod D, so a base model from ``delay``
+  iterations ago sits in slot (t - delay) mod D);
 * the client batches: one ``take`` of the features and one of the labels
   from the store (Data layout below) into an L x K x B x d and an
   L x K x B buffer, by a T x K x B plan of store rows built before the
@@ -48,7 +48,7 @@ reads g_s, no refresh. Each block of L iterations does once, for all rows:
 * the finiteness check, on the last model only: a non-finite entry stays
   non-finite under subtraction. When it fires, each newly diverged row's
   first non-finite model is read back from the ring slots the block
-  wrote, which are distinct, as L <= max_client_delay + 1.
+  wrote, which are distinct, as L <= D.
 
 At the metric cadence, which always ends a block, one record step for all
 rows: a copy of the models of the rows that have not diverged, kept with
@@ -74,9 +74,10 @@ so a trial's output does not depend on the seeds run beside it, and K = 1
 is simply one trial.
 
 Bindings, each made once per run: ``_bind_filter`` (the configured
-``defenses`` filter, with the run's T x K client ids: Kardam's on one
-``KardamHistory`` for the run, which plans its keys by trial and client
-from them, and BASGD's on one state per trial; AsyncSGD applies
+``defenses`` filter, with the run's T x K client ids and the model length
+p: Kardam's on one ``KardamHistory`` for the run, which plans its keys by
+trial and client from them and makes its p-wide history rows when it is
+built, and BASGD's on one state per trial; AsyncSGD applies
 the stack as sent; and the reference that AFLGuard and Zeno++ prepare
 from g_s at each refresh), ``_bind_attack`` (with the
 adaptive attack's threat scope) and, after the loop, ``_bind_evaluate``,
@@ -91,15 +92,17 @@ The bound functions look up the ``defenses``, ``tasks``, ``attacks`` and
 one sees every call.
 
 Randomness: a trial's seed feeds ``np.random.SeedSequence(seed)``, which
-spawns three independent streams, one per purpose (``draw_trial``):
+spawns three independent streams, one per purpose. ``draw_run`` spawns
+them for every seed of the run and draws into column k of the run's
+arrays for trial k:
 
 * schedule: all T client ids in one call, then all T delays in one call,
   before the first iteration;
 * batches: the T x batch_size minibatch plan (``data.minibatch``), one row
   of indices into the scheduled client's set per iteration, drawn at the
   set's real size (a poisoned set counts with its added rows), also
-  before the first iteration. ``run_trials`` draws each trial's plan into
-  its column of the T x K x B plan and adds the set's start in the store,
+  before the first iteration, straight into the trial's column of the
+  T x K x B plan, to which the set's start in the store is then added,
   so no per-trial plan is held beside it;
 * attack noise: the Gaussian attack's update, drawn in the loop, only on
   the iterations a malicious client reports.
@@ -440,9 +443,10 @@ def make_threat_knowledge(base_model: np.ndarray, scope: ThreatScope,
             scope.known_examples * mean_grad)
 
 
-def _bind_filter(config: ExperimentConfig, clients: np.ndarray):
+def _bind_filter(config: ExperimentConfig, clients: np.ndarray, param_dim: int):
     """The run's filter, as ``(prepare, decide)``, for the T x K client ids
-    ``clients`` of its schedule, column k trial k's. ``prepare(g_s)``
+    ``clients`` of its schedule, column k trial k's, and models of length
+    ``param_dim``. ``prepare(g_s)``
     makes the filter's reference from g_s, one row per trial (K, p), once
     per refresh: AFLGuard's g_s and its radii, Zeno++'s g_s at the client's
     batch scale (``server_update_vector``) and its norms (raising on a zero
@@ -452,8 +456,8 @@ def _bind_filter(config: ExperimentConfig, clients: np.ndarray):
     updates and their base models, and returns the ``defenses`` filter's
     (codes, step); AsyncSGD returns one code for all and ``updates`` itself
     as the step. Kardam keeps one history for the run, built here from the
-    schedule and ``config.clients.num_clients``, and BASGD one state per
-    trial, each fed its block's client ids."""
+    schedule, ``config.clients.num_clients`` and ``param_dim``, and BASGD
+    one state per trial, each fed its block's client ids."""
     kind, lam = config.defense.kind, config.defense.lam
     if kind == "aflguard":
         return (lambda g_s: (g_s, defenses.aflguard_radius(g_s, lam)),
@@ -471,7 +475,8 @@ def _bind_filter(config: ExperimentConfig, clients: np.ndarray):
         def decide(start, stop, updates, bases, reference):
             return ACCEPT, updates
     elif kind == "kardam":
-        kardam = defenses.KardamHistory(clients, config.clients.num_clients)
+        kardam = defenses.KardamHistory(clients, config.clients.num_clients,
+                                        param_dim)
 
         def decide(start, stop, updates, bases, reference):
             return defenses.kardam_step(kardam, start, stop, updates, bases)
@@ -565,33 +570,31 @@ def _bind_evaluate(prepared: PreparedData, config: ExperimentConfig):
     return evaluate
 
 
-@dataclass(frozen=True)
-class TrialDraws:
-    """A trial's randomness (module docstring): iteration t takes client
-    ``clients[t]`` at staleness ``delays[t]`` and the rows ``batches[t]``
-    of its set; ``noise`` is the attack-noise stream."""
-
-    clients: np.ndarray
-    delays: np.ndarray
-    batches: np.ndarray
-    noise: np.random.Generator
-
-
-def draw_trial(config: ExperimentConfig, prepared: PreparedData, seed: int,
-               out: Optional[np.ndarray] = None) -> TrialDraws:
-    """Spawn the trial's three streams and draw its schedule and its
-    minibatch plan, into ``out`` when given."""
+def draw_run(config: ExperimentConfig, prepared: PreparedData,
+             seeds: Sequence[int]
+             ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, List[np.random.Generator]]:
+    """The run's randomness (module docstring), trial k in column k:
+    iteration t of trial k takes client ``clients[t, k]`` at staleness
+    ``delays[t, k]`` and the store rows ``plan[t, k]``; returns the T x K
+    ``clients`` and ``delays``, the T x K x B ``plan`` and the K
+    attack-noise streams."""
     sched = config.schedule
-    schedule, batches, noise = (np.random.default_rng(child) for child in
-                                np.random.SeedSequence(seed).spawn(3))
     t = np.arange(sched.iterations)
-    clients = schedule.integers(config.clients.num_clients, size=len(t))
-    delays = schedule.integers(0, np.minimum(sched.max_client_delay, t) + 1)
-    sizes = np.array([rows.stop - rows.start for rows in prepared.client_rows])
-    return TrialDraws(clients=clients, delays=delays,
-                      batches=minibatch(sizes[clients], sched.batch_size,
-                                        batches, out),
-                      noise=noise)
+    clients = np.empty((len(t), len(seeds)), dtype=np.int64)
+    delays = np.empty_like(clients)
+    plan = np.empty((len(t), len(seeds), sched.batch_size), dtype=np.intp)
+    starts, stops = np.array([(rows.start, rows.stop) for rows in prepared.client_rows]).T
+    noise = []
+    for k, seed in enumerate(seeds):
+        schedule, batches, stream = (np.random.default_rng(child) for child in
+                                     np.random.SeedSequence(seed).spawn(3))
+        clients[:, k] = schedule.integers(config.clients.num_clients, size=len(t))
+        delays[:, k] = schedule.integers(0, np.minimum(sched.max_client_delay, t) + 1)
+        # as rows of the client's set, then moved to the set's place
+        minibatch((stops - starts)[clients[:, k]], sched.batch_size, batches, plan[:, k])
+        noise.append(stream)
+    plan += starts[clients, None]
+    return clients, delays, plan, noise
 
 
 def plan_blocks(delays: np.ndarray, refresh_period: Optional[int]) -> np.ndarray:
@@ -601,8 +604,7 @@ def plan_blocks(delays: np.ndarray, refresh_period: Optional[int]) -> np.ndarray
     if every row's base model, the model after s - delay steps, exists at t
     (s - delay <= t), and s is neither the first after a record nor a
     multiple of ``refresh_period``, which is None under a filter that reads
-    no g_s. As delay <= max_client_delay, a block holds at most
-    max_client_delay + 1 iterations."""
+    no g_s. So a block holds at most the largest delay + 1 iterations."""
     iterations = len(delays)
     latest = (np.arange(iterations) - delays.min(axis=1)).tolist()
     starts = [0]
@@ -618,23 +620,15 @@ def run_trials(config: ExperimentConfig, prepared: PreparedData,
     """Execute one seeded trial per seed, all in lockstep (module
     docstring); each is fully deterministic given (config, its seed)."""
     sched, store = config.schedule, prepared.store
-    # iteration by row: the store rows of the batches, the client ids and
-    # the ring rows of the bases. Each trial's plan is drawn into its
-    # column as rows of its client's set, then moved to the set's place.
-    plan = np.empty((sched.iterations, len(seeds), sched.batch_size), dtype=np.intp)
-    draws = [draw_trial(config, prepared, seed, plan[:, k])
-             for k, seed in enumerate(seeds)]
-    clients = np.stack([d.clients for d in draws], axis=1)
-    plan += np.array([rows.start for rows in prepared.client_rows])[clients, None]
-    depth = sched.max_client_delay + 1
-    delays = np.stack([d.delays for d in draws], axis=1)
+    clients, delays, plan, noise = draw_run(config, prepared, seeds)
     # slot s % depth holds the model after s steps, and base model [t, k]
     # is row index[t, k] of its flat view
+    depth = int(delays.max()) + 1
     ring = np.zeros((depth, len(seeds), prepared.param_dim))
     flat = ring.reshape(-1, prepared.param_dim)
     index = ((np.arange(sched.iterations)[:, None] - delays) % depth * len(seeds)
              + np.arange(len(seeds)))
-    prepare, decide = _bind_filter(config, clients)
+    prepare, decide = _bind_filter(config, clients, prepared.param_dim)
     bounds = plan_blocks(delays, None if prepare is None
                          else sched.server_refresh_period)
     # the batch buffers of the longest block
@@ -678,7 +672,7 @@ def run_trials(config: ExperimentConfig, prepared: PreparedData,
                 for t in range(start, stop):
                     for k in attacked.get(t, ()):
                         sent[t - start, k] = craft(sent[t - start, k],
-                                                   base[t - start, k], draws[k].noise)
+                                                   base[t - start, k], noise[k])
 
             decisions[start:stop], step = decide(start, stop, sent, base, reference)
             step = sched.learning_rate * step
@@ -713,9 +707,9 @@ def run_trials(config: ExperimentConfig, prepared: PreparedData,
         # iterations
         counts = np.cumsum(decisions[:, :, None] == np.array([ACCEPT, REJECT, BUFFERED]),
                            axis=0, dtype=np.int32)
-        # the scoring sets take the place of the batch plan, which the draws
-        # view, and of the batch buffers
-        del plan, draws, features, labels
+        # the scoring sets take the place of the batch plan and of the
+        # batch buffers
+        del plan, features, labels
         evaluate = _bind_evaluate(prepared, config)
         records = [[] for _ in seeds]
         for rows, models, iteration, divergence in pending:

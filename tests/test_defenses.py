@@ -102,7 +102,7 @@ def test_stacked_aflguard_is_the_row_rule(seed, rows, dim, scales, special,
 
         cfg = ExperimentConfig(defense=DefenseConfig(kind="aflguard", lam=lam))
         # a two-iteration schedule, client k for row k
-        prepare, decide = engine._bind_filter(cfg, np.tile(np.arange(rows), (2, 1)))
+        prepare, decide = engine._bind_filter(cfg, np.tile(np.arange(rows), (2, 1)), dim)
         reference = prepare(server)
         codes, step = decide(0, 1, client, None, reference)
     assert np.asarray(codes).tolist() == [ACCEPT if w else REJECT for w in want]
@@ -130,8 +130,9 @@ def test_stacked_aflguard_is_the_row_rule(seed, rows, dim, scales, special,
 
 
 def _one_trial(schedule, num_clients):
-    """The history of one trial whose iteration t is client schedule[t]."""
-    return KardamHistory(np.array(schedule, dtype=np.intp).reshape(-1, 1), num_clients)
+    """The history of one trial whose iteration t is client schedule[t],
+    for models of length 2."""
+    return KardamHistory(np.array(schedule, dtype=np.intp).reshape(-1, 1), num_clients, 2)
 
 
 def _kardam(history, t, update, base):
@@ -175,7 +176,7 @@ class TestKardam:
         assert outcomes == [REJECT] * 3
 
     def test_a_stack_must_hold_the_blocks_rows(self):
-        history = KardamHistory(np.zeros((3, 2), dtype=np.intp), 4)
+        history = KardamHistory(np.zeros((3, 2), dtype=np.intp), 4, 3)
         # iterations [0, 2) of two trials are four rows, not two or six
         for shape in ((1, 2, 3), (3, 2, 3)):
             with pytest.raises(ValueError):
@@ -292,7 +293,7 @@ def test_kardam_blocks_are_the_row_rule_in_iteration_order(run):
     rows, blocks = run
     # the schedule is the blocks' client ids, and block j is its
     # iterations [start, stop)
-    history = KardamHistory(np.concatenate([cids for cids, _, _ in blocks]), 4)
+    history = KardamHistory(np.concatenate([cids for cids, _, _ in blocks]), 4, 2)
     references = [_ReferenceKardam() for _ in range(rows)]
     start = 0
     with np.errstate(all="ignore"):
@@ -400,7 +401,7 @@ class TestZeno:
             zeno_norms(server)
         # and the engine's binding raises it when it prepares g_s
         cfg = ExperimentConfig(defense=DefenseConfig(kind="zenopp"))
-        prepare, _ = engine._bind_filter(cfg, np.zeros((1, 3), dtype=np.intp))
+        prepare, _ = engine._bind_filter(cfg, np.zeros((1, 3), dtype=np.intp), 2)
         with pytest.raises(ValueError, match="zero server update"):
             prepare(server)
 
@@ -478,7 +479,7 @@ def test_stacked_zeno_is_the_row_rule(seed, iterations, rows, dim, client_scales
     cfg = ExperimentConfig(defense=DefenseConfig(kind="zenopp"))
     scale = cfg.schedule.batch_size / cfg.data.trusted_size
     prepare, decide = engine._bind_filter(
-        cfg, np.tile(np.arange(rows), (iterations, 1)))
+        cfg, np.tile(np.arange(rows), (iterations, 1)), dim)
     with np.errstate(all="ignore"):
         for g_s, answer in ((server, defenses.zeno_step(client, server, zeno_norms(server))),
                             (scale * server, decide(0, iterations, client, None,

@@ -23,7 +23,7 @@ from aflbench.config import (ClientConfig, DataConfig, DefenseConfig,
 from aflbench.data import (GEN_BLOCK_ROWS, Dataset, minibatch, partition,
                            sample_trusted, save_csv, split_train_test)
 from aflbench.defenses import ACCEPT, BUFFERED, REJECT
-from aflbench.engine import (draw_trial, make_dataset, make_threat_knowledge,
+from aflbench.engine import (draw_run, make_dataset, make_threat_knowledge,
                              prepare_data, run_trials, threat_scope)
 from aflbench.metrics import MetricRecord
 from aflbench.vecmath import l2norm
@@ -116,15 +116,20 @@ def test_cells_differing_in_attack_or_defense_share_their_draws():
     cells += [small_config(defense=d) for d in ("asyncsgd", "kardam", "basgd",
                                                 "zenopp")]
     prepared = prepare_data(cells[0])
-    first = draw_trial(cells[0], prepared, 4)
-    assert first.batches.shape == (cells[0].schedule.iterations,
-                                   cells[0].schedule.batch_size)
+    first = draw_run(cells[0], prepared, (4,))[:3]
+    iterations, batch = cells[0].schedule.iterations, cells[0].schedule.batch_size
+    assert [a.shape for a in first] == [(iterations, 1), (iterations, 1),
+                                        (iterations, 1, batch)]
     for cfg in cells[1:]:
-        draws = draw_trial(cfg, prepare_data(cfg), 4)
-        for name in ("clients", "delays", "batches"):
-            assert np.array_equal(getattr(draws, name), getattr(first, name)), name
-    other = draw_trial(cells[0], prepared, 5)
-    assert not np.array_equal(other.clients, first.clients)
+        draws = draw_run(cfg, prepare_data(cfg), (4,))[:3]
+        for name, got, want in zip(("clients", "delays", "plan"), draws, first):
+            assert np.array_equal(got, want), name
+    # a trial's column of a run's draws is that trial's draws alone
+    other = draw_run(cells[0], prepared, (5,))[:3]
+    both = draw_run(cells[0], prepared, (4, 5))[:3]
+    for got, alone in zip(both, zip(first, other)):
+        assert np.array_equal(got, np.concatenate(alone, axis=1))
+    assert not np.array_equal(other[0], first[0])
 
 
 def _assert_lockstep_equals_alone(cfg, seeds):
@@ -180,8 +185,8 @@ def test_lockstep_rows_keep_their_own_server_update(monkeypatch):
     seen, plans = [], []
     real = engine._bind_filter
 
-    def bind(config, clients):
-        prepare, decide = real(config, clients)
+    def bind(config, clients, param_dim):
+        prepare, decide = real(config, clients, param_dim)
         log = []
         seen.append(log)
 
@@ -226,8 +231,8 @@ def test_stateful_filters_keep_each_trials_state_across_a_drop(defense):
     cfg = ExperimentConfig(defense=DefenseConfig(kind=defense, num_buffers=3))
     rng = np.random.default_rng(7)
     clients = rng.integers(4, size=(60, 3))
-    _, together = engine._bind_filter(cfg, clients)
-    alone = [engine._bind_filter(cfg, clients[:, k:k + 1])[1] for k in range(3)]
+    _, together = engine._bind_filter(cfg, clients, 5)
+    alone = [engine._bind_filter(cfg, clients[:, k:k + 1], 5)[1] for k in range(3)]
     decisions = collections.Counter()
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(60):
@@ -276,7 +281,7 @@ def _assert_plan_invariants(bounds, delays, refresh_period):
        refresh_period=st.none() | st.integers(1, 70),
        seed=st.integers(0, 2**16))
 def test_block_plan_invariants(iterations, rows, max_delay, refresh_period, seed):
-    # delays as draw_trial draws them: uniform on [0, min(max_delay, t)]
+    # delays as draw_run draws them: uniform on [0, min(max_delay, t)]
     t = np.arange(iterations)[:, None]
     delays = np.random.default_rng(seed).integers(
         0, np.minimum(max_delay, t) + 1, size=(iterations, rows))
@@ -288,8 +293,7 @@ def test_block_plan_invariants(iterations, rows, max_delay, refresh_period, seed
 def test_block_plan_of_the_shipped_schedule():
     cfg = base_config()
     prepared = prepare_data(cfg)
-    delays = np.stack([draw_trial(cfg, prepared, seed).delays for seed in (1, 2, 3)],
-                      axis=1)
+    _, delays, _, _ = draw_run(cfg, prepared, (1, 2, 3))
     period = cfg.schedule.server_refresh_period
     bounds = engine.plan_blocks(delays, period)
     _assert_plan_invariants(bounds, delays, period)
@@ -298,6 +302,25 @@ def test_block_plan_of_the_shipped_schedule():
     # with no staleness every block is one iteration
     assert engine.plan_blocks(np.zeros_like(delays), period).tolist() == list(
         range(cfg.schedule.iterations + 1))
+
+
+def test_the_ring_holds_the_largest_drawn_delay_plus_one_models():
+    # a delay at iteration t is at most min(max_client_delay, t), so every
+    # cap of 59 or more draws the same delays in a 60-iteration run. The
+    # ring of recent models is sized by the largest drawn delay: one sized
+    # by the cap would hold 10^15 + 1 models of 20 floats, 142 PiB
+    runs = []
+    for cap in (59, 10**15):
+        cfg = small_config(attack="gaussian", iterations=60, max_client_delay=cap)
+        cfg = dataclasses.replace(cfg, task=dataclasses.replace(cfg.task, dim=20))
+        prepared = prepare_data(cfg)
+        assert prepared.param_dim == 20
+        runs.append((draw_run(cfg, prepared, (1,))[1],
+                     run_trials(cfg, prepared, (1,))[0]))
+    (delays, capped), (same_delays, huge) = runs
+    assert np.array_equal(delays, same_delays)
+    assert huge.records == capped.records
+    assert huge.final_model.tobytes() == capped.final_model.tobytes()
 
 
 def _one_iteration_blocks(delays, refresh_period):
@@ -354,7 +377,7 @@ def test_a_row_diverging_inside_a_block_gets_that_iterations_record(monkeypatch)
     # with no refresh cuts, as AsyncSGD reads no g_s
     cfg = base_config(defense="asyncsgd", attack="adaptive")
     prepared = prepare_data(cfg)
-    delays = draw_trial(cfg, prepared, 3).delays[:, None]
+    _, delays, _, _ = draw_run(cfg, prepared, (3,))
     bounds = engine.plan_blocks(delays, None).tolist()
     assert [1932, 1936] == bounds[bounds.index(1932):bounds.index(1932) + 2]
     [result] = _assert_block_partition_invariant(monkeypatch, cfg, (3,))
@@ -456,7 +479,7 @@ def test_stateful_filters_keep_copies_of_block_rows(defense, step):
     stacks = (updates, bases) if defense == "kardam" else (updates,)
     if defense == "kardam":
         # the block is iterations [0, 2) of the schedule cids
-        states, block = defenses.KardamHistory(cids, 4), (0, 2)
+        states, block = defenses.KardamHistory(cids, 4, 5), (0, 2)
     else:
         states, block = [defenses.BasgdState(3) for _ in range(2)], (cids,)
     codes, out = getattr(defenses, step)(states, *block, *stacks)
@@ -515,10 +538,10 @@ def test_gaussian_rows_are_their_trials_noise_draws(monkeypatch):
     sent = np.concatenate(sent)
     assert sent.shape == (60, len(seeds), prepared.param_dim)
     malicious = cfg.clients.malicious_ids()
+    clients = draw_run(cfg, prepared, seeds)[0]
     for k, seed in enumerate(seeds):
         noise = np.random.default_rng(np.random.SeedSequence(seed).spawn(3)[2])
-        attacked = np.flatnonzero(np.isin(draw_trial(cfg, prepared, seed).clients,
-                                          malicious))
+        attacked = np.flatnonzero(np.isin(clients[:, k], malicious))
         assert len(attacked) > 5, seed
         for t in attacked:
             want = attacks.gaussian_update(prepared.param_dim, cfg.attack.gauss_sigma,
@@ -565,8 +588,7 @@ def test_bound_functions_call_through_their_modules(monkeypatch):
         for seeds in ((1,), (1, 2, 3)):
             calls.clear()
             run_trials(cfg, prepared, seeds)
-            delays = np.stack([draw_trial(cfg, prepared, seed).delays
-                               for seed in seeds], axis=1)
+            delays = draw_run(cfg, prepared, seeds)[1]
             # blocks cross a refresh only under a filter that reads g_s
             reads = defense in references
             blocks = len(engine.plan_blocks(delays, period if reads else None)) - 1
